@@ -294,8 +294,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         if cfg.suite == "stationarity" and (
             cfg.truncation is not None or cfg.candidate != "mixture" or cfg.n in (1, 2)
         ):
-            params = ChainParams(n=cfg.n if cfg.n in (1, 2) else 1,
-                                 beta_a=cfg.beta_a, beta_b=cfg.beta_b)
+            if cfg.n not in (1, 2):
+                raise ValueError(f"direct stationarity needs --n 1 or 2, got {cfg.n}")
+            params = ChainParams(n=cfg.n, beta_a=cfg.beta_a, beta_b=cfg.beta_b)
             truncation = cfg.truncation or (200 if params.n == 1 else 60)
             tol = cfg.tol or (1e-8 if params.n == 1 else 1e-6)
             reports.append(

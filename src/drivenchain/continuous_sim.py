@@ -8,18 +8,24 @@ log(z_x/epsilon) (zero once z_x <= epsilon) and the reservoir at temperature T
 injects at rate E1(epsilon/T).  The discarded small-jump drift from
 injections and removals nearly cancels; the residual bias is O(epsilon) and
 is probed empirically by cutoff-refinement runs rather than corrected.
+
+Occupation statistics come from ``occupation.run_window``, as in
+``discrete_sim``.  A run fails with RuntimeError on rate-cache drift past
+``core.RESYNC_DRIFT_TOL``, on an energy balance off by more than 1e-9
+relative, or on a negative energy.
 """
 
 from __future__ import annotations
 
 import math
-import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import ChainParams, FenwickTree, exp_integral_e1, make_rng
-from .occupation import BinnedHistogram, OccupationStats
+from .core import (ChainParams, FenwickTree, exp_integral_e1, make_rng, reset_rates,
+                   select_site)
+from .occupation import BinnedHistogram, OccupationStats, run_window
 
 __all__ = [
     "ContSimState",
@@ -130,6 +136,8 @@ class ContSimState:
     injected_b: float = 0.0
     extracted_b: float = 0.0
     tree: FenwickTree | None = None
+    max_resync_drift: float = 0.0
+    before_change: Callable[[int, float, float], None] | None = None
 
     @property
     def inj_rate(self) -> float:
@@ -141,11 +149,7 @@ class ContSimState:
 
     def resync(self) -> None:
         eps = self.epsilon
-        self.site_rate = [math.log(v / eps) if v > eps else 0.0 for v in self.z]
-        self.rate_sum = math.fsum(self.site_rate)
-        if self.tree is not None:
-            self.tree = FenwickTree([2.0 * r for r in self.site_rate])
-        self.events_since_resync = 0
+        reset_rates(self, [math.log(v / eps) if v > eps else 0.0 for v in self.z])
 
 
 def new_state_continuous(
@@ -162,7 +166,7 @@ def new_state_continuous(
         if len(z) != params.n or any(v < 0.0 for v in z):
             raise ValueError("z0 must hold n non-negative energies")
     site_rate = [math.log(v / epsilon) if v > epsilon else 0.0 for v in z]
-    state = ContSimState(
+    return ContSimState(
         params=params,
         epsilon=epsilon,
         z=z,
@@ -171,13 +175,14 @@ def new_state_continuous(
         rate_sum=math.fsum(site_rate),
         sampler_a=InjectionSampler(params.t_a, epsilon),
         sampler_b=InjectionSampler(params.t_b, epsilon),
+        tree=(FenwickTree([2.0 * r for r in site_rate])
+              if params.n > LINEAR_SCAN_MAX_SITES else None),
     )
-    if params.n > LINEAR_SCAN_MAX_SITES:
-        state.tree = FenwickTree([2.0 * r for r in site_rate])
-    return state
 
 
 def _update_site_energy(state: ContSimState, x: int, new_z: float) -> None:
+    if state.before_change is not None:
+        state.before_change(x, state.time, new_z)
     state.z[x] = new_z
     eps = state.epsilon
     # Recomputed from scratch: the rate varies continuously with z, so
@@ -207,39 +212,19 @@ def _jump_continuous(state: ContSimState, rng: np.random.Generator) -> None:
         state.injected_b += alpha
         return
     u -= rate_b
-    if state.tree is None:
-        x = -1
-        rates = state.site_rate
-        for i in range(n):
-            two_r = 2.0 * rates[i]
-            if u < two_r:
-                x = i
-                break
-            u -= two_r
-        if x < 0:
-            x = max(i for i in range(n) if rates[i] > 0.0)
-            u = 0.0
-    else:
-        x, u = state.tree.search(u)
-        if state.site_rate[x] <= 0.0:  # ulp spill onto a zero-rate slot
-            x = max(i for i in range(n) if state.site_rate[i] > 0.0)
-            u = 0.0
-    go_left = u < state.site_rate[x]
+    x, u = select_site(state.site_rate, state.tree, u)
+    to = x - 1 if u < state.site_rate[x] else x + 1
     zx = state.z[x]
     if not zx > state.epsilon:
         raise RuntimeError(f"removal channel selected at drained site {x}")
     alpha = sample_alpha_removal(zx, state.epsilon, rng)
     _update_site_energy(state, x, zx - alpha)
-    if go_left:
-        if x == 0:
-            state.extracted_a += alpha
-        else:
-            _update_site_energy(state, x - 1, state.z[x - 1] + alpha)
+    if to < 0:
+        state.extracted_a += alpha
+    elif to == n:
+        state.extracted_b += alpha
     else:
-        if x == n - 1:
-            state.extracted_b += alpha
-        else:
-            _update_site_energy(state, x + 1, state.z[x + 1] + alpha)
+        _update_site_energy(state, to, state.z[to] + alpha)
 
 
 def step_continuous(state: ContSimState, rng: np.random.Generator) -> float:
@@ -271,93 +256,17 @@ def simulate_continuous(
     cutoff actually used is recorded in ``extra`` along with the injection
     samplers' acceptance rates, whose collapse would flag a bad cutoff choice.
     """
-    if epsilon is None:
-        epsilon = default_epsilon(params)
-    if burn_in is None:
-        burn_in = 0.1 * t_max
-    if not t_max > burn_in >= 0.0:
-        raise ValueError(f"need t_max > burn_in >= 0, got ({t_max}, {burn_in})")
     if rng is None:
         rng = make_rng(0 if seed is None else seed)
     state = new_state_continuous(params, epsilon, z0)
-    n = params.n
-    hists = [
-        BinnedHistogram(10.0 * epsilon, 50.0 * params.t_b, HIST_BINS) for _ in range(n)
-    ]
-    mean_acc = [0.0] * n
-    second_acc = [[0.0] * n for _ in range(n)]
-    series = np.empty((grid_samples, n), dtype=np.float64)
-    span = t_max - burn_in
-    grid_dt = span / grid_samples
-    next_grid = 0
-    duration = 0.0
-    z = state.z
-    inj_rate = state.inj_rate
-    rexp = rng.standard_exponential
-    hadds = [h.add for h in hists]
-    sites = range(n)
-    wall_start = _time.perf_counter()
-    t = 0.0
-    while True:
-        dt = rexp() / (2.0 * state.rate_sum + inj_rate)
-        t_new = t + dt
-        seg_hi = t_new if t_new < t_max else t_max
-        seg_lo = t if t > burn_in else burn_in
-        if seg_hi > seg_lo:
-            w = seg_hi - seg_lo
-            duration += w
-            for x in sites:
-                zx = z[x]
-                hadds[x](zx, w)
-                if zx:
-                    zxw = zx * w
-                    mean_acc[x] += zxw
-                    row = second_acc[x]
-                    for y in range(x, n):
-                        row[y] += zxw * z[y]
-        while next_grid < grid_samples and burn_in + (next_grid + 1) * grid_dt <= t_new:
-            series[next_grid] = z
-            for obs in observers:
-                obs(burn_in + (next_grid + 1) * grid_dt, z)
-            next_grid += 1
-        if t_new >= t_max:
-            break
-        _jump_continuous(state, rng)
-        state.events += 1
-        state.events_since_resync += 1
-        if state.events_since_resync >= RESYNC_INTERVAL:
-            state.resync()
-        t = t_new
-        state.time = t
-    while next_grid < grid_samples:
-        series[next_grid] = z
-        next_grid += 1
-    state.time = t_max
-    wall = _time.perf_counter() - wall_start
-    sec = np.array(second_acc)
-    sec = sec + np.triu(sec, 1).T
-    return OccupationStats(
-        n_sites=n,
-        model="continuous",
-        duration=duration,
-        event_count=state.events,
-        mean_acc=np.array(mean_acc),
-        second_acc=sec,
-        hists=hists,
-        series=[series],
-        series_dt=grid_dt,
-        injected_a=state.injected_a,
-        extracted_a=state.extracted_a,
-        injected_b=state.injected_b,
-        extracted_b=state.extracted_b,
-        wall_seconds=wall,
-        extra={
-            "t_max": t_max,
-            "burn_in": burn_in,
-            "epsilon": epsilon,
-            "events_per_sec": state.events / wall if wall > 0 else float("inf"),
-            "final_z": list(z),
-            "acceptance_a": state.sampler_a.acceptance_rate,
-            "acceptance_b": state.sampler_b.acceptance_rate,
-        },
-    )
+    start_mass = math.fsum(state.z)
+    hists = [BinnedHistogram(10.0 * state.epsilon, 50.0 * params.t_b, HIST_BINS)
+             for _ in range(params.n)]
+    stats = run_window(state, state.z, _jump_continuous, state.inj_rate, rng, hists,
+                       "continuous", t_max, burn_in, grid_samples, observers,
+                       RESYNC_INTERVAL)
+    stats.extra.update(epsilon=state.epsilon, final_z=list(state.z),
+                       acceptance_a=state.sampler_a.acceptance_rate,
+                       acceptance_b=state.sampler_b.acceptance_rate)
+    stats.check_run(start_mass, state.z, 1e-9)
+    return stats

@@ -170,6 +170,9 @@ def exp_integral_e1(x: float) -> float:
 # Weighted selection over dynamic rates
 # ---------------------------------------------------------------------------
 
+RESYNC_DRIFT_TOL = 1e-9  # largest relative rate-cache drift a resync accepts
+
+
 class FenwickTree:
     """Binary indexed tree over non-negative weights with prefix search.
 
@@ -217,6 +220,43 @@ class FenwickTree:
                 u -= self.tree[nxt]
             bit >>= 1
         return min(idx, self.n - 1), u
+
+
+def select_site(rates: list[float], tree: FenwickTree | None, u: float) -> tuple[int, float]:
+    """Site x whose two channels (rate ``rates[x]`` each) hold u, and the offset into them.
+
+    Linear scan, or Fenwick search given a tree.  A float spill past the top,
+    or an ulp spill onto a zero-rate slot, lands on the last positive-rate site.
+    """
+    if tree is None:
+        for x, r in enumerate(rates):
+            two_r = 2.0 * r
+            if u < two_r:
+                return x, u
+            u -= two_r
+    else:
+        x, u = tree.search(u)
+        if rates[x] > 0.0:
+            return x, u
+    return max(i for i, r in enumerate(rates) if r > 0.0), 0.0
+
+
+def reset_rates(state, site_rate: list[float]) -> None:
+    """Install freshly computed site rates on a simulator state at a resync.
+
+    The relative drift of the incremental ``state.rate_sum`` is recorded in
+    ``state.max_resync_drift``; past RESYNC_DRIFT_TOL it is a RuntimeError.
+    """
+    exact = math.fsum(site_rate)
+    drift = abs(state.rate_sum - exact) / max(exact, 1.0)
+    state.max_resync_drift = max(state.max_resync_drift, drift)
+    if drift > RESYNC_DRIFT_TOL:
+        raise RuntimeError(f"rate cache drifted by {drift:.3e} (relative) before resync")
+    state.site_rate = site_rate
+    state.rate_sum = exact
+    if state.tree is not None:
+        state.tree = FenwickTree([2.0 * r for r in site_rate])
+    state.events_since_resync = 0
 
 
 # ---------------------------------------------------------------------------

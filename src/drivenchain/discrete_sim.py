@@ -7,14 +7,19 @@ reservoirs inject batches of k particles at rate beta^k / k, i.e. a constant
 total rate -log(1-beta) with logarithmically distributed batch sizes.  The
 chain is simulated exactly: exponential holding times at the total rate,
 channels picked proportionally to their rates.
+
+Occupation statistics come from ``occupation.run_window``: O(n) work per
+changed site (at most two per event).  A run fails with RuntimeError on
+rate-cache drift past ``core.RESYNC_DRIFT_TOL``, on particle counts that do
+not balance the boundary fluxes exactly, or on a negative occupation.
 """
 
 from __future__ import annotations
 
 import math
-import time as _time
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +30,10 @@ from .core import (
     harmonic_number,
     harmonic_prefix,
     make_rng,
+    reset_rates,
+    select_site,
 )
-from .occupation import IntHistogram, OccupationStats
+from .occupation import IntHistogram, OccupationStats, run_window
 
 __all__ = [
     "SimState",
@@ -112,7 +119,9 @@ class SimState:
 
     ``site_rate[x]`` holds H(eta_x), the rate of each of site x's two exit
     channels; ``rate_sum`` tracks their sum incrementally and is refreshed
-    from scratch every RESYNC_INTERVAL events to keep drift far below 1e-9.
+    from scratch every RESYNC_INTERVAL events (see ``core.reset_rates``).
+    ``before_change(x, time, new)``, when set, runs just before site x
+    takes the value ``new``.
     """
 
     params: ChainParams
@@ -129,17 +138,15 @@ class SimState:
     injected_b: int = 0
     extracted_b: int = 0
     tree: FenwickTree | None = None
+    max_resync_drift: float = 0.0
+    before_change: Callable[[int, float, float], None] | None = None
 
     @property
     def total_rate(self) -> float:
         return 2.0 * self.rate_sum + self.lam_a + self.lam_b
 
     def resync(self) -> None:
-        self.site_rate = [harmonic_number(e) for e in self.eta]
-        self.rate_sum = math.fsum(self.site_rate)
-        if self.tree is not None:
-            self.tree = FenwickTree([2.0 * r for r in self.site_rate])
-        self.events_since_resync = 0
+        reset_rates(self, [harmonic_number(e) for e in self.eta])
 
 
 def new_state(params: ChainParams, eta0=None) -> SimState:
@@ -150,7 +157,7 @@ def new_state(params: ChainParams, eta0=None) -> SimState:
         if len(eta) != params.n or any(v < 0 for v in eta):
             raise ValueError("eta0 must hold n non-negative integers")
     site_rate = [harmonic_number(e) for e in eta]
-    state = SimState(
+    return SimState(
         params=params,
         eta=eta,
         time=0.0,
@@ -158,13 +165,14 @@ def new_state(params: ChainParams, eta0=None) -> SimState:
         rate_sum=math.fsum(site_rate),
         lam_a=-math.log1p(-params.beta_a),
         lam_b=-math.log1p(-params.beta_b),
+        tree=(FenwickTree([2.0 * r for r in site_rate])
+              if params.n > LINEAR_SCAN_MAX_SITES else None),
     )
-    if params.n > LINEAR_SCAN_MAX_SITES:
-        state.tree = FenwickTree([2.0 * r for r in site_rate])
-    return state
 
 
 def _update_site(state: SimState, x: int, new_eta: int) -> None:
+    if state.before_change is not None:
+        state.before_change(x, state.time, new_eta)
     state.eta[x] = new_eta
     if new_eta <= HARMONIC_CACHE_LIMIT:
         pref = _hl
@@ -196,39 +204,19 @@ def _jump(state: SimState, rng: np.random.Generator) -> None:
         return
     u -= state.lam_b
     # Removal channels: two per site, each at rate site_rate[x].
-    if state.tree is None:
-        x = -1
-        rates = state.site_rate
-        for i in range(n):
-            two_r = 2.0 * rates[i]
-            if u < two_r:
-                x = i
-                break
-            u -= two_r
-        if x < 0:  # float spill at the very top of the cumulative range
-            x = max(i for i in range(n) if rates[i] > 0.0)
-            u = 0.0
-    else:
-        x, u = state.tree.search(u)
-        if state.site_rate[x] <= 0.0:  # ulp spill onto a zero-rate slot
-            x = max(i for i in range(n) if state.site_rate[i] > 0.0)
-            u = 0.0
-    go_left = u < state.site_rate[x]
+    x, u = select_site(state.site_rate, state.tree, u)
+    to = x - 1 if u < state.site_rate[x] else x + 1
     occ = state.eta[x]
     if occ < 1:
         raise RuntimeError(f"removal channel selected at empty site {x}")
     k = sample_k_harmonic(occ, rng)
     _update_site(state, x, occ - k)
-    if go_left:
-        if x == 0:
-            state.extracted_a += k
-        else:
-            _update_site(state, x - 1, state.eta[x - 1] + k)
+    if to < 0:
+        state.extracted_a += k
+    elif to == n:
+        state.extracted_b += k
     else:
-        if x == n - 1:
-            state.extracted_b += k
-        else:
-            _update_site(state, x + 1, state.eta[x + 1] + k)
+        _update_site(state, to, state.eta[to] + k)
 
 
 def step(state: SimState, rng: np.random.Generator) -> float:
@@ -256,91 +244,17 @@ def simulate(
     """Run one trajectory until t_max and accumulate occupation statistics.
 
     Statistics are weighted by holding time (the occupation measure is a time
-    average) and start only after ``burn_in`` (default: 10% of t_max).  The
-    trajectory is additionally sampled on a uniform grid of ``grid_samples``
-    points across the measurement window, giving downstream autocorrelation
-    estimates an evenly spaced series to work on.
+    average) over [burn_in, t_max] (burn_in defaults to 10% of t_max); see
+    ``occupation.run_window`` for the accumulation, the ``grid_samples``
+    series and the ``observers``.
     """
-    if burn_in is None:
-        burn_in = 0.1 * t_max
-    if not t_max > burn_in >= 0.0:
-        raise ValueError(f"need t_max > burn_in >= 0, got ({t_max}, {burn_in})")
     if rng is None:
         rng = make_rng(0 if seed is None else seed)
     state = new_state(params, eta0)
-    n = params.n
-    hists = [IntHistogram() for _ in range(n)]
-    mean_acc = [0.0] * n
-    second_acc = [[0.0] * n for _ in range(n)]
-    series = np.empty((grid_samples, n), dtype=np.int64)
-    span = t_max - burn_in
-    grid_dt = span / grid_samples
-    next_grid = 0
-    duration = 0.0
-    eta = state.eta
-    lam_ab = state.lam_a + state.lam_b
-    rexp = rng.standard_exponential
-    hadds = [h.add for h in hists]
-    sites = range(n)
-    wall_start = _time.perf_counter()
-    t = 0.0
-    while True:
-        dt = rexp() / (2.0 * state.rate_sum + lam_ab)
-        t_new = t + dt
-        seg_hi = t_new if t_new < t_max else t_max
-        seg_lo = t if t > burn_in else burn_in
-        if seg_hi > seg_lo:
-            w = seg_hi - seg_lo
-            duration += w
-            for x in sites:
-                ex = eta[x]
-                hadds[x](ex, w)
-                if ex:
-                    exw = ex * w
-                    mean_acc[x] += exw
-                    row = second_acc[x]
-                    for y in range(x, n):
-                        row[y] += exw * eta[y]
-        while next_grid < grid_samples and burn_in + (next_grid + 1) * grid_dt <= t_new:
-            series[next_grid] = eta
-            for obs in observers:
-                obs(burn_in + (next_grid + 1) * grid_dt, eta)
-            next_grid += 1
-        if t_new >= t_max:
-            break
-        _jump(state, rng)
-        state.events += 1
-        state.events_since_resync += 1
-        if state.events_since_resync >= RESYNC_INTERVAL:
-            state.resync()
-        t = t_new
-        state.time = t
-    while next_grid < grid_samples:  # float edge at the last grid point
-        series[next_grid] = eta
-        next_grid += 1
-    state.time = t_max
-    wall = _time.perf_counter() - wall_start
-    sec = np.array(second_acc)
-    sec = sec + np.triu(sec, 1).T
-    return OccupationStats(
-        n_sites=n,
-        model="discrete",
-        duration=duration,
-        event_count=state.events,
-        mean_acc=np.array(mean_acc),
-        second_acc=sec,
-        hists=hists,
-        series=[series],
-        series_dt=grid_dt,
-        injected_a=float(state.injected_a),
-        extracted_a=float(state.extracted_a),
-        injected_b=float(state.injected_b),
-        extracted_b=float(state.extracted_b),
-        wall_seconds=wall,
-        extra={
-            "t_max": t_max,
-            "burn_in": burn_in,
-            "events_per_sec": state.events / wall if wall > 0 else float("inf"),
-            "final_eta": list(eta),
-        },
-    )
+    start_mass = sum(state.eta)
+    stats = run_window(state, state.eta, _jump, state.lam_a + state.lam_b, rng,
+                       [IntHistogram() for _ in range(params.n)], "discrete",
+                       t_max, burn_in, grid_samples, observers, RESYNC_INTERVAL)
+    stats.extra["final_eta"] = list(state.eta)
+    stats.check_run(start_mass, state.eta, 0.0)
+    return stats

@@ -1,22 +1,30 @@
 """Time-weighted trajectory statistics shared by both simulators.
 
 A trajectory is piecewise constant, so the occupation measure weights each
-visited configuration by its holding time.  ``OccupationStats`` accumulates
-per-site value histograms, first and second moment integrals, boundary flux
-totals, and a regularly spaced sample of the trajectory (used downstream to
-estimate autocorrelation times).  Replica results merge by plain summation,
-which makes R merged replicas identical to one run of the concatenated
-duration for every reported moment.
+visited configuration by its holding time.  ``OccupationStats`` holds per-site
+value histograms, first and second moment integrals, boundary flux totals,
+and a regularly spaced sample of the trajectory (used downstream to estimate
+autocorrelation times).  Replica results merge by plain summation, which
+makes R merged replicas identical to one run of the concatenated duration
+for every reported moment.
+
+``run_window`` drives either simulator and fills the moments through a
+``LazyAccumulator``.  An event changes at most two sites, so rather than
+weighting all n sites after every holding interval (O(n^2) per event) it
+closes a site's interval only when that site changes: O(n) per change.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats"]
+__all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "LazyAccumulator",
+           "run_window"]
 
 
 class IntHistogram:
@@ -115,6 +123,21 @@ class OccupationStats:
         mu = self.mean()
         return self.second_acc / self.duration - np.outer(mu, mu)
 
+    def check_run(self, start_mass: float, final, tol: float) -> None:
+        """Raise RuntimeError unless a finished run kept its invariants.
+
+        Mass balance: injected - extracted equals the mass gained from
+        ``start_mass`` to the ``final`` state, within ``tol`` relative to the
+        mass brought in.  Non-negativity: of the final state and mean_acc.
+        """
+        net = self.injected_a + self.injected_b - self.extracted_a - self.extracted_b
+        gained = math.fsum(final) - start_mass
+        if abs(net - gained) > tol * max(1.0, start_mass + self.injected_a + self.injected_b):
+            raise RuntimeError(f"mass balance broken: injected - extracted = {net!r}, "
+                               f"mass gained = {gained!r}")
+        if min(final) < 0 or np.any(self.mean_acc < 0):
+            raise RuntimeError("negative occupation in the final state or mean accumulator")
+
     def merge(self, other: "OccupationStats") -> "OccupationStats":
         """Sum accumulators of two independent runs (commutative, associative)."""
         if (self.n_sites, self.model) != (other.n_sites, other.model):
@@ -128,7 +151,7 @@ class OccupationStats:
             event_count=self.event_count + other.event_count,
             mean_acc=self.mean_acc + other.mean_acc,
             second_acc=self.second_acc + other.second_acc,
-            hists=[_copy_hist(h) for h in self.hists],
+            hists=copy.deepcopy(self.hists),
             series=list(self.series) + list(other.series),
             series_dt=self.series_dt or other.series_dt,
             injected_a=self.injected_a + other.injected_a,
@@ -143,11 +166,121 @@ class OccupationStats:
         return out
 
 
-def _copy_hist(h):
-    if isinstance(h, IntHistogram):
-        out = IntHistogram()
-        out.weights = list(h.weights)
-        return out
-    out = BinnedHistogram(h.lo, h.hi, h.n_bins)
-    out.weights = list(h.weights)
-    return out
+class LazyAccumulator:
+    """Flush-on-change accumulator of time-weighted occupation moments.
+
+    Reads the simulator's live value list (no copy).  Per site x it keeps the
+    time ``last[x]`` of its last change, the running integral
+    I_x(c) = int_start^c eta_x dt as I_x(c) = offset[x] + eta_x * c (exact
+    while eta_x holds), and row x of int eta_x eta_y dt.  Summed by parts
+    over x's holding intervals, a change of x from ``old`` to ``new`` at
+    time c adds (old - new) * I_y(c) to row x, and the window's end adds
+    eta_x * I_y(end).  The rows are symmetric up to rounding; ``finish``
+    averages them with their transpose.
+    """
+
+    __slots__ = ("values", "hists", "start", "sites", "last", "offset", "rows")
+
+    def __init__(self, values: list, hists: list, start: float) -> None:
+        n = len(values)
+        self.values = values
+        self.hists = hists
+        self.start = start
+        self.sites = range(n)
+        self.last = [start] * n
+        self.offset = [-v * start for v in values]
+        self.rows = [[0.0] * n for _ in range(n)]
+
+    def change(self, x: int, c: float, new) -> None:
+        """Site x is about to take value ``new`` at time c: one O(n) pass over row x.
+
+        At or before ``start`` it only resets offset[x]: the window opens on ``new``.
+        """
+        start = self.start
+        if c <= start:
+            self.offset[x] = -new * start
+            return
+        vals = self.values
+        off = self.offset
+        row = self.rows[x]
+        old = vals[x]
+        step = old - new
+        for y in self.sites:  # in place: faster than a comprehension at small n
+            row[y] += step * (off[y] + vals[y] * c)
+        off[x] += step * c
+        last = self.last
+        w = c - last[x]
+        if w > 0.0:
+            self.hists[x].add(old, w)
+            last[x] = c
+
+    def finish(self, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+        """Close every site at t_end; returns (mean_acc, second_acc)."""
+        vals = self.values
+        totals = [a + v * t_end for a, v in zip(self.offset, vals)]
+        for x, v in enumerate(vals):
+            if t_end > self.last[x]:
+                self.hists[x].add(v, t_end - self.last[x])
+        rows = np.array(self.rows) + np.outer(vals, totals)
+        return np.array(totals), 0.5 * (rows + rows.T)
+
+
+def run_window(state, values: list, jump, fixed_rate: float, rng, hists: list, model: str,
+               t_max: float, burn_in: float | None, grid_samples: int, observers,
+               resync_interval: int) -> OccupationStats:
+    """Run a simulator state to t_max and measure it over [burn_in, t_max].
+
+    ``jump(state, rng)`` executes one event of the chain whose live per-site
+    list is ``values``; holding times are exponential at total rate
+    2 * state.rate_sum + ``fixed_rate`` (injection), and the rate cache
+    resyncs every ``resync_interval`` events.  A ``LazyAccumulator`` on
+    ``state.before_change`` fills the moments and ``hists``.  burn_in
+    defaults to 10% of t_max.  The trajectory is also sampled on a uniform
+    grid of ``grid_samples`` points across the window (an evenly spaced
+    series for autocorrelation estimates), each point passed to every
+    ``observers`` callable as (time, values).
+    """
+    if burn_in is None:
+        burn_in = 0.1 * t_max
+    if not t_max > burn_in >= 0.0:
+        raise ValueError(f"need t_max > burn_in >= 0, got ({t_max}, {burn_in})")
+    acc = LazyAccumulator(values, hists, burn_in)
+    state.before_change = acc.change
+    series = np.empty((grid_samples, len(values)),
+                      dtype=np.int64 if model == "discrete" else np.float64)
+    grid_dt = (t_max - burn_in) / grid_samples
+    next_grid = 0
+    rexp = rng.standard_exponential
+    wall_start = time.perf_counter()
+    t = 0.0
+    while True:
+        dt = rexp() / (2.0 * state.rate_sum + fixed_rate)
+        t_new = t + dt
+        while next_grid < grid_samples and burn_in + (next_grid + 1) * grid_dt <= t_new:
+            series[next_grid] = values
+            for obs in observers:
+                obs(burn_in + (next_grid + 1) * grid_dt, values)
+            next_grid += 1
+        if t_new >= t_max:
+            break
+        state.time = t = t_new
+        jump(state, rng)
+        state.events += 1
+        state.events_since_resync += 1
+        if state.events_since_resync >= resync_interval:
+            state.resync()
+    while next_grid < grid_samples:  # float edge at the last grid point
+        series[next_grid] = values
+        next_grid += 1
+    mean_acc, second_acc = acc.finish(t_max)
+    wall = time.perf_counter() - wall_start
+    return OccupationStats(
+        n_sites=len(values), model=model, duration=t_max - burn_in,
+        event_count=state.events, mean_acc=mean_acc, second_acc=second_acc, hists=hists,
+        series=[series], series_dt=grid_dt, wall_seconds=wall,
+        injected_a=float(state.injected_a), extracted_a=float(state.extracted_a),
+        injected_b=float(state.injected_b), extracted_b=float(state.extracted_b),
+        extra={"t_max": t_max, "burn_in": burn_in,
+               "events_per_sec": state.events / wall if wall > 0 else float("inf"),
+               "max_resync_drift": state.max_resync_drift},
+    )

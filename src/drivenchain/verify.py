@@ -741,6 +741,8 @@ SUITES = {
 
 def run_suite(name: str, **kwargs) -> list[VerificationReport]:
     if name == "all":
+        if kwargs:
+            raise ValueError(f"suite 'all' takes no options, got {sorted(kwargs)}")
         out = []
         for fn in SUITES.values():
             out.extend(fn())

@@ -144,6 +144,14 @@ class TestVerify:
                       "--out", str(out)])
         assert rc == 3
 
+    @pytest.mark.parametrize("flags", [["--n", "5", "--k", "10"],
+                                       ["--n", "3", "--candidate", "product-geometric"]])
+    def test_stationarity_rejects_unsupported_n(self, tmp_path, flags):
+        out = tmp_path / "ver5"
+        rc = run_cli(["verify", "--suite", "stationarity", *flags, "--out", str(out)])
+        assert rc == 2
+        assert not (out / "reports.jsonl").exists()
+
     def test_telescoping_sizes_flag(self, tmp_path):
         out = tmp_path / "ver3"
         rc = run_cli(["verify", "--suite", "telescoping", "--sizes", "1,2",

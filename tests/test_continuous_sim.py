@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats as sps
 
+from drivenchain import continuous_sim
 from drivenchain.continuous_sim import (
     InjectionSampler,
     default_epsilon,
@@ -15,7 +16,7 @@ from drivenchain.continuous_sim import (
     simulate_continuous,
     step_continuous,
 )
-from drivenchain.core import ChainParams, exp_integral_e1, make_rng
+from drivenchain.core import RESYNC_DRIFT_TOL, ChainParams, exp_integral_e1, make_rng
 from drivenchain.measure import MixtureSpec, Model
 
 NEQ = ChainParams(n=5, t_a=1.0, t_b=2.0)
@@ -160,6 +161,25 @@ class TestStateAndStep:
         for _ in range(20_000):
             step_continuous(st, rng)
             assert all(v >= 0.0 for v in st.z)
+
+    def test_resync_records_drift(self, monkeypatch):
+        monkeypatch.setattr(continuous_sim, "RESYNC_INTERVAL", 50)
+        st = simulate_continuous(NEQ, t_max=40.0, seed=17, grid_samples=256)
+        assert st.event_count > 1000
+        assert 0.0 <= st.extra["max_resync_drift"] <= RESYNC_DRIFT_TOL
+
+    def test_resync_drift_past_tolerance_is_hard_error(self, monkeypatch):
+        real_new_state = continuous_sim.new_state_continuous
+
+        def corrupted(params, epsilon=None, z0=None):
+            state = real_new_state(params, epsilon, z0)
+            state.rate_sum *= 1.0 + 1e-6  # cached sum no longer matches the sites
+            return state
+
+        monkeypatch.setattr(continuous_sim, "RESYNC_INTERVAL", 50)
+        monkeypatch.setattr(continuous_sim, "new_state_continuous", corrupted)
+        with pytest.raises(RuntimeError, match="drifted"):
+            simulate_continuous(NEQ, t_max=40.0, seed=17, z0=[1.0] * 5, grid_samples=256)
 
 
 class TestSimulateContinuous:

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as sps
 
 from drivenchain import discrete_sim
-from drivenchain.core import ChainParams, harmonic_number, make_rng
+from drivenchain.core import RESYNC_DRIFT_TOL, ChainParams, harmonic_number, make_rng
 from drivenchain.discrete_sim import (
     SimState,
     new_state,
@@ -161,6 +161,25 @@ class TestStateAndStep:
         incremental = st.rate_sum
         fresh = math.fsum(harmonic_number(e) for e in st.eta)
         assert abs(incremental - fresh) <= 1e-9 * max(fresh, 1.0)
+
+    def test_resync_records_drift(self, monkeypatch):
+        monkeypatch.setattr(discrete_sim, "RESYNC_INTERVAL", 50)
+        st = simulate(NEQ, t_max=200.0, seed=24, grid_samples=256)
+        assert st.event_count > 1000
+        assert 0.0 <= st.extra["max_resync_drift"] <= RESYNC_DRIFT_TOL
+
+    def test_resync_drift_past_tolerance_is_hard_error(self, monkeypatch):
+        real_new_state = discrete_sim.new_state
+
+        def corrupted(params, eta0=None):
+            state = real_new_state(params, eta0)
+            state.rate_sum *= 1.0 + 1e-6  # cached sum no longer matches the sites
+            return state
+
+        monkeypatch.setattr(discrete_sim, "RESYNC_INTERVAL", 50)
+        monkeypatch.setattr(discrete_sim, "new_state", corrupted)
+        with pytest.raises(RuntimeError, match="drifted"):
+            simulate(NEQ, t_max=200.0, seed=24, eta0=[4] * 5, grid_samples=256)
 
 
 class TestSimulate:

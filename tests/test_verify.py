@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from drivenchain import verify
 from drivenchain.core import ChainParams, harmonic_number
 from drivenchain.measure import MixtureSpec, Model, mixture_density_discrete
 from drivenchain.verify import (
@@ -307,3 +308,12 @@ class TestReportsAndSuites:
         assert run_suite("identities")
         with pytest.raises(ValueError):
             run_suite("nope")
+
+    def test_run_suite_all_rejects_options(self, monkeypatch):
+        calls = []
+        fake = {"a": lambda **kw: calls.append(kw) or [], "b": lambda **kw: calls.append(kw) or []}
+        monkeypatch.setattr(verify, "SUITES", fake)
+        assert run_suite("all") == [] and calls == [{}, {}]
+        with pytest.raises(ValueError, match="no options"):
+            run_suite("all", sizes=(1,))
+        assert len(calls) == 2  # nothing ran with the options dropped
