@@ -15,7 +15,6 @@ from .core import (
     harmonic_number,
     make_rng,
     quadrature_1d,
-    spawn_rngs,
 )
 from .measure import (
     DensityEstimate,

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .continuous_sim import default_epsilon, simulate_continuous
+from .continuous_sim import default_epsilon, energy_histogram, simulate_continuous
 from .core import ChainParams
 from .discrete_sim import simulate
 from .measure import (
@@ -38,7 +39,7 @@ from .measure import (
     sample_exact_continuous,
     sample_exact_discrete,
 )
-from .occupation import BinnedHistogram, IntHistogram, OccupationStats
+from .occupation import DEFAULT_GRID_SAMPLES, IntHistogram, OccupationStats
 from .stats import (
     chi_square_discrete,
     effective_sample_size,
@@ -77,7 +78,7 @@ class RunConfig:
     replicas: int = 1
     seed: int = 0
     workers: int | None = None
-    grid_samples: int = 1 << 16
+    grid_samples: int = DEFAULT_GRID_SAMPLES
     out: str = ""
     samples: int = 100_000
     suite: str = "all"
@@ -287,31 +288,46 @@ def cmd_sample_exact(cfg: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _direct_stationarity(cfg: RunConfig) -> bool:
+    """Whether ``verify --suite stationarity`` runs one direct balance check, not the suite."""
+    return cfg.suite == "stationarity" and (
+        cfg.truncation is not None or cfg.candidate != "mixture" or cfg.n in (1, 2))
+
+
+def _check_verify_options(cfg: RunConfig, given: set[str]) -> None:
+    """ValueError if an option was given that the chosen check would not use."""
+    if _direct_stationarity(cfg):
+        honoured = {"tol"}
+    else:
+        honoured = {"telescoping": {"tol", "sizes", "mc_samples"},
+                    "equilibrium": {"tol"}}.get(cfg.suite, set())
+    ignored = sorted(given & {"tol", "sizes", "mc_samples"} - honoured)
+    if ignored:
+        flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
+        raise ValueError(f"verify --suite {cfg.suite} does not use {flags}")
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     outdir = _resolve_outdir(cfg)
     reports = []
     try:
-        if cfg.suite == "stationarity" and (
-            cfg.truncation is not None or cfg.candidate != "mixture" or cfg.n in (1, 2)
-        ):
+        if _direct_stationarity(cfg):
             if cfg.n not in (1, 2):
                 raise ValueError(f"direct stationarity needs --n 1 or 2, got {cfg.n}")
             params = ChainParams(n=cfg.n, beta_a=cfg.beta_a, beta_b=cfg.beta_b)
-            truncation = cfg.truncation or (200 if params.n == 1 else 60)
-            tol = cfg.tol or (1e-8 if params.n == 1 else 1e-6)
+            truncation, tol = (200, 1e-8) if params.n == 1 else (60, 1e-6)
+            truncation = truncation if cfg.truncation is None else cfg.truncation
+            tol = tol if cfg.tol is None else cfg.tol
             reports.append(
                 check_stationarity_direct_discrete(
                     params, truncation, tol, candidate=cfg.candidate
                 )
             )
-        elif cfg.suite == "telescoping":
-            kwargs = {"sizes": cfg.sizes, "mc_samples": cfg.mc_samples,
-                      "seed": cfg.seed}
-            if cfg.tol:
-                kwargs["tol"] = cfg.tol
-            reports.extend(run_suite("telescoping", **kwargs))
         else:
-            reports.extend(run_suite(cfg.suite))
+            kwargs = {} if cfg.tol is None else {"tol": cfg.tol}
+            if cfg.suite == "telescoping":
+                kwargs.update(sizes=cfg.sizes, mc_samples=cfg.mc_samples, seed=cfg.seed)
+            reports.extend(run_suite(cfg.suite, **kwargs))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -345,7 +361,7 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
     with open(sim_dir / "meta.json") as fh:
         meta = json.load(fh)
     raw = dict(meta["config"])
-    raw["sizes"] = tuple(raw.get("sizes", (1, 2, 3, 5)))
+    raw["sizes"] = tuple(raw.get("sizes", RunConfig.sizes))
     cfg = RunConfig(**raw)
     acc = meta["accumulators"]
     series = np.load(sim_dir / "series.npy")
@@ -355,7 +371,7 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
         hists = [IntHistogram() for _ in range(n)]
     else:
         eps = meta.get("epsilon") or default_epsilon(params)
-        hists = [BinnedHistogram(10.0 * eps, 50.0 * params.t_b) for _ in range(n)]
+        hists = [energy_histogram(params, eps) for _ in range(n)]
     with open(sim_dir / "histograms.csv") as fh:
         rd = csv.reader(fh)
         next(rd)
@@ -446,6 +462,10 @@ def cmd_compare(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=["discrete", "continuous"])
     p.add_argument("--n", type=int)
@@ -487,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="box truncation for the direct balance check")
     p.add_argument("--tol", type=float)
     p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--sizes", type=str, help="comma-separated chain sizes")
+    p.add_argument("--sizes", type=_parse_sizes, help="comma-separated chain sizes")
     p.add_argument("--candidate",
                    choices=["mixture", "product-geometric", "product-marginals"])
 
@@ -510,42 +530,41 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_FIELD_TYPES = {f.name: f.type for f in RunConfig.__dataclass_fields__.values()}
+def _parser(annotation):
+    """str -> value converter for a RunConfig field: its type, or its non-None type."""
+    if typing.get_origin(annotation) is tuple:
+        return _parse_sizes
+    return next((a for a in typing.get_args(annotation) if a is not type(None)), annotation)
 
 
-def _coerce(name: str, value: str):
-    if name in ("n", "replicas", "seed", "workers", "grid_samples", "samples",
-                "truncation", "mc_samples"):
-        return int(value)
-    if name in ("beta_a", "beta_b", "t_a", "t_b", "epsilon", "t_max",
-                "burn_in", "tol", "level"):
-        return float(value)
-    if name == "sizes":
-        return tuple(int(v) for v in value.split(","))
-    return value
+_PARSERS = {name: _parser(tp) for name, tp in typing.get_type_hints(RunConfig).items()}
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
+    """The run's configuration and the names of the fields a file or flag set."""
     cfg = RunConfig(command=args.command)
+    given = set()
     file_path = getattr(args, "config", None)
     if file_path:
         for key, value in _read_config_file(file_path).items():
-            if key not in _FIELD_TYPES:
+            if key not in _PARSERS:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _coerce(key, value))
+            setattr(cfg, key, _PARSERS[key](value))
+            given.add(key)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
-        if key == "sizes" and isinstance(value, str):
-            value = tuple(int(v) for v in value.split(","))
         setattr(cfg, key, value)
-    return cfg
+        given.add(key)
+    return cfg, given
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        cfg, given = resolve_config(args)
+        if cfg.command == "verify":
+            _check_verify_options(cfg, given)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

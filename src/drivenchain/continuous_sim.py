@@ -1,4 +1,4 @@
-"""Event-driven simulator for the continuous energy chain.
+"""Energy chain: cutoff jump samplers and the ``simulate_continuous`` entry point.
 
 The energy model moves an amount alpha of energy across an edge at rate
 d(alpha)/alpha, so its jump activity diverges at small alpha: there is no
@@ -9,7 +9,7 @@ injects at rate E1(epsilon/T).  The discarded small-jump drift from
 injections and removals nearly cancels; the residual bias is O(epsilon) and
 is probed empirically by cutoff-refinement runs rather than corrected.
 
-Occupation statistics come from ``occupation.run_window``, as in
+The chain runs on the shared event engine, ``occupation.run_window``, as in
 ``discrete_sim``.  A run fails with RuntimeError on rate-cache drift past
 ``core.RESYNC_DRIFT_TOL``, on an energy balance off by more than 1e-9
 relative, or on a negative energy.
@@ -18,34 +18,30 @@ relative, or on a negative energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .core import (ChainParams, FenwickTree, exp_integral_e1, make_rng, reset_rates,
-                   select_site)
-from .occupation import BinnedHistogram, OccupationStats, run_window
+from .core import ChainParams, exp_integral_e1, make_rng
+from .occupation import (DEFAULT_GRID_SAMPLES, BinnedHistogram, ChainState, OccupationStats,
+                         initial_values, run_window)
 
 __all__ = [
-    "ContSimState",
     "InjectionSampler",
     "new_state_continuous",
-    "step_continuous",
     "simulate_continuous",
     "sample_alpha_removal",
-    "sample_alpha_injection",
     "default_epsilon",
+    "energy_histogram",
 ]
-
-LINEAR_SCAN_MAX_SITES = 64
-RESYNC_INTERVAL = 1_000_000
-DEFAULT_GRID_SAMPLES = 1 << 16
-HIST_BINS = 256
 
 
 def default_epsilon(params: ChainParams) -> float:
     return 1e-6 * min(params.t_a, 1.0)
+
+
+def energy_histogram(params: ChainParams, epsilon: float) -> BinnedHistogram:
+    """The binning of every energy histogram: 256 log-spaced bins on (10 eps, 50 T_B]."""
+    return BinnedHistogram(10.0 * epsilon, 50.0 * params.t_b, 256)
 
 
 def sample_alpha_removal(z: float, epsilon: float, rng: np.random.Generator) -> float:
@@ -62,11 +58,12 @@ class InjectionSampler:
     Mixture rejection with split point s = max(eps, T): below s, propose from
     1/a by inversion and accept with exp(-a/T) (at least e^{-1} there); above
     s, propose s plus an Exponential(T) overshoot and accept with s/a.  Branch
-    masses come from the exponential integral, so the mixture is exact.
+    masses come from the exponential integral, so the mixture is exact; their
+    sum ``total_rate`` is the reservoir's injection rate.
     """
 
     __slots__ = ("temperature", "epsilon", "split", "mass_low", "mass_high",
-                 "log_ratio", "proposals", "accepts")
+                 "total_rate", "log_ratio", "proposals", "accepts")
 
     def __init__(self, temperature: float, epsilon: float) -> None:
         if temperature <= 0.0 or epsilon <= 0.0:
@@ -81,16 +78,13 @@ class InjectionSampler:
         else:
             self.mass_low = 0.0
             self.log_ratio = 0.0
+        self.total_rate = self.mass_low + self.mass_high
         self.proposals = 0
         self.accepts = 0
 
-    @property
-    def total_rate(self) -> float:
-        return self.mass_low + self.mass_high
-
     def draw(self, rng: np.random.Generator) -> float:
         t = self.temperature
-        p_low = self.mass_low / (self.mass_low + self.mass_high)
+        p_low = self.mass_low / self.total_rate
         # Pick the branch once, then reject within it: retrying across
         # branches would re-weight them by their unequal acceptance rates.
         if rng.random() < p_low:
@@ -112,131 +106,22 @@ class InjectionSampler:
         return self.accepts / self.proposals if self.proposals else float("nan")
 
 
-def sample_alpha_injection(
-    temperature: float, epsilon: float, rng: np.random.Generator
-) -> float:
-    """One-shot draw from the truncated reservoir injection measure."""
-    return InjectionSampler(temperature, epsilon).draw(rng)
-
-
-@dataclass(slots=True)
-class ContSimState:
-    params: ChainParams
-    epsilon: float
-    z: list[float]
-    time: float
-    site_rate: list[float]
-    rate_sum: float
-    sampler_a: InjectionSampler
-    sampler_b: InjectionSampler
-    events: int = 0
-    events_since_resync: int = 0
-    injected_a: float = 0.0
-    extracted_a: float = 0.0
-    injected_b: float = 0.0
-    extracted_b: float = 0.0
-    tree: FenwickTree | None = None
-    max_resync_drift: float = 0.0
-    before_change: Callable[[int, float, float], None] | None = None
-
-    @property
-    def inj_rate(self) -> float:
-        return self.sampler_a.total_rate + self.sampler_b.total_rate
-
-    @property
-    def total_rate(self) -> float:
-        return 2.0 * self.rate_sum + self.inj_rate
-
-    def resync(self) -> None:
-        eps = self.epsilon
-        reset_rates(self, [math.log(v / eps) if v > eps else 0.0 for v in self.z])
-
-
 def new_state_continuous(
     params: ChainParams, epsilon: float | None = None, z0=None
-) -> ContSimState:
+) -> ChainState:
+    """Energy-chain state with cutoff ``epsilon``: drained, or started from ``z0``."""
     if epsilon is None:
         epsilon = default_epsilon(params)
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if z0 is None:
-        z = [0.0] * params.n
-    else:
-        z = [float(v) for v in z0]
-        if len(z) != params.n or any(v < 0.0 for v in z):
-            raise ValueError("z0 must hold n non-negative energies")
-    site_rate = [math.log(v / epsilon) if v > epsilon else 0.0 for v in z]
-    return ContSimState(
-        params=params,
-        epsilon=epsilon,
-        z=z,
-        time=0.0,
-        site_rate=site_rate,
-        rate_sum=math.fsum(site_rate),
-        sampler_a=InjectionSampler(params.t_a, epsilon),
-        sampler_b=InjectionSampler(params.t_b, epsilon),
-        tree=(FenwickTree([2.0 * r for r in site_rate])
-              if params.n > LINEAR_SCAN_MAX_SITES else None),
+    return ChainState(
+        initial_values(params.n, z0, float),
+        lambda z: math.log(z / epsilon) if z > epsilon else 0.0,
+        epsilon,
+        lambda z, rng: sample_alpha_removal(z, epsilon, rng),
+        InjectionSampler(params.t_a, epsilon),
+        InjectionSampler(params.t_b, epsilon),
     )
-
-
-def _update_site_energy(state: ContSimState, x: int, new_z: float) -> None:
-    if state.before_change is not None:
-        state.before_change(x, state.time, new_z)
-    state.z[x] = new_z
-    eps = state.epsilon
-    # Recomputed from scratch: the rate varies continuously with z, so
-    # incremental updates would accumulate drift.
-    new_rate = math.log(new_z / eps) if new_z > eps else 0.0
-    delta = new_rate - state.site_rate[x]
-    state.site_rate[x] = new_rate
-    state.rate_sum += delta
-    if state.tree is not None:
-        state.tree.add(x, 2.0 * delta)
-
-
-def _jump_continuous(state: ContSimState, rng: np.random.Generator) -> None:
-    n = state.params.n
-    rate_a = state.sampler_a.total_rate
-    rate_b = state.sampler_b.total_rate
-    u = rng.random() * state.total_rate
-    if u < rate_a:
-        alpha = state.sampler_a.draw(rng)
-        _update_site_energy(state, 0, state.z[0] + alpha)
-        state.injected_a += alpha
-        return
-    u -= rate_a
-    if u < rate_b:
-        alpha = state.sampler_b.draw(rng)
-        _update_site_energy(state, n - 1, state.z[n - 1] + alpha)
-        state.injected_b += alpha
-        return
-    u -= rate_b
-    x, u = select_site(state.site_rate, state.tree, u)
-    to = x - 1 if u < state.site_rate[x] else x + 1
-    zx = state.z[x]
-    if not zx > state.epsilon:
-        raise RuntimeError(f"removal channel selected at drained site {x}")
-    alpha = sample_alpha_removal(zx, state.epsilon, rng)
-    _update_site_energy(state, x, zx - alpha)
-    if to < 0:
-        state.extracted_a += alpha
-    elif to == n:
-        state.extracted_b += alpha
-    else:
-        _update_site_energy(state, to, state.z[to] + alpha)
-
-
-def step_continuous(state: ContSimState, rng: np.random.Generator) -> float:
-    """Advance one event; returns the holding time spent in the old state."""
-    dt = rng.standard_exponential() / state.total_rate
-    state.time += dt
-    _jump_continuous(state, rng)
-    state.events += 1
-    state.events_since_resync += 1
-    if state.events_since_resync >= RESYNC_INTERVAL:
-        state.resync()
-    return dt
 
 
 def simulate_continuous(
@@ -259,14 +144,10 @@ def simulate_continuous(
     if rng is None:
         rng = make_rng(0 if seed is None else seed)
     state = new_state_continuous(params, epsilon, z0)
-    start_mass = math.fsum(state.z)
-    hists = [BinnedHistogram(10.0 * state.epsilon, 50.0 * params.t_b, HIST_BINS)
-             for _ in range(params.n)]
-    stats = run_window(state, state.z, _jump_continuous, state.inj_rate, rng, hists,
-                       "continuous", t_max, burn_in, grid_samples, observers,
-                       RESYNC_INTERVAL)
-    stats.extra.update(epsilon=state.epsilon, final_z=list(state.z),
+    hists = [energy_histogram(params, state.floor) for _ in range(params.n)]
+    stats = run_window(state, rng, hists, "continuous", t_max, burn_in, grid_samples,
+                       observers, 1e-9)
+    stats.extra.update(epsilon=state.floor, final_z=list(state.values),
                        acceptance_a=state.sampler_a.acceptance_rate,
                        acceptance_b=state.sampler_b.acceptance_rate)
-    stats.check_run(start_mass, state.z, 1e-9)
     return stats

@@ -20,7 +20,6 @@ EULER_GAMMA = 0.57721566490153286061
 __all__ = [
     "ChainParams",
     "make_rng",
-    "spawn_rngs",
     "harmonic_number",
     "harmonic_prefix",
     "exp_integral_e1",
@@ -75,29 +74,23 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """n statistically independent child streams of one root seed."""
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
-
-
 # ---------------------------------------------------------------------------
 # Harmonic numbers
 # ---------------------------------------------------------------------------
 
 HARMONIC_CACHE_LIMIT = 1_000_000
 
-# _harmonic[j] == H(j); grown geometrically on demand up to the cache limit.
-_harmonic = np.zeros(1024)
-_harmonic[1:] = np.cumsum(1.0 / np.arange(1, 1024))
+# _harmonic[j] == H(j), a plain list (python floats index faster than numpy
+# scalars in the per-event path); grown geometrically on demand, in place, up
+# to the cache limit.
+_harmonic: list[float] = [0.0, *np.cumsum(1.0 / np.arange(1, 1024)).tolist()]
 
 
 def _grow_harmonic(n: int) -> None:
-    global _harmonic
     top = len(_harmonic)
     new_top = min(max(2 * top, n + 1), HARMONIC_CACHE_LIMIT + 1)
     ext = np.cumsum(1.0 / np.arange(top, new_top))
-    _harmonic = np.concatenate([_harmonic, _harmonic[-1] + ext])
+    _harmonic.extend((_harmonic[-1] + ext).tolist())
 
 
 def harmonic_number(n: int) -> float:
@@ -112,17 +105,20 @@ def harmonic_number(n: int) -> float:
     if n <= HARMONIC_CACHE_LIMIT:
         if n >= len(_harmonic):
             _grow_harmonic(n)
-        return float(_harmonic[n])
+        return _harmonic[n]
     return math.log(n) + EULER_GAMMA + 1.0 / (2.0 * n) - 1.0 / (12.0 * n * n)
 
 
-def harmonic_prefix(n: int) -> np.ndarray:
-    """View of the cached prefix sums [H(0), H(1), ..., H(n)], n within cache."""
+def harmonic_prefix(n: int) -> list[float]:
+    """The cached prefix sums [H(0), H(1), ...], grown to hold H(n), n within cache.
+
+    This is the cache itself, not a copy, and it may run past H(n).
+    """
     if n > HARMONIC_CACHE_LIMIT:
-        raise ValueError(f"prefix view only cached up to {HARMONIC_CACHE_LIMIT}")
+        raise ValueError(f"prefix sums only cached up to {HARMONIC_CACHE_LIMIT}")
     if n >= len(_harmonic):
         _grow_harmonic(n)
-    return _harmonic[: n + 1]
+    return _harmonic
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +252,6 @@ def reset_rates(state, site_rate: list[float]) -> None:
     state.rate_sum = exact
     if state.tree is not None:
         state.tree = FenwickTree([2.0 * r for r in site_rate])
-    state.events_since_resync = 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,39 @@ class TestVerify:
         assert rc == 2
         assert not (out / "reports.jsonl").exists()
 
+    def test_equilibrium_records_requested_tol(self, tmp_path):
+        out = tmp_path / "ver6"
+        rc = run_cli(["verify", "--suite", "equilibrium", "--tol", "1e-9", "--out", str(out)])
+        assert rc == 0
+        reports = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+        assert reports
+        assert all(r["tolerances"]["max_residual"] == 1e-9 for r in reports)
+
+    def test_zero_tol_is_not_replaced_by_default(self, tmp_path):
+        out = tmp_path / "ver8"
+        rc = run_cli(["verify", "--suite", "stationarity", "--n", "1", "--k", "20",
+                      "--tol", "0", "--out", str(out)])
+        assert rc == 4  # no certificate reaches 0; the default 1e-8 would pass
+        assert (out / "reports.jsonl").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--suite", "identities", "--tol", "1e-9"],
+        ["--suite", "all", "--tol", "1e-9"],
+        ["--suite", "stationarity", "--tol", "1e-3"],
+        ["--suite", "equilibrium", "--mc-samples", "1000"],
+        ["--suite", "identities", "--sizes", "1,2"],
+        ["--suite", "stationarity", "--n", "1", "--k", "20", "--sizes", "1"],
+        ["--suite", "equilibrium", "--config", "mc_samples=1000"],
+    ])
+    def test_unused_option_exits_2(self, tmp_path, flags):
+        if "--config" in flags:
+            cfg = tmp_path / "ver.cfg"
+            cfg.write_text(flags[-1] + "\n")
+            flags = [*flags[:-1], str(cfg)]
+        out = tmp_path / "ver7"
+        assert run_cli(["verify", *flags, "--out", str(out)]) == 2
+        assert not (out / "reports.jsonl").exists()
+
     def test_telescoping_sizes_flag(self, tmp_path):
         out = tmp_path / "ver3"
         rc = run_cli(["verify", "--suite", "telescoping", "--sizes", "1,2",
@@ -183,7 +217,11 @@ class TestCompare:
         assert len(rows) == 3
         assert all(r["passed"] == "True" for r in rows)
 
-    def test_continuous_round_trip(self, tmp_path):
+    def test_continuous_round_trip(self, tmp_path, monkeypatch):
+        simulated = []
+        real = cli.simulate_continuous
+        monkeypatch.setattr(cli, "simulate_continuous",
+                            lambda *a, **kw: simulated.append(real(*a, **kw)) or simulated[-1])
         sim = tmp_path / "csim"
         run_cli([
             "simulate", "--model", "continuous", "--n", "2", "--t-a", "1",
@@ -192,6 +230,11 @@ class TestCompare:
         ])
         out = tmp_path / "ccmp"
         assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 0
+        _, loaded = cli._load_sim_dir(sim)
+        assert len(loaded.hists) == len(simulated[0].hists) == 2
+        for h_sim, h_load in zip(simulated[0].hists, loaded.hists):
+            assert (h_load.lo, h_load.hi, h_load.n_bins) == (h_sim.lo, h_sim.hi, h_sim.n_bins)
+            assert h_load.weights == h_sim.weights
 
     def test_missing_sim_dir_exit_2(self, tmp_path):
         rc = run_cli(["compare", "--sim", str(tmp_path / "nope"),
@@ -213,6 +256,30 @@ class TestConfigResolution:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"]["beta_b"] == 0.75  # flag wins
         assert meta["config"]["n"] == 2  # file value kept
+
+    def test_config_file_values_get_field_types(self, tmp_path):
+        text = {"n": "3", "beta_a": "0.25", "beta_b": "0.5", "t_a": "1", "t_b": "2",
+                "epsilon": "1e-5", "t_max": "100", "burn_in": "5", "replicas": "2",
+                "seed": "7", "workers": "1", "grid_samples": "256", "samples": "10",
+                "truncation": "20", "tol": "1e-6", "mc_samples": "1000",
+                "sizes": "1,2", "level": "0.05"}
+        hints = typing.get_type_hints(cli.RunConfig)
+        assert set(text) == {name for name, tp in hints.items() if tp is not str}
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in text.items()))
+        cfg, given = cli.resolve_config(cli.build_parser().parse_args(
+            ["verify", "--config", str(path)]))
+        assert given == set(text)
+        for name, tp in hints.items():
+            if name not in text:
+                continue
+            value = getattr(cfg, name)
+            if typing.get_origin(tp) is tuple:
+                assert value == (1, 2) and all(type(v) is int for v in value)
+            else:
+                want = next(a for a in (*typing.get_args(tp), tp) if a is not type(None))
+                assert type(value) is want, name
+                assert value == want(text[name])
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

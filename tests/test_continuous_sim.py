@@ -1,4 +1,4 @@
-"""Cutoff simulator for the energy chain: jump samplers, stepping, trajectories."""
+"""Cutoff simulator for the energy chain: jump samplers, state, events, trajectories."""
 
 import math
 
@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats as sps
 
-from drivenchain import continuous_sim
+from drivenchain import continuous_sim, occupation
 from drivenchain.continuous_sim import (
     InjectionSampler,
     default_epsilon,
     new_state_continuous,
-    sample_alpha_injection,
     sample_alpha_removal,
     simulate_continuous,
-    step_continuous,
 )
 from drivenchain.core import RESYNC_DRIFT_TOL, ChainParams, exp_integral_e1, make_rng
 from drivenchain.measure import MixtureSpec, Model
@@ -105,7 +103,8 @@ class TestAlphaInjection:
 
     def test_all_draws_above_cutoff(self):
         rng = make_rng(6)
-        draws = [sample_alpha_injection(0.7, 1e-4, rng) for _ in range(2_000)]
+        s = InjectionSampler(0.7, 1e-4)
+        draws = [s.draw(rng) for _ in range(2_000)]
         assert min(draws) >= 1e-4
 
     def test_invalid(self):
@@ -135,35 +134,36 @@ class TestStateAndStep:
         )
         assert st.total_rate == pytest.approx(expected, rel=1e-12)
 
-    def test_first_event_from_empty_is_injection(self):
+    def test_first_event_from_empty_is_injection(self, after_each_event):
         p = ChainParams(n=3, t_a=1.0, t_b=2.0)
-        rng = make_rng(7)
-        st = new_state_continuous(p)
-        dt = step_continuous(st, rng)
-        assert dt > 0.0
-        assert st.injected_a + st.injected_b == pytest.approx(sum(st.z))
+        first = []
+        after_each_event(lambda st: st.events == 0 and first.append(
+            (st.time, sum(st.values), st.injected_a + st.injected_b)))
+        simulate_continuous(p, t_max=5.0, seed=7, grid_samples=8)
+        (t, energy, injected), = first
+        assert t > 0.0
+        assert injected == pytest.approx(energy)
 
     def test_energy_conservation_bookkeeping(self):
         p = ChainParams(n=4, t_a=1.0, t_b=2.0)
-        st = new_state_continuous(p, epsilon=1e-6)
-        rng = make_rng(8)
-        for _ in range(30_000):
-            step_continuous(st, rng)
+        st = simulate_continuous(p, t_max=250.0, epsilon=1e-6, burn_in=0.0, seed=8,
+                                 grid_samples=64)
+        assert st.event_count >= 30_000
         injected = st.injected_a + st.injected_b
         extracted = st.extracted_a + st.extracted_b
         throughput = injected + extracted
-        assert abs(injected - extracted - sum(st.z)) < 1e-9 * throughput
+        assert abs(injected - extracted - sum(st.extra["final_z"])) < 1e-9 * throughput
 
-    def test_nonnegative_energy_always(self):
+    def test_nonnegative_energy_always(self, after_each_event):
         p = ChainParams(n=2, t_a=0.5, t_b=0.5)
-        st = new_state_continuous(p, epsilon=1e-5)
-        rng = make_rng(9)
-        for _ in range(20_000):
-            step_continuous(st, rng)
-            assert all(v >= 0.0 for v in st.z)
+        negative = []
+        after_each_event(lambda st: min(st.values) < 0.0 and negative.append(list(st.values)))
+        st = simulate_continuous(p, t_max=400.0, epsilon=1e-5, seed=9, grid_samples=64)
+        assert st.event_count >= 20_000
+        assert negative == []
 
     def test_resync_records_drift(self, monkeypatch):
-        monkeypatch.setattr(continuous_sim, "RESYNC_INTERVAL", 50)
+        monkeypatch.setattr(occupation, "RESYNC_INTERVAL", 50)
         st = simulate_continuous(NEQ, t_max=40.0, seed=17, grid_samples=256)
         assert st.event_count > 1000
         assert 0.0 <= st.extra["max_resync_drift"] <= RESYNC_DRIFT_TOL
@@ -176,7 +176,7 @@ class TestStateAndStep:
             state.rate_sum *= 1.0 + 1e-6  # cached sum no longer matches the sites
             return state
 
-        monkeypatch.setattr(continuous_sim, "RESYNC_INTERVAL", 50)
+        monkeypatch.setattr(occupation, "RESYNC_INTERVAL", 50)
         monkeypatch.setattr(continuous_sim, "new_state_continuous", corrupted)
         with pytest.raises(RuntimeError, match="drifted"):
             simulate_continuous(NEQ, t_max=40.0, seed=17, z0=[1.0] * 5, grid_samples=256)

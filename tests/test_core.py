@@ -17,7 +17,6 @@ from drivenchain.core import (
     make_rng,
     ordered_simplex_integral,
     quadrature_1d,
-    spawn_rngs,
 )
 
 
@@ -53,15 +52,6 @@ class TestRng:
         a = make_rng(1234).random(32)
         b = make_rng(1234).random(32)
         assert np.array_equal(a, b)
-
-    def test_spawned_streams_distinct_and_reproducible(self):
-        xs = [r.random(16) for r in spawn_rngs(7, 4)]
-        ys = [r.random(16) for r in spawn_rngs(7, 4)]
-        for x, y in zip(xs, ys):
-            assert np.array_equal(x, y)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not np.array_equal(xs[i], xs[j])
 
 
 class TestHarmonic:

@@ -1,4 +1,4 @@
-"""Event-driven particle-chain simulator: samplers, stepping, trajectories."""
+"""Particle-chain simulator: samplers, state, events, trajectories."""
 
 import math
 
@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from drivenchain import discrete_sim
+from drivenchain import discrete_sim, occupation
 from drivenchain.core import RESYNC_DRIFT_TOL, ChainParams, harmonic_number, make_rng
-from drivenchain.discrete_sim import (
-    SimState,
-    new_state,
-    sample_k_harmonic,
-    sample_k_logarithmic,
-    simulate,
-    step,
-)
+from drivenchain.discrete_sim import LogSeriesSampler, new_state, sample_k_harmonic, simulate
 from drivenchain.measure import MixtureSpec, Model, geometric_pmf, moment_profile
 
 NEQ = ChainParams(n=5, beta_a=0.5, beta_b=0.75)
@@ -59,15 +52,19 @@ class TestSampleKHarmonic:
 
 
 class TestSampleKLogarithmic:
+    """Reservoir batch sizes, drawn by ``LogSeriesSampler``."""
+
     def test_small_beta_returns_one(self):
         rng = make_rng(4)
-        draws = [sample_k_logarithmic(1e-6, rng) for _ in range(5_000)]
+        s = LogSeriesSampler(1e-6)
+        draws = [s.draw(rng) for _ in range(5_000)]
         assert all(k == 1 for k in draws)
 
     def test_beta_half_first_mass(self):
         frozen = 0.7213475204444817  # 0.5 / log 2
         rng = make_rng(5)
-        draws = np.array([sample_k_logarithmic(0.5, rng) for _ in range(200_000)])
+        s = LogSeriesSampler(0.5)
+        draws = np.array([s.draw(rng) for _ in range(200_000)])
         se = math.sqrt(frozen * (1.0 - frozen) / len(draws))
         assert abs((draws == 1).mean() - frozen) < 4.0 * se
 
@@ -78,7 +75,8 @@ class TestSampleKLogarithmic:
         oracle = sum(k * beta**k / (k * L) for k in range(1, 200))
         assert oracle == pytest.approx(1.4426950408889634, abs=1e-12)  # frozen
         rng = make_rng(6)
-        draws = np.array([sample_k_logarithmic(beta, rng) for _ in range(300_000)])
+        s = LogSeriesSampler(beta)
+        draws = np.array([s.draw(rng) for _ in range(300_000)])
         se = draws.std() / math.sqrt(len(draws))
         assert abs(draws.mean() - oracle) < 3.0 * se
 
@@ -86,7 +84,9 @@ class TestSampleKLogarithmic:
         beta = 0.75
         L = -math.log1p(-beta)
         rng = make_rng(7)
-        draws = np.array([sample_k_logarithmic(beta, rng) for _ in range(150_000)])
+        s = LogSeriesSampler(beta)
+        assert s.total_rate == L
+        draws = np.array([s.draw(rng) for _ in range(150_000)])
         kmax = draws.max()
         p = np.array([beta**k / (k * L) for k in range(1, kmax + 1)])
         counts = np.bincount(draws, minlength=kmax + 1)[1:]
@@ -102,7 +102,7 @@ class TestSampleKLogarithmic:
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5])
     def test_invalid(self, beta):
         with pytest.raises(ValueError):
-            sample_k_logarithmic(beta, make_rng(0))
+            LogSeriesSampler(beta)
 
 
 class TestStateAndStep:
@@ -121,49 +121,51 @@ class TestStateAndStep:
         expected = 2.0 * 11.0 / 6.0 + math.log(2.0) + math.log(4.0)
         assert st.total_rate == pytest.approx(expected, abs=1e-13)
 
-    def test_first_event_from_empty_is_injection(self):
+    def test_first_event_from_empty_is_injection(self, after_each_event):
         p = ChainParams(n=3, beta_a=0.5, beta_b=0.75)
-        rng = make_rng(8)
-        for _ in range(50):
-            st = new_state(p)
-            dt = step(st, rng)
-            assert dt > 0.0
-            assert sum(st.eta) >= 1
-            assert st.injected_a + st.injected_b == sum(st.eta)
+        first = []
+        after_each_event(lambda st: st.events == 0 and first.append(
+            (st.time, sum(st.values), st.injected_a + st.injected_b)))
+        for seed in range(50):
+            simulate(p, t_max=50.0, seed=seed, grid_samples=8)
+        assert len(first) == 50
+        for t, mass, injected in first:
+            assert t > 0.0
+            assert mass >= 1
+            assert injected == mass
 
     def test_particle_conservation_bookkeeping(self):
         p = ChainParams(n=4, beta_a=0.5, beta_b=0.7)
-        st = new_state(p)
-        rng = make_rng(9)
-        for _ in range(20_000):
-            step(st, rng)
+        st = simulate(p, t_max=2_500.0, burn_in=0.0, seed=9, grid_samples=64)
+        assert st.event_count >= 20_000
         injected = st.injected_a + st.injected_b
         extracted = st.extracted_a + st.extracted_b
-        assert injected - extracted == sum(st.eta)  # exact integer identity
+        assert injected - extracted == sum(st.extra["final_eta"])  # exact integer identity
 
-    def test_corrupted_rate_cache_is_hard_error(self):
+    def test_corrupted_rate_cache_is_hard_error(self, monkeypatch):
+        real_new_state = discrete_sim.new_state
+
+        def corrupted(params, eta0=None):
+            state = real_new_state(params, eta0)
+            state.site_rate[0] = 5.0  # rate cache says occupied, config says empty
+            state.rate_sum = 5.0
+            return state
+
+        monkeypatch.setattr(discrete_sim, "new_state", corrupted)
         p = ChainParams(n=2, beta_a=0.5, beta_b=0.75)
-        st = new_state(p, eta0=[0, 0])
-        st.site_rate[0] = 5.0  # rate cache says occupied, config says empty
-        st.rate_sum = 5.0
-        rng = make_rng(10)
-        with pytest.raises(RuntimeError):
-            for _ in range(50):
-                step(st, rng)
+        with pytest.raises(RuntimeError, match="removal channel"):
+            simulate(p, t_max=50.0, seed=10, eta0=[0, 0], grid_samples=64)
 
-    def test_rate_cache_drift_after_1e6_steps(self, monkeypatch):
-        monkeypatch.setattr(discrete_sim, "RESYNC_INTERVAL", 10_000_000)
-        p = ChainParams(n=5, beta_a=0.5, beta_b=0.75)
-        st = new_state(p)
-        rng = make_rng(11)
-        for _ in range(1_000_000):
-            step(st, rng)
-        incremental = st.rate_sum
-        fresh = math.fsum(harmonic_number(e) for e in st.eta)
-        assert abs(incremental - fresh) <= 1e-9 * max(fresh, 1.0)
+    def test_rate_cache_drift_after_1e6_steps(self):
+        # The first resync comes after RESYNC_INTERVAL = 1e6 events and
+        # records the drift of the incrementally updated rate sum.
+        assert occupation.RESYNC_INTERVAL == 1_000_000
+        st = simulate(NEQ, t_max=80_000.0, seed=11, grid_samples=64)
+        assert st.event_count >= 1_000_000
+        assert 0.0 <= st.extra["max_resync_drift"] <= 1e-9
 
     def test_resync_records_drift(self, monkeypatch):
-        monkeypatch.setattr(discrete_sim, "RESYNC_INTERVAL", 50)
+        monkeypatch.setattr(occupation, "RESYNC_INTERVAL", 50)
         st = simulate(NEQ, t_max=200.0, seed=24, grid_samples=256)
         assert st.event_count > 1000
         assert 0.0 <= st.extra["max_resync_drift"] <= RESYNC_DRIFT_TOL
@@ -176,7 +178,7 @@ class TestStateAndStep:
             state.rate_sum *= 1.0 + 1e-6  # cached sum no longer matches the sites
             return state
 
-        monkeypatch.setattr(discrete_sim, "RESYNC_INTERVAL", 50)
+        monkeypatch.setattr(occupation, "RESYNC_INTERVAL", 50)
         monkeypatch.setattr(discrete_sim, "new_state", corrupted)
         with pytest.raises(RuntimeError, match="drifted"):
             simulate(NEQ, t_max=200.0, seed=24, eta0=[4] * 5, grid_samples=256)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from drivenchain import continuous_sim, discrete_sim
+from drivenchain import occupation
 from drivenchain.continuous_sim import simulate_continuous
 from drivenchain.core import ChainParams
 from drivenchain.discrete_sim import simulate
@@ -66,20 +66,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def record_events(monkeypatch, model: str) -> list:
+def record_events(after_each_event) -> list:
     """Record (event time, state after the event) for every jump a simulator makes."""
-    module, name, attr = {
-        "discrete": (discrete_sim, "_jump", "eta"),
-        "continuous": (continuous_sim, "_jump_continuous", "z"),
-    }[model]
-    real = getattr(module, name)
     events = []
-
-    def recording(state, rng):
-        real(state, rng)
-        events.append((state.time, list(getattr(state, attr))))
-
-    monkeypatch.setattr(module, name, recording)
+    after_each_event(lambda state: events.append((state.time, list(state.values))))
     return events
 
 
@@ -107,9 +97,9 @@ def dense_walk(start, events, burn_in: float, t_max: float):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_lazy_accumulator_matches_dense_rewalk(monkeypatch, name):
+def test_lazy_accumulator_matches_dense_rewalk(after_each_event, name):
     model, run, start = CASES[name]
-    events = record_events(monkeypatch, model)
+    events = record_events(after_each_event)
     st = run()
     burn_in, t_max = st.extra["burn_in"], st.extra["t_max"]
     assert len(events) == st.event_count
@@ -175,19 +165,42 @@ class TestCheckRun:
 
 
 @pytest.mark.parametrize("model", ["discrete", "continuous"])
-def test_simulators_reject_broken_mass_balance(monkeypatch, model):
-    module, name = {"discrete": (discrete_sim, "_jump"),
-                    "continuous": (continuous_sim, "_jump_continuous")}[model]
-    real = getattr(module, name)
-
-    def leaky(state, rng):  # books one unit of injection that never arrives
-        real(state, rng)
+def test_simulators_reject_broken_mass_balance(after_each_event, model):
+    def leaky(state):  # books one unit of injection that never arrives
         if state.events == 100:
             state.injected_a += 1
 
-    monkeypatch.setattr(module, name, leaky)
+    after_each_event(leaky)
     with pytest.raises(RuntimeError, match="mass balance"):
         if model == "discrete":
             simulate(D5, 50.0, seed=1, grid_samples=64)
         else:
             simulate_continuous(C5, 20.0, seed=1, grid_samples=64)
+
+
+@pytest.mark.parametrize("model", ["discrete", "continuous"])
+def test_merge_lists_per_replica_extra(monkeypatch, model):
+    monkeypatch.setattr(occupation, "RESYNC_INTERVAL", 50)  # non-zero, unequal drifts
+    if model == "discrete":
+        runs = [simulate(ChainParams(n=3, beta_a=0.5, beta_b=0.75), 100.0, seed=s,
+                         grid_samples=64) for s in (1, 2, 3)]
+        keys = ("final_eta", "events_per_sec")
+    else:
+        runs = [simulate_continuous(ChainParams(n=3, t_a=1.0, t_b=2.0), 20.0, seed=s,
+                                    grid_samples=64) for s in (1, 2, 3)]
+        keys = ("final_z", "acceptance_a", "acceptance_b", "events_per_sec")
+    a, b, c = runs
+    merged = a.merge(b)
+    assert merged.replicas == 2
+    for key in keys:
+        assert merged.extra[key] == [a.extra[key], b.extra[key]]
+    drifts = [r.extra["max_resync_drift"] for r in runs]
+    assert merged.extra["max_resync_drift"] == max(drifts[:2]) > 0.0
+    assert merged.extra["t_max"] == a.extra["t_max"]
+    # Associative: both groupings list the three replicas in order.
+    left, right = merged.merge(c), a.merge(b.merge(c))
+    assert left.replicas == right.replicas == 3
+    assert left.extra == right.extra
+    for key in keys:
+        assert left.extra[key] == [r.extra[key] for r in runs]
+    assert left.extra["max_resync_drift"] == max(drifts)
