@@ -1,10 +1,12 @@
 """Command-line front end: simulate, sample-exact, verify, compare.
 
 Configuration comes from flags, optionally seeded by a ``key=value`` config
-file (flags win).  Every run writes a ``meta.json`` carrying the full
-configuration, seed, and library versions, so any output is reproducible from
-its own metadata; wall-clock timings go to stderr only, keeping all written
-files byte-stable across reruns.
+file (flags win).  A config-file key the command has no flag for, and a
+``verify`` option the chosen check would not use, are configuration errors.
+Every run writes a ``meta.json`` carrying the full configuration, seed, and
+library versions, so any output is reproducible from its own metadata;
+wall-clock timings go to stderr only, keeping all written files byte-stable
+across reruns.
 
 Exit codes are stable API: 0 success/pass, 1 runtime error, 2 configuration
 error, 3 verification or comparison failure, 4 inconclusive.
@@ -297,11 +299,11 @@ def _direct_stationarity(cfg: RunConfig) -> bool:
 def _check_verify_options(cfg: RunConfig, given: set[str]) -> None:
     """ValueError if an option was given that the chosen check would not use."""
     if _direct_stationarity(cfg):
-        honoured = {"tol"}
+        honoured = {"n", "beta_a", "beta_b", "truncation", "candidate", "tol"}
     else:
-        honoured = {"telescoping": {"tol", "sizes", "mc_samples"},
+        honoured = {"telescoping": {"sizes", "mc_samples", "seed", "tol"},
                     "equilibrium": {"tol"}}.get(cfg.suite, set())
-    ignored = sorted(given & {"tol", "sizes", "mc_samples"} - honoured)
+    ignored = sorted(given - honoured - {"suite", "out"})
     if ignored:
         flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
         raise ValueError(f"verify --suite {cfg.suite} does not use {flags}")
@@ -466,6 +468,12 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", type=str, help="output directory "
+                   f"(default: ${ENV_OUTDIR} or the working directory)")
+    p.add_argument("--config", type=str, help="key=value config file; flags win")
+
+
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=["discrete", "continuous"])
     p.add_argument("--n", type=int)
@@ -474,9 +482,7 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-a", dest="t_a", type=float)
     p.add_argument("--t-b", dest="t_b", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=str, help="output directory "
-                   f"(default: ${ENV_OUTDIR} or the working directory)")
-    p.add_argument("--config", type=str, help="key=value config file; flags win")
+    _add_output_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["mixture", "product-geometric", "product-marginals"])
 
     p = sub.add_parser("compare", help="test saved simulation output against the exact law")
-    _add_chain_flags(p)
+    _add_output_flags(p)
     p.add_argument("--sim", dest="sim_dir", type=str, required=True)
     p.add_argument("--level", type=float)
     return ap
@@ -563,6 +569,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, given = resolve_config(args)
+        # args holds a field for every flag of the subcommand, given or not
+        foreign = sorted(given - (set(vars(args)) - {"command", "config"}))
+        if foreign:
+            raise ValueError(f"{args.command} has no option for config key(s) {foreign}")
         if cfg.command == "verify":
             _check_verify_options(cfg, given)
     except (ValueError, OSError) as exc:

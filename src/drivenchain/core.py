@@ -2,18 +2,21 @@
 
 Everything downstream (exact measures, simulators, verifier) builds on the
 pieces collected here: validated chain parameters, reproducible random
-streams, harmonic numbers, the exponential integral E1, and a self-contained
-adaptive Gauss-Kronrod quadrature with explicit convergence reporting.
+streams, harmonic numbers, the exponential integral E1, a self-contained
+adaptive Gauss-Kronrod quadrature with explicit convergence reporting, and a
+Chebyshev integrator over the ordered box lo <= m_1 <= ... <= m_n <= hi.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -89,8 +92,10 @@ _harmonic: list[float] = [0.0, *np.cumsum(1.0 / np.arange(1, 1024)).tolist()]
 def _grow_harmonic(n: int) -> None:
     top = len(_harmonic)
     new_top = min(max(2 * top, n + 1), HARMONIC_CACHE_LIMIT + 1)
-    ext = np.cumsum(1.0 / np.arange(top, new_top))
-    _harmonic.extend((_harmonic[-1] + ext).tolist())
+    # Continue the running sum itself, so that every entry is
+    # fl(H(j-1) + 1/j) whatever sizes the cache grew through.
+    ext = np.cumsum(np.concatenate(([_harmonic[-1]], 1.0 / np.arange(top, new_top))))
+    _harmonic.extend(ext[1:].tolist())
 
 
 def harmonic_number(n: int) -> float:
@@ -255,7 +260,7 @@ def reset_rates(state, site_rate: list[float]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Kronrod quadrature (G7, K15)
+# Quadrature: adaptive Gauss-Kronrod (G7, K15) in 1-D, Chebyshev on the ordered box
 # ---------------------------------------------------------------------------
 
 # Nodes/weights on [-1, 1]; Gauss-7 nodes are the odd-indexed Kronrod nodes.
@@ -287,7 +292,7 @@ class QuadResult(NamedTuple):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive subdivision ran out of budget before reaching the tolerance."""
+    """An integrator ran out of subdivisions or degrees before reaching the tolerance."""
 
     def __init__(self, message: str, value: float, error: float) -> None:
         super().__init__(message)
@@ -295,14 +300,10 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def _panel(f: Callable, a: float, b: float, vectorized: bool) -> tuple[float, float]:
+def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * _NODES
-    if vectorized:
-        fx = np.asarray(f(x), dtype=float)
-    else:
-        fx = np.array([f(float(t)) for t in x], dtype=float)
+    fx = np.asarray(f(mid + half * _NODES), dtype=float)
     if not np.all(np.isfinite(fx)):
         raise ValueError(f"integrand returned non-finite values on [{a}, {b}]")
     resk = half * float(fx @ _KW)
@@ -322,20 +323,18 @@ def quadrature_1d(
     b: float,
     tol: float = 1e-10,
     limit: int = 2048,
-    vectorized: bool = True,
 ) -> QuadResult:
     """Adaptive estimate of the integral of f over [a, b].
 
-    ``f`` is called on a numpy array of nodes when ``vectorized`` (the
-    default), otherwise on scalar floats.  Returns the estimate together with
-    an error bound; raises :class:`QuadratureError` when the subdivision
+    ``f`` is called on a numpy array of nodes.  Returns the estimate together
+    with an error bound; raises :class:`QuadratureError` when the subdivision
     budget is exhausted, never silently truncates.
     """
     if a > b:
         raise ValueError(f"need a <= b, got ({a}, {b})")
     if a == b:
         return QuadResult(0.0, 0.0, 0)
-    val, err = _panel(f, a, b, vectorized)
+    val, err = _panel(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
     total_val, total_err = val, err
     count = 1
@@ -360,8 +359,8 @@ def quadrature_1d(
                 total_val, total_err,
             )
         pm = 0.5 * (pa + pb)
-        lval, lerr = _panel(f, pa, pm, vectorized)
-        rval, rerr = _panel(f, pm, pb, vectorized)
+        lval, lerr = _panel(f, pa, pm)
+        rval, rerr = _panel(f, pm, pb)
         total_val += lval + rval - pval
         total_err += lerr + rerr - perr
         heapq.heappush(heap, (-lerr, tick, pa, pm, lval, lerr))
@@ -371,65 +370,48 @@ def quadrature_1d(
     return QuadResult(total_val, total_err, count)
 
 
+CHEB_DEGREES = (16, 32, 64, 128, 256, 512)  # tried in turn by ordered_simplex_integral
+
+
+@functools.cache
+def _cheb_cumsum(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending Chebyshev points t_k = -cos(pi k / degree) of [-1, 1] and the
+    matrix taking values at them to the values of the interpolant's integral
+    from -1 (values -> coefficients -> integrated coefficients -> values)."""
+    t = -np.cos(np.pi * np.arange(degree + 1) / degree)
+    to_coef = np.linalg.inv(cheb.chebvander(t, degree))
+    return t, cheb.chebvander(t, degree + 1) @ cheb.chebint(to_coef, lbnd=-1.0)
+
+
 def ordered_simplex_integral(
     factors: Sequence[Callable[[np.ndarray], np.ndarray]],
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    extra: Callable[[np.ndarray], float] | None = None,
-    sup_bound: float = 1.0,
 ) -> tuple[float, float]:
-    """Iterated integral of a product over the ordered box lo <= m_1 <= ... <= m_n <= hi.
+    """Integral of prod_x factors[x](m_x) over the ordered box lo <= m_1 <= ... <= m_n <= hi.
 
     ``factors[x]`` maps an array of m values to the x-th per-coordinate factor.
-    With ``extra`` given (a map from a (batch, n) matrix of full coordinate
-    vectors to a (batch,) array), the integrand is
-    extra(m) * prod_x factors[x](m_x); that path handles integrands that do
-    not factorize.  ``sup_bound`` is a sup-norm bound on each factor, used to
-    propagate inner error estimates outward.  Returns (value, error).
+    F_j(m) = int_lo^m factors[j-1](u) F_{j-1}(u) du, F_0 = 1, is carried as its
+    values at the Chebyshev points of [lo, hi], one matvec per coordinate.  The
+    degree steps along ``CHEB_DEGREES`` until F_n(hi) at two successive degrees
+    agrees within ``tol``.  Returns (F_n(hi), that difference as the error);
+    raises :class:`QuadratureError` when the largest degree still misses ``tol``.
     """
-    n = len(factors)
-    if n == 0:
-        return 1.0, 0.0
-    width = hi - lo
-    level_tol = tol / (2.0 * (1.0 + width * sup_bound)) ** n
-
-    if extra is not None:
-        # Non-separable integrand: recurse carrying the fixed outer coordinates.
-        def nested(j: int, upper: float, tail: tuple[float, ...]) -> tuple[float, float]:
-            errs = [0.0]
-            if j == 1:
-                def g1(m_arr: np.ndarray) -> np.ndarray:
-                    vecs = np.empty((len(m_arr), n))
-                    vecs[:, 0] = m_arr
-                    vecs[:, 1:] = tail
-                    return extra(vecs) * factors[0](m_arr)
-
-                r = quadrature_1d(g1, lo, upper, level_tol)
-                return r.value, r.error
-
-            def g(m: float) -> float:
-                v, e = nested(j - 1, m, (m,) + tail)
-                errs.append(e)
-                return float(factors[j - 1](np.array([m]))[0]) * v
-
-            r = quadrature_1d(g, lo, upper, level_tol, vectorized=False)
-            return r.value, r.error + (upper - lo) * sup_bound * max(errs)
-
-        return nested(n, hi, ())
-
-    def nested_sep(j: int, upper: float) -> tuple[float, float]:
-        if j == 1:
-            r = quadrature_1d(factors[0], lo, upper, level_tol)
-            return r.value, r.error
-        errs = [0.0]
-
-        def g(m: float) -> float:
-            v, e = nested_sep(j - 1, m)
-            errs.append(e)
-            return float(factors[j - 1](np.array([m]))[0]) * v
-
-        r = quadrature_1d(g, lo, upper, level_tol, vectorized=False)
-        return r.value, r.error + (upper - lo) * sup_bound * max(errs)
-
-    return nested_sep(n, hi)
+    half = 0.5 * (hi - lo)
+    value = math.nan
+    for degree in CHEB_DEGREES:
+        t, cumsum = _cheb_cumsum(degree)
+        m = lo + half * (t + 1.0)
+        values = np.ones(degree + 1)
+        for f in factors:
+            values = half * (cumsum @ (f(m) * values))
+        previous, value = value, float(values[-1])
+        error = abs(value - previous)
+        if error <= tol:
+            return value, error
+    raise QuadratureError(
+        f"ordered-box integral still changed by {error:.3e} > tol {tol:.3e} "
+        f"at degree {CHEB_DEGREES[-1]}",
+        value, error,
+    )

@@ -6,8 +6,9 @@ hidden profile ``m`` uniformly from the ordered box
 then sample each site independently -- geometric with mean ``m_x`` for the
 particle chain on [rho_a, rho_b], exponential with mean ``m_x`` for the
 energy chain on [t_a, t_b].  This module samples those laws, evaluates their
-densities by nested quadrature or Monte Carlo, and reduces them to marginals
-and moments for the statistical test harness.
+densities by Chebyshev integration over the ordered box (n <= 4) or Monte
+Carlo (larger n), and reduces them to marginals and moments for the
+statistical test harness.
 """
 
 from __future__ import annotations
@@ -215,7 +216,6 @@ def _mixture_density(
     seed: int,
     factor,
     product_value: float,
-    sup_bound: float,
 ) -> DensityEstimate:
     lo, hi = spec.interval
     n = spec.params.n
@@ -230,12 +230,12 @@ def _mixture_density(
         factors = [
             (lambda u, x=x: factor(lo + width * u, values[x])) for x in range(n)
         ]
-        raw, raw_err = ordered_simplex_integral(
-            factors, 0.0, 1.0, tol=tol / norm, sup_bound=sup_bound
-        )
+        raw, raw_err = ordered_simplex_integral(factors, 0.0, 1.0, tol=tol / norm)
         return DensityEstimate(norm * raw, norm * raw_err, "quadrature")
     # Monte Carlo over the ordered box: sorted uniforms are uniform on it,
     # so the mixture value is the plain sample mean of the product kernel.
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
     rng = make_rng(seed)
     batch = min(mc_samples, 1 << 18)
     total = 0.0
@@ -266,8 +266,10 @@ def mixture_density_discrete(
 ) -> DensityEstimate:
     """Stationary probability of a particle configuration.
 
-    Nested adaptive quadrature over the ordered box for n <= 4; Monte Carlo
-    over sorted uniform profiles beyond.  The degenerate interval
+    For n <= QUADRATURE_MAX_SITES, the Chebyshev ordered-box integral of
+    :func:`drivenchain.core.ordered_simplex_integral`; beyond, Monte Carlo
+    over ``mc_samples`` sorted uniform profiles drawn from ``seed``
+    (``mc_samples`` < 1 is a ValueError).  The degenerate interval
     rho_a == rho_b short-circuits to the product geometric pmf.
     """
     if spec.model is not Model.DISCRETE:
@@ -275,9 +277,7 @@ def mixture_density_discrete(
     eta = _check_config(eta, spec.params.n, integral=True)
     lo, _ = spec.interval
     product = float(np.prod(geometric_pmf(np.full(spec.params.n, lo), eta)))
-    return _mixture_density(
-        spec, eta, tol, mc_samples, seed, geometric_pmf, product, sup_bound=1.0
-    )
+    return _mixture_density(spec, eta, tol, mc_samples, seed, geometric_pmf, product)
 
 
 def mixture_density_continuous(
@@ -293,9 +293,7 @@ def mixture_density_continuous(
     z = _check_config(z, spec.params.n, integral=False).astype(float)
     lo, _ = spec.interval
     product = float(np.prod(exponential_pdf(np.full(spec.params.n, lo), z)))
-    return _mixture_density(
-        spec, z, tol, mc_samples, seed, exponential_pdf, product, sup_bound=1.0 / lo
-    )
+    return _mixture_density(spec, z, tol, mc_samples, seed, exponential_pdf, product)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,16 @@ class TestVerify:
         ["--suite", "identities", "--sizes", "1,2"],
         ["--suite", "stationarity", "--n", "1", "--k", "20", "--sizes", "1"],
         ["--suite", "equilibrium", "--config", "mc_samples=1000"],
+        ["--suite", "equilibrium", "--n", "7", "--beta-a", "0.3", "--seed", "99"],
+        ["--suite", "identities", "--model", "continuous"],
+        ["--suite", "all", "--seed", "1"],
+        ["--suite", "stationarity", "--n", "7"],
+        ["--suite", "stationarity", "--beta-b", "0.9"],
+        ["--suite", "stationarity", "--n", "1", "--seed", "3"],
+        ["--suite", "stationarity", "--n", "1", "--t-a", "0.5"],
+        ["--suite", "telescoping", "--sizes", "1", "--n", "2"],
+        ["--suite", "telescoping", "--candidate", "product-geometric"],
+        ["--suite", "telescoping", "--config", "epsilon=1e-5"],
     ])
     def test_unused_option_exits_2(self, tmp_path, flags):
         if "--config" in flags:
@@ -184,6 +194,14 @@ class TestVerify:
             flags = [*flags[:-1], str(cfg)]
         out = tmp_path / "ver7"
         assert run_cli(["verify", *flags, "--out", str(out)]) == 2
+        assert not (out / "reports.jsonl").exists()
+
+    @pytest.mark.parametrize("mc_samples", ["0", "-5"])
+    def test_no_monte_carlo_samples_exits_2(self, tmp_path, mc_samples):
+        out = tmp_path / "ver9"
+        rc = run_cli(["verify", "--suite", "telescoping", "--sizes", "5",
+                      "--mc-samples", mc_samples, "--out", str(out)])
+        assert rc == 2
         assert not (out / "reports.jsonl").exists()
 
     def test_telescoping_sizes_flag(self, tmp_path):
@@ -236,6 +254,12 @@ class TestCompare:
             assert (h_load.lo, h_load.hi, h_load.n_bins) == (h_sim.lo, h_sim.hi, h_sim.n_bins)
             assert h_load.weights == h_sim.weights
 
+    def test_chain_flags_rejected(self, tmp_path):
+        # compare reads the chain from the simulation's own meta.json
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["compare", "--sim", str(tmp_path), "--n", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_missing_sim_dir_exit_2(self, tmp_path):
         rc = run_cli(["compare", "--sim", str(tmp_path / "nope"),
                       "--out", str(tmp_path)])
@@ -280,6 +304,13 @@ class TestConfigResolution:
                 want = next(a for a in (*typing.get_args(tp), tp) if a is not type(None))
                 assert type(value) is want, name
                 assert value == want(text[name])
+
+    def test_config_key_without_flag_exits_2(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n=2\nt-max=10\ntol=1e-6\n")
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "meta.json").exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

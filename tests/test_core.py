@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 from drivenchain.core import (
@@ -65,6 +65,7 @@ class TestHarmonic:
         assert harmonic_number(4) == pytest.approx(oracle, abs=1e-15)
 
     @given(st.integers(min_value=1, max_value=5000))
+    @example(1921)  # off by more than an ulp when the cache grew in offset blocks
     @settings(max_examples=60, deadline=None)
     def test_difference_property(self, n):
         # H(n) - H(n-1) = 1/n up to 1 ulp of H(n)
@@ -154,13 +155,6 @@ class TestQuadrature:
             quadrature_1d(f, 1e-300, 1.0, tol=1e-14, limit=24)
         assert exc.value.error > 0.0
 
-    def test_scalar_mode_matches_vectorized(self):
-        fv = lambda x: np.cos(3.0 * x)
-        fs = lambda x: math.cos(3.0 * x)
-        rv = quadrature_1d(fv, 0.0, 2.0)
-        rs = quadrature_1d(fs, 0.0, 2.0, vectorized=False)
-        assert rv.value == pytest.approx(rs.value, abs=1e-14)
-
     def test_bad_limits(self):
         with pytest.raises(ValueError):
             quadrature_1d(lambda x: x, 1.0, 0.0)
@@ -206,7 +200,7 @@ class TestFenwick:
 
 
 class TestOrderedSimplexIntegral:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 20])
     def test_volume(self, n):
         ones = [lambda m: np.ones_like(m)] * n
         lo, hi = 1.0, 3.0
@@ -221,10 +215,10 @@ class TestOrderedSimplexIntegral:
         truth, _ = integrate.quad(lambda m2: m2 * (m2 * m2 - 1.0) / 2.0, 1.0, 2.0)
         assert val == pytest.approx(truth, abs=1e-10)
 
-    def test_extra_matches_separable(self):
+    def test_unreachable_tol_raises_with_estimate(self):
+        # a symmetric integrand: the box integral is (int_1^3 dm/(1+m))^3 / 3!
         factors = [lambda m: 1.0 / (1.0 + m)] * 3
-        plain, _ = ordered_simplex_integral(factors, 1.0, 3.0, tol=1e-11)
-        ones = [lambda m: np.ones_like(m)] * 3
-        extra = lambda mv: 1.0 / np.prod(1.0 + mv, axis=1)
-        via_extra, _ = ordered_simplex_integral(ones, 1.0, 3.0, tol=1e-11, extra=extra)
-        assert via_extra == pytest.approx(plain, abs=1e-10)
+        with pytest.raises(QuadratureError) as exc:
+            ordered_simplex_integral(factors, 1.0, 3.0, tol=1e-30)
+        assert exc.value.value == pytest.approx(math.log(2.0) ** 3 / 6.0, abs=1e-14)
+        assert 0.0 < exc.value.error < 1e-14

@@ -273,6 +273,13 @@ class TestMixtureDensities:
         quadlike = mixture_density_discrete(disc_spec(4), [0] * 4, tol=1e-10)
         assert quadlike.method == "quadrature"
 
+    @pytest.mark.parametrize("mc_samples", [0, -1])
+    def test_mc_fallback_rejects_no_samples(self, mc_samples):
+        with pytest.raises(ValueError, match="mc_samples"):
+            mixture_density_discrete(disc_spec(5), [0] * 5, mc_samples=mc_samples)
+        with pytest.raises(ValueError, match="mc_samples"):
+            mixture_density_continuous(cont_spec(5), [0.0] * 5, mc_samples=mc_samples)
+
     def test_normalization_over_truncated_box(self):
         spec = disc_spec(2)
         K = 40

@@ -120,6 +120,22 @@ class TestTelescoping:
         assert r.passed
         assert r.notes["seed"] == 7
 
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_quadrature_terms_vanish_beyond_default_threshold(self, n):
+        # the deterministic companion of the Monte Carlo check at N=5
+        p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+        for model, check, hi in ((Model.DISCRETE, check_telescoping_discrete, p.rho_b),
+                                 (Model.CONTINUOUS, check_telescoping_continuous, p.t_b)):
+            for vec in default_svec_grid(n, model, hi):
+                r = check(p, vec, method="quadrature")
+                assert r.method == "quadrature" and not r.inconclusive
+                assert all(abs(v) < 1e-10 for v in r.residuals.values()), (model, vec)
+
+    def test_monte_carlo_rejects_no_samples(self):
+        p = ChainParams(n=5, beta_a=0.5, beta_b=0.75)
+        with pytest.raises(ValueError, match="mc_samples"):
+            check_telescoping_discrete(p, [0.5] * 5, mc_samples=0)
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             check_telescoping_discrete(NEQ2, [0.3, 1.4])  # radius (1+3)/3
