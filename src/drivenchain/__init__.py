@@ -24,7 +24,6 @@ from .measure import (
     geometric_pmf,
     exponential_pdf,
     marginal_cdf_continuous,
-    marginal_density_continuous,
     marginal_pmf_discrete,
     mgf_exponential,
     mgf_geometric,

@@ -426,9 +426,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     for x in range(1, n + 1):
         ess = sum(effective_sample_size(s[:, x - 1]) for s in stats.series)
         if model is Model.DISCRETE:
-            pmf = lambda vals: np.array(
-                [marginal_pmf_discrete(spec, x, int(k)) for k in np.atleast_1d(vals)]
-            )
+            pmf = lambda vals: marginal_pmf_discrete(spec, x, vals)
             g = chi_square_discrete(stats.hists[x - 1], pmf, ess)
         else:
             data = np.concatenate([s[:, x - 1] for s in stats.series])

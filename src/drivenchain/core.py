@@ -2,15 +2,15 @@
 
 Everything downstream (exact measures, simulators, verifier) builds on the
 pieces collected here: validated chain parameters, reproducible random
-streams, harmonic numbers, the exponential integral E1, a self-contained
-adaptive Gauss-Kronrod quadrature with explicit convergence reporting, and a
-Chebyshev integrator over the ordered box lo <= m_1 <= ... <= m_n <= hi.
+streams, harmonic numbers, the exponential integral E1, and one Chebyshev
+integrator with explicit convergence reporting: Clenshaw-Curtis on an
+interval, and cumulative integration over the ordered box
+lo <= m_1 <= ... <= m_n <= hi.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -260,127 +260,91 @@ def reset_rates(state, site_rate: list[float]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature: adaptive Gauss-Kronrod (G7, K15) in 1-D, Chebyshev on the ordered box
+# Quadrature: one Chebyshev degree ladder for 1-D and ordered-box integrals
 # ---------------------------------------------------------------------------
 
-# Nodes/weights on [-1, 1]; Gauss-7 nodes are the odd-indexed Kronrod nodes.
-_XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
-
-_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 ascending nodes
-_KW = np.concatenate([_WGK[:-1], _WGK[::-1]])      # Kronrod weights, same order
-_GW = np.zeros(15)
-_GW[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])  # Gauss weights at shared nodes
+CHEB_DEGREES = (16, 32, 64, 128, 256, 512)  # tried in turn until two agree
+_ROUNDOFF = 4.0 * float(np.finfo(float).eps)  # error floor: 4 ulps of sum |weight * integrand|
 
 
 class QuadResult(NamedTuple):
-    value: float
+    """Value, error and the Chebyshev degree the ladder converged at.
+
+    ``intervals`` holds that degree (0 for an empty interval); the field keeps
+    its name because the traced benchmark reads it.
+    """
+
+    value: float | np.ndarray
     error: float
     intervals: int
 
 
 class QuadratureError(RuntimeError):
-    """An integrator ran out of subdivisions or degrees before reaching the tolerance."""
+    """An integrator ran out of degrees before reaching the tolerance."""
 
-    def __init__(self, message: str, value: float, error: float) -> None:
+    def __init__(self, message: str, value: float | np.ndarray, error: float) -> None:
         super().__init__(message)
         self.value = value
         self.error = error
-
-
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    if not np.all(np.isfinite(fx)):
-        raise ValueError(f"integrand returned non-finite values on [{a}, {b}]")
-    resk = half * float(fx @ _KW)
-    resg = half * float(fx @ _GW)
-    # QUADPACK-style scaled error estimate.
-    mean = resk / (b - a) if b != a else 0.0
-    resasc = half * float(np.abs(fx - mean) @ _KW)
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk, err
-
-
-def quadrature_1d(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    limit: int = 2048,
-) -> QuadResult:
-    """Adaptive estimate of the integral of f over [a, b].
-
-    ``f`` is called on a numpy array of nodes.  Returns the estimate together
-    with an error bound; raises :class:`QuadratureError` when the subdivision
-    budget is exhausted, never silently truncates.
-    """
-    if a > b:
-        raise ValueError(f"need a <= b, got ({a}, {b})")
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
-    val, err = _panel(f, a, b)
-    heap = [(-err, 0, a, b, val, err)]
-    total_val, total_err = val, err
-    count = 1
-    tick = 1
-    min_width = 64.0 * np.finfo(float).eps * (b - a)
-    while total_err > tol:
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
-        if pb - pa < min_width:
-            # Roundoff floor: keep the panel's error on the books and see if
-            # the remaining panels still get us under tolerance.
-            heapq.heappush(heap, (0.0, tick, pa, pb, pval, perr))
-            tick += 1
-            if all(h[0] == 0.0 for h in heap):
-                raise QuadratureError(
-                    f"quadrature stalled at roundoff with error {total_err:.3e} > tol {tol:.3e}",
-                    total_val, total_err,
-                )
-            continue
-        if count >= limit:
-            raise QuadratureError(
-                f"quadrature exceeded {limit} panels with error {total_err:.3e} > tol {tol:.3e}",
-                total_val, total_err,
-            )
-        pm = 0.5 * (pa + pb)
-        lval, lerr = _panel(f, pa, pm)
-        rval, rerr = _panel(f, pm, pb)
-        total_val += lval + rval - pval
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-lerr, tick, pa, pm, lval, lerr))
-        heapq.heappush(heap, (-rerr, tick + 1, pm, pb, rval, rerr))
-        tick += 2
-        count += 1
-    return QuadResult(total_val, total_err, count)
-
-
-CHEB_DEGREES = (16, 32, 64, 128, 256, 512)  # tried in turn by ordered_simplex_integral
 
 
 @functools.cache
 def _cheb_cumsum(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Ascending Chebyshev points t_k = -cos(pi k / degree) of [-1, 1] and the
     matrix taking values at them to the values of the interpolant's integral
-    from -1 (values -> coefficients -> integrated coefficients -> values)."""
+    from -1 (values -> coefficients -> integrated coefficients -> values).
+    Its last row holds the Clenshaw-Curtis weights."""
     t = -np.cos(np.pi * np.arange(degree + 1) / degree)
     to_coef = np.linalg.inv(cheb.chebvander(t, degree))
     return t, cheb.chebvander(t, degree + 1) @ cheb.chebint(to_coef, lbnd=-1.0)
+
+
+def _chebyshev_ladder(integrand: Callable, a: float, b: float, tol: float, what: str) -> QuadResult:
+    """Integral over [a, b] of ``integrand(m, cumulative)``, degree by degree.
+
+    ``integrand`` gets the Chebyshev points m of [a, b] (endpoints included)
+    and ``cumulative``, which maps values g at m to the values of int_a^m g at
+    m.  It returns values shaped (..., nodes).  The degree steps along
+    ``CHEB_DEGREES`` until the integral at two successive degrees agrees
+    within ``tol`` in every entry.  The error is that largest change, but
+    never below the round-off of the weighted sum that produced the value.
+    """
+    half = 0.5 * (b - a)
+    value = 0.0
+    for degree in CHEB_DEGREES:
+        t, cumsum = _cheb_cumsum(degree)
+        m = a + half * (t + 1.0)
+        m[-1] = b  # exactly: integrands may vanish outside [a, b]
+        g = np.asarray(integrand(m, lambda v: half * (cumsum @ v)), dtype=float)
+        weights = cumsum[-1]  # positive, so the sum is finite iff every g is
+        previous, value = value, half * (g @ weights)
+        error = np.abs(value - previous).max()
+        if not math.isfinite(error):
+            raise ValueError(f"integrand returned non-finite values on [{a}, {b}]")
+        if error <= tol and degree > CHEB_DEGREES[0]:
+            # Two degrees can agree to the last bit; round-off still remains.
+            error = max(error, _ROUNDOFF * half * (np.abs(g) @ weights).max())
+            if error <= tol:
+                return QuadResult(value if np.ndim(value) else float(value), float(error), degree)
+    raise QuadratureError(
+        f"{what} error {error:.3e} > tol {tol:.3e} at degree {CHEB_DEGREES[-1]}",
+        value, float(error),
+    )
+
+
+def quadrature_1d(f: Callable, a: float, b: float, tol: float = 1e-10) -> QuadResult:
+    """Clenshaw-Curtis estimate of the integral of f over [a, b].
+
+    ``f`` is called on the array of nodes (endpoints included) and may return
+    values shaped (..., nodes); the value is then an array and the error the
+    largest over its entries.  Raises :class:`QuadratureError` when the
+    largest degree still misses ``tol``, never silently truncates.
+    """
+    if a > b:
+        raise ValueError(f"need a <= b, got ({a}, {b})")
+    if a == b:
+        return QuadResult(0.0, 0.0, 0)
+    return _chebyshev_ladder(lambda m, cumulative: f(m), a, b, tol, "quadrature")
 
 
 def ordered_simplex_integral(
@@ -393,25 +357,16 @@ def ordered_simplex_integral(
 
     ``factors[x]`` maps an array of m values to the x-th per-coordinate factor.
     F_j(m) = int_lo^m factors[j-1](u) F_{j-1}(u) du, F_0 = 1, is carried as its
-    values at the Chebyshev points of [lo, hi], one matvec per coordinate.  The
-    degree steps along ``CHEB_DEGREES`` until F_n(hi) at two successive degrees
-    agrees within ``tol``.  Returns (F_n(hi), that difference as the error);
-    raises :class:`QuadratureError` when the largest degree still misses ``tol``.
+    values at the Chebyshev points of [lo, hi], one matvec per coordinate, and
+    F_n(hi) is read out on the same degree ladder as :func:`quadrature_1d`.
+    Returns (F_n(hi), its error); raises :class:`QuadratureError` when the
+    largest degree still misses ``tol``.
     """
-    half = 0.5 * (hi - lo)
-    value = math.nan
-    for degree in CHEB_DEGREES:
-        t, cumsum = _cheb_cumsum(degree)
-        m = lo + half * (t + 1.0)
-        values = np.ones(degree + 1)
-        for f in factors:
-            values = half * (cumsum @ (f(m) * values))
-        previous, value = value, float(values[-1])
-        error = abs(value - previous)
-        if error <= tol:
-            return value, error
-    raise QuadratureError(
-        f"ordered-box integral still changed by {error:.3e} > tol {tol:.3e} "
-        f"at degree {CHEB_DEGREES[-1]}",
-        value, error,
-    )
+    def integrand(m, cumulative):
+        values = 1.0
+        for f in factors[:-1]:
+            values = cumulative(f(m) * values)
+        return factors[-1](m) * values
+
+    value, error, _ = _chebyshev_ladder(integrand, lo, hi, tol, "ordered-box integral")
+    return value, error

@@ -41,7 +41,6 @@ __all__ = [
     "mixture_density_discrete",
     "mixture_density_continuous",
     "marginal_pmf_discrete",
-    "marginal_density_continuous",
     "marginal_cdf_continuous",
     "order_stat_density",
     "moment_profile",
@@ -315,40 +314,26 @@ def order_stat_density(lo: float, hi: float, x: int, n: int, m) -> np.ndarray:
 
 
 def marginal_pmf_discrete(
-    spec: MixtureSpec, x: int, k: int, tol: float = 1e-11
-) -> float:
-    """P(eta_x = k) under the mixture, by one-dimensional quadrature.
+    spec: MixtureSpec, x: int, k, tol: float = 1e-11
+) -> np.ndarray | float:
+    """P(eta_x = k) under the mixture; ``k`` may be an array of occupations.
 
     Integrating out every other profile coordinate leaves the x-th order
     statistic, so the marginal is the geometric pmf averaged against a
-    shifted-scaled Beta(x, n - x + 1) density.
+    shifted-scaled Beta(x, n - x + 1) density: one quadrature for all k.
     """
     if spec.model is not Model.DISCRETE:
         raise ValueError("spec.model must be DISCRETE")
-    if k < 0:
+    k_arr = np.asarray(k)
+    if np.any(k_arr < 0):
         raise ValueError("k must be >= 0")
     lo, hi = spec.interval
     n = spec.params.n
     if lo == hi:
         return geometric_pmf(lo, k)
-    f = lambda m: geometric_pmf(m, k) * order_stat_density(lo, hi, x, n, m)
-    return quadrature_1d(f, lo, hi, tol).value
-
-
-def marginal_density_continuous(
-    spec: MixtureSpec, x: int, z: float, tol: float = 1e-11
-) -> float:
-    """Density of z_x under the mixture (order-statistic-weighted exponential)."""
-    if spec.model is not Model.CONTINUOUS:
-        raise ValueError("spec.model must be CONTINUOUS")
-    if z < 0.0:
-        raise ValueError("z must be >= 0")
-    lo, hi = spec.interval
-    n = spec.params.n
-    if lo == hi:
-        return exponential_pdf(lo, z)
-    f = lambda m: exponential_pdf(m, z) * order_stat_density(lo, hi, x, n, m)
-    return quadrature_1d(f, lo, hi, tol).value
+    f = lambda m: geometric_pmf(m, k_arr[..., np.newaxis]) * order_stat_density(lo, hi, x, n, m)
+    out = np.reshape(quadrature_1d(f, lo, hi, tol).value, k_arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def marginal_cdf_continuous(
@@ -359,19 +344,17 @@ def marginal_cdf_continuous(
         raise ValueError("spec.model must be CONTINUOUS")
     lo, hi = spec.interval
     n = spec.params.n
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0.0):
         raise ValueError("z must be >= 0")
     if lo == hi:
         out = 1.0 - np.exp(-z_arr / lo)
     else:
-        out = np.empty_like(z_arr)
-        for i, zi in enumerate(z_arr):
-            f = lambda m: (1.0 - np.exp(-zi / m)) * order_stat_density(lo, hi, x, n, m)
-            out[i] = quadrature_1d(f, lo, hi, tol).value
-    if np.isscalar(z):
-        return float(out[0])
-    return out
+        f = lambda m: (
+            (1.0 - np.exp(-z_arr[..., np.newaxis] / m)) * order_stat_density(lo, hi, x, n, m)
+        )
+        out = np.reshape(quadrature_1d(f, lo, hi, tol).value, z_arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def moment_profile(spec: MixtureSpec) -> ProfileMoments:

@@ -130,8 +130,7 @@ def check_antiderivative_discrete(
         raise ValueError("lam = 1 is the removable point; check nearby values instead")
     params = {"m": m, "lam": lam}
     try:
-        # Quadrature nodes are strictly interior, so m' > 0 on every panel.
-        quad = quadrature_1d(lambda u: mgf_geometric(u, lam), 0.0, m, tol * 1e-2)
+        quad = quadrature_1d(lambda u: 1.0 / (1.0 + (1.0 - lam) * u), 0.0, m, tol * 1e-2)
     except QuadratureError as exc:
         return _report_quad_failure("antiderivative_discrete", params, exc)
     closed = math.log(mgf_geometric(m, lam)) / (lam - 1.0)
@@ -141,7 +140,7 @@ def check_antiderivative_discrete(
         residuals={"residual": quad.value - closed},
         tolerances={"residual": tol},
         method="quadrature",
-        notes={"quad_error": quad.error, "intervals": quad.intervals},
+        notes={"quad_error": quad.error, "degree": quad.intervals},
     )
 
 
@@ -167,7 +166,7 @@ def check_antiderivative_continuous(
         residuals={"residual": quad.value - closed},
         tolerances={"residual": tol},
         method="quadrature",
-        notes={"quad_error": quad.error, "intervals": quad.intervals},
+        notes={"quad_error": quad.error, "degree": quad.intervals},
     )
 
 
@@ -476,9 +475,7 @@ def _candidate_table_2d(
         means = moment_profile(spec).means
         return np.outer(geometric_pmf(means[0], ks), geometric_pmf(means[1], ks))
     if candidate == "product-marginals":
-        m1 = np.array([marginal_pmf_discrete(spec, 1, int(k)) for k in ks])
-        m2 = np.array([marginal_pmf_discrete(spec, 2, int(k)) for k in ks])
-        return np.outer(m1, m2)
+        return np.outer(marginal_pmf_discrete(spec, 1, ks), marginal_pmf_discrete(spec, 2, ks))
     raise ValueError(f"unknown candidate {candidate!r} for n=2")
 
 

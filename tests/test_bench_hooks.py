@@ -31,6 +31,27 @@ assert all(isinstance(s.proposals, int) and isinstance(s.accepts, int) for s in 
 assert len(st.extra["final_z"]) == 2
 st = cli.simulate(ChainParams(n=2), 2.0, seed=1, grid_samples=8)
 assert len(st.extra["final_eta"]) == 2
+
+# What the inspect callbacks read: one call through each wrapped name.
+import numpy as np
+from drivenchain import core, measure
+
+def recorded(span):
+    spans = [i for i, nid in enumerate(tracer.name) if tracer.names[nid] == span]
+    assert spans, span
+    return tracer.attrs.get(spans[-1], {})
+
+quad = core.quadrature_1d(np.cos, 0.0, 1.0)
+assert recorded("core.quad") == {"panels": quad.intervals} and quad.intervals > 0
+core.ordered_simplex_integral([np.cos, np.sin], 0.0, 1.0)
+recorded("core.ordered_simplex")
+spec = measure.MixtureSpec(ChainParams(n=2, beta_a=0.5, beta_b=0.75), measure.Model.DISCRETE)
+measure.mixture_density_discrete(spec, [0, 1])
+assert recorded("measure.density") == {"method": "quadrature", "samples": 0, "n": 2}
+cli.sample_exact_discrete(spec, core.make_rng(3), size=7)
+assert recorded("measure.sample") == {"draws": 7}
+cli.chi_square_discrete(np.array([5.0, 3.0, 2.0]), lambda k: 0.5 ** (k + 1.0), 1e4)
+assert isinstance(recorded("stats.gof")["inconclusive"], bool)
 """
 
 

@@ -152,8 +152,27 @@ class TestQuadrature:
     def test_budget_exhaustion_reported(self):
         f = lambda x: np.abs(x) ** -0.95
         with pytest.raises(QuadratureError) as exc:
-            quadrature_1d(f, 1e-300, 1.0, tol=1e-14, limit=24)
+            quadrature_1d(f, 1e-300, 1.0, tol=1e-14)
         assert exc.value.error > 0.0
+
+    def test_vector_integrand_matches_scalar_calls(self):
+        rates = np.array([0.5, 1.0, 4.0])
+        r = quadrature_1d(lambda x: np.exp(-np.outer(rates, x)), 0.0, 3.0, tol=1e-12)
+        assert r.value.shape == (3,)
+        for rate, value in zip(rates, r.value):
+            scalar = quadrature_1d(lambda x: np.exp(-rate * x), 0.0, 3.0, tol=1e-12).value
+            assert value == pytest.approx(scalar, abs=1e-12)
+            assert value == pytest.approx(-math.expm1(-3.0 * rate) / rate, abs=1e-12)
+
+    def test_unreachable_tol_raises_at_roundoff(self):
+        # exact at every degree, so successive degrees can tie: round-off remains
+        with pytest.raises(QuadratureError) as exc:
+            quadrature_1d(lambda x: x * x, -1.0, 2.0, tol=1e-30)
+        assert abs(exc.value.value - 3.0) <= exc.value.error < 1e-14
+
+    def test_non_finite_integrand_rejected(self):
+        with np.errstate(divide="ignore"), pytest.raises(ValueError):
+            quadrature_1d(lambda x: np.log(x), 0.0, 1.0)
 
     def test_bad_limits(self):
         with pytest.raises(ValueError):
@@ -222,3 +241,13 @@ class TestOrderedSimplexIntegral:
             ordered_simplex_integral(factors, 1.0, 3.0, tol=1e-30)
         assert exc.value.value == pytest.approx(math.log(2.0) ** 3 / 6.0, abs=1e-14)
         assert 0.0 < exc.value.error < 1e-14
+
+    def test_unreachable_tol_raises_at_roundoff(self):
+        # one coordinate, a polynomial: successive degrees can tie bit for bit
+        with pytest.raises(QuadratureError) as exc:
+            ordered_simplex_integral([lambda m: m * m], 1.0, 3.0, tol=1e-30)
+        assert abs(exc.value.value - 26.0 / 3.0) <= exc.value.error < 1e-13
+
+    def test_non_finite_factor_rejected(self):
+        with np.errstate(divide="ignore"), pytest.raises(ValueError):
+            ordered_simplex_integral([lambda m: 1.0 / (1.0 + m)], -1.0, 2.0)

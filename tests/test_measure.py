@@ -13,13 +13,13 @@ from drivenchain.measure import (
     exponential_pdf,
     geometric_pmf,
     marginal_cdf_continuous,
-    marginal_density_continuous,
     marginal_pmf_discrete,
     mgf_exponential,
     mgf_geometric,
     mixture_density_continuous,
     mixture_density_discrete,
     moment_profile,
+    order_stat_density,
     sample_exact_continuous,
     sample_exact_discrete,
     sample_ordered_profile,
@@ -360,13 +360,7 @@ class TestMarginals:
 
     def test_continuous_marginal_density_and_cdf(self):
         spec = cont_spec(1)
-        # N=1 closed-ish forms from the uniform mixture (independent quad oracle)
-        oracle_pdf, _ = integrate.quad(
-            lambda m: math.exp(-1.0 / m) / m / 2.0, 1.0, 3.0
-        )
-        assert marginal_density_continuous(spec, 1, 1.0) == pytest.approx(
-            oracle_pdf, abs=1e-10
-        )
+        # N=1 closed-ish form from the uniform mixture (independent quad oracle)
         frozen_cdf = 0.4138946602015705
         oracle_cdf, _ = integrate.quad(
             lambda m: (1.0 - math.exp(-1.0 / m)) / 2.0, 1.0, 3.0
@@ -383,6 +377,25 @@ class TestMarginals:
         assert np.all(np.diff(F) >= -1e-12)
         assert F[0] == pytest.approx(0.0, abs=1e-12)
         assert F[-1] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n, sites", [(5, (1, 3, 5)), (65, (1, 17, 33, 65))])
+    def test_marginals_match_scipy_pointwise(self, n, sites):
+        # one vectorised call per site against one scipy quad per query point
+        disc = MixtureSpec(ChainParams(n=n, beta_a=0.5, beta_b=0.75), Model.DISCRETE)
+        cont = MixtureSpec(ChainParams(n=n, t_a=1.0, t_b=2.0), Model.CONTINUOUS)
+        ks = np.arange(60)
+        zs = np.linspace(0.0, 25.0, 1025)
+        oracle = lambda f, lo, hi: integrate.quad(
+            f, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        for x in sites:
+            beta = lambda m: float(order_stat_density(1.0, 3.0, x, n, m))
+            pmf = marginal_pmf_discrete(disc, x, ks)
+            want = [oracle(lambda m: geometric_pmf(m, int(k)) * beta(m), 1.0, 3.0) for k in ks]
+            np.testing.assert_allclose(pmf, want, rtol=0, atol=1e-12)
+            beta = lambda m: float(order_stat_density(1.0, 2.0, x, n, m))
+            cdf = marginal_cdf_continuous(cont, x, zs)
+            want = [oracle(lambda m: -math.expm1(-z / m) * beta(m), 1.0, 2.0) for z in zs]
+            np.testing.assert_allclose(cdf, want, rtol=0, atol=1e-12)
 
 
 class TestMomentProfile:
