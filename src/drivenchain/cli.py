@@ -43,6 +43,7 @@ from .measure import (
 )
 from .occupation import DEFAULT_GRID_SAMPLES, IntHistogram, OccupationStats
 from .stats import (
+    ProfileReport,
     chi_square_discrete,
     effective_sample_size,
     ks_continuous,
@@ -194,18 +195,50 @@ def _write_histograms(outdir: Path, stats: OccupationStats) -> None:
     _write_csv(outdir / "histograms.csv", ["site", "value_or_lo", "hi", "weight"], rows)
 
 
-def _write_profile(outdir: Path, stats: OccupationStats, spec: MixtureSpec) -> None:
-    rep = profile_report(stats, spec)
-    _write_csv(
-        outdir / "profile.csv",
-        ["site", "emp_mean", "se", "exact_mean", "z"],
-        rep.mean_rows(),
-    )
-    _write_csv(
-        outdir / "covariance.csv",
-        ["x", "y", "emp_cov", "se", "exact_cov", "z"],
-        rep.cov_rows(),
-    )
+_PROFILE_HEADER = ["site", "emp_mean", "se", "exact_mean", "z"]
+_COVARIANCE_HEADER = ["x", "y", "emp_cov", "se", "exact_cov", "z"]
+
+
+def _write_profile(outdir: Path, rep: ProfileReport, prefix: str = "") -> None:
+    _write_csv(outdir / f"{prefix}profile.csv", _PROFILE_HEADER, rep.mean_rows())
+    _write_csv(outdir / f"{prefix}covariance.csv", _COVARIANCE_HEADER, rep.cov_rows())
+
+
+def _read_profile(sim_dir: Path, stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:
+    """The profile report ``simulate`` wrote to ``sim_dir``, checked against the run.
+
+    Only the standard errors are taken from the files.  Every other field
+    must equal, to the last bit, what the run's accumulators, the exact law
+    and the z-score of the read errors give; a missing or mismatched file is
+    a ValueError, never a reason to recompute the report.
+    """
+    tables, errors = [], []
+    for name, header in (("profile.csv", _PROFILE_HEADER),
+                         ("covariance.csv", _COVARIANCE_HEADER)):
+        path = sim_dir / name
+        if not path.is_file():
+            raise ValueError(f"{path} is missing: rerun simulate")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        if rows[:1] != [header]:
+            raise ValueError(f"{path}: header is not {','.join(header)}")
+        try:
+            errors.append(np.array([float(row[header.index("se")]) for row in rows[1:]]))
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}: unreadable se column ({exc})") from None
+        tables.append((path, rows[1:]))
+    n = stats.n_sites
+    for (path, rows), want in zip(tables, (n, n * (n + 1) // 2)):
+        if len(rows) != want:
+            raise ValueError(f"{path} has {len(rows)} rows, the run in {sim_dir} needs {want}")
+    rep = ProfileReport.from_errors(stats, spec, *errors)
+    for (path, rows), expected in zip(tables, (rep.mean_rows(), rep.cov_rows())):
+        for line, (row, want) in enumerate(zip(rows, expected), start=2):
+            want = [_fmt(v) for v in want]
+            if row != want:
+                raise ValueError(f"{path} line {line} reads {','.join(row)}, "
+                                 f"the run in {sim_dir} gives {','.join(want)}")
+    return rep
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -221,7 +254,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     model = Model(cfg.model)
     spec = MixtureSpec(params, model)
     _write_histograms(outdir, stats)
-    _write_profile(outdir, stats, spec)
+    rep = profile_report(stats, spec)
+    _write_profile(outdir, rep)
     np.save(outdir / "series.npy", np.stack(stats.series))
     _write_meta(outdir, cfg, {
         "accumulators": {
@@ -237,6 +271,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         },
         "replica_streams": stats.extra.get("replica_streams", [0]),
         "epsilon": stats.extra.get("epsilon"),
+        "autocorr_series": rep.notes["autocorr_series"],
     })
     print(
         f"simulate: {stats.event_count} events over {cfg.replicas} replica(s) "
@@ -417,22 +452,23 @@ def cmd_compare(cfg: RunConfig) -> int:
     params = sim_cfg.chain_params()
     model = Model(sim_cfg.model)
     spec = MixtureSpec(params, model)
+    rep = _read_profile(sim_dir, stats, spec)
     outdir = _resolve_outdir(cfg)
     n = params.n
     site_level = cfg.level / n  # Bonferroni across sites
+    ess = sum(effective_sample_size(s.T) for s in stats.series)  # per site, over replicas
     gof_rows = []
     all_pass = True
     any_inconclusive = False
     for x in range(1, n + 1):
-        ess = sum(effective_sample_size(s[:, x - 1]) for s in stats.series)
         if model is Model.DISCRETE:
             pmf = lambda vals: marginal_pmf_discrete(spec, x, vals)
-            g = chi_square_discrete(stats.hists[x - 1], pmf, ess)
+            g = chi_square_discrete(stats.hists[x - 1], pmf, ess[x - 1])
         else:
             data = np.concatenate([s[:, x - 1] for s in stats.series])
             grid = np.linspace(0.0, float(data.max()) * 1.001 + 1e-12, 1025)
             cdf_grid = marginal_cdf_continuous(spec, x, grid)
-            g = ks_continuous(data, lambda t: np.interp(t, grid, cdf_grid), ess)
+            g = ks_continuous(data, lambda t: np.interp(t, grid, cdf_grid), ess[x - 1])
         ok = g.passed(site_level)
         all_pass &= ok or g.inconclusive
         any_inconclusive |= g.inconclusive
@@ -444,12 +480,9 @@ def cmd_compare(cfg: RunConfig) -> int:
          "passed", "note"],
         gof_rows,
     )
-    rep = profile_report(stats, spec)
-    _write_csv(outdir / "compare_profile.csv",
-               ["site", "emp_mean", "se", "exact_mean", "z"], rep.mean_rows())
-    _write_csv(outdir / "compare_covariance.csv",
-               ["x", "y", "emp_cov", "se", "exact_cov", "z"], rep.cov_rows())
-    _write_meta(outdir, cfg)
+    _write_profile(outdir, rep, prefix="compare_")
+    _write_meta(outdir, cfg, {"autocorr_series": n * len(stats.series),
+                              "profile_source": "profile.csv"})
     z_ok = rep.max_abs_z < 4.0
     print(f"compare: max|z| = {rep.max_abs_z:.2f}, GOF pass = {all_pass}",
           file=sys.stderr)

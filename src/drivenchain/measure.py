@@ -125,6 +125,16 @@ def sample_exact_continuous(
 # Elementary laws and generating functions
 # ---------------------------------------------------------------------------
 
+def _geometric_pmf(m, k):
+    """:func:`geometric_pmf` without its argument checks, for validated m > 0, k >= 0."""
+    return np.exp(-np.log1p(m) + k * (np.log(m) - np.log1p(m)))
+
+
+def _exponential_pdf(m, z):
+    """:func:`exponential_pdf` without its argument checks, for validated m > 0, z >= 0."""
+    return np.exp(-z / m) / m
+
+
 def geometric_pmf(m, k):
     """P(eta = k) for the geometric law of mean m: (1/(1+m)) (m/(1+m))^k.
 
@@ -137,8 +147,7 @@ def geometric_pmf(m, k):
         raise ValueError("geometric_pmf needs m > 0")
     if np.any(k_arr < 0):
         raise ValueError("geometric_pmf needs k >= 0")
-    log_p = -np.log1p(m_arr) + k_arr * (np.log(m_arr) - np.log1p(m_arr))
-    out = np.exp(log_p)
+    out = _geometric_pmf(m_arr, k_arr)
     if np.isscalar(m) and np.isscalar(k):
         return float(out)
     return out
@@ -152,7 +161,7 @@ def exponential_pdf(m, z):
         raise ValueError("exponential_pdf needs m > 0")
     if np.any(z_arr < 0.0):
         raise ValueError("exponential_pdf needs z >= 0")
-    out = np.exp(-z_arr / m_arr) / m_arr
+    out = _exponential_pdf(m_arr, z_arr)
     if np.isscalar(m) and np.isscalar(z):
         return float(out)
     return out
@@ -216,6 +225,9 @@ def _mixture_density(
     factor,
     product_value: float,
 ) -> DensityEstimate:
+    """``factor`` is an unchecked kernel: the caller validated ``values`` and
+    computed ``product_value`` with the checked law at m = lo, which rejects
+    lo <= 0, the smallest mean either branch evaluates."""
     lo, hi = spec.interval
     n = spec.params.n
     if lo == hi:
@@ -276,7 +288,7 @@ def mixture_density_discrete(
     eta = _check_config(eta, spec.params.n, integral=True)
     lo, _ = spec.interval
     product = float(np.prod(geometric_pmf(np.full(spec.params.n, lo), eta)))
-    return _mixture_density(spec, eta, tol, mc_samples, seed, geometric_pmf, product)
+    return _mixture_density(spec, eta, tol, mc_samples, seed, _geometric_pmf, product)
 
 
 def mixture_density_continuous(
@@ -292,7 +304,7 @@ def mixture_density_continuous(
     z = _check_config(z, spec.params.n, integral=False).astype(float)
     lo, _ = spec.interval
     product = float(np.prod(exponential_pdf(np.full(spec.params.n, lo), z)))
-    return _mixture_density(spec, z, tol, mc_samples, seed, exponential_pdf, product)
+    return _mixture_density(spec, z, tol, mc_samples, seed, _exponential_pdf, product)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +343,9 @@ def marginal_pmf_discrete(
     n = spec.params.n
     if lo == hi:
         return geometric_pmf(lo, k)
-    f = lambda m: geometric_pmf(m, k_arr[..., np.newaxis]) * order_stat_density(lo, hi, x, n, m)
+    if lo <= 0.0:  # the nodes run from m = lo up
+        raise ValueError("geometric_pmf needs m > 0")
+    f = lambda m: _geometric_pmf(m, k_arr[..., np.newaxis]) * order_stat_density(lo, hi, x, n, m)
     out = np.reshape(quadrature_1d(f, lo, hi, tol).value, k_arr.shape)
     return float(out) if out.ndim == 0 else out
 

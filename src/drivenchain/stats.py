@@ -5,11 +5,19 @@ i.i.d. input: effective sample sizes come from the integrated autocorrelation
 time of the evenly spaced trajectory series (Geyer's initial positive
 sequence estimator), histogram tests scale their counts by that effective
 size, and profile/covariance standard errors carry the same correction.
+
+:func:`integrated_autocorr_time` is the one kernel for those times: it takes
+a block of series (or an iterator of blocks) and runs one rfft/irfft per
+memory-bounded chunk of rows, each time equal bit for bit to that of the
+series alone.  :func:`profile_report` feeds it the site series and the
+centred pair products a chunk at a time.  ``ProfileReport.from_errors``
+rebuilds a report from known standard errors, which is how ``compare``
+re-checks the report ``simulate`` wrote instead of computing it again.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,48 +55,114 @@ class GofResult:
         return not self.inconclusive and self.p_value > level
 
 
-def integrated_autocorr_time(series) -> float:
+# Rows per FFT chunk are chosen so that a chunk's spectrum takes about this
+# many bytes: enough rows to amortise the per-call cost of short series, few
+# enough that the chunk buffers add little to a run's resident memory.
+SPECTRUM_CHUNK_BYTES = 512 << 10
+
+
+def _chunk_rows(length: int) -> int:
+    """Series of ``length`` samples per FFT chunk."""
+    nfft = 1 << (2 * length - 1).bit_length()
+    return max(1, SPECTRUM_CHUNK_BYTES // (16 * (nfft // 2 + 1)))
+
+
+def integrated_autocorr_time(series):
     """Integrated autocorrelation time via the initial positive sequence.
 
-    FFT autocovariances, summed over consecutive lag pairs while those pair
-    sums stay positive.  Clamped below at 1 (a conservative floor: shorter
-    times would only enlarge the claimed effective sample).
+    ``series`` is one series (the result is a float), a (k, samples) block
+    of k series, or an iterator of such blocks, all with the same number of
+    samples, such as chunks built on the fly (the result is one time per
+    row, in order).  FFT autocovariances, summed over consecutive lag pairs
+    while those pair sums stay positive.  Clamped below at 1 (a conservative
+    floor: shorter times would only enlarge the claimed effective sample).
+    Rows run in chunks of about ``SPECTRUM_CHUNK_BYTES`` of spectrum, one
+    rfft/irfft per chunk, and each row's time equals, bit for bit, the time
+    of that row on its own.
     """
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    if n < 8:
-        return 1.0
-    x = x - x.mean()
-    var = float(x @ x) / n
-    if var <= 0.0:
-        return 1.0
-    nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:n].real / n
-    rho = acov / acov[0]
-    tau = -1.0
-    j = 0
-    while 2 * j + 1 < n:
-        pair = rho[2 * j] + rho[2 * j + 1]
-        if pair <= 0.0:
-            break
-        tau += 2.0 * pair
-        j += 1
-    return max(tau, 1.0)
+    if isinstance(series, Iterator):
+        blocks = series
+    else:
+        x = np.asarray(series)
+        if x.ndim == 1:
+            return float(integrated_autocorr_time(x[np.newaxis])[0])
+        blocks = iter([x])
+    taus = [np.ones(0)]
+    padded = np.empty((0, 0))
+    for block in blocks:
+        rows, n = block.shape
+        tau = np.ones(rows)
+        taus.append(tau)
+        if n < 8:
+            continue
+        nfft = 1 << (2 * n - 1).bit_length()
+        step = _chunk_rows(n)
+        if padded.shape[1] != nfft or len(padded) < min(rows, step):
+            # Shared by every chunk: fresh buffers would be paged in anew.
+            padded = np.empty((min(rows, step), nfft))
+            spectrum = np.empty((len(padded), nfft // 2 + 1), dtype=complex)
+        for start in range(0, rows, step):
+            chunk = block[start:start + step]
+            centred = padded[:len(chunk), :n]
+            centred[:] = chunk  # contiguous rows: means sum as a 1-D mean does
+            centred -= centred.mean(axis=1, keepdims=True)
+            live = ~(np.einsum("ij,ij->i", centred, centred) <= 0.0)  # constant rows keep 1
+            k = int(np.count_nonzero(live))
+            if k < len(chunk):
+                centred[:k] = centred[live]
+            padded[:k, n:] = 0.0
+            np.fft.rfft(padded[:k], axis=1, out=spectrum[:k])
+            for row in spectrum[:k]:
+                # A fresh product per row: numpy's complex multiply rounds an
+                # in-place row differently depending on where the row starts.
+                row[:] = row * np.conj(row)
+            np.fft.irfft(spectrum[:k], nfft, axis=1, out=padded[:k])
+            tau[start:start + step][live] = _geyer_sum(padded[:k, :n])
+    return np.concatenate(taus)
 
 
-def effective_sample_size(series) -> float:
+def _geyer_sum(acov: np.ndarray) -> np.ndarray:
+    """Initial-positive-sequence times from the rows of n * autocovariance (overwritten)."""
+    n = acov.shape[1]
+    rho = acov
+    rho /= n  # the autocovariances
+    rho /= rho[:, :1].copy()  # their correlations
+    pairs = rho[:, 0:n - 1:2] + rho[:, 1:n:2]
+    non_positive = pairs <= 0.0
+    summed = np.where(non_positive.any(axis=1), non_positive.argmax(axis=1), n // 2)
+    # tau = -1 + twice the pairs before the first non-positive one, added in
+    # lag order (a sequential cumsum, as a scalar loop would).
+    width = summed.max(initial=0)
+    terms = np.empty((len(pairs), width + 1))
+    terms[:, 0] = -1.0
+    np.multiply(pairs[:, :width], 2.0, out=terms[:, 1:])
+    np.cumsum(terms, axis=1, out=terms)
+    return np.maximum(terms[np.arange(len(summed)), summed], 1.0)
+
+
+def effective_sample_size(series):
+    """Samples over the integrated autocorrelation time, per series."""
     x = np.asarray(series)
-    return x.size / integrated_autocorr_time(x)
+    return x.shape[-1] / integrated_autocorr_time(x)
 
 
-def _series_mean_se(series: np.ndarray) -> float:
-    """Standard error of the mean of one stationary series."""
-    x = np.asarray(series, dtype=float)
-    var = float(x.var())
-    if var == 0.0:
-        return 0.0
-    return math.sqrt(var * integrated_autocorr_time(x) / x.size)
+def _series_mean_se(blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """Standard errors of the means of stationary series: the rows of
+    ``blocks``, an iterator of blocks of one length."""
+    variances = []
+    length = 0
+
+    def measured():
+        nonlocal length
+        for block in blocks:
+            x = np.ascontiguousarray(block, dtype=float)  # row variances as for 1-D rows
+            variances.append(x.var(axis=1))
+            length = x.shape[1]
+            yield x
+
+    tau = integrated_autocorr_time(measured())
+    var = np.concatenate(variances)
+    return np.where(var == 0.0, 0.0, np.sqrt(var * tau / length))
 
 
 def chi_square_discrete(
@@ -199,6 +273,36 @@ class ProfileReport:
     z_cov: np.ndarray
     notes: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_errors(cls, stats: OccupationStats, spec: MixtureSpec,
+                    se_mean: np.ndarray, se_cov: np.ndarray) -> ProfileReport:
+        """The report of a run whose standard errors are known.
+
+        ``se_cov`` follows the pair order (1, 1), (1, 2), ..., (n, n).
+        """
+        exact = moment_profile(spec)
+        n = stats.n_sites
+        emp_mean = stats.mean()
+        emp_cov = stats.cov()
+        first, second = np.triu_indices(n)
+        return cls(
+            sites=np.arange(1, n + 1),
+            emp_mean=emp_mean,
+            se_mean=se_mean,
+            exact_mean=exact.means,
+            z_mean=np.array([_zscore(emp_mean[x] - exact.means[x], se_mean[x])
+                             for x in range(n)]),
+            pairs=[(int(i) + 1, int(j) + 1) for i, j in zip(first, second)],
+            emp_cov=emp_cov[first, second],
+            se_cov=se_cov,
+            exact_cov=exact.covariance[first, second],
+            z_cov=np.array([
+                _zscore(emp_cov[i, j] - exact.covariance[i, j], se)
+                for i, j, se in zip(first, second, se_cov)
+            ]),
+            notes={"replicas": len(stats.series), "duration": stats.duration},
+        )
+
     @property
     def max_abs_z(self) -> float:
         zs = np.concatenate([self.z_mean, self.z_cov])
@@ -228,48 +332,34 @@ def profile_report(stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:
     Means come from the exact time-weighted accumulators; their standard
     errors from per-replica series autocorrelation times, combined as
     independent replicas.  Covariance errors use the autocorrelation time of
-    the centred product series.  The series-based errors are exact when the
-    sampling interval sits below the autocorrelation time and conservative
-    (over-estimates) when the grid is coarser than that.
+    the centred product series, built a chunk of pairs at a time.  The
+    series-based errors are exact when the sampling interval sits below the
+    autocorrelation time and conservative (over-estimates) when the grid is
+    coarser than that.  ``notes["autocorr_series"]`` counts the series whose
+    autocorrelation time the report computed.
     """
     if stats.duration <= 0.0:
         raise ValueError("no post-burn-in time accumulated")
-    exact = moment_profile(spec)
     n = stats.n_sites
     emp_mean = stats.mean()
-    emp_cov = stats.cov()
-    reps = stats.series
-    r = len(reps)
-    se_mean = np.zeros(n)
-    for x in range(n):
-        se_sq = sum(_series_mean_se(s[:, x]) ** 2 for s in reps)
-        se_mean[x] = math.sqrt(se_sq) / r
-    z_mean = np.array(
-        [_zscore(emp_mean[x] - exact.means[x], se_mean[x]) for x in range(n)]
-    )
-    pairs = [(x + 1, y + 1) for x in range(n) for y in range(x, n)]
-    emp_c, se_c, exact_c, z_c = [], [], [], []
-    for x, y in pairs:
-        i, j = x - 1, y - 1
-        se_sq = 0.0
-        for s in reps:
-            prod = (s[:, i] - emp_mean[i]) * (s[:, j] - emp_mean[j])
-            se_sq += _series_mean_se(prod) ** 2
-        se = math.sqrt(se_sq) / r
-        emp_c.append(emp_cov[i, j])
-        se_c.append(se)
-        exact_c.append(exact.covariance[i, j])
-        z_c.append(_zscore(emp_cov[i, j] - exact.covariance[i, j], se))
-    return ProfileReport(
-        sites=np.arange(1, n + 1),
-        emp_mean=emp_mean,
-        se_mean=se_mean,
-        exact_mean=exact.means,
-        z_mean=z_mean,
-        pairs=pairs,
-        emp_cov=np.array(emp_c),
-        se_cov=np.array(se_c),
-        exact_cov=np.array(exact_c),
-        z_cov=np.array(z_c),
-        notes={"replicas": r, "duration": stats.duration},
-    )
+    first, second = np.triu_indices(n)
+    # Squared errors summed over replicas as Python floats: x ** 2 is C pow,
+    # which x * x does not always match to the last bit.
+    mean_sq = [0.0] * n
+    cov_sq = [0.0] * len(first)
+    for s in stats.series:
+        step = _chunk_rows(len(s))
+        sites = s.T
+        mean_se = _series_mean_se(sites[k:k + step] for k in range(0, n, step))
+        mean_sq = [a + b ** 2 for a, b in zip(mean_sq, mean_se.tolist())]
+
+        def products():
+            for k in range(0, len(first), step):
+                i, j = first[k:k + step], second[k:k + step]
+                yield (sites[i] - emp_mean[i, np.newaxis]) * (sites[j] - emp_mean[j, np.newaxis])
+
+        cov_sq = [a + b ** 2 for a, b in zip(cov_sq, _series_mean_se(products()).tolist())]
+    r = len(stats.series)
+    rep = ProfileReport.from_errors(stats, spec, np.sqrt(mean_sq) / r, np.sqrt(cov_sq) / r)
+    rep.notes["autocorr_series"] = r * (n + len(first))
+    return rep

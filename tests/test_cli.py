@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivenchain import cli
+from drivenchain import cli, stats
 
 
 def run_cli(args) -> int:
@@ -219,6 +219,25 @@ class TestVerify:
         assert dir_bytes(out) == first
 
 
+def assert_compare_reuses_profile(sim: Path, out: Path) -> None:
+    """compare copies the simulation's profile byte for byte and says where it came from."""
+    for name in ("profile.csv", "covariance.csv"):
+        assert (out / f"compare_{name}").read_bytes() == (sim / name).read_bytes()
+    sim_meta = json.loads((sim / "meta.json").read_text())
+    meta = json.loads((out / "meta.json").read_text())
+    n, replicas = sim_meta["config"]["n"], sim_meta["config"]["replicas"]
+    assert sim_meta["autocorr_series"] == replicas * (n + n * (n + 1) // 2)
+    assert meta["autocorr_series"] == replicas * n  # the GOF's effective sizes only
+    assert meta["profile_source"] == "profile.csv"
+
+
+def simulate_small(out: Path, *extra: str) -> Path:
+    assert run_cli(["simulate", "--model", "discrete", "--n", "3", "--beta-a", "0.5",
+                    "--beta-b", "0.75", "--t-max", "300", "--seed", "5",
+                    "--grid-samples", "512", *extra, "--out", str(out)]) == 0
+    return out
+
+
 class TestCompare:
     def test_discrete_round_trip(self, tmp_path):
         sim = tmp_path / "sim"
@@ -234,6 +253,7 @@ class TestCompare:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         assert all(r["passed"] == "True" for r in rows)
+        assert_compare_reuses_profile(sim, out)
 
     def test_continuous_round_trip(self, tmp_path, monkeypatch):
         simulated = []
@@ -248,11 +268,58 @@ class TestCompare:
         ])
         out = tmp_path / "ccmp"
         assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 0
+        assert_compare_reuses_profile(sim, out)
         _, loaded = cli._load_sim_dir(sim)
         assert len(loaded.hists) == len(simulated[0].hists) == 2
         for h_sim, h_load in zip(simulated[0].hists, loaded.hists):
             assert (h_load.lo, h_load.hi, h_load.n_bins) == (h_sim.lo, h_sim.hi, h_sim.n_bins)
             assert h_load.weights == h_sim.weights
+
+    def test_replicas_round_trip(self, tmp_path):
+        sim = simulate_small(tmp_path / "rsim", "--replicas", "3", "--workers", "1")
+        out = tmp_path / "rcmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) in (0, 3, 4)
+        assert_compare_reuses_profile(sim, out)
+
+    def test_never_recomputes_the_profile(self, tmp_path, monkeypatch):
+        sim = simulate_small(tmp_path / "sim")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare recomputed the profile report")
+
+        monkeypatch.setattr(cli, "profile_report", refuse)
+        monkeypatch.setattr(stats, "profile_report", refuse)
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "cmp")]) in (0, 3, 4)
+
+    @pytest.mark.parametrize("name", ["profile.csv", "covariance.csv"])
+    def test_missing_profile_exits_2(self, tmp_path, name, capsys):
+        sim = simulate_small(tmp_path / "sim")
+        (sim / name).unlink()
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, line, column", [
+        ("profile.csv", 2, 2),      # se of site 1
+        ("covariance.csv", 3, 3),   # se of pair (1, 2)
+        ("profile.csv", 3, 1),      # emp_mean of site 2
+        ("covariance.csv", 2, 4),   # exact_cov of pair (1, 1)
+        ("profile.csv", 4, 4),      # z of site 3
+        ("covariance.csv", 4, 0),   # the pair's first site
+    ])
+    def test_edited_profile_exits_2(self, tmp_path, name, line, column, capsys):
+        sim = simulate_small(tmp_path / "sim")
+        lines = (sim / name).read_text().splitlines()
+        fields = lines[line - 1].split(",")
+        value = float(fields[column])
+        fields[column] = repr(value * (1.0 + 2.0 ** -40) + (1.0 if value == 0.0 else 0.0))
+        if column == 0:
+            fields[column] = str(int(value) + 1)
+        lines[line - 1] = ",".join(fields)
+        (sim / name).write_text("\n".join(lines) + "\n")
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "cmp")]) == 2
+        assert f"{name} line" in capsys.readouterr().err
 
     def test_chain_flags_rejected(self, tmp_path):
         # compare reads the chain from the simulation's own meta.json

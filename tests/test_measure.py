@@ -1,6 +1,7 @@
 """Exact-measure machinery: samplers, densities, generating functions, moments."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ class TestElementaryLaws:
         assert exponential_pdf(2.0, 0.0) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             exponential_pdf(-1.0, 1.0)
+
+    @pytest.mark.parametrize("model, n, call", [
+        (Model.DISCRETE, 2, lambda spec: mixture_density_discrete(spec, [1, 2])),
+        (Model.DISCRETE, 5, lambda spec: mixture_density_discrete(spec, [0, 1, 0, 2, 1],
+                                                                  mc_samples=10)),
+        (Model.DISCRETE, 2, lambda spec: marginal_pmf_discrete(spec, 1, [0, 3])),
+        (Model.CONTINUOUS, 2, lambda spec: mixture_density_continuous(spec, [0.5, 1.0])),
+        (Model.CONTINUOUS, 5, lambda spec: mixture_density_continuous(spec, [0.5] * 5,
+                                                                      mc_samples=10)),
+    ])
+    def test_interval_endpoint_zero_is_rejected(self, model, n, call):
+        # The densities evaluate the laws unchecked inside the integrators;
+        # their entry points must still reject a mean of 0 at the interval's end.
+        params = types.SimpleNamespace(n=n, rho_a=0.0, rho_b=1.0, t_a=0.0, t_b=1.0)
+        with pytest.raises(ValueError, match="needs m > 0"):
+            call(MixtureSpec(params, model))
 
 
 class TestGeneratingFunctions:

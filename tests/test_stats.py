@@ -15,6 +15,7 @@ from drivenchain.measure import (
     moment_profile,
     sample_exact_discrete,
 )
+from drivenchain import stats
 from drivenchain.occupation import IntHistogram, OccupationStats
 from drivenchain.stats import (
     GofResult,
@@ -53,6 +54,127 @@ class TestAutocorrelation:
     def test_ess(self):
         x = np.repeat(make_rng(3).normal(size=5_000), 4)
         assert effective_sample_size(x) == pytest.approx(5_000, rel=0.15)
+
+
+def scalar_tau(series) -> float:
+    """One series at a time with a Python Geyer loop: the reference the block
+    kernel must match bit for bit."""
+    x = np.asarray(series, dtype=float)
+    n = x.size
+    if n < 8:
+        return 1.0
+    x = x - x.mean()
+    var = float(x @ x) / n
+    if var <= 0.0:
+        return 1.0
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x, nfft)
+    acov = np.fft.irfft(f * np.conj(f), nfft)[:n].real / n
+    rho = acov / acov[0]
+    tau = -1.0
+    j = 0
+    while 2 * j + 1 < n:
+        pair = rho[2 * j] + rho[2 * j + 1]
+        if pair <= 0.0:
+            break
+        tau += 2.0 * pair
+        j += 1
+    return max(tau, 1.0)
+
+
+def first_non_positive_pair(series) -> int:
+    """Index of the first lag pair whose sum is <= 0 (the number of pairs if none)."""
+    x = np.asarray(series, dtype=float)
+    x = x - x.mean()
+    acov = np.correlate(x, x, "full")[x.size - 1:]
+    pairs = (acov[0:x.size - 1:2] + acov[1:x.size:2]) / acov[0]
+    return int(np.argmax(np.append(pairs <= 0.0, True)))
+
+
+def assert_block_matches_scalar(block):
+    taus = integrated_autocorr_time(block)
+    want = np.array([scalar_tau(row) for row in block])
+    assert taus.shape == (len(block),)
+    assert np.array_equal(taus, want), np.flatnonzero(taus != want)
+    assert integrated_autocorr_time(block[0]) == want[0]
+
+
+class TestAutocorrelationKernel:
+    @pytest.mark.parametrize("length", [1, 5, 7])
+    def test_short_series(self, length):
+        block = make_rng(10).normal(size=(4, length))
+        assert np.array_equal(integrated_autocorr_time(block), np.ones(4))
+        assert_block_matches_scalar(block)
+
+    @pytest.mark.parametrize("length", [8, 9, 1000, 1001])
+    def test_odd_and_even_lengths(self, length):
+        rng = make_rng(11)
+        walks = rng.normal(size=(3, length)).cumsum(axis=1)
+        assert_block_matches_scalar(np.vstack([walks, rng.normal(size=(3, length))]))
+
+    def test_constant_rows(self):
+        block = make_rng(12).normal(size=(5, 500))
+        block[1] = 2.5
+        block[3] = 0.0
+        assert_block_matches_scalar(block)
+        assert integrated_autocorr_time(block)[[1, 3]].tolist() == [1.0, 1.0]
+
+    def test_first_non_positive_pair(self):
+        # White noise: the pair after the first is often <= 0 and the sum
+        # stops there, which for rho_1 < 0 leaves tau < 1 before the clamp.
+        block = make_rng(13).normal(size=(12, 300))
+        stops = [first_non_positive_pair(row) for row in block]
+        assert 1 in stops
+        assert_block_matches_scalar(block)
+
+    @pytest.mark.parametrize("length", [64, 65])
+    def test_pairs_positive_to_the_last_lag(self, length):
+        # An alternating series has rho_k = (-1)^k (n - k) / n: every pair sums to 1/n.
+        alternating = np.where(np.arange(length) % 2 == 0, 1.0, -1.0)
+        block = np.vstack([alternating, 3.0 * alternating + 1.0])
+        assert all(first_non_positive_pair(row) == length // 2 for row in block)
+        assert_block_matches_scalar(block)
+
+    def test_rows_beyond_one_chunk(self):
+        length = 20_000
+        per_chunk = stats._chunk_rows(length)
+        rows = 2 * per_chunk + 1  # two full chunks and one row
+        block = make_rng(14).normal(size=(rows, length)).cumsum(axis=1)
+        assert_block_matches_scalar(block)
+
+    def test_int64_rows(self):
+        counts = make_rng(15).poisson(3.0, size=(6, 777)).cumsum(axis=1) % 11
+        assert counts.dtype == np.int64
+        assert_block_matches_scalar(counts)
+
+    def test_effective_sample_size_per_row(self):
+        block = make_rng(16).normal(size=(3, 400)).cumsum(axis=1)
+        got = effective_sample_size(block)
+        assert np.array_equal(got, [400 / scalar_tau(row) for row in block])
+        assert effective_sample_size(block[2]) == got[2]
+
+    def test_profile_errors_match_per_series_loop(self):
+        # The report's errors, composed from scalar taus exactly as
+        # sqrt(sum_r se_r ** 2) / r over two replicas.
+        params = ChainParams(n=3, beta_a=0.5, beta_b=0.75)
+        parts = [simulate(params, t_max=300.0, seed=50 + i, grid_samples=512) for i in range(2)]
+        st = parts[0].merge(parts[1])
+        rep = profile_report(st, MixtureSpec(params, Model.DISCRETE))
+        mean = st.mean()
+
+        def se(x):
+            var = float(x.var())
+            return 0.0 if var == 0.0 else math.sqrt(var * scalar_tau(x) / x.size)
+
+        want_mean = [math.sqrt(sum(se(s[:, x]) ** 2 for s in st.series)) / 2 for x in range(3)]
+        want_cov = [
+            math.sqrt(sum(se((s[:, x] - mean[x]) * (s[:, y] - mean[y])) ** 2
+                          for s in st.series)) / 2
+            for x in range(3) for y in range(x, 3)
+        ]
+        assert rep.se_mean.tolist() == want_mean
+        assert rep.se_cov.tolist() == want_cov
+        assert rep.notes["autocorr_series"] == 2 * (3 + 6)
 
 
 class TestChiSquare:
