@@ -50,6 +50,7 @@ from .stats import (
     profile_report,
 )
 from .verify import (
+    DIRECT_DEFAULTS,
     SUITES,
     check_stationarity_direct_discrete,
     run_suite,
@@ -328,7 +329,7 @@ def cmd_sample_exact(cfg: RunConfig) -> int:
 def _direct_stationarity(cfg: RunConfig) -> bool:
     """Whether ``verify --suite stationarity`` runs one direct balance check, not the suite."""
     return cfg.suite == "stationarity" and (
-        cfg.truncation is not None or cfg.candidate != "mixture" or cfg.n in (1, 2))
+        cfg.truncation is not None or cfg.candidate != "mixture" or cfg.n in DIRECT_DEFAULTS)
 
 
 def _check_verify_options(cfg: RunConfig, given: set[str]) -> None:
@@ -349,17 +350,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     reports = []
     try:
         if _direct_stationarity(cfg):
-            if cfg.n not in (1, 2):
-                raise ValueError(f"direct stationarity needs --n 1 or 2, got {cfg.n}")
             params = ChainParams(n=cfg.n, beta_a=cfg.beta_a, beta_b=cfg.beta_b)
-            truncation, tol = (200, 1e-8) if params.n == 1 else (60, 1e-6)
-            truncation = truncation if cfg.truncation is None else cfg.truncation
-            tol = tol if cfg.tol is None else cfg.tol
-            reports.append(
-                check_stationarity_direct_discrete(
-                    params, truncation, tol, candidate=cfg.candidate
-                )
-            )
+            truncation, tol = DIRECT_DEFAULTS[min(params.n, max(DIRECT_DEFAULTS))]
+            reports.append(check_stationarity_direct_discrete(
+                params, truncation if cfg.truncation is None else cfg.truncation,
+                tol if cfg.tol is None else cfg.tol, candidate=cfg.candidate))
         else:
             kwargs = {} if cfg.tol is None else {"tol": cfg.tol}
             if cfg.suite == "telescoping":
@@ -596,6 +591,10 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     return cfg, given
 
 
+# Least value of each count a run can honour; a standard error needs two samples.
+_LEAST = {"replicas": 1, "workers": 1, "grid_samples": 2, "samples": 2}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -604,6 +603,11 @@ def main(argv=None) -> int:
         foreign = sorted(given - (set(vars(args)) - {"command", "config"}))
         if foreign:
             raise ValueError(f"{args.command} has no option for config key(s) {foreign}")
+        for name in given & _LEAST.keys():
+            if getattr(cfg, name) < _LEAST[name]:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least {_LEAST[name]}")
+        if not 0.0 < cfg.level < 1.0:
+            raise ValueError(f"--level must lie in (0, 1), got {cfg.level}")
         if cfg.command == "verify":
             _check_verify_options(cfg, given)
     except (ValueError, OSError) as exc:

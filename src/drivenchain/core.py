@@ -303,11 +303,12 @@ def _chebyshev_ladder(integrand: Callable, a: float, b: float, tol: float, what:
     """Integral over [a, b] of ``integrand(m, cumulative)``, degree by degree.
 
     ``integrand`` gets the Chebyshev points m of [a, b] (endpoints included)
-    and ``cumulative``, which maps values g at m to the values of int_a^m g at
-    m.  It returns values shaped (..., nodes).  The degree steps along
-    ``CHEB_DEGREES`` until the integral at two successive degrees agrees
-    within ``tol`` in every entry.  The error is that largest change, but
-    never below the round-off of the weighted sum that produced the value.
+    and ``cumulative``, which maps values g at m, on their last axis, to the
+    values of int_a^m g at m.  It returns values shaped (..., nodes).  The
+    degree steps along ``CHEB_DEGREES`` until the integral at two successive
+    degrees agrees within ``tol`` in every entry.  The error is that largest
+    change, but never below the round-off of the weighted sum that produced
+    the value.
     """
     half = 0.5 * (b - a)
     value = 0.0
@@ -315,7 +316,7 @@ def _chebyshev_ladder(integrand: Callable, a: float, b: float, tol: float, what:
         t, cumsum = _cheb_cumsum(degree)
         m = a + half * (t + 1.0)
         m[-1] = b  # exactly: integrands may vanish outside [a, b]
-        g = np.asarray(integrand(m, lambda v: half * (cumsum @ v)), dtype=float)
+        g = np.asarray(integrand(m, lambda v: half * (v @ cumsum.T)), dtype=float)
         weights = cumsum[-1]  # positive, so the sum is finite iff every g is
         previous, value = value, half * (g @ weights)
         error = np.abs(value - previous).max()
@@ -352,15 +353,17 @@ def ordered_simplex_integral(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float]:
     """Integral of prod_x factors[x](m_x) over the ordered box lo <= m_1 <= ... <= m_n <= hi.
 
     ``factors[x]`` maps an array of m values to the x-th per-coordinate factor.
     F_j(m) = int_lo^m factors[j-1](u) F_{j-1}(u) du, F_0 = 1, is carried as its
     values at the Chebyshev points of [lo, hi], one matvec per coordinate, and
     F_n(hi) is read out on the same degree ladder as :func:`quadrature_1d`.
-    Returns (F_n(hi), its error); raises :class:`QuadratureError` when the
-    largest degree still misses ``tol``.
+    Factors may return (..., nodes) values that broadcast together; the value
+    is then the broadcast array, the error its largest.  Returns (F_n(hi),
+    its error); raises :class:`QuadratureError` when the largest degree
+    still misses ``tol``.
     """
     def integrand(m, cumulative):
         values = 1.0

@@ -6,13 +6,14 @@ hidden profile ``m`` uniformly from the ordered box
 then sample each site independently -- geometric with mean ``m_x`` for the
 particle chain on [rho_a, rho_b], exponential with mean ``m_x`` for the
 energy chain on [t_a, t_b].  This module samples those laws, evaluates their
-densities by Chebyshev integration over the ordered box (n <= 4) or Monte
-Carlo (larger n), and reduces them to marginals and moments for the
-statistical test harness.
+densities by Chebyshev integration over the ordered box (n <= 4; one
+configuration or a whole table of them per call) or Monte Carlo (larger n),
+and reduces them to marginals and moments for the statistical test harness.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -69,7 +70,7 @@ class MixtureSpec:
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    value: float
+    value: float | np.ndarray  # an array for an (n, K) grid
     error: float
     method: str  # "product" | "quadrature" | "monte-carlo"
     samples: int = 0
@@ -205,8 +206,8 @@ QUADRATURE_MAX_SITES = 4
 
 def _check_config(values: np.ndarray, n: int, integral: bool) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.shape != (n,):
-        raise ValueError(f"configuration must have shape ({n},), got {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.shape[0] != n:
+        raise ValueError(f"configuration must have shape ({n},) or ({n}, K), got {arr.shape}")
     if integral and not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == np.floor(arr)):
             raise ValueError("particle configuration must be integer-valued")
@@ -222,25 +223,31 @@ def _mixture_density(
     tol: float,
     mc_samples: int,
     seed: int,
-    factor,
-    product_value: float,
+    law,
+    kernel,
 ) -> DensityEstimate:
-    """``factor`` is an unchecked kernel: the caller validated ``values`` and
-    computed ``product_value`` with the checked law at m = lo, which rejects
-    lo <= 0, the smallest mean either branch evaluates."""
+    """``values`` is a validated configuration (n,) or grid (n, K).  ``law``,
+    the checked site law, runs first at m = lo and rejects lo <= 0, the
+    smallest mean its unchecked twin ``kernel`` is then given."""
     lo, hi = spec.interval
     n = spec.params.n
+    grid = values.ndim == 2
+    per_site = law(np.full(values.shape, lo), values)
     if lo == hi:
-        return DensityEstimate(product_value, 0.0, "product")
+        product = functools.reduce(np.multiply.outer, per_site)
+        return DensityEstimate(product if grid else float(product), 0.0, "product")
+    if grid and n > QUADRATURE_MAX_SITES:
+        raise ValueError(f"a ({n}, K) grid needs n <= {QUADRATURE_MAX_SITES} (quadrature)")
     width = hi - lo
     if n <= QUADRATURE_MAX_SITES:
         # Integrate in unit-box coordinates m = lo + width*u: the density is
         # n! times the unit-simplex integral, and the integrand stays O(1)
-        # however narrow the parameter interval is.
+        # however narrow the parameter interval is.  A grid's row x goes on
+        # axis x of n, so the factors broadcast to the (K,)*n table.
         norm = math.factorial(n)
-        factors = [
-            (lambda u, x=x: factor(lo + width * u, values[x])) for x in range(n)
-        ]
+        if grid:
+            values = [row.reshape((-1,) + (1,) * (n - x)) for x, row in enumerate(values)]
+        factors = [(lambda u, v=v: kernel(lo + width * u, v)) for v in values]
         raw, raw_err = ordered_simplex_integral(factors, 0.0, 1.0, tol=tol / norm)
         return DensityEstimate(norm * raw, norm * raw_err, "quadrature")
     # Monte Carlo over the ordered box: sorted uniforms are uniform on it,
@@ -256,7 +263,7 @@ def _mixture_density(
         b = min(batch, mc_samples - drawn)
         m = rng.uniform(lo, hi, size=(b, n))
         m.sort(axis=-1)
-        vals = np.prod(factor(m, values[np.newaxis, :]), axis=1)
+        vals = np.prod(kernel(m, values[np.newaxis, :]), axis=1)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         drawn += b
@@ -275,20 +282,20 @@ def mixture_density_discrete(
     mc_samples: int = 10_000_000,
     seed: int = 0,
 ) -> DensityEstimate:
-    """Stationary probability of a particle configuration.
+    """Stationary probability of a particle configuration (n,), or the
+    (K,)*n table of an (n, K) grid whose row x holds site x's values.
 
     For n <= QUADRATURE_MAX_SITES, the Chebyshev ordered-box integral of
-    :func:`drivenchain.core.ordered_simplex_integral`; beyond, Monte Carlo
-    over ``mc_samples`` sorted uniform profiles drawn from ``seed``
-    (``mc_samples`` < 1 is a ValueError).  The degenerate interval
-    rho_a == rho_b short-circuits to the product geometric pmf.
+    :func:`drivenchain.core.ordered_simplex_integral`, one call for a whole
+    table; beyond, Monte Carlo over ``mc_samples`` sorted uniform profiles
+    drawn from ``seed`` (``mc_samples`` < 1, or a grid, is a ValueError).
+    The degenerate interval rho_a == rho_b short-circuits to the product
+    geometric pmf, at any n.
     """
     if spec.model is not Model.DISCRETE:
         raise ValueError("spec.model must be DISCRETE")
     eta = _check_config(eta, spec.params.n, integral=True)
-    lo, _ = spec.interval
-    product = float(np.prod(geometric_pmf(np.full(spec.params.n, lo), eta)))
-    return _mixture_density(spec, eta, tol, mc_samples, seed, _geometric_pmf, product)
+    return _mixture_density(spec, eta, tol, mc_samples, seed, geometric_pmf, _geometric_pmf)
 
 
 def mixture_density_continuous(
@@ -298,13 +305,11 @@ def mixture_density_continuous(
     mc_samples: int = 10_000_000,
     seed: int = 0,
 ) -> DensityEstimate:
-    """Stationary density of an energy configuration (same scheme as discrete)."""
+    """Stationary density of an energy configuration or grid (same scheme as discrete)."""
     if spec.model is not Model.CONTINUOUS:
         raise ValueError("spec.model must be CONTINUOUS")
     z = _check_config(z, spec.params.n, integral=False).astype(float)
-    lo, _ = spec.interval
-    product = float(np.prod(exponential_pdf(np.full(spec.params.n, lo), z)))
-    return _mixture_density(spec, z, tol, mc_samples, seed, _exponential_pdf, product)
+    return _mixture_density(spec, z, tol, mc_samples, seed, exponential_pdf, _exponential_pdf)
 
 
 # ---------------------------------------------------------------------------

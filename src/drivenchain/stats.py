@@ -305,9 +305,10 @@ class ProfileReport:
 
     @property
     def max_abs_z(self) -> float:
-        zs = np.concatenate([self.z_mean, self.z_cov])
-        finite = zs[np.isfinite(zs)]
-        return float(np.max(np.abs(finite))) if finite.size else 0.0
+        """Largest |z|, NaN skipped: inf if a nonzero miss has zero standard error."""
+        zs = np.abs(np.concatenate([self.z_mean, self.z_cov]))
+        zs = zs[~np.isnan(zs)]
+        return float(zs.max()) if zs.size else 0.0
 
     def mean_rows(self):
         for i, x in enumerate(self.sites):

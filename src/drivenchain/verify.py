@@ -9,8 +9,9 @@ Four families of checks, in increasing strength:
 * the telescoping identities: for every site x, the ordered-box integral of
   the discrete-Laplacian-in-m of log generating functions against the product
   kernel vanishes -- each x-term individually, not only their sum;
-* direct balance-equation residuals of the particle chain at small N, with
-  every infinite sum truncated under an explicit geometric tail certificate.
+* direct balance-equation residuals of the particle chain on a box, at any
+  n whose candidate table fits MAX_TABLE_ENTRIES, with both infinite sums
+  truncated under an explicit geometric tail certificate.
 
 Checks report residuals, tolerances, and method notes; deliberately wrong
 candidate measures (products matching the true marginals or their means) are
@@ -19,6 +20,7 @@ supported everywhere so the checks' rejection power is itself testable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,7 +30,7 @@ import numpy as np
 from .core import (
     ChainParams,
     QuadratureError,
-    harmonic_number,
+    harmonic_prefix,
     make_rng,
     ordered_simplex_integral,
     quadrature_1d,
@@ -430,8 +432,13 @@ def check_telescoping_continuous(
 
 
 # ---------------------------------------------------------------------------
-# Direct balance-equation residuals (particle chain, small N)
+# Direct balance-equation residuals (particle chain)
 # ---------------------------------------------------------------------------
+
+# Default (truncation, tol) of the direct check by n; larger n take the last.
+DIRECT_DEFAULTS = {1: (200, 1e-8), 2: (60, 1e-6)}
+MAX_TABLE_ENTRIES = 2**18  # largest (extent + 1)^n candidate table the check builds
+
 
 def _tail_k(q: float, budget: float, n_sums: int) -> int | None:
     """Smallest truncation level whose geometric tail certificate meets budget.
@@ -445,38 +452,51 @@ def _tail_k(q: float, budget: float, n_sums: int) -> int | None:
     return None
 
 
-def _candidate_table_1d(
-    spec: MixtureSpec, extent: int, candidate: str, density_tol: float
-) -> np.ndarray:
+def _candidate_table(spec: MixtureSpec, extent: int, candidate: str,
+                     density_tol: float) -> np.ndarray:
+    """The candidate law on {0..extent}^n, as an n-dimensional table."""
+    n = spec.params.n
     ks = np.arange(extent + 1)
     if candidate == "mixture":
-        return np.array(
-            [mixture_density_discrete(spec, [k], tol=density_tol).value for k in ks]
-        )
+        return mixture_density_discrete(spec, np.tile(ks, (n, 1)), tol=density_tol).value
     if candidate == "product-geometric":
-        mean = moment_profile(spec).means[0]
-        return geometric_pmf(mean, ks)
-    raise ValueError(f"unknown candidate {candidate!r} for n=1")
+        pmfs = [geometric_pmf(m, ks) for m in moment_profile(spec).means]
+    elif candidate == "product-marginals" and n > 1:  # at n = 1 it is the mixture
+        pmfs = [marginal_pmf_discrete(spec, x, ks) for x in range(1, n + 1)]
+    else:
+        raise ValueError(f"unknown candidate {candidate!r} for n={n}")
+    return functools.reduce(np.multiply.outer, pmfs)
 
 
-def _candidate_table_2d(
-    spec: MixtureSpec, extent: int, candidate: str, density_tol: float
-) -> np.ndarray:
-    ks = np.arange(extent + 1)
-    if candidate == "mixture":
-        table = np.empty((extent + 1, extent + 1))
-        for i in ks:
-            for j in ks:
-                table[i, j] = mixture_density_discrete(
-                    spec, [i, j], tol=density_tol
-                ).value
-        return table
-    if candidate == "product-geometric":
-        means = moment_profile(spec).means
-        return np.outer(geometric_pmf(means[0], ks), geometric_pmf(means[1], ks))
-    if candidate == "product-marginals":
-        return np.outer(marginal_pmf_discrete(spec, 1, ks), marginal_pmf_discrete(spec, 2, ks))
-    raise ValueError(f"unknown candidate {candidate!r} for n=2")
+def _balance_residuals(mu: np.ndarray, box: int, k_sum: int, params: ChainParams) -> np.ndarray:
+    """Outflow minus inflow of the table ``mu`` at every state of {0..box}^n.
+
+    The adjoint generator is a sum of shifted slices of ``mu``, one per
+    channel and batch size k, each the rate times mu at the pre-jump state
+    eta + shift where it exists: injection at site 1 or n (rate beta^k / k),
+    bulk moves (1/k) and removal at site 1 or n (1/k, k <= k_sum).
+    """
+    n = mu.ndim
+    e = np.eye(n, dtype=int)
+    inflow = np.zeros((box + 1,) * n)
+
+    def add(rate: float, shift: np.ndarray) -> None:
+        target = tuple(slice(max(0, -d), box + 1) for d in shift)
+        inflow[target] += rate * mu[tuple(slice(max(0, d), box + 1 + d) for d in shift)]
+
+    for k in range(1, box + 1):
+        add(params.beta_a**k / k, -k * e[0])
+        add(params.beta_b**k / k, -k * e[-1])
+        for x in range(n - 1):
+            add(1.0 / k, k * (e[x] - e[x + 1]))  # site x moved k to site x + 1
+            add(1.0 / k, k * (e[x + 1] - e[x]))  # and back
+    for k in range(1, k_sum + 1):
+        add(1.0 / k, k * e[0])
+        add(1.0 / k, k * e[-1])
+    exit_rate = -math.log1p(-params.beta_a) - math.log1p(-params.beta_b)
+    for harmonic in np.ix_(*[harmonic_prefix(box)[: box + 1]] * n):
+        exit_rate = exit_rate + 2.0 * harmonic
+    return mu[(slice(box + 1),) * n] * exit_rate - inflow
 
 
 def check_stationarity_direct_discrete(
@@ -488,17 +508,22 @@ def check_stationarity_direct_discrete(
 ) -> VerificationReport:
     """Balance-equation residuals of a candidate stationary law on a box.
 
-    For every configuration with all occupations <= ``truncation``, compares
-    probability outflow mu(eta) * (total exit rate) with the inflow from every
-    channel's pre-jump state.  The two infinite inflow sums per boundary are
-    truncated where a dominating-geometric tail certificate drops below
-    tol/10; an unattainable certificate yields an inconclusive report, not a
-    failure.  ``candidate`` picks the measure under test: the exact mixture,
-    or deliberately wrong products used to audit the check's power.
+    For every eta in {0..truncation}^n, compares probability outflow
+    mu(eta) * (total exit rate) with the inflow from every channel's pre-jump
+    state, read off one table of the candidate on {0..extent}^n, where
+    extent = truncation + max(k_sum, truncation) (+ k_sum alone at n = 1):
+    bulk moves reach eta_x + truncation.  A table above MAX_TABLE_ENTRIES,
+    or a negative truncation, is a ValueError.  Only the two boundary-removal
+    sums are infinite; both are cut at k_sum, where their geometric tail
+    certificate meets tol/10.  It holds at any n: each candidate mixes product
+    geometrics with means <= rho_b, so mu(eta + k e_x) <= q^k, q = rho_b /
+    (1 + rho_b).  An unattainable certificate yields an inconclusive report,
+    not a failure.  ``candidate`` picks the measure under test: the exact
+    mixture, or wrong products used to audit the check's power.
     """
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
     n = params.n
-    if n not in (1, 2):
-        raise ValueError("direct balance check supports n in {1, 2}")
     spec = MixtureSpec(params, Model.DISCRETE)
     rho_b = params.rho_b
     q = rho_b / (1.0 + rho_b)
@@ -517,61 +542,23 @@ def check_stationarity_direct_discrete(
             inconclusive=True,
         )
     tail_bound = 2.0 * q ** (k_sum + 1) / ((k_sum + 1) * (1.0 - q))
-    lam_a = -math.log1p(-params.beta_a)
-    lam_b = -math.log1p(-params.beta_b)
-    extent = truncation + max(k_sum, truncation if n == 2 else 0)
-    inv_k = np.concatenate([[math.inf], 1.0 / np.arange(1, extent + 1)])  # 1/k, k>=1
-    beta_a_k = params.beta_a ** np.arange(extent + 1)
-    beta_b_k = params.beta_b ** np.arange(extent + 1)
+    extent = truncation + max(k_sum, truncation if n > 1 else 0)
+    if (extent + 1) ** n > MAX_TABLE_ENTRIES:
+        raise ValueError(f"direct balance check at n={n}, truncation {truncation} needs "
+                         f"a {extent + 1}^{n} table, above MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
     try:
-        if n == 1:
-            mu = _candidate_table_1d(spec, extent, candidate, density_tol)
-            worst = 0.0
-            for eta in range(truncation + 1):
-                exit_rate = lam_a + lam_b + 2.0 * harmonic_number(eta)
-                inflow = 0.0
-                for k in range(1, eta + 1):
-                    inflow += mu[eta - k] * (beta_a_k[k] + beta_b_k[k]) * inv_k[k]
-                for k in range(1, k_sum + 1):
-                    inflow += mu[eta + k] * 2.0 * inv_k[k]
-                worst = max(worst, abs(mu[eta] * exit_rate - inflow))
-        else:
-            mu = _candidate_table_2d(spec, extent, candidate, density_tol)
-            worst = 0.0
-            for a in range(truncation + 1):
-                for b in range(truncation + 1):
-                    exit_rate = (
-                        lam_a + lam_b
-                        + 2.0 * harmonic_number(a) + 2.0 * harmonic_number(b)
-                    )
-                    inflow = 0.0
-                    for k in range(1, a + 1):
-                        # injection at the left boundary / bulk move off site 2
-                        inflow += mu[a - k, b] * beta_a_k[k] * inv_k[k]
-                        inflow += mu[a - k, b + k] * inv_k[k]
-                    for k in range(1, b + 1):
-                        inflow += mu[a, b - k] * beta_b_k[k] * inv_k[k]
-                        inflow += mu[a + k, b - k] * inv_k[k]
-                    for k in range(1, k_sum + 1):
-                        # extraction channels seen from states with more mass
-                        inflow += (mu[a + k, b] + mu[a, b + k]) * inv_k[k]
-                    worst = max(worst, abs(mu[a, b] * exit_rate - inflow))
+        mu = _candidate_table(spec, extent, candidate, density_tol)
     except QuadratureError as exc:
         return _report_quad_failure("stationarity_direct_discrete", meta, exc)
+    worst = float(np.abs(_balance_residuals(mu, truncation, k_sum, params)).max())
     return VerificationReport(
         name="stationarity_direct_discrete",
         params=meta,
         residuals={"max_residual": worst},
         tolerances={"max_residual": tol},
         method="table",
-        notes={
-            "k_sum": k_sum,
-            "tail_bound": tail_bound,
-            "extent": extent,
-            "n": n,
-            "beta_a": params.beta_a,
-            "beta_b": params.beta_b,
-        },
+        notes={"k_sum": k_sum, "tail_bound": tail_bound, "extent": extent, "n": n,
+               "beta_a": params.beta_a, "beta_b": params.beta_b},
     )
 
 
@@ -585,7 +572,8 @@ def check_equilibrium_limit(
     tol: float = 1e-12,
     relative: bool = False,
 ) -> VerificationReport:
-    """Mixture density against the plain product law on a small config grid.
+    """Mixture density against the plain product law on a grid of small
+    configurations: site values {0, 1, 2}, or {0, .5, 1.5, 2, 2.5} for energies.
 
     Exact equality is expected when the boundary parameters coincide; with a
     tiny gap the mixture must still track the product law at the midpoint
@@ -594,22 +582,15 @@ def check_equilibrium_limit(
     spec = MixtureSpec(params, model)
     lo, hi = spec.interval
     n = params.n
-    mid = 0.5 * (lo + hi)
-    worst = 0.0
     if model is Model.DISCRETE:
-        grid = [np.full(n, k) for k in (0, 1, 2)] + [np.arange(n) % 3]
-        for eta in grid:
-            mix = mixture_density_discrete(spec, eta, tol=min(tol * 1e-2, 1e-12)).value
-            prod = float(np.prod(geometric_pmf(np.full(n, mid), eta)))
-            diff = abs(mix - prod)
-            worst = max(worst, diff / prod if relative else diff)
+        values, density, law = np.arange(3), mixture_density_discrete, geometric_pmf
     else:
-        grid = [np.full(n, z) for z in (0.0, 0.5, 2.0)] + [0.5 + np.arange(n) % 3]
-        for z in grid:
-            mix = mixture_density_continuous(spec, z, tol=min(tol * 1e-2, 1e-12)).value
-            prod = float(np.prod(exponential_pdf(np.full(n, mid), z)))
-            diff = abs(mix - prod)
-            worst = max(worst, diff / prod if relative else diff)
+        values = np.array([0.0, 0.5, 1.5, 2.0, 2.5])
+        density, law = mixture_density_continuous, exponential_pdf
+    mix = density(spec, np.tile(values, (n, 1)), tol=min(tol * 1e-2, 1e-12)).value
+    prod = functools.reduce(np.multiply.outer, [law(0.5 * (lo + hi), values)] * n)
+    diff = np.abs(mix - prod)
+    worst = float(np.max(diff / prod if relative else diff))
     return VerificationReport(
         name="equilibrium_limit",
         params={"n": n, "lo": lo, "hi": hi, "model": model.value,
@@ -703,10 +684,10 @@ def telescoping_suite(
 def stationarity_suite(
     beta_a: float = 0.5,
     beta_b: float = 0.75,
-    truncation_1: int = 200,
-    truncation_2: int = 60,
-    tol_1: float = 1e-8,
-    tol_2: float = 1e-6,
+    truncation_1: int = DIRECT_DEFAULTS[1][0],
+    truncation_2: int = DIRECT_DEFAULTS[2][0],
+    tol_1: float = DIRECT_DEFAULTS[1][1],
+    tol_2: float = DIRECT_DEFAULTS[2][1],
 ) -> list[VerificationReport]:
     """Direct balance residuals for one- and two-site chains."""
     p1 = ChainParams(n=1, beta_a=beta_a, beta_b=beta_b)

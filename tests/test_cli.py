@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -145,13 +146,40 @@ class TestVerify:
                       "--out", str(out)])
         assert rc == 3
 
+    @pytest.mark.parametrize("candidate, code", [("mixture", 0), ("product-geometric", 3),
+                                                 ("product-marginals", 3)])
+    def test_stationarity_n3(self, tmp_path, candidate, code):
+        out = tmp_path / "ver3"
+        rc = run_cli(["verify", "--suite", "stationarity", "--n", "3", "--k", "10",
+                      "--candidate", candidate, "--out", str(out)])
+        assert rc == code
+        rec = json.loads((out / "reports.jsonl").read_text())
+        assert rec["params"]["truncation"] == 10 and rec["notes"]["n"] == 3
+        assert rec["tolerances"]["max_residual"] == 1e-6  # the default beyond n = 2
+
+    # candidate tables of 60^5, 121^3 (default --k 60) and 513^2 entries
     @pytest.mark.parametrize("flags", [["--n", "5", "--k", "10"],
-                                       ["--n", "3", "--candidate", "product-geometric"]])
+                                       ["--n", "3", "--candidate", "product-geometric"],
+                                       ["--n", "2", "--k", "256"]])
     def test_stationarity_rejects_unsupported_n(self, tmp_path, flags):
         out = tmp_path / "ver5"
         rc = run_cli(["verify", "--suite", "stationarity", *flags, "--out", str(out)])
         assert rc == 2
         assert not (out / "reports.jsonl").exists()
+
+    @pytest.mark.parametrize("flags, k, at_zero", [
+        (["--n", "2"], "-1", 0),
+        (["--n", "1", "--candidate", "product-geometric"], "-3", 3),
+    ])
+    def test_negative_truncation_exits_2(self, tmp_path, flags, k, at_zero, capsys):
+        out = tmp_path / "ver10"
+        rc = run_cli(["verify", "--suite", "stationarity", *flags, "--k", k, "--out", str(out)])
+        assert rc == 2
+        assert "truncation" in capsys.readouterr().err
+        assert not (out / "reports.jsonl").exists()
+        # --k 0 is a one-state box, checked as usual
+        assert run_cli(["verify", "--suite", "stationarity", *flags, "--k", "0",
+                        "--out", str(out)]) == at_zero
 
     def test_equilibrium_records_requested_tol(self, tmp_path):
         out = tmp_path / "ver6"
@@ -331,6 +359,38 @@ class TestCompare:
         rc = run_cli(["compare", "--sim", str(tmp_path / "nope"),
                       "--out", str(tmp_path)])
         assert rc == 2
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sample-exact", "--samples", "0"),
+        ("sample-exact", "--samples", "1"),
+        ("simulate", "--grid-samples", "0"),
+        ("simulate", "--grid-samples", "1"),
+        ("simulate", "--workers", "0"),
+        ("simulate", "--replicas", "0"),
+        ("compare", "--level", "0"),
+        ("compare", "--level", "1"),
+        ("compare", "--level", "-0.5"),
+    ])
+    def test_unhonourable_value_exits_2(self, tmp_path, command, flag, value, capsys):
+        out = tmp_path / "out"
+        rest = {"simulate": ["--n", "2", "--t-max", "5"], "sample-exact": ["--n", "2"],
+                "compare": ["--sim", str(tmp_path)]}[command]
+        assert run_cli([command, flag, value, *rest, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_z_fails_compare(self, tmp_path):
+        # two grid points: site 2 never moves between them, so its se is 0 and
+        # its mean misses the exact one; every finite z stays below 4
+        sim = tmp_path / "sim"
+        assert run_cli(["simulate", "--n", "2", "--t-max", "50", "--seed", "0",
+                        "--grid-samples", "2", "--out", str(sim)]) == 0
+        z = [float(row["z"]) for name in ("profile.csv", "covariance.csv")
+             for row in csv.DictReader((sim / name).read_text().splitlines())]
+        assert math.inf in z and max(abs(v) for v in z if math.isfinite(v)) < 4.0
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "cmp")]) == 3
 
 
 class TestConfigResolution:

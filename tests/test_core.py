@@ -251,3 +251,20 @@ class TestOrderedSimplexIntegral:
     def test_non_finite_factor_rejected(self):
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
             ordered_simplex_integral([lambda m: 1.0 / (1.0 + m)], -1.0, 2.0)
+
+    def test_batched_factors_match_per_row_calls(self):
+        # factors shaped (3, 1, nodes), (4, nodes) and (nodes,) broadcast to a
+        # (3, 4) table holding each combination's own integral
+        a = np.array([0.5, 1.0, 2.0])
+        b = np.array([0.0, 0.3, 1.1, 2.5])
+        table, err = ordered_simplex_integral(
+            [lambda m: np.exp(-a[:, None, None] * m),
+             lambda m: 1.0 / (1.0 + b[:, None] * m),
+             lambda m: m], 1.0, 2.0, tol=1e-12)
+        assert table.shape == (3, 4) and err <= 1e-12
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                one, _ = ordered_simplex_integral(
+                    [lambda m: np.exp(-ai * m), lambda m: 1.0 / (1.0 + bj * m),
+                     lambda m: m], 1.0, 2.0, tol=1e-12)
+                assert table[i, j] == pytest.approx(one, rel=1e-14)

@@ -339,6 +339,53 @@ class TestMixtureDensities:
             mixture_density_discrete(disc_spec(2), [0.5, 0.25])
 
 
+class TestDensityTables:
+    """An (n, K) grid gives the whole (K,)*n table from one ladder call."""
+
+    def test_n2_table_matches_every_single_configuration(self):
+        spec = disc_spec(2)
+        ks = np.arange(9)
+        table = mixture_density_discrete(spec, np.tile(ks, (2, 1)), tol=1e-11)
+        assert table.method == "quadrature" and table.value.shape == (9, 9)
+        for a in ks:
+            for b in ks:
+                one = mixture_density_discrete(spec, [a, b], tol=1e-11).value
+                assert table.value[a, b] == pytest.approx(one, rel=1e-14)
+
+    def test_n3_rows_are_per_site_values(self):
+        spec = disc_spec(3)
+        grid = np.array([[0, 2, 5, 9], [1, 3, 4, 7], [0, 6, 8, 12]])
+        table = mixture_density_discrete(spec, grid, tol=1e-11).value
+        assert table.shape == (4, 4, 4)
+        for i, j, k in [(0, 0, 0), (3, 1, 2), (1, 3, 0), (2, 2, 3), (3, 3, 3), (0, 2, 1)]:
+            eta = [grid[0, i], grid[1, j], grid[2, k]]
+            one = mixture_density_discrete(spec, eta, tol=1e-11).value
+            assert table[i, j, k] == pytest.approx(one, rel=1e-14)
+
+    def test_continuous_table(self):
+        spec = cont_spec(2)
+        grid = np.array([[0.0, 0.7, 2.5], [0.3, 1.9, 4.0]])
+        table = mixture_density_continuous(spec, grid, tol=1e-11).value
+        for i in range(3):
+            for j in range(3):
+                one = mixture_density_continuous(spec, [grid[0, i], grid[1, j]], tol=1e-11)
+                assert table[i, j] == pytest.approx(one.value, rel=1e-14)
+
+    def test_degenerate_interval_gives_the_product_table(self):
+        spec = disc_spec(2, beta_a=0.6, beta_b=0.6)
+        ks = np.arange(4)
+        d = mixture_density_discrete(spec, np.tile(ks, (2, 1)))
+        pmf = geometric_pmf(spec.interval[0], ks)
+        assert d.method == "product"
+        np.testing.assert_array_equal(d.value, np.multiply.outer(pmf, pmf))
+
+    def test_grid_needs_quadrature(self):
+        with pytest.raises(ValueError, match="grid"):
+            mixture_density_discrete(disc_spec(5), np.zeros((5, 2), dtype=int))
+        with pytest.raises(ValueError, match="shape"):
+            mixture_density_discrete(disc_spec(2), np.zeros((3, 2), dtype=int))
+
+
 class TestMarginals:
     def test_n1_reduces_to_uniform_mixture(self):
         spec = disc_spec(1)

@@ -278,6 +278,17 @@ class TestProfileReport:
         rep = profile_report(_stats_from_iid(draws, "discrete"), wrong)
         assert rep.max_abs_z > 10.0
 
+    def test_infinite_z_is_the_maximum(self):
+        # a site that never moved (se 0) but misses the exact mean has z = inf
+        rep = stats.ProfileReport(
+            sites=np.arange(1, 3), emp_mean=np.array([0.61, 0.0]), se_mean=np.array([0.1, 0.0]),
+            exact_mean=np.ones(2), z_mean=np.array([-3.9, np.inf]), pairs=[(1, 1)],
+            emp_cov=np.zeros(1), se_cov=np.ones(1), exact_cov=np.zeros(1),
+            z_cov=np.array([np.nan]))
+        assert rep.max_abs_z == math.inf
+        rep.z_mean[1] = 2.0
+        assert rep.max_abs_z == 3.9
+
     def test_se_shrinks_like_sqrt_time(self):
         # doubling ladder of run lengths: log-log slope of SE vs t is -1/2.
         # Grid count scales with t so the sampling interval stays below the

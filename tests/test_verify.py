@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from drivenchain import verify
-from drivenchain.core import ChainParams, harmonic_number
+from drivenchain.core import ChainParams, harmonic_number, make_rng
 from drivenchain.measure import MixtureSpec, Model, mixture_density_discrete
 from drivenchain.verify import (
     check_antiderivative_continuous,
@@ -27,6 +27,7 @@ from drivenchain.verify import (
 
 NEQ1 = ChainParams(n=1, beta_a=0.5, beta_b=0.75)
 NEQ2 = ChainParams(n=2, beta_a=0.5, beta_b=0.75)
+NEQ3 = ChainParams(n=3, beta_a=0.5, beta_b=0.75)
 
 
 class TestAntiderivativeChecks:
@@ -215,6 +216,42 @@ def _generator_residuals_oracle(params, box, k_sum, mu):
     return worst
 
 
+def _generator_inflow_oracle(params, box, k_sum, mu):
+    """Brute-force inflow to every state of {0..box}^n, for any n.
+
+    Walks every state of the table ``mu`` and every channel out of it,
+    straight from the jump rules: site x sends k <= eta_x particles left
+    (to site x - 1, or reservoir A from site 1) or right (to site x + 1, or
+    reservoir B from site n) at rate 1/k, and each reservoir injects k at its
+    end site at rate beta^k / k.  Removals count up to k_sum, as in the check.
+    """
+    n = mu.ndim
+    inflow = np.zeros((box + 1,) * n)
+
+    def credit(state, rate):
+        if max(state) <= box:
+            inflow[tuple(state)] += rate
+
+    for state in np.ndindex(mu.shape):
+        m = mu[state]
+        for x in range(n):
+            for k in range(1, state[x] + 1):
+                for y in (x - 1, x + 1):
+                    after = list(state)
+                    after[x] -= k
+                    if 0 <= y < n:
+                        after[y] += k
+                    elif k > k_sum:
+                        continue
+                    credit(after, m / k)
+        for x, beta in ((0, params.beta_a), (n - 1, params.beta_b)):
+            for k in range(1, box - state[x] + 1):
+                after = list(state)
+                after[x] += k
+                credit(after, m * beta**k / k)
+    return inflow
+
+
 class TestStationarityDirect:
     def test_n1_mixture_passes(self):
         r = check_stationarity_direct_discrete(NEQ1, truncation=120, tol=1e-8)
@@ -264,10 +301,50 @@ class TestStationarityDirect:
         assert abs(oracle - r.max_residual) < r.notes["tail_bound"] + 1e-12
 
     def test_unsupported_size(self):
-        with pytest.raises(ValueError):
-            check_stationarity_direct_discrete(
-                ChainParams(n=3, beta_a=0.5, beta_b=0.75), truncation=5
-            )
+        # the candidate table must fit MAX_TABLE_ENTRIES: 70^3 and 513^2 do not
+        assert verify.MAX_TABLE_ENTRIES == 2**18
+        for params, truncation in ((NEQ3, 20), (NEQ2, 256)):
+            with pytest.raises(ValueError, match="MAX_TABLE_ENTRIES"):
+                check_stationarity_direct_discrete(params, truncation, tol=1e-6)
+
+    @pytest.mark.parametrize("params, candidate", [(NEQ2, "mixture"), (NEQ1, "product-geometric")])
+    def test_negative_truncation_rejected(self, params, candidate):
+        with pytest.raises(ValueError, match="truncation"):
+            check_stationarity_direct_discrete(params, -1, tol=1e-6, candidate=candidate)
+        r = check_stationarity_direct_discrete(params, 0, tol=1e-6, candidate="mixture")
+        assert r.passed and r.params["truncation"] == 0
+
+    def test_n3_mixture_passes(self):
+        r = check_stationarity_direct_discrete(NEQ3, truncation=10, tol=1e-6)
+        assert r.passed
+        assert r.notes["n"] == 3 and r.notes["extent"] == 10 + r.notes["k_sum"]
+        assert r.notes["tail_bound"] <= 1e-7
+
+    @pytest.mark.parametrize("candidate", ["product-geometric", "product-marginals"])
+    def test_n3_impostors_rejected(self, candidate):
+        r = check_stationarity_direct_discrete(
+            NEQ3, truncation=10, tol=1e-6, candidate=candidate
+        )
+        assert not r.passed
+        assert r.max_residual > 100.0 * 1e-6
+
+    def test_n1_rejects_product_marginals(self):
+        # at n = 1 the product of the marginals is the mixture itself
+        with pytest.raises(ValueError, match="product-marginals"):
+            check_stationarity_direct_discrete(NEQ1, 10, candidate="product-marginals")
+
+    @pytest.mark.parametrize("params", [NEQ1, NEQ2, NEQ3])
+    def test_shifted_slices_against_generator_oracle(self, params):
+        # any table, not only a stationary one: every channel's bookkeeping shows
+        n, box, k_sum = params.n, 4, 6
+        mu = make_rng(n).uniform(size=(box + max(k_sum, box) + 1,) * n)
+        inflow = _generator_inflow_oracle(params, box, k_sum, mu)
+        exit_rate = np.zeros((box + 1,) * n) - math.log1p(-params.beta_a) - math.log1p(-params.beta_b)
+        for state in np.ndindex(exit_rate.shape):
+            exit_rate[state] += 2.0 * sum(harmonic_number(v) for v in state)
+        oracle = mu[(slice(box + 1),) * n] * exit_rate - inflow
+        got = verify._balance_residuals(mu, box, k_sum, params)
+        np.testing.assert_allclose(got, oracle, rtol=1e-13, atol=1e-12)
 
 
 class TestEquilibriumLimit:
