@@ -101,20 +101,18 @@ class RunConfig:
         )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (np.integer,)):
-        return str(int(x))
-    return str(x)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``rows`` of plain Python values under ``header``.
+
+    csv renders a float by ``repr`` (the shortest text that reads back to the
+    same value) and an int by ``str``.  Callers convert numpy data with
+    ``.tolist()``: a numpy scalar would go through numpy's own ``str``, one
+    slow call per value, and a float32 would lose digits.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
 
 
 def _write_meta(outdir: Path, cfg: RunConfig, extra: dict | None = None) -> None:
@@ -183,16 +181,16 @@ def _write_histograms(outdir: Path, stats: OccupationStats) -> None:
     for x, h in enumerate(stats.hists, start=1):
         if isinstance(h, IntHistogram):
             values, weights = h.as_arrays()
-            for v, w in zip(values, weights):
+            for v, w in zip(values.tolist(), weights.tolist()):
                 if w > 0.0:
-                    rows.append((x, int(v), "", w))
+                    rows.append((x, v, "", w))
         else:
-            edges = h.edges()
-            rows.append((x, "-inf", edges[0], h.weights[0]))
+            edges, weights = h.edges().tolist(), np.asarray(h.weights).tolist()
+            rows.append((x, "-inf", edges[0], weights[0]))
             for i in range(h.n_bins):
-                if h.weights[i + 1] > 0.0:
-                    rows.append((x, edges[i], edges[i + 1], h.weights[i + 1]))
-            rows.append((x, edges[-1], "inf", h.weights[-1]))
+                if weights[i + 1] > 0.0:
+                    rows.append((x, edges[i], edges[i + 1], weights[i + 1]))
+            rows.append((x, edges[-1], "inf", weights[-1]))
     _write_csv(outdir / "histograms.csv", ["site", "value_or_lo", "hi", "weight"], rows)
 
 
@@ -235,11 +233,20 @@ def _read_profile(sim_dir: Path, stats: OccupationStats, spec: MixtureSpec) -> P
     rep = ProfileReport.from_errors(stats, spec, *errors)
     for (path, rows), expected in zip(tables, (rep.mean_rows(), rep.cov_rows())):
         for line, (row, want) in enumerate(zip(rows, expected), start=2):
-            want = [_fmt(v) for v in want]
+            want = [str(v) for v in want]
             if row != want:
                 raise ValueError(f"{path} line {line} reads {','.join(row)}, "
                                  f"the run in {sim_dir} gives {','.join(want)}")
     return rep
+
+
+def _run_counters(stats: OccupationStats) -> dict:
+    """The run's deterministic diagnostics (never its wall-clock rate)."""
+    counters = {"max_resync_drift": stats.extra["max_resync_drift"]}
+    if stats.model == "continuous":
+        for key in ("acceptance_a", "acceptance_b"):
+            counters[key] = stats.per_replica(key)
+    return counters
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -251,11 +258,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     outdir = _resolve_outdir(cfg)
     t0 = time.perf_counter()
     stats = _run_replicas(cfg, params)
-    wall = time.perf_counter() - t0
-    model = Model(cfg.model)
-    spec = MixtureSpec(params, model)
+    t1 = time.perf_counter()
+    rep = profile_report(stats, MixtureSpec(params, Model(cfg.model)))
+    t2 = time.perf_counter()
     _write_histograms(outdir, stats)
-    rep = profile_report(stats, spec)
     _write_profile(outdir, rep)
     np.save(outdir / "series.npy", np.stack(stats.series))
     _write_meta(outdir, cfg, {
@@ -273,10 +279,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "replica_streams": stats.extra.get("replica_streams", [0]),
         "epsilon": stats.extra.get("epsilon"),
         "autocorr_series": rep.notes["autocorr_series"],
+        **_run_counters(stats),
     })
+    t3 = time.perf_counter()
     print(
-        f"simulate: {stats.event_count} events over {cfg.replicas} replica(s) "
-        f"in {wall:.1f}s -> {outdir}",
+        f"simulate: {stats.event_count} events over {cfg.replicas} replica(s); "
+        f"run {t1 - t0:.1f}s, report {t2 - t1:.1f}s, write {t3 - t2:.1f}s -> {outdir}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -312,10 +320,8 @@ def cmd_sample_exact(cfg: RunConfig) -> int:
     _write_csv(
         outdir / "moments.csv",
         ["site", "emp_mean", "se", "exact_mean", "z"],
-        [
-            (x + 1, emp_mean[x], se[x], exact.means[x], z[x])
-            for x in range(cfg.n)
-        ],
+        zip(range(1, cfg.n + 1), emp_mean.tolist(), se.tolist(),
+            exact.means.tolist(), z.tolist()),
     )
     _write_meta(outdir, cfg)
     print(f"sample-exact: {cfg.samples} draws -> {outdir}", file=sys.stderr)
@@ -467,7 +473,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         ok = g.passed(site_level)
         all_pass &= ok or g.inconclusive
         any_inconclusive |= g.inconclusive
-        gof_rows.append((x, g.name, g.statistic, g.dof, g.effective_n,
+        gof_rows.append((x, g.name, g.statistic, g.dof, float(g.effective_n),
                          g.p_value, ok, g.bins_note))
     _write_csv(
         outdir / "gof.csv",

@@ -192,15 +192,16 @@ class OccupationStats:
             mine.merge(theirs)
         return out
 
+    def per_replica(self, key: str) -> list:
+        """A ``PER_REPLICA_EXTRA`` entry as a list with one value per trajectory."""
+        return self.extra[key] if self.replicas > 1 else [self.extra[key]]
+
     def _merged_extra(self, other: "OccupationStats") -> dict:
         """Run settings from self; per-replica values as one list entry per replica."""
-        def per_replica(st, key):
-            return st.extra[key] if st.replicas > 1 else [st.extra[key]]
-
         out = {k: v for k, v in self.extra.items() if k not in PER_REPLICA_EXTRA}
         for key in PER_REPLICA_EXTRA:
             if key in self.extra and key in other.extra:
-                out[key] = per_replica(self, key) + per_replica(other, key)
+                out[key] = self.per_replica(key) + other.per_replica(key)
         if "max_resync_drift" in other.extra:
             out["max_resync_drift"] = max(self.extra.get("max_resync_drift", 0.0),
                                           other.extra["max_resync_drift"])

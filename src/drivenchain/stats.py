@@ -311,14 +311,15 @@ class ProfileReport:
         return float(zs.max()) if zs.size else 0.0
 
     def mean_rows(self):
-        for i, x in enumerate(self.sites):
-            yield (int(x), self.emp_mean[i], self.se_mean[i],
-                   self.exact_mean[i], self.z_mean[i])
+        """(site, emp_mean, se, exact_mean, z) per site, as Python scalars."""
+        return zip(self.sites.tolist(), self.emp_mean.tolist(), self.se_mean.tolist(),
+                   self.exact_mean.tolist(), self.z_mean.tolist())
 
     def cov_rows(self):
-        for i, (x, y) in enumerate(self.pairs):
-            yield (x, y, self.emp_cov[i], self.se_cov[i],
-                   self.exact_cov[i], self.z_cov[i])
+        """(x, y, emp_cov, se, exact_cov, z) per pair, as Python scalars."""
+        xs, ys = zip(*self.pairs)
+        return zip(xs, ys, self.emp_cov.tolist(), self.se_cov.tolist(),
+                   self.exact_cov.tolist(), self.z_cov.tolist())
 
 
 def _zscore(diff: float, se: float) -> float:

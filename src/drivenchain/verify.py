@@ -250,10 +250,8 @@ def _bracket(
     """Discrete Laplacian in the profile at site x (boundaries pinned to lo/hi)."""
     n = mvecs.shape[1]
     sx = float(svec[x])
-    left = _log_mgf(model, np.full(len(mvecs), lo), sx) if x == 0 else \
-        _log_mgf(model, mvecs[:, x - 1], sx)
-    right = _log_mgf(model, np.full(len(mvecs), hi), sx) if x == n - 1 else \
-        _log_mgf(model, mvecs[:, x + 1], sx)
+    left = _log_mgf(model, lo if x == 0 else mvecs[:, x - 1], sx)
+    right = _log_mgf(model, hi if x == n - 1 else mvecs[:, x + 1], sx)
     return left - 2.0 * _log_mgf(model, mvecs[:, x], sx) + right
 
 
@@ -281,95 +279,115 @@ def _telescoping_quadrature(
     return residuals, {"quad_error": errors}
 
 
+# Profiles drawn per Monte Carlo batch: bounds the (batch, n) profile array.
+MC_BATCH = 1 << 19
+
+
 def _telescoping_mc(
     model: Model,
     lo: float,
     hi: float,
-    svec: np.ndarray,
+    svecs: np.ndarray,
     mc_samples: int,
     seed: int,
     profile_law: str,
-) -> tuple[dict[str, float], dict[str, float], dict]:
+) -> list[tuple[dict[str, float], dict[str, float], dict]]:
+    """Monte Carlo residuals of every argument vector (row) of ``svecs``.
+
+    Each batch of profiles is drawn once and weighted for every vector in
+    turn, so each vector sees the batches, in order, that a call of its own
+    with the same seed would draw: its residuals are those of that call, bit
+    for bit.  Returns one (residuals, tolerances, notes) triple per row.
+    """
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
-    n = len(svec)
+    if profile_law not in ("ordered", "independent-marginals"):
+        raise ValueError(f"unknown profile_law {profile_law!r}")
+    n = svecs.shape[1]
     rng = make_rng(seed)
     volume = (hi - lo) ** n / math.factorial(n)
-    sums = np.zeros(n)
-    sums_sq = np.zeros(n)
+    sums = np.zeros(svecs.shape)
+    sums_sq = np.zeros(svecs.shape)
     drawn = 0
-    batch = min(mc_samples, 1 << 19)
+    batch = min(mc_samples, MC_BATCH)
     while drawn < mc_samples:
         b = min(batch, mc_samples - drawn)
         if profile_law == "ordered":
             m = rng.uniform(lo, hi, size=(b, n))
             m.sort(axis=-1)
-        elif profile_law == "independent-marginals":
+        else:
             # Correct per-site order-statistic marginals, ordering destroyed:
             # the product-of-marginals impostor in profile space.
             m = np.empty((b, n))
             for x in range(n):
                 m[:, x] = lo + (hi - lo) * rng.beta(x + 1, n - x, size=b)
-        else:
-            raise ValueError(f"unknown profile_law {profile_law!r}")
-        weight = np.prod(
-            [_mgf(model, m[:, x], float(svec[x])) for x in range(n)], axis=0
-        )
-        for x in range(n):
-            g = _bracket(model, m, x, svec, lo, hi) * weight
-            sums[x] += g.sum()
-            sums_sq[x] += (g * g).sum()
+        for svec, row, row_sq in zip(svecs, sums, sums_sq):
+            weight = np.prod(
+                [_mgf(model, m[:, x], float(svec[x])) for x in range(n)], axis=0
+            )
+            for x in range(n):
+                g = _bracket(model, m, x, svec, lo, hi) * weight
+                row[x] += g.sum()
+                row_sq[x] += (g * g).sum()
         drawn += b
-    means = sums / drawn
-    sds = np.sqrt(np.maximum(sums_sq / drawn - means**2, 0.0) / drawn)
-    residuals = {f"term_{x + 1}": volume * means[x] for x in range(n)}
-    residuals["total"] = volume * means.sum()
-    tolerances = {f"term_{x + 1}": 4.0 * volume * sds[x] for x in range(n)}
-    tolerances["total"] = 4.0 * volume * math.sqrt(float((sds**2).sum()))
-    notes = {"samples": drawn, "seed": seed, "profile_law": profile_law}
-    return residuals, tolerances, notes
+    out = []
+    for row, row_sq in zip(sums, sums_sq):
+        means = row / drawn
+        sds = np.sqrt(np.maximum(row_sq / drawn - means**2, 0.0) / drawn)
+        residuals = {f"term_{x + 1}": volume * means[x] for x in range(n)}
+        residuals["total"] = volume * means.sum()
+        tolerances = {f"term_{x + 1}": 4.0 * volume * sds[x] for x in range(n)}
+        tolerances["total"] = 4.0 * volume * math.sqrt(float((sds**2).sum()))
+        notes = {"samples": drawn, "seed": seed, "profile_law": profile_law}
+        out.append((residuals, tolerances, notes))
+    return out
 
 
 def _check_telescoping(
-    name: str,
     model: Model,
-    lo: float,
-    hi: float,
-    svec,
+    params: ChainParams,
+    svecs,
     tol: float,
     method: str | None,
     mc_samples: int,
     seed: int,
     profile_law: str,
-) -> VerificationReport:
-    svec = np.asarray(svec, dtype=float)
-    n = len(svec)
-    _validate_arguments(model, lo, hi, svec)
-    params = {"n": n, "lo": lo, "hi": hi, "svec": svec.tolist()}
+) -> list[VerificationReport]:
+    """One report per argument vector (row) of ``svecs``, all of one length n."""
+    svecs = np.asarray(svecs, dtype=float)
+    name = f"telescoping_{model.value}"
+    lo, hi = MixtureSpec(params, model).interval
+    n = svecs.shape[1]
+    _validate_arguments(model, lo, hi, svecs)
     if method is None:
         method = "quadrature" if n <= 3 and profile_law == "ordered" else "monte-carlo"
-    if method == "quadrature":
-        if profile_law != "ordered":
-            raise ValueError("quadrature path only integrates the ordered profile law")
-        try:
-            residuals, notes = _telescoping_quadrature(model, lo, hi, svec, tol)
-        except QuadratureError as exc:
-            return _report_quad_failure(name, params, exc)
-        tolerances = {k: tol for k in residuals}
-    elif method == "monte-carlo":
-        residuals, tolerances, notes = _telescoping_mc(
-            model, lo, hi, svec, mc_samples, seed, profile_law
-        )
-    else:
+    if method == "monte-carlo":
+        results = _telescoping_mc(model, lo, hi, svecs, mc_samples, seed, profile_law)
+    elif method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    return VerificationReport(
-        name=name,
-        params=params,
-        residuals=residuals,
-        tolerances=tolerances,
-        method=method,
-        notes=notes,
-    )
+    elif profile_law != "ordered":
+        raise ValueError("quadrature path only integrates the ordered profile law")
+    reports = []
+    for i, svec in enumerate(svecs):
+        meta = {"n": n, "lo": lo, "hi": hi, "svec": svec.tolist()}
+        if method == "quadrature":
+            try:
+                residuals, notes = _telescoping_quadrature(model, lo, hi, svec, tol)
+            except QuadratureError as exc:
+                reports.append(_report_quad_failure(name, meta, exc))
+                continue
+            tolerances = {k: tol for k in residuals}
+        else:
+            residuals, tolerances, notes = results[i]
+        reports.append(VerificationReport(
+            name=name,
+            params=meta,
+            residuals=residuals,
+            tolerances=tolerances,
+            method=method,
+            notes=notes,
+        ))
+    return reports
 
 
 def check_telescoping_discrete(
@@ -394,17 +412,8 @@ def check_telescoping_discrete(
     zero, which is how the check's power is audited.
     """
     return _check_telescoping(
-        "telescoping_discrete",
-        Model.DISCRETE,
-        params.rho_a,
-        params.rho_b,
-        lambda_vec,
-        tol,
-        method,
-        mc_samples,
-        seed,
-        profile_law,
-    )
+        Model.DISCRETE, params, [lambda_vec], tol, method, mc_samples, seed, profile_law
+    )[0]
 
 
 def check_telescoping_continuous(
@@ -418,17 +427,8 @@ def check_telescoping_continuous(
 ) -> VerificationReport:
     """Continuous-model analogue of :func:`check_telescoping_discrete`."""
     return _check_telescoping(
-        "telescoping_continuous",
-        Model.CONTINUOUS,
-        params.t_a,
-        params.t_b,
-        t_vec,
-        tol,
-        method,
-        mc_samples,
-        seed,
-        profile_law,
-    )
+        Model.CONTINUOUS, params, [t_vec], tol, method, mc_samples, seed, profile_law
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +662,13 @@ def telescoping_suite(
     mc_samples: int = 10_000_000,
     seed: int = 7,
 ) -> list[VerificationReport]:
-    """Telescoping residuals for both models across chain sizes."""
+    """Telescoping residuals for both models across chain sizes.
+
+    Each model's whole argument grid goes to one check, so a Monte Carlo
+    size draws its profile sample once per model rather than once per
+    vector; every report equals that of the per-vector
+    ``check_telescoping_*`` call.
+    """
     reports = []
     for n in sizes:
         if params is None:
@@ -670,14 +676,10 @@ def telescoping_suite(
         else:
             p = ChainParams(n=n, beta_a=params.beta_a, beta_b=params.beta_b,
                             t_a=params.t_a, t_b=params.t_b)
-        for vec in default_svec_grid(n, Model.DISCRETE, p.rho_b):
-            reports.append(
-                check_telescoping_discrete(p, vec, tol, mc_samples=mc_samples, seed=seed)
-            )
-        for vec in default_svec_grid(n, Model.CONTINUOUS, p.t_b):
-            reports.append(
-                check_telescoping_continuous(p, vec, tol, mc_samples=mc_samples, seed=seed)
-            )
+        for model in Model:
+            grid = default_svec_grid(n, model, MixtureSpec(p, model).interval[1])
+            reports.extend(_check_telescoping(
+                model, p, grid, tol, None, mc_samples, seed, "ordered"))
     return reports
 
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, config resolution, outputs, exit codes."""
 
 import csv
+import io
 import json
 import math
 import shutil
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivenchain import cli, stats
+from drivenchain import cli, measure, stats
 
 
 def run_cli(args) -> int:
@@ -74,6 +75,29 @@ class TestSimulate:
         bb.pop("meta.json")
         assert ba == bb
 
+    def test_meta_records_run_counters(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(SIM_ARGS + ["--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["max_resync_drift"] >= 0.0
+        assert "acceptance_a" not in meta and "events_per_sec" not in meta
+        line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert all(f" {phase} " in line for phase in ("run", "report", "write"))
+
+    def test_continuous_counters_per_replica_and_stable(self, tmp_path):
+        args = ["simulate", "--model", "continuous", "--n", "2", "--t-max", "60",
+                "--seed", "8", "--grid-samples", "256", "--replicas", "2",
+                "--workers", "1", "--out", str(tmp_path / "c")]
+        assert run_cli(args) == 0
+        first = dir_bytes(tmp_path / "c")
+        meta = json.loads(first["meta.json"])
+        for key in ("acceptance_a", "acceptance_b"):
+            assert len(meta[key]) == 2 and all(0.0 < a <= 1.0 for a in meta[key])
+        assert meta["max_resync_drift"] >= 0.0
+        assert "events_per_sec" not in meta
+        assert run_cli(args) == 0
+        assert dir_bytes(tmp_path / "c") == first  # byte-identical rerun
+
     def test_continuous_records_epsilon(self, tmp_path):
         out = tmp_path / "crun"
         rc = run_cli([
@@ -94,7 +118,46 @@ class TestSimulate:
         assert rc == 2
 
 
+def fmt_oracle(x) -> str:
+    """Reference rendering: each value formatted by hand before csv.writer sees it."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, np.integer):
+        return str(int(x))
+    return str(x)
+
+
+def csv_oracle(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([fmt_oracle(v) for v in row])
+    return buf.getvalue().encode()
+
+
 class TestSampleExact:
+    @pytest.mark.parametrize("model, sampler, chain", [
+        ("discrete", measure.sample_exact_discrete, ["--beta-a", "0.5", "--beta-b", "0.75"]),
+        ("continuous", measure.sample_exact_continuous, ["--t-a", "1", "--t-b", "2"]),
+    ])
+    def test_csv_bytes_match_per_value_rendering(self, tmp_path, model, sampler, chain):
+        out = tmp_path / model
+        assert run_cli(["sample-exact", "--model", model, "--n", "3", *chain,
+                        "--samples", "5000", "--seed", "13", "--out", str(out)]) == 0
+        cfg = cli.RunConfig(command="sample-exact", model=model, n=3)
+        spec = measure.MixtureSpec(cfg.chain_params(), measure.Model(model))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(13)))
+        draws = sampler(spec, rng, size=5000)
+        header = ["site_1", "site_2", "site_3"]
+        assert (out / "samples.csv").read_bytes() == csv_oracle(header, draws)
+        exact = measure.moment_profile(spec).means
+        emp, se = draws.mean(axis=0), draws.std(axis=0, ddof=1) / np.sqrt(5000)
+        rows = [(x + 1, emp[x], se[x], exact[x], (emp[x] - exact[x]) / se[x])
+                for x in range(3)]
+        assert (out / "moments.csv").read_bytes() == csv_oracle(
+            ["site", "emp_mean", "se", "exact_mean", "z"], rows)
+
     def test_moments_and_determinism(self, tmp_path):
         args = [
             "sample-exact", "--model", "discrete", "--n", "3", "--beta-a",

@@ -166,6 +166,56 @@ class TestTelescoping:
                 profile_law="independent-marginals",
             )
 
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("profile_law", ["ordered", "independent-marginals"])
+    def test_batched_monte_carlo_matches_per_vector_draws(self, monkeypatch, model,
+                                                          profile_law):
+        # Oracle: a fresh draw per vector, pinned edges as np.full columns.
+        def oracle(lo, hi, svec, mc_samples, seed, batch):
+            n = len(svec)
+            rng = make_rng(seed)
+            sums, sums_sq, drawn = np.zeros(n), np.zeros(n), 0
+            while drawn < mc_samples:
+                b = min(batch, mc_samples - drawn)
+                if profile_law == "ordered":
+                    m = rng.uniform(lo, hi, size=(b, n))
+                    m.sort(axis=-1)
+                else:
+                    m = np.empty((b, n))
+                    for x in range(n):
+                        m[:, x] = lo + (hi - lo) * rng.beta(x + 1, n - x, size=b)
+                weight = np.prod([verify._mgf(model, m[:, x], float(svec[x]))
+                                  for x in range(n)], axis=0)
+                for x in range(n):
+                    sx = float(svec[x])
+                    left = np.full(b, lo) if x == 0 else m[:, x - 1]
+                    right = np.full(b, hi) if x == n - 1 else m[:, x + 1]
+                    g = (verify._log_mgf(model, left, sx)
+                         - 2.0 * verify._log_mgf(model, m[:, x], sx)
+                         + verify._log_mgf(model, right, sx)) * weight
+                    sums[x] += g.sum()
+                    sums_sq[x] += (g * g).sum()
+                drawn += b
+            return sums / drawn, sums_sq / drawn
+
+        monkeypatch.setattr(verify, "MC_BATCH", 1000)
+        p = ChainParams(n=5, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+        lo, hi = MixtureSpec(p, model).interval
+        grid = default_svec_grid(5, model, hi)
+        mc_samples = 2500  # batches of 1000, 1000 and 500
+        results = verify._telescoping_mc(model, lo, hi, np.array(grid), mc_samples, 3,
+                                         profile_law)
+        volume = (hi - lo) ** 5 / math.factorial(5)
+        for svec, (residuals, tolerances, notes) in zip(grid, results):
+            means, second = oracle(lo, hi, svec, mc_samples, 3, 1000)
+            sds = np.sqrt(np.maximum(second - means**2, 0.0) / mc_samples)
+            for x in range(5):
+                assert residuals[f"term_{x + 1}"] == volume * means[x]
+                assert tolerances[f"term_{x + 1}"] == 4.0 * volume * sds[x]
+            assert residuals["total"] == volume * means.sum()
+            assert tolerances["total"] == 4.0 * volume * math.sqrt(float((sds**2).sum()))
+            assert notes == {"samples": mc_samples, "seed": 3, "profile_law": profile_law}
+
     def test_default_grid_respects_domains(self):
         for n in (1, 3, 5):
             for vec in default_svec_grid(n, Model.DISCRETE, 3.0):
@@ -392,6 +442,18 @@ class TestReportsAndSuites:
     def test_telescoping_suite_small(self):
         reports = telescoping_suite(sizes=(1, 2), mc_samples=200_000)
         assert all(r.passed for r in reports)
+
+    def test_telescoping_suite_equals_per_vector_checks(self):
+        reports = telescoping_suite(sizes=(2, 5), mc_samples=30_000, seed=5)
+        expected = []
+        for n in (2, 5):
+            p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+            for vec in default_svec_grid(n, Model.DISCRETE, p.rho_b):
+                expected.append(check_telescoping_discrete(p, vec, mc_samples=30_000, seed=5))
+            for vec in default_svec_grid(n, Model.CONTINUOUS, p.t_b):
+                expected.append(check_telescoping_continuous(p, vec, mc_samples=30_000, seed=5))
+        assert [r.method for r in reports] == ["quadrature"] * 12 + ["monte-carlo"] * 12
+        assert reports == expected  # field by field, floats compared exactly
 
     def test_stationarity_suite_reduced(self):
         reports = stationarity_suite(truncation_1=60, truncation_2=8)
