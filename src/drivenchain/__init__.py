@@ -25,8 +25,6 @@ from .measure import (
     exponential_pdf,
     marginal_cdf_continuous,
     marginal_pmf_discrete,
-    mgf_exponential,
-    mgf_geometric,
     mixture_density_continuous,
     mixture_density_discrete,
     moment_profile,

@@ -9,6 +9,9 @@ energy chain on [t_a, t_b].  This module samples those laws, evaluates their
 densities by Chebyshev integration over the ordered box (n <= 4; one
 configuration or a whole table of them per call) or Monte Carlo (larger n),
 and reduces them to marginals and moments for the statistical test harness.
+``Model`` names the chain and holds what the two site laws share: the
+generating function 1 / (1 + c(s) m) of mean m, its coefficient c(s) and the
+arguments s where it holds, which the identity checks in ``verify`` read.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ __all__ = [
     "sample_exact_continuous",
     "geometric_pmf",
     "exponential_pdf",
-    "mgf_geometric",
-    "mgf_exponential",
     "mixture_density_discrete",
     "mixture_density_continuous",
     "marginal_pmf_discrete",
@@ -49,16 +50,47 @@ __all__ = [
 
 
 class Model(str, Enum):
+    """Which chain: particles (geometric sites) or energies (exponential sites).
+
+    Both site laws of mean m have the generating function 1 / (1 + c(s) m):
+    sum_k pmf(k) lam^k with c = 1 - lam, and E e^{t z} with c = -t.
+    """
+
     DISCRETE = "discrete"
     CONTINUOUS = "continuous"
+
+    @property
+    def argument(self) -> str:
+        """Name of the generating function's argument s: ``lam`` or ``t``."""
+        return "lam" if self is Model.DISCRETE else "t"
+
+    def mgf_coefficient(self, s):
+        """c(s) in the site generating function 1 / (1 + c(s) m)."""
+        return 1.0 - s if self is Model.DISCRETE else -s
+
+    def validate_mgf_arguments(self, s, m: float) -> None:
+        """ValueError unless every s keeps 1 / (1 + c(s) m') the generating
+        function at every mean m' <= m: c(s) > -1/m, and lam >= 0 for particles."""
+        s = np.asarray(s, dtype=float)
+        particles = self is Model.DISCRETE
+        if np.any(self.mgf_coefficient(s) <= -1.0 / m) or (particles and np.any(s < 0.0)):
+            raise ValueError(f"{self.argument} = {s.tolist()} outside the generating function's "
+                             f"domain at m = {m}: c({self.argument}) > -1/m"
+                             + (", lam >= 0" if particles else ""))
 
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """A chain parameter set together with which of the two models it feeds."""
+    """A chain parameter set together with which of the two models it feeds.
+
+    ``model`` may be given by name; an unknown name is a ValueError.
+    """
 
     params: ChainParams
     model: Model
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "model", Model(self.model))
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -123,7 +155,7 @@ def sample_exact_continuous(
 
 
 # ---------------------------------------------------------------------------
-# Elementary laws and generating functions
+# Elementary laws
 # ---------------------------------------------------------------------------
 
 def _geometric_pmf(m, k):
@@ -166,35 +198,6 @@ def exponential_pdf(m, z):
     if np.isscalar(m) and np.isscalar(z):
         return float(out)
     return out
-
-
-def mgf_geometric(m, lam: float):
-    """Generating function sum_k pmf(k) lam^k = 1 / (1 + (1 - lam) m).
-
-    Valid for 0 <= lam < (1+m)/m; raises outside that range.  ``m`` may be an
-    array (sharing one lam), in which case the domain bound uses its largest
-    element.
-    """
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr <= 0.0):
-        raise ValueError("mgf_geometric needs m > 0")
-    m_max = float(np.max(m_arr))
-    if lam < 0.0 or lam >= (1.0 + m_max) / m_max:
-        raise ValueError(f"lam={lam} outside [0, (1+m)/m) for m={m_max}")
-    out = 1.0 / (1.0 + (1.0 - lam) * m_arr)
-    return float(out) if np.isscalar(m) else out
-
-
-def mgf_exponential(m, t: float):
-    """Generating function of the exponential law: 1 / (1 - t m), t < 1/m."""
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr <= 0.0):
-        raise ValueError("mgf_exponential needs m > 0")
-    m_max = float(np.max(m_arr))
-    if t >= 1.0 / m_max:
-        raise ValueError(f"t={t} not below 1/m for m={m_max}")
-    out = 1.0 / (1.0 - t * m_arr)
-    return float(out) if np.isscalar(m) else out
 
 
 # ---------------------------------------------------------------------------

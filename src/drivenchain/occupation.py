@@ -109,7 +109,7 @@ class BinnedHistogram:
 
 
 # ``extra`` entries that describe one trajectory: a merge lists them per replica.
-PER_REPLICA_EXTRA = ("final_eta", "final_z", "acceptance_a", "acceptance_b", "events_per_sec")
+PER_REPLICA_EXTRA = ("final_eta", "final_z", "acceptance_a", "acceptance_b")
 
 
 @dataclass
@@ -285,7 +285,8 @@ class ChainState:
     ``sampler_a.draw(rng)`` into the first (last) site at rate
     ``sampler_a.total_rate``.  ``site_rate`` caches the site rates and
     ``rate_sum`` their incrementally updated sum, refreshed from scratch
-    every RESYNC_INTERVAL events (see ``core.reset_rates``).
+    every RESYNC_INTERVAL events and at the end of a run (see
+    ``core.reset_rates``).
     ``before_change(x, time, new)`` runs just before site x takes ``new``.
     """
 
@@ -375,7 +376,8 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     """Run a chain state to t_max and measure it over [burn_in, t_max].
 
     Holding times are exponential at the state's total rate; each event is
-    one ``_jump``, and the rate cache resyncs every RESYNC_INTERVAL events.
+    one ``_jump``, and the rate cache resyncs every RESYNC_INTERVAL events
+    and once more at the end, so ``max_resync_drift`` covers every run.
     A ``LazyAccumulator`` on ``state.before_change`` fills the moments and
     ``hists``.  burn_in defaults to 10% of t_max.  The trajectory is also
     sampled on a uniform grid of ``grid_samples`` points across the window
@@ -417,6 +419,7 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
         state.events += 1
         if state.events % resync_interval == 0:
             state.resync()
+    state.resync()  # a run shorter than RESYNC_INTERVAL measures its drift too
     while next_grid < grid_samples:  # float edge at the last grid point
         series[next_grid] = values
         next_grid += 1
@@ -429,7 +432,6 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
         injected_a=float(state.injected_a), extracted_a=float(state.extracted_a),
         injected_b=float(state.injected_b), extracted_b=float(state.extracted_b),
         extra={"t_max": t_max, "burn_in": burn_in,
-               "events_per_sec": state.events / wall if wall > 0 else float("inf"),
                "max_resync_drift": state.max_resync_drift},
     )
     stats.check_run(start_mass, values, mass_tol)

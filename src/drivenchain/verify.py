@@ -13,6 +13,9 @@ Four families of checks, in increasing strength:
   n whose candidate table fits MAX_TABLE_ENTRIES, with both infinite sums
   truncated under an explicit geometric tail certificate.
 
+The first and third families take the model as an argument: both site laws
+share the generating function 1 / (1 + c(s) m), and ``measure.Model`` supplies
+c(s) and the arguments s where it holds, so one check serves both chains.
 Checks report residuals, tolerances, and method notes; deliberately wrong
 candidate measures (products matching the true marginals or their means) are
 supported everywhere so the checks' rejection power is itself testable.
@@ -41,8 +44,6 @@ from .measure import (
     geometric_pmf,
     exponential_pdf,
     marginal_pmf_discrete,
-    mgf_exponential,
-    mgf_geometric,
     mixture_density_continuous,
     mixture_density_discrete,
     moment_profile,
@@ -50,11 +51,9 @@ from .measure import (
 
 __all__ = [
     "VerificationReport",
-    "check_antiderivative_discrete",
-    "check_antiderivative_continuous",
+    "check_antiderivative",
     "check_frullani",
-    "check_telescoping_discrete",
-    "check_telescoping_continuous",
+    "check_telescoping",
     "check_stationarity_direct_discrete",
     "check_equilibrium_limit",
     "identity_suite",
@@ -122,48 +121,32 @@ def _report_quad_failure(name: str, params: dict, exc: QuadratureError) -> Verif
 # Antiderivative identities and the Frullani integral
 # ---------------------------------------------------------------------------
 
-def check_antiderivative_discrete(
-    m: float, lam: float, tol: float = 1e-10
+def check_antiderivative(
+    model: Model, m: float, s: float, tol: float = 1e-10
 ) -> VerificationReport:
-    """Integral of the geometric MGF in its mean vs log(MGF)/(lam - 1)."""
+    """Integral of the site generating function 1 / (1 + c(s) u) over the mean
+    u in [0, m] against its closed form log(1 + c(s) m) / c(s).
+
+    ``s`` is ``lam`` or ``t`` (see :class:`drivenchain.measure.Model`); one
+    outside the generating function's domain at m, or the removable point
+    c(s) = 0 (lam = 1, t = 0), is a ValueError.
+    """
     if m <= 0.0:
         raise ValueError("need m > 0")
-    if lam == 1.0:
-        raise ValueError("lam = 1 is the removable point; check nearby values instead")
-    params = {"m": m, "lam": lam}
+    model.validate_mgf_arguments(s, m)
+    c = model.mgf_coefficient(s)
+    if c == 0.0:
+        raise ValueError(f"{model.argument} = {s} is the removable point c = 0; "
+                         "check nearby values instead")
+    name = f"antiderivative_{model.value}"
+    params = {"m": m, model.argument: s}
     try:
-        quad = quadrature_1d(lambda u: 1.0 / (1.0 + (1.0 - lam) * u), 0.0, m, tol * 1e-2)
+        quad = quadrature_1d(lambda u: 1.0 / (1.0 + c * u), 0.0, m, tol * 1e-2)
     except QuadratureError as exc:
-        return _report_quad_failure("antiderivative_discrete", params, exc)
-    closed = math.log(mgf_geometric(m, lam)) / (lam - 1.0)
+        return _report_quad_failure(name, params, exc)
+    closed = math.log(1.0 / (1.0 + c * m)) / -c
     return VerificationReport(
-        name="antiderivative_discrete",
-        params=params,
-        residuals={"residual": quad.value - closed},
-        tolerances={"residual": tol},
-        method="quadrature",
-        notes={"quad_error": quad.error, "degree": quad.intervals},
-    )
-
-
-def check_antiderivative_continuous(
-    m: float, t: float, tol: float = 1e-10
-) -> VerificationReport:
-    """Integral of the exponential MGF in its mean vs log(MGF)/t."""
-    if m <= 0.0:
-        raise ValueError("need m > 0")
-    if t == 0.0:
-        raise ValueError("t = 0 is the removable point; check nearby values instead")
-    if t >= 1.0 / m:
-        raise ValueError(f"t={t} not below 1/m for m={m}")
-    params = {"m": m, "t": t}
-    try:
-        quad = quadrature_1d(lambda u: 1.0 / (1.0 - t * u), 0.0, m, tol * 1e-2)
-    except QuadratureError as exc:
-        return _report_quad_failure("antiderivative_continuous", params, exc)
-    closed = math.log(mgf_exponential(m, t)) / t
-    return VerificationReport(
-        name="antiderivative_continuous",
+        name=name,
         params=params,
         residuals={"residual": quad.value - closed},
         tolerances={"residual": tol},
@@ -223,25 +206,11 @@ def check_frullani(a: float, b: float, tol: float = 1e-9) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _log_mgf(model: Model, m: np.ndarray, s: float) -> np.ndarray:
-    if model is Model.DISCRETE:
-        return -np.log1p((1.0 - s) * m)
-    return -np.log1p(-s * m)
+    return -np.log1p(model.mgf_coefficient(s) * m)
 
 
 def _mgf(model: Model, m: np.ndarray, s: float) -> np.ndarray:
-    if model is Model.DISCRETE:
-        return 1.0 / (1.0 + (1.0 - s) * m)
-    return 1.0 / (1.0 - s * m)
-
-
-def _validate_arguments(model: Model, lo: float, hi: float, svec: np.ndarray) -> None:
-    if model is Model.DISCRETE:
-        bound = (1.0 + hi) / hi
-        if np.any(svec < 0.0) or np.any(svec >= bound):
-            raise ValueError(f"lambda values must lie in [0, {bound})")
-    else:
-        if np.any(svec >= 1.0 / hi):
-            raise ValueError(f"t values must lie below {1.0 / hi}")
+    return 1.0 / (1.0 + model.mgf_coefficient(s) * m)
 
 
 def _bracket(
@@ -343,22 +312,40 @@ def _telescoping_mc(
     return out
 
 
-def _check_telescoping(
-    model: Model,
-    params: ChainParams,
+def check_telescoping(
+    spec: MixtureSpec,
     svecs,
-    tol: float,
-    method: str | None,
-    mc_samples: int,
-    seed: int,
-    profile_law: str,
+    tol: float = 1e-8,
+    method: str | None = None,
+    mc_samples: int = 10_000_000,
+    seed: int = 7,
+    profile_law: str = "ordered",
 ) -> list[VerificationReport]:
-    """One report per argument vector (row) of ``svecs``, all of one length n."""
+    """Every site's Laplacian-in-m term integrates to zero over the ordered box.
+
+    One report per argument vector (row) of ``svecs``, a (V, n) array of
+    ``lam`` or ``t`` values by ``spec.model``, all inside the generating
+    function's domain at the interval's top.  ``method`` defaults to
+    quadrature for n <= 3 and Monte Carlo above.  The quadrature path splits
+    each site's bracket into three product integrals over the ordered box
+    (:func:`drivenchain.core.ordered_simplex_integral`), judges every term at
+    ``tol`` and records each term's summed error estimate in
+    ``notes["quad_error"]``.  Monte Carlo draws each batch of profiles once
+    for all rows, judges at four standard errors and records its seed; each
+    row's report is bit for bit the one a call with that row alone gives, and
+    ``mc_samples`` < 1 is a ValueError.  ``profile_law='independent-marginals'``
+    swaps in the impostor profile with the right marginals but no ordering;
+    the residuals must then be far from zero, which is how the check's power
+    is audited.
+    """
+    model = spec.model
+    n = spec.params.n
     svecs = np.asarray(svecs, dtype=float)
+    if svecs.ndim != 2 or svecs.shape[1] != n:
+        raise ValueError(f"argument vectors must form a (V, {n}) array, got shape {svecs.shape}")
     name = f"telescoping_{model.value}"
-    lo, hi = MixtureSpec(params, model).interval
-    n = svecs.shape[1]
-    _validate_arguments(model, lo, hi, svecs)
+    lo, hi = spec.interval
+    model.validate_mgf_arguments(svecs, hi)
     if method is None:
         method = "quadrature" if n <= 3 and profile_law == "ordered" else "monte-carlo"
     if method == "monte-carlo":
@@ -388,47 +375,6 @@ def _check_telescoping(
             notes=notes,
         ))
     return reports
-
-
-def check_telescoping_discrete(
-    params: ChainParams,
-    lambda_vec,
-    tol: float = 1e-8,
-    method: str | None = None,
-    mc_samples: int = 10_000_000,
-    seed: int = 7,
-    profile_law: str = "ordered",
-) -> VerificationReport:
-    """Every site's Laplacian-in-m term integrates to zero over the ordered box.
-
-    ``method`` defaults to quadrature for n <= 3 and Monte Carlo above.  The
-    quadrature path splits each site's bracket into three product integrals
-    over the ordered box (:func:`drivenchain.core.ordered_simplex_integral`),
-    judges every term at ``tol`` and records each term's summed error estimate
-    in ``notes["quad_error"]``.  Monte Carlo passes are judged at four standard
-    errors and record their seed; ``mc_samples`` < 1 is a ValueError.
-    ``profile_law='independent-marginals'`` swaps in the impostor profile with
-    the right marginals but no ordering; the residuals must then be far from
-    zero, which is how the check's power is audited.
-    """
-    return _check_telescoping(
-        Model.DISCRETE, params, [lambda_vec], tol, method, mc_samples, seed, profile_law
-    )[0]
-
-
-def check_telescoping_continuous(
-    params: ChainParams,
-    t_vec,
-    tol: float = 1e-8,
-    method: str | None = None,
-    mc_samples: int = 10_000_000,
-    seed: int = 7,
-    profile_law: str = "ordered",
-) -> VerificationReport:
-    """Continuous-model analogue of :func:`check_telescoping_discrete`."""
-    return _check_telescoping(
-        Model.CONTINUOUS, params, [t_vec], tol, method, mc_samples, seed, profile_law
-    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +589,13 @@ def identity_suite(
     reports = []
     for m in (0.5, 1.0, 2.0, 3.0):
         for lam in LAMBDA_GRID:
-            reports.append(check_antiderivative_discrete(m, float(lam), tol_anti))
+            reports.append(check_antiderivative(Model.DISCRETE, m, float(lam), tol_anti))
         for lam in (1.0 - 1e-6, 1.0 + 1e-6):
-            reports.append(check_antiderivative_discrete(m, lam, tol_limit))
+            reports.append(check_antiderivative(Model.DISCRETE, m, lam, tol_limit))
         for t in t_grid(m):
-            reports.append(check_antiderivative_continuous(m, float(t), tol_anti))
+            reports.append(check_antiderivative(Model.CONTINUOUS, m, float(t), tol_anti))
         for t in (-1e-6, 1e-6):
-            reports.append(check_antiderivative_continuous(m, t, tol_limit))
+            reports.append(check_antiderivative(Model.CONTINUOUS, m, t, tol_limit))
     for a, b in ((1.0, 2.0), (0.5, 3.0), (2.0, 2.0)):
         reports.append(check_frullani(a, b, tol_frullani))
     return reports
@@ -664,10 +610,9 @@ def telescoping_suite(
 ) -> list[VerificationReport]:
     """Telescoping residuals for both models across chain sizes.
 
-    Each model's whole argument grid goes to one check, so a Monte Carlo
-    size draws its profile sample once per model rather than once per
-    vector; every report equals that of the per-vector
-    ``check_telescoping_*`` call.
+    Each model's whole argument grid goes to one :func:`check_telescoping`
+    call, so a Monte Carlo size draws its profile sample once per model
+    rather than once per vector.
     """
     reports = []
     for n in sizes:
@@ -677,27 +622,17 @@ def telescoping_suite(
             p = ChainParams(n=n, beta_a=params.beta_a, beta_b=params.beta_b,
                             t_a=params.t_a, t_b=params.t_b)
         for model in Model:
-            grid = default_svec_grid(n, model, MixtureSpec(p, model).interval[1])
-            reports.extend(_check_telescoping(
-                model, p, grid, tol, None, mc_samples, seed, "ordered"))
+            spec = MixtureSpec(p, model)
+            grid = default_svec_grid(n, model, spec.interval[1])
+            reports.extend(check_telescoping(spec, grid, tol, mc_samples=mc_samples, seed=seed))
     return reports
 
 
-def stationarity_suite(
-    beta_a: float = 0.5,
-    beta_b: float = 0.75,
-    truncation_1: int = DIRECT_DEFAULTS[1][0],
-    truncation_2: int = DIRECT_DEFAULTS[2][0],
-    tol_1: float = DIRECT_DEFAULTS[1][1],
-    tol_2: float = DIRECT_DEFAULTS[2][1],
-) -> list[VerificationReport]:
-    """Direct balance residuals for one- and two-site chains."""
-    p1 = ChainParams(n=1, beta_a=beta_a, beta_b=beta_b)
-    p2 = ChainParams(n=2, beta_a=beta_a, beta_b=beta_b)
-    return [
-        check_stationarity_direct_discrete(p1, truncation_1, tol_1),
-        check_stationarity_direct_discrete(p2, truncation_2, tol_2),
-    ]
+def stationarity_suite() -> list[VerificationReport]:
+    """Direct balance residuals at each n of DIRECT_DEFAULTS, with its truncation and tol."""
+    return [check_stationarity_direct_discrete(ChainParams(n=n, beta_a=0.5, beta_b=0.75),
+                                               truncation, tol)
+            for n, (truncation, tol) in DIRECT_DEFAULTS.items()]
 
 
 def equilibrium_suite(tol: float = 1e-12) -> list[VerificationReport]:

@@ -42,8 +42,7 @@ from drivenchain.verify import (
     check_equilibrium_limit,
     check_frullani,
     check_stationarity_direct_discrete,
-    check_telescoping_continuous,
-    check_telescoping_discrete,
+    check_telescoping,
     default_svec_grid,
     identity_suite,
 )
@@ -91,10 +90,6 @@ def test_criterion_3_telescoping_identities():
         Model.DISCRETE: lambda n: ChainParams(n=n, beta_a=BETA_A, beta_b=BETA_B),
         Model.CONTINUOUS: lambda n: ChainParams(n=n, t_a=1.0, t_b=2.0),
     }
-    checks = {
-        Model.DISCRETE: check_telescoping_discrete,
-        Model.CONTINUOUS: check_telescoping_continuous,
-    }
     his = {Model.DISCRETE: 3.0, Model.CONTINUOUS: 2.0}
     worst = 0.0
     count = 0
@@ -102,7 +97,7 @@ def test_criterion_3_telescoping_identities():
         for n in (1, 2, 3):
             p = params[model](n)
             for vec in default_svec_grid(n, model, his[model]):
-                rep = checks[model](p, vec, tol=1e-8)
+                (rep,) = check_telescoping(MixtureSpec(p, model), [vec], tol=1e-8)
                 assert rep.method == "quadrature"
                 assert set(rep.residuals) == {f"term_{x+1}" for x in range(n)} | {"total"}
                 assert rep.passed, (model, n, vec, rep.residuals)
@@ -112,7 +107,8 @@ def test_criterion_3_telescoping_identities():
         p5 = params[model](5)
         vec5 = [0.3, 0.5, 0.7, 0.4, 0.6] if model is Model.DISCRETE else \
             [-0.5, 0.1, 0.4, -0.2, 0.3]
-        rep5 = checks[model](p5, vec5, mc_samples=10_000_000, seed=7)
+        (rep5,) = check_telescoping(MixtureSpec(p5, model), [vec5],
+                                    mc_samples=10_000_000, seed=7)
         assert rep5.method == "monte-carlo"
         assert rep5.passed, rep5.residuals
         count += 1

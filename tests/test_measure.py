@@ -15,8 +15,6 @@ from drivenchain.measure import (
     geometric_pmf,
     marginal_cdf_continuous,
     marginal_pmf_discrete,
-    mgf_exponential,
-    mgf_geometric,
     mixture_density_continuous,
     mixture_density_discrete,
     moment_profile,
@@ -180,42 +178,62 @@ class TestElementaryLaws:
             call(MixtureSpec(params, model))
 
 
+def mgf(model, m, s):
+    """The site generating function 1 / (1 + c(s) m), its domain checked at m."""
+    model.validate_mgf_arguments(s, m)
+    return 1.0 / (1.0 + model.mgf_coefficient(s) * m)
+
+
 class TestGeneratingFunctions:
     def test_geometric_normalization_point(self):
         for m in (0.5, 1.0, 4.0):
-            assert mgf_geometric(m, 1.0) == pytest.approx(1.0, abs=1e-15)
+            assert mgf(Model.DISCRETE, m, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_geometric_at_zero_equals_pmf_at_zero(self):
         for m in (0.5, 2.0):
-            assert mgf_geometric(m, 0.0) == pytest.approx(geometric_pmf(m, 0), abs=1e-15)
+            assert mgf(Model.DISCRETE, m, 0.0) == pytest.approx(geometric_pmf(m, 0), abs=1e-15)
 
     def test_geometric_series_oracle(self):
         # oracle: truncated series sum_k pmf(k) lam^k
         m, lam = 2.0, 0.5
         oracle = sum(geometric_pmf(m, k) * lam**k for k in range(300))
         assert oracle == pytest.approx(0.5, abs=1e-12)  # frozen closed form
-        assert mgf_geometric(m, lam) == pytest.approx(oracle, abs=1e-12)
+        assert mgf(Model.DISCRETE, m, lam) == pytest.approx(oracle, abs=1e-12)
 
     def test_geometric_domain(self):
         with pytest.raises(ValueError):
-            mgf_geometric(2.0, -0.1)
+            mgf(Model.DISCRETE, 2.0, -0.1)
         with pytest.raises(ValueError):
-            mgf_geometric(2.0, 1.5)  # radius (1+m)/m = 1.5
-        assert mgf_geometric(2.0, 1.49) > 0.0
+            mgf(Model.DISCRETE, 2.0, 1.5)  # radius (1+m)/m = 1.5
+        assert mgf(Model.DISCRETE, 2.0, 1.49) > 0.0
 
     def test_exponential_values(self):
-        assert mgf_exponential(3.0, 0.0) == pytest.approx(1.0)
-        assert mgf_exponential(1.0, 0.5) == pytest.approx(2.0)
+        assert mgf(Model.CONTINUOUS, 3.0, 0.0) == pytest.approx(1.0)
+        assert mgf(Model.CONTINUOUS, 1.0, 0.5) == pytest.approx(2.0)
 
     def test_exponential_quadrature_oracle(self):
         # oracle: integral of (1/2) e^{-z/2} e^{-z}
         oracle, _ = integrate.quad(lambda z: 0.5 * math.exp(-1.5 * z), 0.0, np.inf)
         assert oracle == pytest.approx(1.0 / 3.0, abs=1e-10)
-        assert mgf_exponential(2.0, -1.0) == pytest.approx(oracle, abs=1e-10)
+        assert mgf(Model.CONTINUOUS, 2.0, -1.0) == pytest.approx(oracle, abs=1e-10)
 
     def test_exponential_domain(self):
         with pytest.raises(ValueError):
-            mgf_exponential(2.0, 0.5)
+            mgf(Model.CONTINUOUS, 2.0, 0.5)
+
+
+class TestMixtureSpec:
+    def test_model_given_by_name(self):
+        p = ChainParams(n=2, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+        spec = MixtureSpec(p, "discrete")
+        assert spec.model is Model.DISCRETE and spec == MixtureSpec(p, Model.DISCRETE)
+        assert spec.interval == (p.rho_a, p.rho_b) == (1.0, 3.0)
+        assert moment_profile(spec).means == pytest.approx([5.0 / 3.0, 7.0 / 3.0], abs=1e-15)
+        assert MixtureSpec(p, "continuous").interval == (1.0, 2.0)
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError):
+            MixtureSpec(NEQ, "bogus")
 
 
 class TestMixtureDensities:

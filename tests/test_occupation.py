@@ -179,16 +179,33 @@ def test_simulators_reject_broken_mass_balance(after_each_event, model):
 
 
 @pytest.mark.parametrize("model", ["discrete", "continuous"])
+def test_short_run_checks_its_rate_cache(after_each_event, model):
+    # Far fewer events than RESYNC_INTERVAL: only the resync at the end can see this.
+    def corrupt(state):
+        if state.events == 100:
+            state.rate_sum *= 1.0 + 1e-6
+
+    if model == "discrete":
+        run = lambda: simulate(D5, 50.0, seed=1, grid_samples=64)
+    else:
+        run = lambda: simulate_continuous(C5, 20.0, seed=1, grid_samples=64)
+    assert 100 < run().event_count < occupation.RESYNC_INTERVAL
+    after_each_event(corrupt)
+    with pytest.raises(RuntimeError, match="drifted"):
+        run()
+
+
+@pytest.mark.parametrize("model", ["discrete", "continuous"])
 def test_merge_lists_per_replica_extra(monkeypatch, model):
     monkeypatch.setattr(occupation, "RESYNC_INTERVAL", 50)  # non-zero, unequal drifts
     if model == "discrete":
         runs = [simulate(ChainParams(n=3, beta_a=0.5, beta_b=0.75), 100.0, seed=s,
                          grid_samples=64) for s in (1, 2, 3)]
-        keys = ("final_eta", "events_per_sec")
+        keys = ("final_eta",)
     else:
         runs = [simulate_continuous(ChainParams(n=3, t_a=1.0, t_b=2.0), 20.0, seed=s,
                                     grid_samples=64) for s in (1, 2, 3)]
-        keys = ("final_z", "acceptance_a", "acceptance_b", "events_per_sec")
+        keys = ("final_z", "acceptance_a", "acceptance_b")
     a, b, c = runs
     merged = a.merge(b)
     assert merged.replicas == 2

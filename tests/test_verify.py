@@ -10,13 +10,12 @@ from drivenchain import verify
 from drivenchain.core import ChainParams, harmonic_number, make_rng
 from drivenchain.measure import MixtureSpec, Model, mixture_density_discrete
 from drivenchain.verify import (
-    check_antiderivative_continuous,
-    check_antiderivative_discrete,
+    DIRECT_DEFAULTS,
+    check_antiderivative,
     check_equilibrium_limit,
     check_frullani,
     check_stationarity_direct_discrete,
-    check_telescoping_continuous,
-    check_telescoping_discrete,
+    check_telescoping,
     default_svec_grid,
     equilibrium_suite,
     identity_suite,
@@ -28,41 +27,54 @@ from drivenchain.verify import (
 NEQ1 = ChainParams(n=1, beta_a=0.5, beta_b=0.75)
 NEQ2 = ChainParams(n=2, beta_a=0.5, beta_b=0.75)
 NEQ3 = ChainParams(n=3, beta_a=0.5, beta_b=0.75)
+D, C = Model.DISCRETE, Model.CONTINUOUS
+
+
+def telescoping(params, model, svec, **kwargs):
+    """The report of one argument vector."""
+    (report,) = check_telescoping(MixtureSpec(params, model), [svec], **kwargs)
+    return report
 
 
 class TestAntiderivativeChecks:
     def test_lam_zero_closed_forms_coincide(self):
-        r = check_antiderivative_discrete(2.5, 0.0, tol=1e-12)
+        r = check_antiderivative(D, 2.5, 0.0, tol=1e-12)
         assert r.passed and abs(r.residuals["residual"]) < 1e-12
 
     def test_reference_point(self):
-        r = check_antiderivative_discrete(2.0, 0.5, tol=1e-10)
+        r = check_antiderivative(D, 2.0, 0.5, tol=1e-10)
         assert r.passed
 
     def test_lam_above_one(self):
         # radius for m=2 is 1.5; 1.2 sits between the removable point and it
-        r = check_antiderivative_discrete(2.0, 1.2, tol=1e-10)
+        r = check_antiderivative(D, 2.0, 1.2, tol=1e-10)
         assert r.passed
 
     def test_limit_toward_removable_point(self):
         for lam in (1.0 - 1e-6, 1.0 + 1e-6):
-            r = check_antiderivative_discrete(2.0, lam, tol=1e-4)
+            r = check_antiderivative(D, 2.0, lam, tol=1e-4)
             assert r.passed
 
     def test_continuous_reference_points(self):
-        assert check_antiderivative_continuous(1.0, 0.5, tol=1e-10).passed
-        assert check_antiderivative_continuous(3.0, -1.0, tol=1e-10).passed
+        assert check_antiderivative(C, 1.0, 0.5, tol=1e-10).passed
+        assert check_antiderivative(C, 3.0, -1.0, tol=1e-10).passed
 
     def test_continuous_limit_toward_zero(self):
         for t in (-1e-6, 1e-6):
-            r = check_antiderivative_continuous(2.0, t, tol=1e-4)
+            r = check_antiderivative(C, 2.0, t, tol=1e-4)
             assert r.passed
 
     def test_rejects_removable_points(self):
         with pytest.raises(ValueError):
-            check_antiderivative_discrete(2.0, 1.0)
+            check_antiderivative(D, 2.0, 1.0)
         with pytest.raises(ValueError):
-            check_antiderivative_continuous(2.0, 0.0)
+            check_antiderivative(C, 2.0, 0.0)
+        # Outside the domain, rejected before any integral: lam in [0, (1+m)/m).
+        for lam in (1.6, -0.5):
+            with pytest.raises(ValueError, match="domain"):
+                check_antiderivative(D, 2.0, lam)
+        with pytest.raises(ValueError, match="domain"):
+            check_antiderivative(C, 2.0, 0.5)  # t < 1/m
 
 
 class TestFrullani:
@@ -82,41 +94,37 @@ class TestFrullani:
 
 class TestTelescoping:
     def test_n1_discrete_closed_form_zero(self):
-        r = check_telescoping_discrete(NEQ1, [0.5], tol=1e-10)
+        r = telescoping(NEQ1, D, [0.5], tol=1e-10)
         assert r.passed
         assert abs(r.residuals["term_1"]) < 1e-12
 
     def test_n2_reference_vector(self):
-        r = check_telescoping_discrete(NEQ2, [0.3, 0.7], tol=1e-8)
+        r = telescoping(NEQ2, D, [0.3, 0.7], tol=1e-8)
         assert r.passed and r.method == "quadrature"
 
     def test_n3_per_site_terms_vanish_individually(self):
         p = ChainParams(n=3, beta_a=0.5, beta_b=0.75)
-        r = check_telescoping_discrete(p, [0.2, 0.5, 0.8], tol=1e-8)
+        r = telescoping(p, D, [0.2, 0.5, 0.8], tol=1e-8)
         assert set(r.residuals) == {"term_1", "term_2", "term_3", "total"}
         assert all(abs(v) < 1e-8 for v in r.residuals.values())
 
     def test_n1_continuous_reference(self):
-        r = check_telescoping_continuous(
-            ChainParams(n=1, t_a=1.0, t_b=2.0), [0.3], tol=1e-10
-        )
+        r = telescoping(ChainParams(n=1, t_a=1.0, t_b=2.0), C, [0.3], tol=1e-10)
         assert r.passed
 
     def test_zero_arguments_trivial(self):
         p = ChainParams(n=2, t_a=1.0, t_b=2.0)
-        r = check_telescoping_continuous(p, [0.0, 0.0], tol=1e-14)
+        r = telescoping(p, C, [0.0, 0.0], tol=1e-14)
         assert r.passed  # log F_m(0) = 0 makes the integrand vanish identically
 
     def test_n3_continuous_mixed_signs(self):
         p = ChainParams(n=3, t_a=1.0, t_b=2.0)
-        r = check_telescoping_continuous(p, [-0.5, 0.1, 0.4], tol=1e-8)
+        r = telescoping(p, C, [-0.5, 0.1, 0.4], tol=1e-8)
         assert r.passed
 
     def test_monte_carlo_n5(self):
         p = ChainParams(n=5, beta_a=0.5, beta_b=0.75)
-        r = check_telescoping_discrete(
-            p, [0.3, 0.5, 0.7, 0.4, 0.6], mc_samples=1_000_000, seed=7
-        )
+        r = telescoping(p, D, [0.3, 0.5, 0.7, 0.4, 0.6], mc_samples=1_000_000, seed=7)
         assert r.method == "monte-carlo"
         assert r.passed
         assert r.notes["seed"] == 7
@@ -125,25 +133,28 @@ class TestTelescoping:
     def test_quadrature_terms_vanish_beyond_default_threshold(self, n):
         # the deterministic companion of the Monte Carlo check at N=5
         p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
-        for model, check, hi in ((Model.DISCRETE, check_telescoping_discrete, p.rho_b),
-                                 (Model.CONTINUOUS, check_telescoping_continuous, p.t_b)):
+        for model, hi in ((Model.DISCRETE, p.rho_b), (Model.CONTINUOUS, p.t_b)):
             for vec in default_svec_grid(n, model, hi):
-                r = check(p, vec, method="quadrature")
+                r = telescoping(p, model, vec, method="quadrature")
                 assert r.method == "quadrature" and not r.inconclusive
                 assert all(abs(v) < 1e-10 for v in r.residuals.values()), (model, vec)
 
     def test_monte_carlo_rejects_no_samples(self):
         p = ChainParams(n=5, beta_a=0.5, beta_b=0.75)
         with pytest.raises(ValueError, match="mc_samples"):
-            check_telescoping_discrete(p, [0.5] * 5, mc_samples=0)
+            telescoping(p, D, [0.5] * 5, mc_samples=0)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            check_telescoping_discrete(NEQ2, [0.3, 1.4])  # radius (1+3)/3
+            telescoping(NEQ2, D, [0.3, 1.4])  # radius (1+3)/3
         with pytest.raises(ValueError):
-            check_telescoping_continuous(
-                ChainParams(n=2, t_a=1.0, t_b=2.0), [0.3, 0.6]
-            )
+            telescoping(ChainParams(n=2, t_a=1.0, t_b=2.0), C, [0.3, 0.6])
+
+    def test_argument_rows_must_match_n(self):
+        spec = MixtureSpec(NEQ2, D)
+        for svecs in ([0.3, 0.7], [[0.3]], [[0.3, 0.5, 0.7]]):
+            with pytest.raises(ValueError, match="argument vectors"):
+                check_telescoping(spec, svecs)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_impostor_profile_rejected(self, n):
@@ -151,8 +162,8 @@ class TestTelescoping:
         # Power requirement: residual at least 100x the quadrature tolerance.
         p = ChainParams(n=n, beta_a=0.5, beta_b=0.75)
         vec = [0.3 if x % 2 == 0 else 0.7 for x in range(n)]
-        r = check_telescoping_discrete(
-            p, vec, method="monte-carlo", mc_samples=1_000_000, seed=11,
+        r = telescoping(
+            p, D, vec, method="monte-carlo", mc_samples=1_000_000, seed=11,
             profile_law="independent-marginals",
         )
         assert not r.passed
@@ -161,8 +172,8 @@ class TestTelescoping:
 
     def test_quadrature_rejects_impostor_law(self):
         with pytest.raises(ValueError):
-            check_telescoping_discrete(
-                NEQ2, [0.3, 0.7], method="quadrature",
+            telescoping(
+                NEQ2, D, [0.3, 0.7], method="quadrature",
                 profile_law="independent-marginals",
             )
 
@@ -427,7 +438,7 @@ class TestReportsAndSuites:
 
     def test_inconclusive_on_quadrature_exhaustion(self):
         p = ChainParams(n=2, beta_a=0.5, beta_b=0.75)
-        r = check_telescoping_discrete(p, [0.3, 0.7], tol=1e-30)
+        r = telescoping(p, D, [0.3, 0.7], tol=1e-30)
         assert r.inconclusive
         assert not r.passed
 
@@ -449,14 +460,19 @@ class TestReportsAndSuites:
         for n in (2, 5):
             p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
             for vec in default_svec_grid(n, Model.DISCRETE, p.rho_b):
-                expected.append(check_telescoping_discrete(p, vec, mc_samples=30_000, seed=5))
+                expected.append(telescoping(p, D, vec, mc_samples=30_000, seed=5))
             for vec in default_svec_grid(n, Model.CONTINUOUS, p.t_b):
-                expected.append(check_telescoping_continuous(p, vec, mc_samples=30_000, seed=5))
+                expected.append(telescoping(p, C, vec, mc_samples=30_000, seed=5))
         assert [r.method for r in reports] == ["quadrature"] * 12 + ["monte-carlo"] * 12
         assert reports == expected  # field by field, floats compared exactly
 
-    def test_stationarity_suite_reduced(self):
-        reports = stationarity_suite(truncation_1=60, truncation_2=8)
+    def test_stationarity_suite_reduced(self, monkeypatch):
+        # The suite runs one check per DIRECT_DEFAULTS entry: smaller boxes, same tols.
+        reduced = {1: (60, DIRECT_DEFAULTS[1][1]), 2: (8, DIRECT_DEFAULTS[2][1])}
+        monkeypatch.setattr(verify, "DIRECT_DEFAULTS", reduced)
+        reports = stationarity_suite()
+        assert [(r.notes["n"], r.params["truncation"], r.tolerances["max_residual"])
+                for r in reports] == [(n, k, tol) for n, (k, tol) in reduced.items()]
         assert all(r.passed for r in reports)
 
     def test_run_suite_dispatch(self):
