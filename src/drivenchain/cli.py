@@ -1,12 +1,14 @@
 """Command-line front end: simulate, sample-exact, verify, compare.
 
 Configuration comes from flags, optionally seeded by a ``key=value`` config
-file (flags win).  A config-file key the command has no flag for, and a
-``verify`` option the chosen check would not use, are configuration errors.
-Every run writes a ``meta.json`` carrying the full configuration, seed, and
-library versions, so any output is reproducible from its own metadata;
-wall-clock timings go to stderr only, keeping all written files byte-stable
-across reruns.
+file (flags win).  One table, ``READS``, lists the ``RunConfig`` fields each
+run reads: per chain model for ``simulate`` and ``sample-exact``, per check
+for ``verify``.  It gives every subcommand its flags, and an option that the
+run would not read, given by flag or by config file, is a configuration
+error.  Every run writes a ``meta.json`` carrying the full configuration,
+seed, and library versions, so any output is reproducible from its own
+metadata; wall-clock timings go to stderr only, keeping all written files
+byte-stable across reruns.
 
 Exit codes are stable API: 0 success/pass, 1 runtime error, 2 configuration
 error, 3 verification or comparison failure, 4 inconclusive.
@@ -29,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .continuous_sim import default_epsilon, energy_histogram, simulate_continuous
+from .continuous_sim import simulate_continuous
 from .core import ChainParams
 from .discrete_sim import simulate
 from .measure import (
@@ -153,12 +155,9 @@ def _replica_job(args) -> OccupationStats:
 
 def _run_replicas(cfg: RunConfig, params: ChainParams) -> OccupationStats:
     burn_in = cfg.burn_in if cfg.burn_in is not None else 0.1 * cfg.t_max
-    epsilon = cfg.epsilon
-    if cfg.model == "continuous" and epsilon is None:
-        epsilon = default_epsilon(params)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)
     jobs = [
-        (cfg.model, params, cfg.t_max, burn_in, epsilon, cfg.grid_samples, c)
+        (cfg.model, params, cfg.t_max, burn_in, cfg.epsilon, cfg.grid_samples, c)
         for c in children
     ]
     workers = cfg.workers or os.cpu_count() or 1
@@ -171,8 +170,6 @@ def _run_replicas(cfg: RunConfig, params: ChainParams) -> OccupationStats:
     for r in results[1:]:
         merged = merged.merge(r)
     merged.extra["replica_streams"] = list(range(cfg.replicas))
-    if cfg.model == "continuous":
-        merged.extra["epsilon"] = epsilon
     return merged
 
 
@@ -338,19 +335,6 @@ def _direct_stationarity(cfg: RunConfig) -> bool:
         cfg.truncation is not None or cfg.candidate != "mixture" or cfg.n in DIRECT_DEFAULTS)
 
 
-def _check_verify_options(cfg: RunConfig, given: set[str]) -> None:
-    """ValueError if an option was given that the chosen check would not use."""
-    if _direct_stationarity(cfg):
-        honoured = {"n", "beta_a", "beta_b", "truncation", "candidate", "tol"}
-    else:
-        honoured = {"telescoping": {"sizes", "mc_samples", "seed", "tol"},
-                    "equilibrium": {"tol"}}.get(cfg.suite, set())
-    ignored = sorted(given - honoured - {"suite", "out"})
-    if ignored:
-        flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
-        raise ValueError(f"verify --suite {cfg.suite} does not use {flags}")
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     outdir = _resolve_outdir(cfg)
     reports = []
@@ -391,55 +375,31 @@ def cmd_verify(cfg: RunConfig) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-def _bin_midpoint(lo: float, hi: float) -> float:
-    return float(np.sqrt(lo * hi))  # geometric midpoint of a log-spaced bin
-
-
 def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
+    """A saved run's configuration and what ``compare`` tests of it: the
+    moment accumulators, the series and, for particles, the histograms."""
     with open(sim_dir / "meta.json") as fh:
         meta = json.load(fh)
     raw = dict(meta["config"])
     raw["sizes"] = tuple(raw.get("sizes", RunConfig.sizes))
     cfg = RunConfig(**raw)
     acc = meta["accumulators"]
-    series = np.load(sim_dir / "series.npy")
-    params = cfg.chain_params()
-    n = cfg.n
+    hists = []
     if cfg.model == "discrete":
-        hists = [IntHistogram() for _ in range(n)]
-    else:
-        eps = meta.get("epsilon") or default_epsilon(params)
-        hists = [energy_histogram(params, eps) for _ in range(n)]
-    with open(sim_dir / "histograms.csv") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for row in rd:
-            site = int(row[0]) - 1
-            if cfg.model == "discrete":
-                hists[site].add(int(row[1]), float(row[3]))
-            else:
-                lo = row[1]
-                w = float(row[3])
-                if lo == "-inf":
-                    hists[site].weights[0] += w
-                elif row[2] == "inf":
-                    hists[site].weights[-1] += w
-                else:
-                    hists[site].add(_bin_midpoint(float(lo), float(row[2])), w)
+        hists = [IntHistogram() for _ in range(cfg.n)]
+        with open(sim_dir / "histograms.csv") as fh:
+            rd = csv.reader(fh)
+            next(rd)
+            for row in rd:
+                hists[int(row[0]) - 1].add(int(row[1]), float(row[3]))
     stats = OccupationStats(
-        n_sites=n,
+        n_sites=cfg.n,
         model=cfg.model,
         duration=acc["duration"],
-        event_count=acc["event_count"],
         mean_acc=np.array(acc["mean_acc"]),
         second_acc=np.array(acc["second_acc"]),
         hists=hists,
-        series=[series[i] for i in range(series.shape[0])],
-        series_dt=acc["series_dt"],
-        injected_a=acc["injected_a"],
-        extracted_a=acc["extracted_a"],
-        injected_b=acc["injected_b"],
-        extracted_b=acc["extracted_b"],
+        series=list(np.load(sim_dir / "series.npy")),
     )
     return cfg, stats
 
@@ -500,21 +460,68 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", type=str, help="output directory "
-                   f"(default: ${ENV_OUTDIR} or the working directory)")
-    p.add_argument("--config", type=str, help="key=value config file; flags win")
+def _parser(annotation):
+    """str -> value converter for a RunConfig field: its type, or its non-None type."""
+    if typing.get_origin(annotation) is tuple:
+        return _parse_sizes
+    return next((a for a in typing.get_args(annotation) if a is not type(None)), annotation)
 
 
-def _add_chain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=["discrete", "continuous"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--beta-a", dest="beta_a", type=float)
-    p.add_argument("--beta-b", dest="beta_b", type=float)
-    p.add_argument("--t-a", dest="t_a", type=float)
-    p.add_argument("--t-b", dest="t_b", type=float)
-    p.add_argument("--seed", type=int)
-    _add_output_flags(p)
+_PARSERS = {name: _parser(tp) for name, tp in typing.get_type_hints(RunConfig).items()
+            if name != "command"}
+
+_SIMULATE = ("model", "n", "seed", "t_max", "burn_in", "replicas", "workers", "grid_samples")
+_SAMPLE = ("model", "n", "seed", "samples")
+
+# The RunConfig fields each run reads, besides ``out``: per command, then per
+# the variant ``_variant`` picks (the chain model, or the verify check).  A
+# subcommand has a flag for each field one of its variants reads.
+READS = {
+    "simulate": {"discrete": (*_SIMULATE, "beta_a", "beta_b"),
+                 "continuous": (*_SIMULATE, "t_a", "t_b", "epsilon")},
+    "sample-exact": {"discrete": (*_SAMPLE, "beta_a", "beta_b"),
+                     "continuous": (*_SAMPLE, "t_a", "t_b")},
+    "verify": {"direct check": ("suite", "n", "beta_a", "beta_b", "truncation", "candidate",
+                                "tol"),
+               "telescoping": ("suite", "sizes", "mc_samples", "seed", "tol"),
+               "equilibrium": ("suite", "tol"),
+               "other suites": ("suite",)},
+    "compare": {"goodness of fit": ("sim_dir", "level")},
+}
+
+# A field's flag is --name-with-dashes unless named here.
+_FLAGS = {"truncation": "--k", "sim_dir": "--sim"}
+_ARGUMENTS = {
+    "model": {"choices": ["discrete", "continuous"]},
+    "epsilon": {"help": "jump-size cutoff (continuous)"},
+    "suite": {"choices": sorted(SUITES) + ["all"]},
+    "truncation": {"help": "box truncation for the direct balance check"},
+    "sizes": {"help": "comma-separated chain sizes"},
+    "candidate": {"choices": ["mixture", "product-geometric", "product-marginals"]},
+    "sim_dir": {"required": True},
+    "out": {"help": f"output directory (default: ${ENV_OUTDIR} or the working directory)"},
+}
+_HELP = {
+    "simulate": "run trajectories and write occupation stats",
+    "sample-exact": "draw from the exact stationary law",
+    "verify": "run identity/stationarity checks",
+    "compare": "test saved simulation output against the exact law",
+}
+
+
+def _flag(name: str) -> str:
+    return _FLAGS.get(name, "--" + name.replace("_", "-"))
+
+
+def _variant(cfg: RunConfig) -> str:
+    """The key of ``READS[cfg.command]`` that says what this run does."""
+    if cfg.command == "verify":
+        if _direct_stationarity(cfg):
+            return "direct check"
+        return cfg.suite if cfg.suite in READS["verify"] else "other suites"
+    if cfg.command == "compare":
+        return "goodness of fit"
+    return Model(cfg.model).value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,35 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "stationary mixtures.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run trajectories and write occupation stats")
-    _add_chain_flags(p)
-    p.add_argument("--epsilon", type=float, help="jump-size cutoff (continuous)")
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--burn-in", dest="burn_in", type=float)
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--grid-samples", dest="grid_samples", type=int)
-
-    p = sub.add_parser("sample-exact", help="draw from the exact stationary law")
-    _add_chain_flags(p)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("verify", help="run identity/stationarity checks")
-    _add_chain_flags(p)
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--k", dest="truncation", type=int,
-                   help="box truncation for the direct balance check")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--sizes", type=_parse_sizes, help="comma-separated chain sizes")
-    p.add_argument("--candidate",
-                   choices=["mixture", "product-geometric", "product-marginals"])
-
-    p = sub.add_parser("compare", help="test saved simulation output against the exact law")
-    _add_output_flags(p)
-    p.add_argument("--sim", dest="sim_dir", type=str, required=True)
-    p.add_argument("--level", type=float)
+    for command, variants in READS.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        names = dict.fromkeys(f for fields in variants.values() for f in fields)
+        for name in (*names, "out"):
+            p.add_argument(_flag(name), dest=name, type=_PARSERS[name],
+                           **_ARGUMENTS.get(name, {}))
+        p.add_argument("--config", type=str, help="key=value config file; flags win")
     return ap
 
 
@@ -566,16 +551,6 @@ def _read_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             out[key.strip().replace("-", "_")] = value.strip()
     return out
-
-
-def _parser(annotation):
-    """str -> value converter for a RunConfig field: its type, or its non-None type."""
-    if typing.get_origin(annotation) is tuple:
-        return _parse_sizes
-    return next((a for a in typing.get_args(annotation) if a is not type(None)), annotation)
-
-
-_PARSERS = {name: _parser(tp) for name, tp in typing.get_type_hints(RunConfig).items()}
 
 
 def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
@@ -601,21 +576,26 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
 _LEAST = {"replicas": 1, "workers": 1, "grid_samples": 2, "samples": 2}
 
 
+def check_options(cfg: RunConfig, given: set[str]) -> None:
+    """ValueError if an option set by flag or file is one the run does not
+    read (see ``READS``), or holds a value no run can honour."""
+    variant = _variant(cfg)
+    unread = sorted(given - set(READS[cfg.command][variant]) - {"out"})
+    if unread:
+        raise ValueError(f"{cfg.command} ({variant}) does not use "
+                         + ", ".join(map(_flag, unread)))
+    for name in given & _LEAST.keys():
+        if getattr(cfg, name) < _LEAST[name]:
+            raise ValueError(f"{_flag(name)} must be at least {_LEAST[name]}")
+    if not 0.0 < cfg.level < 1.0:
+        raise ValueError(f"--level must lie in (0, 1), got {cfg.level}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, given = resolve_config(args)
-        # args holds a field for every flag of the subcommand, given or not
-        foreign = sorted(given - (set(vars(args)) - {"command", "config"}))
-        if foreign:
-            raise ValueError(f"{args.command} has no option for config key(s) {foreign}")
-        for name in given & _LEAST.keys():
-            if getattr(cfg, name) < _LEAST[name]:
-                raise ValueError(f"--{name.replace('_', '-')} must be at least {_LEAST[name]}")
-        if not 0.0 < cfg.level < 1.0:
-            raise ValueError(f"--level must lie in (0, 1), got {cfg.level}")
-        if cfg.command == "verify":
-            _check_verify_options(cfg, given)
+        check_options(cfg, given)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,6 @@ arguments s where it holds, which the identity checks in ``verify`` read.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -104,7 +103,7 @@ class MixtureSpec:
 class DensityEstimate:
     value: float | np.ndarray  # an array for an (n, K) grid
     error: float
-    method: str  # "product" | "quadrature" | "monte-carlo"
+    method: str  # "quadrature" | "monte-carlo"
     samples: int = 0
 
 
@@ -231,14 +230,12 @@ def _mixture_density(
 ) -> DensityEstimate:
     """``values`` is a validated configuration (n,) or grid (n, K).  ``law``,
     the checked site law, runs first at m = lo and rejects lo <= 0, the
-    smallest mean its unchecked twin ``kernel`` is then given."""
+    smallest mean its unchecked twin ``kernel`` is then given.  A degenerate
+    interval lo == hi takes the same path: the box has width 0."""
     lo, hi = spec.interval
     n = spec.params.n
     grid = values.ndim == 2
-    per_site = law(np.full(values.shape, lo), values)
-    if lo == hi:
-        product = functools.reduce(np.multiply.outer, per_site)
-        return DensityEstimate(product if grid else float(product), 0.0, "product")
+    law(lo, values)
     if grid and n > QUADRATURE_MAX_SITES:
         raise ValueError(f"a ({n}, K) grid needs n <= {QUADRATURE_MAX_SITES} (quadrature)")
     width = hi - lo
@@ -292,8 +289,8 @@ def mixture_density_discrete(
     :func:`drivenchain.core.ordered_simplex_integral`, one call for a whole
     table; beyond, Monte Carlo over ``mc_samples`` sorted uniform profiles
     drawn from ``seed`` (``mc_samples`` < 1, or a grid, is a ValueError).
-    The degenerate interval rho_a == rho_b short-circuits to the product
-    geometric pmf, at any n.
+    The degenerate interval rho_a == rho_b, whose mixture is the product
+    geometric pmf, is integrated like any other.
     """
     if spec.model is not Model.DISCRETE:
         raise ValueError("spec.model must be DISCRETE")

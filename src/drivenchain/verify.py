@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ROUNDOFF,
     ChainParams,
     QuadratureError,
     harmonic_prefix,
@@ -450,7 +451,6 @@ def check_stationarity_direct_discrete(
     truncation: int,
     tol: float = 1e-8,
     candidate: str = "mixture",
-    density_tol: float | None = None,
 ) -> VerificationReport:
     """Balance-equation residuals of a candidate stationary law on a box.
 
@@ -473,8 +473,12 @@ def check_stationarity_direct_discrete(
     spec = MixtureSpec(params, Model.DISCRETE)
     rho_b = params.rho_b
     q = rho_b / (1.0 + rho_b)
-    if density_tol is None:
-        density_tol = min(1e-11, tol * 1e-4)
+    # The candidate table's error budget is tol * 1e-4, or the integrator's
+    # round-off on a probability where that budget lies below it and tol * 1e-3
+    # does not; a smaller tol leaves the table uncertified: inconclusive.
+    density_tol = min(1e-11, tol * 1e-4)
+    if density_tol < ROUNDOFF <= tol * 1e-3:
+        density_tol = ROUNDOFF
     k_sum = _tail_k(q, tol / 10.0, n_sums=2)
     meta = {"truncation": truncation, "candidate": candidate, "density_tol": density_tol}
     if k_sum is None:
@@ -521,9 +525,11 @@ def check_equilibrium_limit(
     """Mixture density against the plain product law on a grid of small
     configurations: site values {0, 1, 2}, or {0, .5, 1.5, 2, 2.5} for energies.
 
-    Exact equality is expected when the boundary parameters coincide; with a
-    tiny gap the mixture must still track the product law at the midpoint
-    mean, which is checked in relative terms (pass ``relative=True``).
+    When the boundary parameters coincide the mixture is the product law, and
+    the integrated table must match it to round-off; with a tiny gap the
+    mixture must still track the product law at the midpoint mean, which is
+    checked in relative terms (pass ``relative=True``).  ``method`` is the
+    density's.
     """
     spec = MixtureSpec(params, model)
     lo, hi = spec.interval
@@ -533,9 +539,9 @@ def check_equilibrium_limit(
     else:
         values = np.array([0.0, 0.5, 1.5, 2.0, 2.5])
         density, law = mixture_density_continuous, exponential_pdf
-    mix = density(spec, np.tile(values, (n, 1)), tol=min(tol * 1e-2, 1e-12)).value
+    mix = density(spec, np.tile(values, (n, 1)), tol=min(tol * 1e-2, 1e-12))
     prod = functools.reduce(np.multiply.outer, [law(0.5 * (lo + hi), values)] * n)
-    diff = np.abs(mix - prod)
+    diff = np.abs(mix.value - prod)
     worst = float(np.max(diff / prod if relative else diff))
     return VerificationReport(
         name="equilibrium_limit",
@@ -543,7 +549,7 @@ def check_equilibrium_limit(
                 "relative": relative},
         residuals={"max_residual": worst},
         tolerances={"max_residual": tol},
-        method="quadrature" if lo != hi else "product",
+        method=mix.method,
     )
 
 
@@ -558,24 +564,22 @@ def t_grid(t_b: float) -> tuple[float, ...]:
     return (-1.0, -0.3, 0.1, 0.3, 0.6 / t_b)
 
 
-def default_svec_grid(
-    n: int, model: Model, hi: float, extra_random: int = 2, seed: int = 123
-) -> list[np.ndarray]:
+def default_svec_grid(n: int, model: Model, hi: float) -> list[np.ndarray]:
     """Constant, alternating, and seeded-random argument vectors.
 
     The identities hold for every admissible argument vector; a handful of
     deterministic representatives plus seeded random points stand in for the
     continuum.
     """
-    rng = make_rng(seed)
+    rng = make_rng(123)
     if model is Model.DISCRETE:
         consts = [0.1, 0.5, 0.9]
         alt = [0.3 if x % 2 == 0 else 0.7 for x in range(n)]
-        rand = [rng.uniform(0.05, 0.95, size=n) for _ in range(extra_random)]
+        rand = [rng.uniform(0.05, 0.95, size=n) for _ in range(2)]
     else:
         consts = [-1.0, 0.1, 0.6 / hi]
         alt = [-0.5 if x % 2 == 0 else 0.3 / hi for x in range(n)]
-        rand = [rng.uniform(-1.0, 0.9 / hi, size=n) for _ in range(extra_random)]
+        rand = [rng.uniform(-1.0, 0.9 / hi, size=n) for _ in range(2)]
     vecs = [np.full(n, c) for c in consts] + [np.array(alt)] + rand
     return vecs
 
@@ -602,7 +606,6 @@ def identity_suite(
 
 
 def telescoping_suite(
-    params: ChainParams | None = None,
     sizes: tuple[int, ...] = (1, 2, 3, 5),
     tol: float = 1e-8,
     mc_samples: int = 10_000_000,
@@ -616,11 +619,7 @@ def telescoping_suite(
     """
     reports = []
     for n in sizes:
-        if params is None:
-            p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
-        else:
-            p = ChainParams(n=n, beta_a=params.beta_a, beta_b=params.beta_b,
-                            t_a=params.t_a, t_b=params.t_b)
+        p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
         for model in Model:
             spec = MixtureSpec(p, model)
             grid = default_svec_grid(n, model, spec.interval[1])

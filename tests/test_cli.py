@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import shlex
 import shutil
 import subprocess
 import sys
@@ -277,6 +278,8 @@ class TestVerify:
         ["--suite", "telescoping", "--sizes", "1", "--n", "2"],
         ["--suite", "telescoping", "--candidate", "product-geometric"],
         ["--suite", "telescoping", "--config", "epsilon=1e-5"],
+        ["--suite", "identities", "--config", "model=continuous"],
+        ["--suite", "stationarity", "--n", "1", "--config", "t_a=0.5"],
     ])
     def test_unused_option_exits_2(self, tmp_path, flags):
         if "--config" in flags:
@@ -284,7 +287,12 @@ class TestVerify:
             cfg.write_text(flags[-1] + "\n")
             flags = [*flags[:-1], str(cfg)]
         out = tmp_path / "ver7"
-        assert run_cli(["verify", *flags, "--out", str(out)]) == 2
+        if {"--model", "--t-a"} & set(flags):  # no check reads them: verify has no such flag
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["verify", *flags, "--out", str(out)])
+            assert exc.value.code == 2
+        else:
+            assert run_cli(["verify", *flags, "--out", str(out)]) == 2
         assert not (out / "reports.jsonl").exists()
 
     @pytest.mark.parametrize("mc_samples", ["0", "-5"])
@@ -346,11 +354,7 @@ class TestCompare:
         assert all(r["passed"] == "True" for r in rows)
         assert_compare_reuses_profile(sim, out)
 
-    def test_continuous_round_trip(self, tmp_path, monkeypatch):
-        simulated = []
-        real = cli.simulate_continuous
-        monkeypatch.setattr(cli, "simulate_continuous",
-                            lambda *a, **kw: simulated.append(real(*a, **kw)) or simulated[-1])
+    def test_continuous_round_trip(self, tmp_path):
         sim = tmp_path / "csim"
         run_cli([
             "simulate", "--model", "continuous", "--n", "2", "--t-a", "1",
@@ -360,11 +364,6 @@ class TestCompare:
         out = tmp_path / "ccmp"
         assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 0
         assert_compare_reuses_profile(sim, out)
-        _, loaded = cli._load_sim_dir(sim)
-        assert len(loaded.hists) == len(simulated[0].hists) == 2
-        for h_sim, h_load in zip(simulated[0].hists, loaded.hists):
-            assert (h_load.lo, h_load.hi, h_load.n_bins) == (h_sim.lo, h_sim.hi, h_sim.n_bins)
-            assert h_load.weights == h_sim.weights
 
     def test_replicas_round_trip(self, tmp_path):
         sim = simulate_small(tmp_path / "rsim", "--replicas", "3", "--workers", "1")
@@ -454,6 +453,47 @@ class TestNumericOptions:
              for row in csv.DictReader((sim / name).read_text().splitlines())]
         assert math.inf in z and max(abs(v) for v in z if math.isfinite(v)) < 4.0
         assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "cmp")]) == 3
+
+
+class TestUnreadOptions:
+    """A run reads its own chain's boundary options; only energy simulations read the cutoff."""
+
+    @pytest.mark.parametrize("command, model, name, value", [
+        ("simulate", "discrete", "epsilon", "0.5"),
+        ("simulate", "discrete", "t_a", "3"),
+        ("simulate", "discrete", "t_b", "9"),
+        ("simulate", "continuous", "beta_a", "0.1"),
+        ("sample-exact", "continuous", "beta_a", "0.1"),
+        ("sample-exact", "continuous", "beta_b", "0.9"),
+        ("sample-exact", "discrete", "t_b", "9"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_other_models_option_exits_2(self, tmp_path, command, model, name, value,
+                                         source, capsys):
+        flag = "--" + name.replace("_", "-")
+        rest = {"simulate": ["--t-max", "5"], "sample-exact": ["--samples", "10"]}[command]
+        if source == "config":
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{name}={value}\n")
+            option = ["--config", str(path)]
+        else:
+            option = [flag, value]
+        out = tmp_path / "out"
+        argv = [command, "--model", model, "--n", "2", *rest, *option, "--out", str(out)]
+        assert run_cli(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_examples_are_valid(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        examples = [shlex.split(line, comments=True)[1:] for line in lines
+                    if line.startswith("drivenchain ")]
+        assert {argv[0] for argv in examples} == set(cli.READS)
+        for argv in examples:
+            cfg, given = cli.resolve_config(cli.build_parser().parse_args(argv))
+            cli.check_options(cfg, given)
 
 
 class TestConfigResolution:

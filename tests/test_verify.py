@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from drivenchain import verify
+from drivenchain import measure, verify
 from drivenchain.core import ChainParams, harmonic_number, make_rng
 from drivenchain.measure import MixtureSpec, Model, mixture_density_discrete
 from drivenchain.verify import (
@@ -324,6 +324,13 @@ class TestStationarityDirect:
         r = check_stationarity_direct_discrete(p, truncation=80, tol=1e-12)
         assert r.passed  # detailed balance of the plain geometric law
 
+    def test_density_budget_stops_at_roundoff(self):
+        # tol * 1e-4 lies below what the integrator certifies; tol * 1e-3 does not
+        r = check_stationarity_direct_discrete(NEQ1, truncation=40, tol=1e-12)
+        assert r.params["density_tol"] == verify.ROUNDOFF and r.passed
+        r = check_stationarity_direct_discrete(NEQ1, truncation=40, tol=1e-14)
+        assert r.inconclusive and r.params["density_tol"] == 1e-18
+
     def test_n1_impostor_rejected_with_power_margin(self):
         r = check_stationarity_direct_discrete(
             NEQ1, truncation=120, tol=1e-8, candidate="product-geometric"
@@ -418,6 +425,20 @@ class TestEquilibriumLimit:
         p = ChainParams(n=2, t_a=1.5, t_b=1.5)
         r = check_equilibrium_limit(p, Model.CONTINUOUS, tol=1e-12)
         assert r.passed
+
+    @pytest.mark.parametrize("params, model", [
+        (ChainParams(n=2, beta_a=2.0 / 3.0, beta_b=2.0 / 3.0), Model.DISCRETE),
+        (ChainParams(n=3, t_a=1.5, t_b=1.5), Model.CONTINUOUS),
+    ])
+    def test_degenerate_interval_is_integrated(self, monkeypatch, params, model):
+        # at lo == hi the check integrates the mixture, not the product law again
+        calls = []
+        real = measure.ordered_simplex_integral
+        monkeypatch.setattr(measure, "ordered_simplex_integral",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        r = check_equilibrium_limit(params, model, tol=1e-12)
+        assert len(calls) == 1 and r.method == "quadrature"
+        assert r.passed and r.max_residual <= 1e-15
 
     def test_near_degenerate_interval_tracks_product(self):
         beta_a = 0.5
