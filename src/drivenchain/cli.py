@@ -5,10 +5,10 @@ file (flags win).  One table, ``READS``, lists the ``RunConfig`` fields each
 run reads: per chain model for ``simulate`` and ``sample-exact``, per check
 for ``verify``.  It gives every subcommand its flags, and an option that the
 run would not read, given by flag or by config file, is a configuration
-error.  Every run writes a ``meta.json`` carrying the full configuration,
-seed, and library versions, so any output is reproducible from its own
-metadata; wall-clock timings go to stderr only, keeping all written files
-byte-stable across reruns.
+error.  Every run writes a ``meta.json`` carrying the options it read (its
+``READS`` entry, seed included) and library versions, so any output is
+reproducible from its own metadata; wall-clock timings go to stderr only,
+keeping all written files byte-stable across reruns.
 
 Exit codes are stable API: 0 success/pass, 1 runtime error, 2 configuration
 error, 3 verification or comparison failure, 4 inconclusive.
@@ -24,7 +24,7 @@ import sys
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ import scipy
 
 from . import __version__
 from .continuous_sim import simulate_continuous
-from .core import ChainParams
+from .core import ChainParams, make_rng
 from .discrete_sim import simulate
 from .measure import (
     MixtureSpec,
@@ -118,8 +118,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_meta(outdir: Path, cfg: RunConfig, extra: dict | None = None) -> None:
+    read = READS[cfg.command][_variant(cfg)]
     meta = {
-        "config": asdict(cfg),
+        "config": {name: getattr(cfg, name) for name in ("command", *read)},
         "package_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
@@ -169,7 +170,6 @@ def _run_replicas(cfg: RunConfig, params: ChainParams) -> OccupationStats:
     merged = results[0]
     for r in results[1:]:
         merged = merged.merge(r)
-    merged.extra["replica_streams"] = list(range(cfg.replicas))
     return merged
 
 
@@ -241,17 +241,14 @@ def _run_counters(stats: OccupationStats) -> dict:
     """The run's deterministic diagnostics (never its wall-clock rate)."""
     counters = {"max_resync_drift": stats.extra["max_resync_drift"]}
     if stats.model == "continuous":
+        counters["epsilon"] = stats.extra["epsilon"]
         for key in ("acceptance_a", "acceptance_b"):
             counters[key] = stats.per_replica(key)
     return counters
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    try:
-        params = cfg.chain_params()
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    params = cfg.chain_params()
     outdir = _resolve_outdir(cfg)
     t0 = time.perf_counter()
     stats = _run_replicas(cfg, params)
@@ -273,8 +270,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "injected_b": stats.injected_b,
             "extracted_b": stats.extracted_b,
         },
-        "replica_streams": stats.extra.get("replica_streams", [0]),
-        "epsilon": stats.extra.get("epsilon"),
         "autocorr_series": rep.notes["autocorr_series"],
         **_run_counters(stats),
     })
@@ -292,15 +287,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample_exact(cfg: RunConfig) -> int:
-    try:
-        params = cfg.chain_params()
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    params = cfg.chain_params()
     outdir = _resolve_outdir(cfg)
     model = Model(cfg.model)
     spec = MixtureSpec(params, model)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rng = make_rng(cfg.seed)
     if model is Model.DISCRETE:
         draws = sample_exact_discrete(spec, rng, size=cfg.samples)
     else:
@@ -337,22 +328,17 @@ def _direct_stationarity(cfg: RunConfig) -> bool:
 
 def cmd_verify(cfg: RunConfig) -> int:
     outdir = _resolve_outdir(cfg)
-    reports = []
-    try:
-        if _direct_stationarity(cfg):
-            params = ChainParams(n=cfg.n, beta_a=cfg.beta_a, beta_b=cfg.beta_b)
-            truncation, tol = DIRECT_DEFAULTS[min(params.n, max(DIRECT_DEFAULTS))]
-            reports.append(check_stationarity_direct_discrete(
-                params, truncation if cfg.truncation is None else cfg.truncation,
-                tol if cfg.tol is None else cfg.tol, candidate=cfg.candidate))
-        else:
-            kwargs = {} if cfg.tol is None else {"tol": cfg.tol}
-            if cfg.suite == "telescoping":
-                kwargs.update(sizes=cfg.sizes, mc_samples=cfg.mc_samples, seed=cfg.seed)
-            reports.extend(run_suite(cfg.suite, **kwargs))
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if _direct_stationarity(cfg):
+        params = ChainParams(n=cfg.n, beta_a=cfg.beta_a, beta_b=cfg.beta_b)
+        truncation, tol = DIRECT_DEFAULTS[min(params.n, max(DIRECT_DEFAULTS))]
+        reports = [check_stationarity_direct_discrete(
+            params, truncation if cfg.truncation is None else cfg.truncation,
+            tol if cfg.tol is None else cfg.tol, candidate=cfg.candidate)]
+    else:
+        kwargs = {} if cfg.tol is None else {"tol": cfg.tol}
+        if cfg.suite == "telescoping":
+            kwargs.update(sizes=cfg.sizes, mc_samples=cfg.mc_samples, seed=cfg.seed)
+        reports = run_suite(cfg.suite, **kwargs)
     with open(outdir / "reports.jsonl", "w") as fh:
         for r in reports:
             fh.write(r.to_json())
@@ -376,13 +362,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
-    """A saved run's configuration and what ``compare`` tests of it: the
-    moment accumulators, the series and, for particles, the histograms."""
+    """A saved run's configuration (its recorded fields over the defaults) and
+    what ``compare`` tests of it: the moment accumulators, the series and,
+    for particles, the histograms."""
     with open(sim_dir / "meta.json") as fh:
         meta = json.load(fh)
-    raw = dict(meta["config"])
-    raw["sizes"] = tuple(raw.get("sizes", RunConfig.sizes))
-    cfg = RunConfig(**raw)
+    cfg = RunConfig(**meta["config"])
     acc = meta["accumulators"]
     hists = []
     if cfg.model == "discrete":
@@ -407,8 +392,7 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
 def cmd_compare(cfg: RunConfig) -> int:
     sim_dir = Path(cfg.sim_dir)
     if not (sim_dir / "meta.json").exists():
-        print(f"config error: no simulation output at {sim_dir}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"no simulation output at {sim_dir}")
     sim_cfg, stats = _load_sim_dir(sim_dir)
     params = sim_cfg.chain_params()
     model = Model(sim_cfg.model)
@@ -442,8 +426,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         gof_rows,
     )
     _write_profile(outdir, rep, prefix="compare_")
-    _write_meta(outdir, cfg, {"autocorr_series": n * len(stats.series),
-                              "profile_source": "profile.csv"})
+    _write_meta(outdir, cfg, {"autocorr_series": n * len(stats.series)})
     z_ok = rep.max_abs_z < 4.0
     print(f"compare: max|z| = {rep.max_abs_z:.2f}, GOF pass = {all_pass}",
           file=sys.stderr)
@@ -475,7 +458,8 @@ _SAMPLE = ("model", "n", "seed", "samples")
 
 # The RunConfig fields each run reads, besides ``out``: per command, then per
 # the variant ``_variant`` picks (the chain model, or the verify check).  A
-# subcommand has a flag for each field one of its variants reads.
+# subcommand has a flag for each field one of its variants reads, and a run's
+# meta.json records exactly its variant's fields.
 READS = {
     "simulate": {"discrete": (*_SIMULATE, "beta_a", "beta_b"),
                  "continuous": (*_SIMULATE, "t_a", "t_b", "epsilon")},

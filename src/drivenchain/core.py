@@ -264,7 +264,7 @@ def reset_rates(state, site_rate: list[float]) -> None:
 # ---------------------------------------------------------------------------
 
 CHEB_DEGREES = (16, 32, 64, 128, 256, 512)  # tried in turn until two agree
-ROUNDOFF = 4.0 * float(np.finfo(float).eps)  # error floor: 4 ulps of sum |weight * integrand|
+_ROUNDOFF = 4.0 * float(np.finfo(float).eps)  # error floor: 4 ulps of sum |weight * integrand|
 
 
 class QuadResult(NamedTuple):
@@ -324,7 +324,7 @@ def _chebyshev_ladder(integrand: Callable, a: float, b: float, tol: float, what:
             raise ValueError(f"integrand returned non-finite values on [{a}, {b}]")
         if error <= tol and degree > CHEB_DEGREES[0]:
             # Two degrees can agree to the last bit; round-off still remains.
-            error = max(error, ROUNDOFF * half * (np.abs(g) @ weights).max())
+            error = max(error, _ROUNDOFF * half * (np.abs(g) @ weights).max())
             if error <= tol:
                 return QuadResult(value if np.ndim(value) else float(value), float(error), degree)
     raise QuadratureError(

@@ -10,8 +10,8 @@ Four families of checks, in increasing strength:
   the discrete-Laplacian-in-m of log generating functions against the product
   kernel vanishes -- each x-term individually, not only their sum;
 * direct balance-equation residuals of the particle chain on a box, at any
-  n whose candidate table fits MAX_TABLE_ENTRIES, with both infinite sums
-  truncated under an explicit geometric tail certificate.
+  n whose candidate table fits MAX_TABLE_ENTRIES, certified against both the
+  geometric tails of the truncated sums and the table's own error.
 
 The first and third families take the model as an argument: both site laws
 share the generating function 1 / (1 + c(s) m), and ``measure.Model`` supplies
@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ROUNDOFF,
     ChainParams,
     QuadratureError,
+    harmonic_number,
     harmonic_prefix,
     make_rng,
     ordered_simplex_integral,
@@ -165,15 +165,6 @@ def check_frullani(a: float, b: float, tol: float = 1e-9) -> VerificationReport:
     if a <= 0.0 or b <= 0.0:
         raise ValueError("need a, b > 0")
     params = {"a": a, "b": b}
-    if a == b:
-        return VerificationReport(
-            name="frullani",
-            params=params,
-            residuals={"residual": 0.0},
-            tolerances={"residual": tol},
-            method="exact",
-            notes={"note": "integrand identically zero"},
-        )
     delta = 1e-4
     # Term-by-term integral of the Taylor series on [0, delta].
     head = 0.0
@@ -400,19 +391,23 @@ def _tail_k(q: float, budget: float, n_sums: int) -> int | None:
 
 
 def _candidate_table(spec: MixtureSpec, extent: int, candidate: str,
-                     density_tol: float) -> np.ndarray:
-    """The candidate law on {0..extent}^n, as an n-dimensional table."""
+                     density_tol: float) -> tuple[np.ndarray, float]:
+    """The candidate law on {0..extent}^n, as an n-dimensional table, and a
+    bound on the error of any one entry."""
     n = spec.params.n
     ks = np.arange(extent + 1)
     if candidate == "mixture":
-        return mixture_density_discrete(spec, np.tile(ks, (n, 1)), tol=density_tol).value
+        table = mixture_density_discrete(spec, np.tile(ks, (n, 1)), tol=density_tol)
+        return table.value, table.error
     if candidate == "product-geometric":
-        pmfs = [geometric_pmf(m, ks) for m in moment_profile(spec).means]
+        pmfs, error = [geometric_pmf(m, ks) for m in moment_profile(spec).means], 0.0
     elif candidate == "product-marginals" and n > 1:  # at n = 1 it is the mixture
-        pmfs = [marginal_pmf_discrete(spec, x, ks) for x in range(1, n + 1)]
+        marginal_tol = 1e-11
+        pmfs = [marginal_pmf_discrete(spec, x, ks, marginal_tol) for x in range(1, n + 1)]
+        error = n * marginal_tol  # n factors, each in [0, 1]
     else:
         raise ValueError(f"unknown candidate {candidate!r} for n={n}")
-    return functools.reduce(np.multiply.outer, pmfs)
+    return functools.reduce(np.multiply.outer, pmfs), error
 
 
 def _balance_residuals(mu: np.ndarray, box: int, k_sum: int, params: ChainParams) -> np.ndarray:
@@ -463,9 +458,13 @@ def check_stationarity_direct_discrete(
     sums are infinite; both are cut at k_sum, where their geometric tail
     certificate meets tol/10.  It holds at any n: each candidate mixes product
     geometrics with means <= rho_b, so mu(eta + k e_x) <= q^k, q = rho_b /
-    (1 + rho_b).  An unattainable certificate yields an inconclusive report,
-    not a failure.  ``candidate`` picks the measure under test: the exact
-    mixture, or wrong products used to audit the check's power.
+    (1 + rho_b).  The rates that multiply one table entry sum to at most
+    R = 2 inj + (4n - 2) H(truncation) + 2 H(k_sum), inj = -log(1 - beta_a)
+    - log(1 - beta_b); the table is asked for at tol/(10 R), and the verdict
+    is on raw residual + table error * R + tail bound.  An unattainable
+    certificate yields an inconclusive report, not a failure.  ``candidate``
+    picks the measure under test: the exact mixture, or wrong products used
+    to audit the check's power.
     """
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
@@ -473,14 +472,8 @@ def check_stationarity_direct_discrete(
     spec = MixtureSpec(params, Model.DISCRETE)
     rho_b = params.rho_b
     q = rho_b / (1.0 + rho_b)
-    # The candidate table's error budget is tol * 1e-4, or the integrator's
-    # round-off on a probability where that budget lies below it and tol * 1e-3
-    # does not; a smaller tol leaves the table uncertified: inconclusive.
-    density_tol = min(1e-11, tol * 1e-4)
-    if density_tol < ROUNDOFF <= tol * 1e-3:
-        density_tol = ROUNDOFF
     k_sum = _tail_k(q, tol / 10.0, n_sums=2)
-    meta = {"truncation": truncation, "candidate": candidate, "density_tol": density_tol}
+    meta = {"truncation": truncation, "candidate": candidate}
     if k_sum is None:
         return VerificationReport(
             name="stationarity_direct_discrete",
@@ -492,23 +485,28 @@ def check_stationarity_direct_discrete(
             inconclusive=True,
         )
     tail_bound = 2.0 * q ** (k_sum + 1) / ((k_sum + 1) * (1.0 - q))
+    inj = -math.log1p(-params.beta_a) - math.log1p(-params.beta_b)
+    rate_bound = (2.0 * inj + (4 * n - 2) * harmonic_number(truncation)
+                  + 2.0 * harmonic_number(k_sum))
+    meta["density_tol"] = density_tol = tol / (10.0 * rate_bound)
     extent = truncation + max(k_sum, truncation if n > 1 else 0)
     if (extent + 1) ** n > MAX_TABLE_ENTRIES:
         raise ValueError(f"direct balance check at n={n}, truncation {truncation} needs "
                          f"a {extent + 1}^{n} table, above MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
     try:
-        mu = _candidate_table(spec, extent, candidate, density_tol)
+        mu, table_error = _candidate_table(spec, extent, candidate, density_tol)
     except QuadratureError as exc:
         return _report_quad_failure("stationarity_direct_discrete", meta, exc)
-    worst = float(np.abs(_balance_residuals(mu, truncation, k_sum, params)).max())
+    raw = float(np.abs(_balance_residuals(mu, truncation, k_sum, params)).max())
     return VerificationReport(
         name="stationarity_direct_discrete",
         params=meta,
-        residuals={"max_residual": worst},
+        residuals={"max_residual": raw + table_error * rate_bound + tail_bound},
         tolerances={"max_residual": tol},
         method="table",
         notes={"k_sum": k_sum, "tail_bound": tail_bound, "extent": extent, "n": n,
-               "beta_a": params.beta_a, "beta_b": params.beta_b},
+               "beta_a": params.beta_a, "beta_b": params.beta_b, "raw": raw,
+               "table_error": table_error, "rate_bound": rate_bound},
     )
 
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, config resolution, outputs, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -63,7 +64,7 @@ class TestSimulate:
                                  "--workers", "1"])
         assert rc == 0
         meta = json.loads((out / "meta.json").read_text())
-        assert meta["replica_streams"] == [0, 1, 2]
+        assert meta["config"]["replicas"] == 3
         series = np.load(out / "series.npy")
         assert series.shape[0] == 3
 
@@ -319,7 +320,7 @@ class TestVerify:
 
 
 def assert_compare_reuses_profile(sim: Path, out: Path) -> None:
-    """compare copies the simulation's profile byte for byte and says where it came from."""
+    """compare copies the simulation's profile byte for byte."""
     for name in ("profile.csv", "covariance.csv"):
         assert (out / f"compare_{name}").read_bytes() == (sim / name).read_bytes()
     sim_meta = json.loads((sim / "meta.json").read_text())
@@ -327,7 +328,6 @@ def assert_compare_reuses_profile(sim: Path, out: Path) -> None:
     n, replicas = sim_meta["config"]["n"], sim_meta["config"]["replicas"]
     assert sim_meta["autocorr_series"] == replicas * (n + n * (n + 1) // 2)
     assert meta["autocorr_series"] == replicas * n  # the GOF's effective sizes only
-    assert meta["profile_source"] == "profile.csv"
 
 
 def simulate_small(out: Path, *extra: str) -> Path:
@@ -417,6 +417,18 @@ class TestCompare:
             run_cli(["compare", "--sim", str(tmp_path), "--n", "3", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_full_config_record_compares_the_same(self, tmp_path):
+        # a meta.json that records every RunConfig field, not only the read set
+        sim = simulate_small(tmp_path / "sim")
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "a")]) in (0, 3, 4)
+        meta = json.loads((sim / "meta.json").read_text())
+        full = dataclasses.asdict(cli.RunConfig(**{**meta["config"], "out": str(sim)}))
+        assert set(full) == set(typing.get_type_hints(cli.RunConfig))
+        (sim / "meta.json").write_text(json.dumps({**meta, "config": full}, default=str))
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "b")]) in (0, 3, 4)
+        for name in ("gof.csv", "compare_profile.csv", "compare_covariance.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_missing_sim_dir_exit_2(self, tmp_path):
         rc = run_cli(["compare", "--sim", str(tmp_path / "nope"),
                       "--out", str(tmp_path)])
@@ -494,6 +506,40 @@ class TestUnreadOptions:
         for argv in examples:
             cfg, given = cli.resolve_config(cli.build_parser().parse_args(argv))
             cli.check_options(cfg, given)
+
+
+# One small run per READS variant; compare runs on a simulate_small output.
+READ_RUNS = {
+    ("simulate", "discrete"): ["simulate", "--n", "2", "--t-max", "5", "--grid-samples", "8"],
+    ("simulate", "continuous"): ["simulate", "--model", "continuous", "--n", "2",
+                                 "--t-max", "5", "--grid-samples", "8"],
+    ("sample-exact", "discrete"): ["sample-exact", "--n", "2", "--samples", "10"],
+    ("sample-exact", "continuous"): ["sample-exact", "--model", "continuous", "--n", "2",
+                                     "--samples", "10"],
+    ("verify", "direct check"): ["verify", "--suite", "stationarity", "--n", "1", "--k", "5"],
+    ("verify", "telescoping"): ["verify", "--suite", "telescoping", "--sizes", "1"],
+    ("verify", "equilibrium"): ["verify", "--suite", "equilibrium"],
+    ("verify", "other suites"): ["verify", "--suite", "identities"],
+    ("compare", "goodness of fit"): ["compare"],
+}
+
+
+class TestMetaRecord:
+    def test_every_variant_has_a_run(self):
+        assert set(READ_RUNS) == {(c, v) for c, variants in cli.READS.items() for v in variants}
+
+    @pytest.mark.parametrize("command, variant", list(READ_RUNS))
+    def test_config_is_the_read_set(self, tmp_path, command, variant):
+        argv = READ_RUNS[command, variant]
+        if command == "compare":
+            argv = [*argv, "--sim", str(simulate_small(tmp_path / "sim"))]
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--out", str(out)]) in (0, 3, 4)
+        meta = json.loads((out / "meta.json").read_text())
+        assert set(meta["config"]) == {"command", *cli.READS[command][variant]}
+        assert meta["config"]["command"] == command
+        assert not {"replica_streams", "profile_source"} & set(meta)
+        assert ("epsilon" in meta) == (command == "simulate" and variant == "continuous")
 
 
 class TestConfigResolution:

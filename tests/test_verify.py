@@ -1,5 +1,6 @@
 """Identity checks, telescoping residuals, and direct balance verification."""
 
+import dataclasses
 import json
 import math
 
@@ -325,11 +326,27 @@ class TestStationarityDirect:
         assert r.passed  # detailed balance of the plain geometric law
 
     def test_density_budget_stops_at_roundoff(self):
-        # tol * 1e-4 lies below what the integrator certifies; tol * 1e-3 does not
-        r = check_stationarity_direct_discrete(NEQ1, truncation=40, tol=1e-12)
-        assert r.params["density_tol"] == verify.ROUNDOFF and r.passed
-        r = check_stationarity_direct_discrete(NEQ1, truncation=40, tol=1e-14)
-        assert r.inconclusive and r.params["density_tol"] == 1e-18
+        # the table is asked for tol / (10 R); at tol 1e-14 that lies below
+        # what the integrator certifies
+        q = NEQ1.rho_b / (1.0 + NEQ1.rho_b)
+        inj = -math.log1p(-NEQ1.beta_a) - math.log1p(-NEQ1.beta_b)
+        for tol, passed in ((1e-12, True), (1e-14, False)):
+            k_sum = verify._tail_k(q, tol / 10.0, n_sums=2)
+            rate_bound = 2.0 * inj + 2.0 * harmonic_number(40) + 2.0 * harmonic_number(k_sum)
+            r = check_stationarity_direct_discrete(NEQ1, truncation=40, tol=tol)
+            assert r.params["density_tol"] == tol / (10.0 * rate_bound)
+            assert r.passed == passed and r.inconclusive != passed
+
+    def test_table_error_enters_the_verdict(self, monkeypatch):
+        # a table that reports a 1e-7 error cannot certify a 1e-8 residual
+        real = verify.mixture_density_discrete
+        monkeypatch.setattr(verify, "mixture_density_discrete",
+                            lambda *a, **kw: dataclasses.replace(real(*a, **kw), error=1e-7))
+        r = check_stationarity_direct_discrete(NEQ1, truncation=120, tol=1e-8)
+        assert not r.passed and not r.inconclusive
+        assert r.notes["table_error"] == 1e-7
+        assert r.max_residual == (r.notes["raw"] + 1e-7 * r.notes["rate_bound"]
+                                  + r.notes["tail_bound"])
 
     def test_n1_impostor_rejected_with_power_margin(self):
         r = check_stationarity_direct_discrete(
@@ -366,7 +383,7 @@ class TestStationarityDirect:
         oracle = _generator_residuals_oracle(NEQ2, box, k_sum, mu)
         # the oracle sums extraction inflow to the table edge rather than k_sum,
         # so allow the tail-certificate slack on top of float noise
-        assert abs(oracle - r.max_residual) < r.notes["tail_bound"] + 1e-12
+        assert abs(oracle - r.notes["raw"]) < r.notes["tail_bound"] + 1e-12
 
     def test_unsupported_size(self):
         # the candidate table must fit MAX_TABLE_ENTRIES: 70^3 and 513^2 do not
