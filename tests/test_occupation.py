@@ -61,6 +61,19 @@ PINNED = {
                       "864a20001a66840d"),
 }
 
+# The float accumulators of the same runs: sha256 of mean_acc bytes, of
+# second_acc bytes and of repr(list of histogram weight lists), 16 hex digits each.
+PINNED_ACC = {
+    "continuous-burn0": ("4162fd6f9e398ee5", "2f7ac3fc26c57aec", "82553d522b85001d"),
+    "continuous-fenwick": ("f07aa31ff6d0b0ce", "849510e3c942aa52", "89ad31e91c566844"),
+    "continuous-mid": ("28bc4f211a4269de", "21fcf763f0e17ec7", "31bdf3d358068357"),
+    "continuous-z0": ("1c23758eb8c1e2af", "16ec4728e226cf94", "6166ae7e0bc07bc0"),
+    "discrete-burn0": ("3fa44e4f20366cea", "2121c73da9e5fa6f", "34de824a555fe733"),
+    "discrete-eta0": ("19ff96662db71f6b", "54277422cca32e65", "e01fec431afcd989"),
+    "discrete-fenwick": ("d880093b31e7cc5d", "e3a28f64c102f459", "baec8583791962c3"),
+    "discrete-mid": ("52a9494bc7ab583e", "5f857b8510656496", "23edd01d349bed0e"),
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -137,6 +150,13 @@ def test_integer_outputs_series_and_fluxes_are_pinned(name):
     assert _sha(st.series[0].tobytes()) == series_sha
     assert (st.injected_a, st.extracted_a, st.injected_b, st.extracted_b) == fluxes
     assert _sha(repr(list(final)).encode()) == final_sha
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ACC))
+def test_float_accumulators_are_pinned(name):
+    st = CASES[name][1]()
+    assert (_sha(st.mean_acc.tobytes()), _sha(st.second_acc.tobytes()),
+            _sha(repr([h.weights for h in st.hists]).encode())) == PINNED_ACC[name]
 
 
 def _stats(**kw) -> OccupationStats:
