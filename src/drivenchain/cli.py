@@ -239,9 +239,11 @@ def _read_profile(sim_dir: Path, stats: OccupationStats, spec: MixtureSpec) -> P
 
 def _run_counters(stats: OccupationStats) -> dict:
     """The run's deterministic diagnostics (never its wall-clock rate)."""
-    counters = {"max_resync_drift": stats.extra["max_resync_drift"]}
+    extra = stats.extra
+    counters = {key: extra[key] for key in
+                ("max_resync_drift", "resyncs", "channel_events", "selection")}
     if stats.model == "continuous":
-        counters["epsilon"] = stats.extra["epsilon"]
+        counters["epsilon"] = extra["epsilon"]
         for key in ("acceptance_a", "acceptance_b"):
             counters[key] = stats.per_replica(key)
     return counters
@@ -327,7 +329,6 @@ def _direct_stationarity(cfg: RunConfig) -> bool:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    outdir = _resolve_outdir(cfg)
     if _direct_stationarity(cfg):
         params = ChainParams(n=cfg.n, beta_a=cfg.beta_a, beta_b=cfg.beta_b)
         truncation, tol = DIRECT_DEFAULTS[min(params.n, max(DIRECT_DEFAULTS))]
@@ -339,6 +340,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         if cfg.suite == "telescoping":
             kwargs.update(sizes=cfg.sizes, mc_samples=cfg.mc_samples, seed=cfg.seed)
         reports = run_suite(cfg.suite, **kwargs)
+    outdir = _resolve_outdir(cfg)  # only now: a rejected configuration leaves no directory
     with open(outdir / "reports.jsonl", "w") as fh:
         for r in reports:
             fh.write(r.to_json())

@@ -10,7 +10,9 @@ injections and removals nearly cancels; the residual bias is O(epsilon) and
 is probed empirically by cutoff-refinement runs rather than corrected.
 
 The chain runs on the shared event engine, ``occupation.run_window``, as in
-``discrete_sim``.  A run fails with RuntimeError on rate-cache drift past
+``discrete_sim``; it adds only its rate function, its cutoff as the engine's
+removal floor, and the samplers below.  A run fails with RuntimeError on a
+removal picked at a site at or below the cutoff, on rate-cache drift past
 ``core.RESYNC_DRIFT_TOL``, on an energy balance off by more than 1e-9
 relative, or on a negative energy.
 """

@@ -223,25 +223,6 @@ class FenwickTree:
         return min(idx, self.n - 1), u
 
 
-def select_site(rates: list[float], tree: FenwickTree | None, u: float) -> tuple[int, float]:
-    """Site x whose two channels (rate ``rates[x]`` each) hold u, and the offset into them.
-
-    Linear scan, or Fenwick search given a tree.  A float spill past the top,
-    or an ulp spill onto a zero-rate slot, lands on the last positive-rate site.
-    """
-    if tree is None:
-        for x, r in enumerate(rates):
-            two_r = 2.0 * r
-            if u < two_r:
-                return x, u
-            u -= two_r
-    else:
-        x, u = tree.search(u)
-        if rates[x] > 0.0:
-            return x, u
-    return max(i for i, r in enumerate(rates) if r > 0.0), 0.0
-
-
 def reset_rates(state, site_rate: list[float]) -> None:
     """Install freshly computed site rates on a simulator state at a resync.
 

@@ -5,10 +5,12 @@ reservoir at the ends), each firing at total rate H(eta_x) = sum_{k<=eta_x} 1/k
 and moving a batch of k particles with probability (1/k)/H(eta_x).  The two
 reservoirs inject batches of k particles at rate beta^k / k, i.e. a constant
 total rate -log(1-beta) with logarithmically distributed batch sizes.  The
-chain is simulated exactly by the shared event engine, ``occupation.run_window``:
-exponential holding times at the total rate, channels picked proportionally
-to their rates, O(n) accumulation work per changed site (at most two per
-event).  A run fails with RuntimeError on rate-cache drift past
+chain is simulated exactly by the shared event engine, ``occupation.run_window``,
+one loop that runs each event in local variables: exponential holding times
+at the total rate, channels picked proportionally to their rates, O(n)
+accumulation work per changed site (at most two per event).  The chain adds
+only its rate function H and the samplers below.  A run fails with
+RuntimeError on a removal picked at an empty site, on rate-cache drift past
 ``core.RESYNC_DRIFT_TOL``, on particle counts that do not balance the boundary
 fluxes exactly, or on a negative occupation.
 """

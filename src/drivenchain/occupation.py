@@ -2,8 +2,7 @@
 
 Both chains are one boundary-driven dynamics, held by one ``ChainState``; a
 chain supplies only its site-rate function, the value at or below which a
-site cannot fire, a removal sampler and two injection samplers.  ``_jump``
-executes one event through ``_update_site``, which keeps the rate cache current.
+site cannot fire, a removal sampler and two injection samplers.
 
 A trajectory is piecewise constant, so the occupation measure weights each
 visited configuration by its holding time.  ``OccupationStats`` holds per-site
@@ -13,10 +12,12 @@ autocorrelation times).  Replica results merge by plain summation, which
 makes R merged replicas identical to one run of the concatenated duration
 for every reported moment.
 
-``run_window`` drives a ``ChainState`` and fills the moments through a
-``LazyAccumulator``.  An event changes at most two sites, so rather than
-weighting all n sites after every holding interval (O(n^2) per event) it
-closes a site's interval only when that site changes: O(n) per change.
+``run_window`` drives a ``ChainState`` in one loop that executes each event
+inline (channel choice, site and rate-cache update, moment accumulation) in
+local variables, and fills the moments as a ``LazyAccumulator`` describes.
+An event changes at most two sites, so rather than weighting all n sites
+after every holding interval (O(n^2) per event) it closes a site's interval
+only when that site changes: O(n) per change.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import FenwickTree, reset_rates, select_site
+from .core import FenwickTree, reset_rates
 
 __all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "LazyAccumulator",
            "ChainState", "initial_values", "run_window", "DEFAULT_GRID_SAMPLES"]
@@ -37,6 +38,7 @@ __all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "LazyAccumulato
 RESYNC_INTERVAL = 1_000_000  # events between rate-cache refreshes
 LINEAR_SCAN_MAX_SITES = 64  # larger chains pick channels by Fenwick search
 DEFAULT_GRID_SAMPLES = 1 << 16  # trajectory series points per run
+CHANNELS = ("inject_a", "inject_b", "exit_a", "exit_b", "bulk")  # event kinds counted per run
 
 
 class IntHistogram:
@@ -87,13 +89,14 @@ class BinnedHistogram:
         self.weights = [0.0] * (n_bins + 2)  # [under, bins..., over]
 
     def add(self, value: float, w: float) -> None:
+        ws = self.weights
         if value <= self.lo:
-            self.weights[0] += w
+            ws[0] += w
         elif value > self.hi:
-            self.weights[-1] += w
+            ws[-1] += w
         else:
             idx = int((math.log(value) - self._log_lo) / self._dlog)
-            self.weights[min(idx, self.n_bins - 1) + 1] += w
+            ws[idx + 1 if idx < self.n_bins else self.n_bins] += w
 
     def merge(self, other: "BinnedHistogram") -> None:
         if (other.lo, other.hi, other.n_bins) != (self.lo, self.hi, self.n_bins):
@@ -163,8 +166,8 @@ class OccupationStats:
         """Sum accumulators of two independent runs (associative).
 
         ``extra`` keeps self's run settings, lists the per-trajectory entries
-        of ``PER_REPLICA_EXTRA`` replica by replica and takes the largest
-        ``max_resync_drift``.
+        of ``PER_REPLICA_EXTRA`` replica by replica, takes the largest
+        ``max_resync_drift`` and sums the ``resyncs`` and ``channel_events``.
         """
         if (self.n_sites, self.model) != (other.n_sites, other.model):
             raise ValueError("cannot merge stats from different chains")
@@ -205,6 +208,10 @@ class OccupationStats:
         if "max_resync_drift" in other.extra:
             out["max_resync_drift"] = max(self.extra.get("max_resync_drift", 0.0),
                                           other.extra["max_resync_drift"])
+        if "resyncs" in self.extra and "resyncs" in other.extra:
+            out["resyncs"] = self.extra["resyncs"] + other.extra["resyncs"]
+            mine, theirs = self.extra["channel_events"], other.extra["channel_events"]
+            out["channel_events"] = {k: mine[k] + theirs[k] for k in CHANNELS}
         return out
 
 
@@ -217,44 +224,23 @@ class LazyAccumulator:
     while eta_x holds), and row x of int eta_x eta_y dt.  Summed by parts
     over x's holding intervals, a change of x from ``old`` to ``new`` at
     time c adds (old - new) * I_y(c) to row x, and the window's end adds
-    eta_x * I_y(end).  The rows are symmetric up to rounding; ``finish``
-    averages them with their transpose.
+    eta_x * I_y(end).  ``run_window`` applies each change inline, before
+    the value list moves: one O(n) pass over row x, then offset[x] gains
+    (old - new) * c and the histogram of x takes ``old`` for c - last[x].
+    A change at or before ``start`` only resets offset[x] to -new * start,
+    so the window opens on ``new``.  The rows are symmetric up to rounding;
+    ``finish`` averages them with their transpose.
     """
 
-    __slots__ = ("values", "hists", "start", "sites", "last", "offset", "rows")
+    __slots__ = ("values", "hists", "last", "offset", "rows")
 
     def __init__(self, values: list, hists: list, start: float) -> None:
         n = len(values)
         self.values = values
         self.hists = hists
-        self.start = start
-        self.sites = range(n)
         self.last = [start] * n
         self.offset = [-v * start for v in values]
         self.rows = [[0.0] * n for _ in range(n)]
-
-    def change(self, x: int, c: float, new) -> None:
-        """Site x is about to take value ``new`` at time c: one O(n) pass over row x.
-
-        At or before ``start`` it only resets offset[x]: the window opens on ``new``.
-        """
-        start = self.start
-        if c <= start:
-            self.offset[x] = -new * start
-            return
-        vals = self.values
-        off = self.offset
-        row = self.rows[x]
-        old = vals[x]
-        step = old - new
-        for y in self.sites:  # in place: faster than a comprehension at small n
-            row[y] += step * (off[y] + vals[y] * c)
-        off[x] += step * c
-        last = self.last
-        w = c - last[x]
-        if w > 0.0:
-            self.hists[x].add(old, w)
-            last[x] = c
 
     def finish(self, t_end: float) -> tuple[np.ndarray, np.ndarray]:
         """Close every site at t_end; returns (mean_acc, second_acc)."""
@@ -286,8 +272,9 @@ class ChainState:
     ``sampler_a.total_rate``.  ``site_rate`` caches the site rates and
     ``rate_sum`` their incrementally updated sum, refreshed from scratch
     every RESYNC_INTERVAL events and at the end of a run (see
-    ``core.reset_rates``).
-    ``before_change(x, time, new)`` runs just before site x takes ``new``.
+    ``core.reset_rates``).  ``run_window`` advances the state; it keeps the
+    clock, the event count, the fluxes and ``rate_sum`` in local variables
+    and writes them back here at every resync.
     """
 
     values: list
@@ -307,7 +294,6 @@ class ChainState:
     injected_b: Any = 0
     extracted_b: Any = 0
     max_resync_drift: float = 0.0
-    before_change: Callable[[int, float, Any], None] | None = None
 
     def __post_init__(self) -> None:
         self.site_rate = [self.rate_of(v) for v in self.values]
@@ -324,115 +310,169 @@ class ChainState:
         reset_rates(self, [self.rate_of(v) for v in self.values])
 
 
-def _update_site(state: ChainState, x: int, new) -> None:
-    state.before_change(x, state.time, new)
-    state.values[x] = new
-    rate = state.rate_of(new)
-    delta = rate - state.site_rate[x]
-    state.site_rate[x] = rate
-    state.rate_sum += delta
-    if state.tree is not None:
-        state.tree.add(x, 2.0 * delta)
-
-
-def _jump(state: ChainState, rng: np.random.Generator) -> None:
-    """Select one channel proportionally to its rate and execute it."""
-    values = state.values
-    rate_a = state.sampler_a.total_rate
-    rate_b = state.sampler_b.total_rate
-    u = rng.random() * state.total_rate
-    if u < rate_a:
-        amount = state.sampler_a.draw(rng)
-        _update_site(state, 0, values[0] + amount)
-        state.injected_a += amount
-        return
-    u -= rate_a
-    last = len(values) - 1
-    if u < rate_b:
-        amount = state.sampler_b.draw(rng)
-        _update_site(state, last, values[last] + amount)
-        state.injected_b += amount
-        return
-    u -= rate_b
-    # Removal channels: two per site, each at rate site_rate[x].
-    x, u = select_site(state.site_rate, state.tree, u)
-    to = x - 1 if u < state.site_rate[x] else x + 1
-    held = values[x]
-    if not held > state.floor:
-        raise RuntimeError(f"removal channel selected at site {x} holding {held!r}")
-    amount = state.remove(held, rng)
-    _update_site(state, x, held - amount)
-    if to < 0:
-        state.extracted_a += amount
-    elif to > last:
-        state.extracted_b += amount
-    else:
-        _update_site(state, to, values[to] + amount)
-
-
 def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
                burn_in: float | None, grid_samples: int, observers,
                mass_tol: float) -> OccupationStats:
     """Run a chain state to t_max and measure it over [burn_in, t_max].
 
-    Holding times are exponential at the state's total rate; each event is
-    one ``_jump``, and the rate cache resyncs every RESYNC_INTERVAL events
-    and once more at the end, so ``max_resync_drift`` covers every run.
-    A ``LazyAccumulator`` on ``state.before_change`` fills the moments and
-    ``hists``.  burn_in defaults to 10% of t_max.  The trajectory is also
-    sampled on a uniform grid of ``grid_samples`` points across the window
-    (an evenly spaced series for autocorrelation estimates), each point
-    passed to every ``observers`` callable as (time, values).  The run fails
-    with RuntimeError unless injected - extracted matches the mass gained
-    within ``mass_tol`` (relative) and every value stays non-negative.
+    Holding times are exponential at the state's total rate.  Each event
+    draws its holding time (``standard_exponential``), then picks one channel
+    proportionally to its rate (``random``: injection at A, injection at B,
+    then the two exit channels of each site, by linear scan up to
+    LINEAR_SCAN_MAX_SITES sites and by Fenwick search above), then draws the
+    amount moved (the chain's samplers).  It changes one or two sites; each
+    change updates the rate cache and, as ``LazyAccumulator`` describes, the
+    moments and ``hists``.  The loop keeps all of this in local variables.
+    The rate cache resyncs every RESYNC_INTERVAL events and once more at the
+    end, so ``max_resync_drift`` covers every run.  burn_in defaults to 10%
+    of t_max.  The trajectory is also sampled on a uniform grid of
+    ``grid_samples`` points across the window (an evenly spaced series for
+    autocorrelation estimates), each point passed to every ``observers``
+    callable as (time, values).  ``extra`` counts the events of each of
+    ``CHANNELS``, the resyncs, and names the channel ``selection`` path.  The
+    run fails with RuntimeError if a removal is picked at a site at or below
+    the floor, unless injected - extracted matches the mass gained within
+    ``mass_tol`` (relative), and unless every value stays non-negative.
     """
     if burn_in is None:
         burn_in = 0.1 * t_max
     if not t_max > burn_in >= 0.0:
         raise ValueError(f"need t_max > burn_in >= 0, got ({t_max}, {burn_in})")
     values = state.values
+    n = len(values)
     start_mass = math.fsum(values)
     acc = LazyAccumulator(values, hists, burn_in)
-    state.before_change = acc.change
-    series = np.empty((grid_samples, len(values)),
-                      dtype=np.int64 if model == "discrete" else np.float64)
+    last, offset, rows = acc.last, acc.offset, acc.rows
+    hist_add = [h.add for h in hists]
+    sites = range(n)
+    last_site = n - 1
+    series = np.empty((grid_samples, n), dtype=np.int64 if model == "discrete" else np.float64)
     grid_dt = (t_max - burn_in) / grid_samples
     next_grid = 0
+    grid_time = burn_in + (next_grid + 1) * grid_dt
     rexp = rng.standard_exponential
-    jump = _jump
-    resync_interval = RESYNC_INTERVAL
+    uniform = rng.random
+    rate_a, draw_a = state.sampler_a.total_rate, state.sampler_a.draw
+    rate_b, draw_b = state.sampler_b.total_rate, state.sampler_b.draw
     inj_rate = state.inj_rate
+    rate_of, remove, floor = state.rate_of, state.remove, state.floor
+    events = state.events
+    injected_a, extracted_a = state.injected_a, state.extracted_a
+    injected_b, extracted_b = state.injected_b, state.extracted_b
+    inject_a = inject_b = exit_a = exit_b = bulk = 0
+    resync_interval = RESYNC_INTERVAL
+    resyncs = 0
     wall_start = time.perf_counter()
     t = 0.0
-    while True:
-        dt = rexp() / (2.0 * state.rate_sum + inj_rate)
-        t_new = t + dt
-        while next_grid < grid_samples and burn_in + (next_grid + 1) * grid_dt <= t_new:
-            series[next_grid] = values
-            for obs in observers:
-                obs(burn_in + (next_grid + 1) * grid_dt, values)
-            next_grid += 1
-        if t_new >= t_max:
-            break
-        state.time = t = t_new
-        jump(state, rng)
-        state.events += 1
-        if state.events % resync_interval == 0:
-            state.resync()
-    state.resync()  # a run shorter than RESYNC_INTERVAL measures its drift too
+    running = True
+    while running:  # one pass per resync
+        rate_sum, site_rate, tree = state.rate_sum, state.site_rate, state.tree
+        next_resync = (events // resync_interval + 1) * resync_interval
+        while True:
+            total = 2.0 * rate_sum + inj_rate
+            t_new = t + rexp() / total
+            while grid_time <= t_new:
+                series[next_grid] = values
+                for obs in observers:
+                    obs(grid_time, values)
+                next_grid += 1
+                grid_time = (burn_in + (next_grid + 1) * grid_dt
+                             if next_grid < grid_samples else math.inf)
+            if t_new >= t_max:
+                running = False
+                break
+            t = t_new
+            # Pick the channel; x takes ``new``, then ``to`` (if >= 0) gains ``amount``.
+            u = uniform() * total
+            to = -1
+            if u < rate_a:
+                amount = draw_a(rng)
+                x, new = 0, values[0] + amount
+                injected_a += amount
+                inject_a += 1
+            elif u - rate_a < rate_b:
+                amount = draw_b(rng)
+                x, new = last_site, values[last_site] + amount
+                injected_b += amount
+                inject_b += 1
+            else:
+                u = u - rate_a - rate_b
+                if tree is None:
+                    for x, r in enumerate(site_rate):
+                        two_r = 2.0 * r
+                        if u < two_r:
+                            break
+                        u -= two_r
+                    else:
+                        x = -1
+                else:
+                    x, u = tree.search(u)
+                    if not site_rate[x] > 0.0:
+                        x = -1
+                if x < 0:  # a float spill lands on the last positive-rate site
+                    x, u = max(i for i, r in enumerate(site_rate) if r > 0.0), 0.0
+                to = x - 1 if u < site_rate[x] else x + 1
+                held = values[x]
+                if not held > floor:
+                    raise RuntimeError(f"removal channel selected at site {x} holding {held!r}")
+                amount = remove(held, rng)
+                new = held - amount
+                if to < 0:
+                    extracted_a += amount
+                    exit_a += 1
+                elif to > last_site:
+                    extracted_b += amount
+                    exit_b += 1
+                    to = -1
+                else:
+                    bulk += 1
+            while True:  # site x takes ``new``
+                if t > burn_in:
+                    old = values[x]
+                    step = old - new
+                    row = rows[x]
+                    for y in sites:  # in place: faster than a comprehension at small n
+                        row[y] += step * (offset[y] + values[y] * t)
+                    offset[x] += step * t
+                    w = t - last[x]
+                    if w > 0.0:
+                        hist_add[x](old, w)
+                        last[x] = t
+                else:
+                    offset[x] = -new * burn_in
+                values[x] = new
+                rate = rate_of(new)
+                delta = rate - site_rate[x]
+                site_rate[x] = rate
+                rate_sum += delta
+                if tree is not None:
+                    tree.add(x, 2.0 * delta)
+                if to < 0:
+                    break
+                x, new, to = to, values[to] + amount, -1
+            events += 1
+            if events == next_resync:
+                break
+        state.time, state.events, state.rate_sum = t, events, rate_sum
+        state.injected_a, state.extracted_a = injected_a, extracted_a
+        state.injected_b, state.extracted_b = injected_b, extracted_b
+        state.resync()  # also at the end: a run shorter than RESYNC_INTERVAL measures its drift
+        resyncs += 1
     while next_grid < grid_samples:  # float edge at the last grid point
         series[next_grid] = values
         next_grid += 1
     mean_acc, second_acc = acc.finish(t_max)
     wall = time.perf_counter() - wall_start
     stats = OccupationStats(
-        n_sites=len(values), model=model, duration=t_max - burn_in,
-        event_count=state.events, mean_acc=mean_acc, second_acc=second_acc, hists=hists,
+        n_sites=n, model=model, duration=t_max - burn_in,
+        event_count=events, mean_acc=mean_acc, second_acc=second_acc, hists=hists,
         series=[series], series_dt=grid_dt, wall_seconds=wall,
-        injected_a=float(state.injected_a), extracted_a=float(state.extracted_a),
-        injected_b=float(state.injected_b), extracted_b=float(state.extracted_b),
+        injected_a=float(injected_a), extracted_a=float(extracted_a),
+        injected_b=float(injected_b), extracted_b=float(extracted_b),
         extra={"t_max": t_max, "burn_in": burn_in,
-               "max_resync_drift": state.max_resync_drift},
+               "max_resync_drift": state.max_resync_drift,
+               "channel_events": dict(zip(CHANNELS, (inject_a, inject_b, exit_a, exit_b, bulk))),
+               "resyncs": resyncs, "selection": "linear" if tree is None else "fenwick"},
     )
     stats.check_run(start_mass, values, mass_tol)
     return stats

@@ -86,6 +86,17 @@ class TestSimulate:
         line = capsys.readouterr().err.strip().splitlines()[-1]
         assert all(f" {phase} " in line for phase in ("run", "report", "write"))
 
+    def test_meta_counts_events_per_channel(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(SIM_ARGS + ["--out", str(out), "--replicas", "2",
+                                   "--workers", "1"]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        counts = meta["channel_events"]
+        assert set(counts) == {"inject_a", "inject_b", "exit_a", "exit_b", "bulk"}
+        assert sum(counts.values()) == meta["accumulators"]["event_count"]
+        assert meta["resyncs"] == 2  # one end-of-run resync per replica
+        assert meta["selection"] == "linear"
+
     def test_continuous_counters_per_replica_and_stable(self, tmp_path):
         args = ["simulate", "--model", "continuous", "--n", "2", "--t-max", "60",
                 "--seed", "8", "--grid-samples", "256", "--replicas", "2",
@@ -231,6 +242,12 @@ class TestVerify:
         rc = run_cli(["verify", "--suite", "stationarity", *flags, "--out", str(out)])
         assert rc == 2
         assert not (out / "reports.jsonl").exists()
+
+    def test_rejected_configuration_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "vout"
+        assert run_cli(["verify", "--suite", "stationarity", "--n", "5", "--k", "10",
+                        "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, k, at_zero", [
         (["--n", "2"], "-1", 0),

@@ -134,12 +134,11 @@ class TestStateAndStep:
         )
         assert st.total_rate == pytest.approx(expected, rel=1e-12)
 
-    def test_first_event_from_empty_is_injection(self, after_each_event):
+    def test_first_event_from_empty_is_injection(self, reference_run):
         p = ChainParams(n=3, t_a=1.0, t_b=2.0)
         first = []
-        after_each_event(lambda st: st.events == 0 and first.append(
-            (st.time, sum(st.values), st.injected_a + st.injected_b)))
-        simulate_continuous(p, t_max=5.0, seed=7, grid_samples=8)
+        reference_run(new_state_continuous(p), make_rng(7), 5.0, lambda st: st.events == 0 and (
+            first.append((st.time, sum(st.values), st.injected_a + st.injected_b))))
         (t, energy, injected), = first
         assert t > 0.0
         assert injected == pytest.approx(energy)
@@ -154,12 +153,13 @@ class TestStateAndStep:
         throughput = injected + extracted
         assert abs(injected - extracted - sum(st.extra["final_z"])) < 1e-9 * throughput
 
-    def test_nonnegative_energy_always(self, after_each_event):
+    def test_nonnegative_energy_always(self, reference_run):
         p = ChainParams(n=2, t_a=0.5, t_b=0.5)
         negative = []
-        after_each_event(lambda st: min(st.values) < 0.0 and negative.append(list(st.values)))
-        st = simulate_continuous(p, t_max=400.0, epsilon=1e-5, seed=9, grid_samples=64)
-        assert st.event_count >= 20_000
+        state = new_state_continuous(p, epsilon=1e-5)
+        reference_run(state, make_rng(9), 400.0,
+                      lambda st: min(st.values) < 0.0 and negative.append(list(st.values)))
+        assert state.events >= 20_000
         assert negative == []
 
     def test_resync_records_drift(self, monkeypatch):
@@ -167,6 +167,7 @@ class TestStateAndStep:
         st = simulate_continuous(NEQ, t_max=40.0, seed=17, grid_samples=256)
         assert st.event_count > 1000
         assert 0.0 <= st.extra["max_resync_drift"] <= RESYNC_DRIFT_TOL
+        assert st.extra["resyncs"] == st.event_count // 50 + 1
 
     def test_resync_drift_past_tolerance_is_hard_error(self, monkeypatch):
         real_new_state = continuous_sim.new_state_continuous

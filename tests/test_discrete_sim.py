@@ -121,13 +121,12 @@ class TestStateAndStep:
         expected = 2.0 * 11.0 / 6.0 + math.log(2.0) + math.log(4.0)
         assert st.total_rate == pytest.approx(expected, abs=1e-13)
 
-    def test_first_event_from_empty_is_injection(self, after_each_event):
+    def test_first_event_from_empty_is_injection(self, reference_run):
         p = ChainParams(n=3, beta_a=0.5, beta_b=0.75)
         first = []
-        after_each_event(lambda st: st.events == 0 and first.append(
-            (st.time, sum(st.values), st.injected_a + st.injected_b)))
         for seed in range(50):
-            simulate(p, t_max=50.0, seed=seed, grid_samples=8)
+            reference_run(new_state(p), make_rng(seed), 50.0, lambda st: st.events == 0 and (
+                first.append((st.time, sum(st.values), st.injected_a + st.injected_b))))
         assert len(first) == 50
         for t, mass, injected in first:
             assert t > 0.0
@@ -169,6 +168,7 @@ class TestStateAndStep:
         st = simulate(NEQ, t_max=200.0, seed=24, grid_samples=256)
         assert st.event_count > 1000
         assert 0.0 <= st.extra["max_resync_drift"] <= RESYNC_DRIFT_TOL
+        assert st.extra["resyncs"] == st.event_count // 50 + 1
 
     def test_resync_drift_past_tolerance_is_hard_error(self, monkeypatch):
         real_new_state = discrete_sim.new_state

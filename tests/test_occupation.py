@@ -1,43 +1,62 @@
-"""Flush-on-change occupation accumulator against a dense re-walk of the trajectory."""
+"""The fused event engine against the reference stepper, and its accumulator
+against a dense re-walk of the stepper's trajectory."""
 
 import hashlib
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
-from drivenchain import occupation
-from drivenchain.continuous_sim import simulate_continuous
-from drivenchain.core import ChainParams
-from drivenchain.discrete_sim import simulate
-from drivenchain.occupation import BinnedHistogram, IntHistogram, OccupationStats
+from drivenchain import continuous_sim, discrete_sim, occupation
+from drivenchain.continuous_sim import new_state_continuous, simulate_continuous
+from drivenchain.core import ChainParams, make_rng
+from drivenchain.discrete_sim import new_state, simulate
+from drivenchain.occupation import CHANNELS, BinnedHistogram, IntHistogram, OccupationStats
 
 D5 = ChainParams(n=5, beta_a=0.5, beta_b=0.75)
 D65 = ChainParams(n=65, beta_a=0.5, beta_b=0.75)
 C5 = ChainParams(n=5, t_a=1.0, t_b=2.0)
 C65 = ChainParams(n=65, t_a=1.0, t_b=2.0)
 
-# name -> (model, run(), start state); burn_in=37.3 and 13.7 fall between events,
-# n=65 runs on the Fenwick path.
+# name -> (model, params, simulator keywords); burn_in=37.3 and 13.7 fall
+# between events, n=65 runs on the Fenwick path.
 CASES = {
-    "discrete-burn0": ("discrete", lambda: simulate(
-        D5, 300.0, burn_in=0.0, seed=32, grid_samples=512), [0] * 5),
-    "discrete-mid": ("discrete", lambda: simulate(
-        D5, 400.0, burn_in=37.3, seed=31, grid_samples=512), [0] * 5),
-    "discrete-fenwick": ("discrete", lambda: simulate(
-        D65, 60.0, burn_in=10.0, seed=33, grid_samples=256), [0] * 65),
-    "discrete-eta0": ("discrete", lambda: simulate(
-        D5, 300.0, seed=34, eta0=[3, 0, 7, 1, 2], grid_samples=512), [3, 0, 7, 1, 2]),
-    "continuous-burn0": ("continuous", lambda: simulate_continuous(
-        C5, 60.0, burn_in=0.0, seed=35, grid_samples=512), [0.0] * 5),
-    "continuous-mid": ("continuous", lambda: simulate_continuous(
-        C5, 80.0, burn_in=13.7, seed=36, grid_samples=512), [0.0] * 5),
-    "continuous-fenwick": ("continuous", lambda: simulate_continuous(
-        C65, 10.0, burn_in=2.0, seed=36, grid_samples=256), [0.0] * 65),
-    "continuous-z0": ("continuous", lambda: simulate_continuous(
-        C5, 60.0, seed=37, z0=[0.5, 1.0, 0.0, 2.5, 1.5], grid_samples=512),
-        [0.5, 1.0, 0.0, 2.5, 1.5]),
+    "discrete-burn0": ("discrete", D5, dict(t_max=300.0, burn_in=0.0, seed=32, grid_samples=512)),
+    "discrete-mid": ("discrete", D5, dict(t_max=400.0, burn_in=37.3, seed=31, grid_samples=512)),
+    "discrete-fenwick": ("discrete", D65, dict(t_max=60.0, burn_in=10.0, seed=33,
+                                               grid_samples=256)),
+    "discrete-eta0": ("discrete", D5, dict(t_max=300.0, seed=34, eta0=[3, 0, 7, 1, 2],
+                                           grid_samples=512)),
+    "continuous-burn0": ("continuous", C5, dict(t_max=60.0, burn_in=0.0, seed=35,
+                                                grid_samples=512)),
+    "continuous-mid": ("continuous", C5, dict(t_max=80.0, burn_in=13.7, seed=36,
+                                              grid_samples=512)),
+    "continuous-fenwick": ("continuous", C65, dict(t_max=10.0, burn_in=2.0, seed=36,
+                                                   grid_samples=256)),
+    "continuous-z0": ("continuous", C5, dict(t_max=60.0, seed=37, z0=[0.5, 1.0, 0.0, 2.5, 1.5],
+                                             grid_samples=512)),
 }
+
+
+def run_engine(name: str) -> OccupationStats:
+    model, params, kw = CASES[name]
+    return (simulate if model == "discrete" else simulate_continuous)(params, **kw)
+
+
+def run_stepper(name: str, reference_run):
+    """The reference stepper on a case: (start values, final state, [(event time, values after)])."""
+    model, params, kw = CASES[name]
+    if model == "discrete":
+        state = new_state(params, kw.get("eta0"))
+    else:
+        state = new_state_continuous(params, z0=kw.get("z0"))
+    start = list(state.values)
+    events = []
+    reference_run(state, make_rng(kw["seed"]), kw["t_max"],
+                  lambda st: events.append((st.time, list(st.values))))
+    return start, state, events
+
 
 # Produced by the dense per-event accumulator these runs replaced:
 # (event_count, sha256 of series[0] bytes, (injected_a, extracted_a, injected_b,
@@ -79,13 +98,6 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def record_events(after_each_event) -> list:
-    """Record (event time, state after the event) for every jump a simulator makes."""
-    events = []
-    after_each_event(lambda state: events.append((state.time, list(state.values))))
-    return events
-
-
 def dense_walk(start, events, burn_in: float, t_max: float):
     """Re-walk a recorded trajectory one holding interval at a time.
 
@@ -110,14 +122,42 @@ def dense_walk(start, events, burn_in: float, t_max: float):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_lazy_accumulator_matches_dense_rewalk(after_each_event, name):
-    model, run, start = CASES[name]
-    events = record_events(after_each_event)
-    st = run()
+def test_engine_matches_reference_stepper(reference_run, name):
+    st = run_engine(name)
+    start, state, events = run_stepper(name, reference_run)
+    assert st.event_count == state.events == len(events)
+    final = st.extra["final_eta" if CASES[name][0] == "discrete" else "final_z"]
+    assert final == state.values
+    assert (st.injected_a, st.extracted_a, st.injected_b, st.extracted_b) == (
+        float(state.injected_a), float(state.extracted_a),
+        float(state.injected_b), float(state.extracted_b))
+    assert st.extra["max_resync_drift"] == state.max_resync_drift
+    # Grid point g shows the state held just before the first event at or after g.
+    burn_in, grid_dt = st.extra["burn_in"], st.series_dt
+    times = [c for c, _ in events]
+    states = [start] + [s for _, s in events]
+    grid = [burn_in + (k + 1) * grid_dt for k in range(len(st.series[0]))]
+    expect = np.array([states[bisect_left(times, g)] for g in grid], dtype=st.series[0].dtype)
+    assert np.array_equal(st.series[0], expect)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_channel_counts_sum_to_event_count(name):
+    st = run_engine(name)
+    counts = st.extra["channel_events"]
+    assert list(counts) == list(CHANNELS)
+    assert sum(counts.values()) == st.event_count
+    assert min(counts.values()) > 0
+    assert st.extra["resyncs"] == 1
+    assert st.extra["selection"] == ("fenwick" if st.n_sites > 64 else "linear")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lazy_accumulator_matches_dense_rewalk(reference_run, name):
+    st = run_engine(name)
+    start, _, events = run_stepper(name, reference_run)
     burn_in, t_max = st.extra["burn_in"], st.extra["t_max"]
     assert len(events) == st.event_count
-    final = st.extra["final_eta" if model == "discrete" else "final_z"]
-    assert events[-1][1] == final
 
     w, x, mean, second = dense_walk(start, events, burn_in, t_max)
     assert math.fsum(w) == pytest.approx(st.duration, rel=1e-12)
@@ -142,10 +182,9 @@ def test_lazy_accumulator_matches_dense_rewalk(after_each_event, name):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_integer_outputs_series_and_fluxes_are_pinned(name):
-    model, run, _ = CASES[name]
-    st = run()
+    st = run_engine(name)
     events, series_sha, fluxes, final_sha = PINNED[name]
-    final = st.extra["final_eta" if model == "discrete" else "final_z"]
+    final = st.extra["final_eta" if CASES[name][0] == "discrete" else "final_z"]
     assert st.event_count == events
     assert _sha(st.series[0].tobytes()) == series_sha
     assert (st.injected_a, st.extracted_a, st.injected_b, st.extracted_b) == fluxes
@@ -154,7 +193,7 @@ def test_integer_outputs_series_and_fluxes_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_ACC))
 def test_float_accumulators_are_pinned(name):
-    st = CASES[name][1]()
+    st = run_engine(name)
     assert (_sha(st.mean_acc.tobytes()), _sha(st.second_acc.tobytes()),
             _sha(repr([h.weights for h in st.hists]).encode())) == PINNED_ACC[name]
 
@@ -184,35 +223,43 @@ class TestCheckRun:
             _stats(mean_acc=np.array([1.0, -1e-300])).check_run(0.0, [1.5, 0.5], 1e-9)
 
 
-@pytest.mark.parametrize("model", ["discrete", "continuous"])
-def test_simulators_reject_broken_mass_balance(after_each_event, model):
-    def leaky(state):  # books one unit of injection that never arrives
-        if state.events == 100:
-            state.injected_a += 1
+def _short_run_from(monkeypatch, model, corrupt):
+    """A short run (far fewer events than RESYNC_INTERVAL) whose start state ``corrupt`` edits."""
+    owner, name = ((discrete_sim, "new_state") if model == "discrete"
+                   else (continuous_sim, "new_state_continuous"))
+    real = getattr(owner, name)
 
-    after_each_event(leaky)
-    with pytest.raises(RuntimeError, match="mass balance"):
-        if model == "discrete":
-            simulate(D5, 50.0, seed=1, grid_samples=64)
-        else:
-            simulate_continuous(C5, 20.0, seed=1, grid_samples=64)
+    def corrupted(*args, **kwargs):
+        state = real(*args, **kwargs)
+        corrupt(state)
+        return state
 
-
-@pytest.mark.parametrize("model", ["discrete", "continuous"])
-def test_short_run_checks_its_rate_cache(after_each_event, model):
-    # Far fewer events than RESYNC_INTERVAL: only the resync at the end can see this.
-    def corrupt(state):
-        if state.events == 100:
-            state.rate_sum *= 1.0 + 1e-6
-
+    monkeypatch.setattr(owner, name, corrupted)
     if model == "discrete":
-        run = lambda: simulate(D5, 50.0, seed=1, grid_samples=64)
-    else:
-        run = lambda: simulate_continuous(C5, 20.0, seed=1, grid_samples=64)
-    assert 100 < run().event_count < occupation.RESYNC_INTERVAL
-    after_each_event(corrupt)
+        return simulate(D5, 50.0, seed=1, grid_samples=64)
+    return simulate_continuous(C5, 20.0, seed=1, grid_samples=64)
+
+
+@pytest.mark.parametrize("model", ["discrete", "continuous"])
+def test_simulators_reject_broken_mass_balance(monkeypatch, model):
+    def leaky(state):  # books one unit of injection that never arrives
+        state.injected_a = 1
+
+    with pytest.raises(RuntimeError, match="mass balance"):
+        _short_run_from(monkeypatch, model, leaky)
+
+
+@pytest.mark.parametrize("model", ["discrete", "continuous"])
+def test_short_run_checks_its_rate_cache(monkeypatch, model):
+    # Far fewer events than RESYNC_INTERVAL: only the resync at the end can see this.
+    def inflate(state):
+        state.rate_sum += 1e-6
+
+    st = _short_run_from(monkeypatch, model, lambda state: None)
+    assert 100 < st.event_count < occupation.RESYNC_INTERVAL
+    assert st.extra["resyncs"] == 1
     with pytest.raises(RuntimeError, match="drifted"):
-        run()
+        _short_run_from(monkeypatch, model, inflate)
 
 
 @pytest.mark.parametrize("model", ["discrete", "continuous"])
@@ -234,6 +281,10 @@ def test_merge_lists_per_replica_extra(monkeypatch, model):
     drifts = [r.extra["max_resync_drift"] for r in runs]
     assert merged.extra["max_resync_drift"] == max(drifts[:2]) > 0.0
     assert merged.extra["t_max"] == a.extra["t_max"]
+    assert merged.extra["resyncs"] == a.extra["resyncs"] + b.extra["resyncs"] > 2
+    assert merged.extra["channel_events"] == {
+        k: a.extra["channel_events"][k] + b.extra["channel_events"][k] for k in CHANNELS}
+    assert sum(merged.extra["channel_events"].values()) == merged.event_count
     # Associative: both groupings list the three replicas in order.
     left, right = merged.merge(c), a.merge(b.merge(c))
     assert left.replicas == right.replicas == 3
