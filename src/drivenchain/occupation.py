@@ -14,10 +14,9 @@ for every reported moment.
 
 ``run_window`` drives a ``ChainState`` in one loop that executes each event
 inline (channel choice, site and rate-cache update, moment accumulation) in
-local variables, and fills the moments as a ``LazyAccumulator`` describes.
-An event changes at most two sites, so rather than weighting all n sites
-after every holding interval (O(n^2) per event) it closes a site's interval
-only when that site changes: O(n) per change.
+local variables.  An event changes at most two sites, so rather than
+weighting all n sites after every holding interval (O(n^2) per event) it
+closes a site's interval only when that site changes: O(n) per change.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import numpy as np
 
 from .core import FenwickTree, reset_rates
 
-__all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "LazyAccumulator",
-           "ChainState", "initial_values", "run_window", "DEFAULT_GRID_SAMPLES"]
+__all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "ChainState",
+           "initial_values", "run_window", "DEFAULT_GRID_SAMPLES"]
 
 RESYNC_INTERVAL = 1_000_000  # events between rate-cache refreshes
 LINEAR_SCAN_MAX_SITES = 64  # larger chains pick channels by Fenwick search
@@ -215,44 +214,6 @@ class OccupationStats:
         return out
 
 
-class LazyAccumulator:
-    """Flush-on-change accumulator of time-weighted occupation moments.
-
-    Reads the simulator's live value list (no copy).  Per site x it keeps the
-    time ``last[x]`` of its last change, the running integral
-    I_x(c) = int_start^c eta_x dt as I_x(c) = offset[x] + eta_x * c (exact
-    while eta_x holds), and row x of int eta_x eta_y dt.  Summed by parts
-    over x's holding intervals, a change of x from ``old`` to ``new`` at
-    time c adds (old - new) * I_y(c) to row x, and the window's end adds
-    eta_x * I_y(end).  ``run_window`` applies each change inline, before
-    the value list moves: one O(n) pass over row x, then offset[x] gains
-    (old - new) * c and the histogram of x takes ``old`` for c - last[x].
-    A change at or before ``start`` only resets offset[x] to -new * start,
-    so the window opens on ``new``.  The rows are symmetric up to rounding;
-    ``finish`` averages them with their transpose.
-    """
-
-    __slots__ = ("values", "hists", "last", "offset", "rows")
-
-    def __init__(self, values: list, hists: list, start: float) -> None:
-        n = len(values)
-        self.values = values
-        self.hists = hists
-        self.last = [start] * n
-        self.offset = [-v * start for v in values]
-        self.rows = [[0.0] * n for _ in range(n)]
-
-    def finish(self, t_end: float) -> tuple[np.ndarray, np.ndarray]:
-        """Close every site at t_end; returns (mean_acc, second_acc)."""
-        vals = self.values
-        totals = [a + v * t_end for a, v in zip(self.offset, vals)]
-        for x, v in enumerate(vals):
-            if t_end > self.last[x]:
-                self.hists[x].add(v, t_end - self.last[x])
-        rows = np.array(self.rows) + np.outer(vals, totals)
-        return np.array(totals), 0.5 * (rows + rows.T)
-
-
 def initial_values(n: int, start, cast) -> list:
     """n zeros, or ``start`` cast site by site; ValueError unless n non-negative values."""
     values = [cast(0)] * n if start is None else [cast(v) for v in start]
@@ -321,8 +282,22 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     then the two exit channels of each site, by linear scan up to
     LINEAR_SCAN_MAX_SITES sites and by Fenwick search above), then draws the
     amount moved (the chain's samplers).  It changes one or two sites; each
-    change updates the rate cache and, as ``LazyAccumulator`` describes, the
-    moments and ``hists``.  The loop keeps all of this in local variables.
+    change updates the rate cache, the moments and ``hists``.  The loop
+    keeps all of this in local variables.
+
+    The moments accumulate lazily.  Per site x the loop keeps the time
+    ``last[x]`` of its last change, the running integral
+    I_x(c) = int_burn_in^c eta_x dt as I_x(c) = offset[x] + eta_x * c (exact
+    while eta_x holds), and row x of int eta_x eta_y dt.  Summed by parts
+    over x's holding intervals, a change of x from ``old`` to ``new`` at
+    time c adds (old - new) * I_y(c) to row x (one O(n) pass, before the
+    value list moves), offset[x] gains (old - new) * c and the histogram of
+    x takes ``old`` for c - last[x].  A change at or before burn_in only
+    resets offset[x] to -new * burn_in, so the window opens on ``new``.  At
+    t_max every site closes: I_x(t_max) is mean_acc[x], row x gains
+    eta_x * I_y(t_max), and the rows, symmetric up to rounding, are averaged
+    with their transpose into second_acc.
+
     The rate cache resyncs every RESYNC_INTERVAL events and once more at the
     end, so ``max_resync_drift`` covers every run.  burn_in defaults to 10%
     of t_max.  The trajectory is also sampled on a uniform grid of
@@ -341,10 +316,11 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     values = state.values
     n = len(values)
     start_mass = math.fsum(values)
-    acc = LazyAccumulator(values, hists, burn_in)
-    last, offset, rows = acc.last, acc.offset, acc.rows
-    hist_add = [h.add for h in hists]
     sites = range(n)
+    last = [burn_in] * n
+    offset = [-v * burn_in for v in values]
+    rows = [[0.0] * n for _ in sites]
+    hist_add = [h.add for h in hists]
     last_site = n - 1
     series = np.empty((grid_samples, n), dtype=np.int64 if model == "discrete" else np.float64)
     grid_dt = (t_max - burn_in) / grid_samples
@@ -461,7 +437,12 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     while next_grid < grid_samples:  # float edge at the last grid point
         series[next_grid] = values
         next_grid += 1
-    mean_acc, second_acc = acc.finish(t_max)
+    totals = [a + v * t_max for a, v in zip(offset, values)]
+    for x, v in enumerate(values):
+        if t_max > last[x]:
+            hist_add[x](v, t_max - last[x])
+    second = np.array(rows) + np.outer(values, totals)
+    mean_acc, second_acc = np.array(totals), 0.5 * (second + second.T)
     wall = time.perf_counter() - wall_start
     stats = OccupationStats(
         n_sites=n, model=model, duration=t_max - burn_in,

@@ -98,7 +98,23 @@ def run_reference(state, rng, t_max, after_each_event=lambda state: None):
     state.resync()
 
 
+def assert_same_run(stats, state) -> None:
+    """The engine's ``stats`` ended where the stepper's ``state`` did, bit for bit:
+    event count, final values, the four fluxes and the largest resync drift."""
+    final = stats.extra["final_eta" if stats.model == "discrete" else "final_z"]
+    assert (stats.event_count, final, stats.injected_a, stats.extracted_a,
+            stats.injected_b, stats.extracted_b, stats.extra["max_resync_drift"]) == (
+        state.events, state.values, float(state.injected_a), float(state.extracted_a),
+        float(state.injected_b), float(state.extracted_b), state.max_resync_drift)
+
+
 @pytest.fixture
 def reference_run():
     """``run(state, rng, t_max, after_each_event)``: the reference stepper."""
     return run_reference
+
+
+@pytest.fixture
+def same_run():
+    """``check(stats, state)``: assert an engine run ended as the stepper did."""
+    return assert_same_run

@@ -134,11 +134,13 @@ class TestStateAndStep:
         )
         assert st.total_rate == pytest.approx(expected, rel=1e-12)
 
-    def test_first_event_from_empty_is_injection(self, reference_run):
+    def test_first_event_from_empty_is_injection(self, reference_run, same_run):
         p = ChainParams(n=3, t_a=1.0, t_b=2.0)
         first = []
-        reference_run(new_state_continuous(p), make_rng(7), 5.0, lambda st: st.events == 0 and (
+        state = new_state_continuous(p)
+        reference_run(state, make_rng(7), 5.0, lambda st: st.events == 0 and (
             first.append((st.time, sum(st.values), st.injected_a + st.injected_b))))
+        same_run(simulate_continuous(p, t_max=5.0, seed=7, grid_samples=8), state)
         (t, energy, injected), = first
         assert t > 0.0
         assert injected == pytest.approx(energy)
@@ -153,7 +155,8 @@ class TestStateAndStep:
         throughput = injected + extracted
         assert abs(injected - extracted - sum(st.extra["final_z"])) < 1e-9 * throughput
 
-    def test_nonnegative_energy_always(self, reference_run):
+    def test_nonnegative_energy_always(self, reference_run, same_run):
+        # Every event of the stepper, then the engine tied to the stepper bit for bit.
         p = ChainParams(n=2, t_a=0.5, t_b=0.5)
         negative = []
         state = new_state_continuous(p, epsilon=1e-5)
@@ -161,6 +164,8 @@ class TestStateAndStep:
                       lambda st: min(st.values) < 0.0 and negative.append(list(st.values)))
         assert state.events >= 20_000
         assert negative == []
+        same_run(simulate_continuous(p, t_max=400.0, epsilon=1e-5, seed=9, grid_samples=64),
+                 state)
 
     def test_resync_records_drift(self, monkeypatch):
         monkeypatch.setattr(occupation, "RESYNC_INTERVAL", 50)

@@ -121,12 +121,14 @@ class TestStateAndStep:
         expected = 2.0 * 11.0 / 6.0 + math.log(2.0) + math.log(4.0)
         assert st.total_rate == pytest.approx(expected, abs=1e-13)
 
-    def test_first_event_from_empty_is_injection(self, reference_run):
+    def test_first_event_from_empty_is_injection(self, reference_run, same_run):
         p = ChainParams(n=3, beta_a=0.5, beta_b=0.75)
         first = []
         for seed in range(50):
-            reference_run(new_state(p), make_rng(seed), 50.0, lambda st: st.events == 0 and (
+            state = new_state(p)
+            reference_run(state, make_rng(seed), 50.0, lambda st: st.events == 0 and (
                 first.append((st.time, sum(st.values), st.injected_a + st.injected_b))))
+            same_run(simulate(p, t_max=50.0, seed=seed, grid_samples=8), state)
         assert len(first) == 50
         for t, mass, injected in first:
             assert t > 0.0
