@@ -251,12 +251,12 @@ def _run_counters(stats: OccupationStats) -> dict:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.chain_params()
-    outdir = _resolve_outdir(cfg)
     t0 = time.perf_counter()
     stats = _run_replicas(cfg, params)
     t1 = time.perf_counter()
     rep = profile_report(stats, MixtureSpec(params, Model(cfg.model)))
     t2 = time.perf_counter()
+    outdir = _resolve_outdir(cfg)  # only now: a rejected configuration leaves no directory
     _write_histograms(outdir, stats)
     _write_profile(outdir, rep)
     np.save(outdir / "series.npy", np.stack(stats.series))

@@ -13,12 +13,13 @@ The chain runs on the shared event engine, ``occupation.run_window``, as in
 ``discrete_sim``; it adds only its rate function, its cutoff as the engine's
 removal floor, and the samplers below.  A run fails with RuntimeError on a
 removal picked at a site at or below the cutoff, on rate-cache drift past
-``core.RESYNC_DRIFT_TOL``, on an energy balance off by more than 1e-9
+``occupation.RESYNC_DRIFT_TOL``, on an energy balance off by more than 1e-9
 relative, or on a negative energy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,10 +47,8 @@ def energy_histogram(params: ChainParams, epsilon: float) -> BinnedHistogram:
     return BinnedHistogram(10.0 * epsilon, 50.0 * params.t_b, 256)
 
 
-def sample_alpha_removal(z: float, epsilon: float, rng: np.random.Generator) -> float:
-    """Jump size with density 1/(alpha log(z/eps)) on [eps, z], by exact inversion."""
-    if not z > epsilon:
-        raise ValueError(f"sample_alpha_removal needs z > epsilon, got z={z}, eps={epsilon}")
+def sample_alpha_removal(epsilon: float, z: float, rng: np.random.Generator) -> float:
+    """Jump size with density 1/(alpha log(z/eps)) on [eps, z], z > eps, by exact inversion."""
     alpha = epsilon * (z / epsilon) ** rng.random()
     return alpha if alpha < z else z
 
@@ -120,7 +119,7 @@ def new_state_continuous(
         initial_values(params.n, z0, float),
         lambda z: math.log(z / epsilon) if z > epsilon else 0.0,
         epsilon,
-        lambda z, rng: sample_alpha_removal(z, epsilon, rng),
+        functools.partial(sample_alpha_removal, epsilon),
         InjectionSampler(params.t_a, epsilon),
         InjectionSampler(params.t_b, epsilon),
     )

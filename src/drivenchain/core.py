@@ -2,10 +2,10 @@
 
 Everything downstream (exact measures, simulators, verifier) builds on the
 pieces collected here: validated chain parameters, reproducible random
-streams, harmonic numbers, the exponential integral E1, and one Chebyshev
-integrator with explicit convergence reporting: Clenshaw-Curtis on an
-interval, and cumulative integration over the ordered box
-lo <= m_1 <= ... <= m_n <= hi.
+streams, harmonic numbers, the exponential integral E1, a Fenwick tree for
+rate-proportional choice, and one Chebyshev integrator with explicit
+convergence reporting: Clenshaw-Curtis on an interval, and cumulative
+integration over the ordered box lo <= m_1 <= ... <= m_n <= hi.
 """
 
 from __future__ import annotations
@@ -171,9 +171,6 @@ def exp_integral_e1(x: float) -> float:
 # Weighted selection over dynamic rates
 # ---------------------------------------------------------------------------
 
-RESYNC_DRIFT_TOL = 1e-9  # largest relative rate-cache drift a resync accepts
-
-
 class FenwickTree:
     """Binary indexed tree over non-negative weights with prefix search.
 
@@ -196,14 +193,6 @@ class FenwickTree:
             self.tree[i] += delta
             i += i & (-i)
 
-    def total(self) -> float:
-        i = self.n
-        s = 0.0
-        while i > 0:
-            s += self.tree[i]
-            i &= i - 1
-        return s
-
     def search(self, u: float) -> tuple[int, float]:
         """Index whose cumulative-weight slot [C_i, C_{i+1}) holds u, plus the offset.
 
@@ -211,9 +200,7 @@ class FenwickTree:
         matching the linear-scan convention u < C_{i+1}.
         """
         idx = 0
-        bit = 1
-        while bit << 1 <= self.n:
-            bit <<= 1
+        bit = 1 << (self.n.bit_length() - 1)  # the largest power of two <= n
         while bit:
             nxt = idx + bit
             if nxt <= self.n and self.tree[nxt] <= u:
@@ -221,23 +208,6 @@ class FenwickTree:
                 u -= self.tree[nxt]
             bit >>= 1
         return min(idx, self.n - 1), u
-
-
-def reset_rates(state, site_rate: list[float]) -> None:
-    """Install freshly computed site rates on a simulator state at a resync.
-
-    The relative drift of the incremental ``state.rate_sum`` is recorded in
-    ``state.max_resync_drift``; past RESYNC_DRIFT_TOL it is a RuntimeError.
-    """
-    exact = math.fsum(site_rate)
-    drift = abs(state.rate_sum - exact) / max(exact, 1.0)
-    state.max_resync_drift = max(state.max_resync_drift, drift)
-    if drift > RESYNC_DRIFT_TOL:
-        raise RuntimeError(f"rate cache drifted by {drift:.3e} (relative) before resync")
-    state.site_rate = site_rate
-    state.rate_sum = exact
-    if state.tree is not None:
-        state.tree = FenwickTree([2.0 * r for r in site_rate])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ at the total rate, channels picked proportionally to their rates, O(n)
 accumulation work per changed site (at most two per event).  The chain adds
 only its rate function H and the samplers below.  A run fails with
 RuntimeError on a removal picked at an empty site, on rate-cache drift past
-``core.RESYNC_DRIFT_TOL``, on particle counts that do not balance the boundary
+``occupation.RESYNC_DRIFT_TOL``, on particle counts that do not balance the boundary
 fluxes exactly, or on a negative occupation.
 """
 

@@ -29,12 +29,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import FenwickTree, reset_rates
+from .core import FenwickTree
 
 __all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "ChainState",
            "initial_values", "run_window", "DEFAULT_GRID_SAMPLES"]
 
 RESYNC_INTERVAL = 1_000_000  # events between rate-cache refreshes
+RESYNC_DRIFT_TOL = 1e-9  # largest relative rate-cache drift a resync accepts
 LINEAR_SCAN_MAX_SITES = 64  # larger chains pick channels by Fenwick search
 DEFAULT_GRID_SAMPLES = 1 << 16  # trajectory series points per run
 CHANNELS = ("inject_a", "inject_b", "exit_a", "exit_b", "bulk")  # event kinds counted per run
@@ -77,7 +78,7 @@ class BinnedHistogram:
 
     __slots__ = ("lo", "hi", "n_bins", "_log_lo", "_dlog", "weights")
 
-    def __init__(self, lo: float, hi: float, n_bins: int = 256) -> None:
+    def __init__(self, lo: float, hi: float, n_bins: int) -> None:
         if not (0.0 < lo < hi):
             raise ValueError("need 0 < lo < hi")
         self.lo = lo
@@ -118,8 +119,8 @@ PER_REPLICA_EXTRA = ("final_eta", "final_z", "acceptance_a", "acceptance_b")
 class OccupationStats:
     """Mergeable time-weighted statistics of one or more trajectories.
 
-    ``replicas`` counts the merged trajectories; ``extra`` carries run
-    settings and diagnostics (see ``merge`` for how they combine).
+    ``series`` holds one trajectory sample per merged run; ``extra`` carries
+    run settings and diagnostics (see ``merge`` for how they combine).
     """
 
     n_sites: int
@@ -137,7 +138,6 @@ class OccupationStats:
     extracted_b: float = 0.0
     wall_seconds: float = 0.0
     extra: dict = field(default_factory=dict)
-    replicas: int = 1
 
     def mean(self) -> np.ndarray:
         return self.mean_acc / self.duration
@@ -188,7 +188,6 @@ class OccupationStats:
             extracted_b=self.extracted_b + other.extracted_b,
             wall_seconds=self.wall_seconds + other.wall_seconds,
             extra=self._merged_extra(other),
-            replicas=self.replicas + other.replicas,
         )
         for mine, theirs in zip(out.hists, other.hists):
             mine.merge(theirs)
@@ -196,7 +195,7 @@ class OccupationStats:
 
     def per_replica(self, key: str) -> list:
         """A ``PER_REPLICA_EXTRA`` entry as a list with one value per trajectory."""
-        return self.extra[key] if self.replicas > 1 else [self.extra[key]]
+        return self.extra[key] if len(self.series) > 1 else [self.extra[key]]
 
     def _merged_extra(self, other: "OccupationStats") -> dict:
         """Run settings from self; per-replica values as one list entry per replica."""
@@ -230,12 +229,13 @@ class ChainState:
     rate ``rate_of(values[x])``, which is zero at or below ``floor``; a
     firing moves ``remove(values[x], rng)`` across.  Reservoir A (B) injects
     ``sampler_a.draw(rng)`` into the first (last) site at rate
-    ``sampler_a.total_rate``.  ``site_rate`` caches the site rates and
-    ``rate_sum`` their incrementally updated sum, refreshed from scratch
-    every RESYNC_INTERVAL events and at the end of a run (see
-    ``core.reset_rates``).  ``run_window`` advances the state; it keeps the
-    clock, the event count, the fluxes and ``rate_sum`` in local variables
-    and writes them back here at every resync.
+    ``sampler_a.total_rate``; ``inj_rate`` is their sum.  ``site_rate``
+    caches the site rates, ``rate_sum`` their incrementally updated sum and,
+    above LINEAR_SCAN_MAX_SITES sites, ``tree`` their Fenwick tree (each
+    site's weight is its two channels, 2 * rate); ``resync`` rebuilds all
+    three from ``values``.  ``run_window`` advances the state in local
+    variables; it writes ``rate_sum`` back before each resync, and the clock,
+    the event count and the fluxes at the end of the run.
     """
 
     values: list
@@ -257,18 +257,26 @@ class ChainState:
     max_resync_drift: float = 0.0
 
     def __post_init__(self) -> None:
-        self.site_rate = [self.rate_of(v) for v in self.values]
-        self.rate_sum = math.fsum(self.site_rate)
         self.inj_rate = self.sampler_a.total_rate + self.sampler_b.total_rate
-        self.tree = (FenwickTree([2.0 * r for r in self.site_rate])
-                     if len(self.values) > LINEAR_SCAN_MAX_SITES else None)
-
-    @property
-    def total_rate(self) -> float:
-        return 2.0 * self.rate_sum + self.inj_rate
+        self.rate_sum = math.fsum(map(self.rate_of, self.values))  # exact: no drift to record
+        self.resync()
 
     def resync(self) -> None:
-        reset_rates(self, [self.rate_of(v) for v in self.values])
+        """Recompute the rate cache from ``values``.
+
+        The relative drift of ``rate_sum`` is recorded in ``max_resync_drift``;
+        past RESYNC_DRIFT_TOL it is a RuntimeError.
+        """
+        site_rate = [self.rate_of(v) for v in self.values]
+        exact = math.fsum(site_rate)
+        drift = abs(self.rate_sum - exact) / max(exact, 1.0)
+        self.max_resync_drift = max(self.max_resync_drift, drift)
+        if drift > RESYNC_DRIFT_TOL:
+            raise RuntimeError(f"rate cache drifted by {drift:.3e} (relative) before resync")
+        self.site_rate = site_rate
+        self.rate_sum = exact
+        self.tree = (FenwickTree([2.0 * r for r in site_rate])
+                     if len(site_rate) > LINEAR_SCAN_MAX_SITES else None)
 
 
 def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
@@ -298,16 +306,17 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     eta_x * I_y(t_max), and the rows, symmetric up to rounding, are averaged
     with their transpose into second_acc.
 
-    The rate cache resyncs every RESYNC_INTERVAL events and once more at the
-    end, so ``max_resync_drift`` covers every run.  burn_in defaults to 10%
-    of t_max.  The trajectory is also sampled on a uniform grid of
-    ``grid_samples`` points across the window (an evenly spaced series for
-    autocorrelation estimates), each point passed to every ``observers``
-    callable as (time, values).  ``extra`` counts the events of each of
-    ``CHANNELS``, the resyncs, and names the channel ``selection`` path.  The
-    run fails with RuntimeError if a removal is picked at a site at or below
-    the floor, unless injected - extracted matches the mass gained within
-    ``mass_tol`` (relative), and unless every value stays non-negative.
+    The rate cache resyncs (``ChainState.resync``) every RESYNC_INTERVAL
+    events, inside the loop, and once more at the end, so ``max_resync_drift``
+    covers every run.  burn_in defaults to 10% of t_max.  The trajectory is
+    also sampled on a uniform grid of ``grid_samples`` points across the
+    window (an evenly spaced series for autocorrelation estimates), each
+    point passed to every ``observers`` callable as (time, values).
+    ``extra`` counts the events of each of ``CHANNELS``, the resyncs, and
+    names the channel ``selection`` path.  The run fails with RuntimeError if
+    a removal is picked at a site at or below the floor, unless injected -
+    extracted matches the mass gained within ``mass_tol`` (relative), and
+    unless every value stays non-negative.
     """
     if burn_in is None:
         burn_in = 0.1 * t_max
@@ -337,103 +346,104 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     injected_b, extracted_b = state.injected_b, state.extracted_b
     inject_a = inject_b = exit_a = exit_b = bulk = 0
     resync_interval = RESYNC_INTERVAL
+    next_resync = (events // resync_interval + 1) * resync_interval
     resyncs = 0
+    rate_sum, site_rate, tree = state.rate_sum, state.site_rate, state.tree
     wall_start = time.perf_counter()
     t = 0.0
-    running = True
-    while running:  # one pass per resync
-        rate_sum, site_rate, tree = state.rate_sum, state.site_rate, state.tree
-        next_resync = (events // resync_interval + 1) * resync_interval
-        while True:
-            total = 2.0 * rate_sum + inj_rate
-            t_new = t + rexp() / total
-            while grid_time <= t_new:
-                series[next_grid] = values
-                for obs in observers:
-                    obs(grid_time, values)
-                next_grid += 1
-                grid_time = (burn_in + (next_grid + 1) * grid_dt
-                             if next_grid < grid_samples else math.inf)
-            if t_new >= t_max:
-                running = False
-                break
-            t = t_new
-            # Pick the channel; x takes ``new``, then ``to`` (if >= 0) gains ``amount``.
-            u = uniform() * total
-            to = -1
-            if u < rate_a:
-                amount = draw_a(rng)
-                x, new = 0, values[0] + amount
-                injected_a += amount
-                inject_a += 1
-            elif u - rate_a < rate_b:
-                amount = draw_b(rng)
-                x, new = last_site, values[last_site] + amount
-                injected_b += amount
-                inject_b += 1
+    while True:
+        total = 2.0 * rate_sum + inj_rate
+        t_new = t + rexp() / total
+        while grid_time <= t_new:
+            series[next_grid] = values
+            for obs in observers:
+                obs(grid_time, values)
+            next_grid += 1
+            grid_time = (burn_in + (next_grid + 1) * grid_dt
+                         if next_grid < grid_samples else math.inf)
+        if t_new >= t_max:
+            break
+        t = t_new
+        # Pick the channel; x takes ``new``, then ``to`` (if >= 0) gains ``amount``.
+        u = uniform() * total
+        to = -1
+        if u < rate_a:
+            amount = draw_a(rng)
+            x, new = 0, values[0] + amount
+            injected_a += amount
+            inject_a += 1
+        elif u - rate_a < rate_b:
+            amount = draw_b(rng)
+            x, new = last_site, values[last_site] + amount
+            injected_b += amount
+            inject_b += 1
+        else:
+            u = u - rate_a - rate_b
+            if tree is None:
+                for x, r in enumerate(site_rate):
+                    two_r = 2.0 * r
+                    if u < two_r:
+                        break
+                    u -= two_r
+                else:
+                    x = -1
             else:
-                u = u - rate_a - rate_b
-                if tree is None:
-                    for x, r in enumerate(site_rate):
-                        two_r = 2.0 * r
-                        if u < two_r:
-                            break
-                        u -= two_r
-                    else:
-                        x = -1
-                else:
-                    x, u = tree.search(u)
-                    if not site_rate[x] > 0.0:
-                        x = -1
-                if x < 0:  # a float spill lands on the last positive-rate site
-                    x, u = max(i for i, r in enumerate(site_rate) if r > 0.0), 0.0
-                to = x - 1 if u < site_rate[x] else x + 1
-                held = values[x]
-                if not held > floor:
-                    raise RuntimeError(f"removal channel selected at site {x} holding {held!r}")
-                amount = remove(held, rng)
-                new = held - amount
-                if to < 0:
-                    extracted_a += amount
-                    exit_a += 1
-                elif to > last_site:
-                    extracted_b += amount
-                    exit_b += 1
-                    to = -1
-                else:
-                    bulk += 1
-            while True:  # site x takes ``new``
-                if t > burn_in:
-                    old = values[x]
-                    step = old - new
-                    row = rows[x]
-                    for y in sites:  # in place: faster than a comprehension at small n
-                        row[y] += step * (offset[y] + values[y] * t)
-                    offset[x] += step * t
-                    w = t - last[x]
-                    if w > 0.0:
-                        hist_add[x](old, w)
-                        last[x] = t
-                else:
-                    offset[x] = -new * burn_in
-                values[x] = new
-                rate = rate_of(new)
-                delta = rate - site_rate[x]
-                site_rate[x] = rate
-                rate_sum += delta
-                if tree is not None:
-                    tree.add(x, 2.0 * delta)
-                if to < 0:
-                    break
-                x, new, to = to, values[to] + amount, -1
-            events += 1
-            if events == next_resync:
+                x, u = tree.search(u)
+                if not site_rate[x] > 0.0:
+                    x = -1
+            if x < 0:  # a float spill lands on the last positive-rate site
+                x, u = max(i for i, r in enumerate(site_rate) if r > 0.0), 0.0
+            to = x - 1 if u < site_rate[x] else x + 1
+            held = values[x]
+            if not held > floor:
+                raise RuntimeError(f"removal channel selected at site {x} holding {held!r}")
+            amount = remove(held, rng)
+            new = held - amount
+            if to < 0:
+                extracted_a += amount
+                exit_a += 1
+            elif to > last_site:
+                extracted_b += amount
+                exit_b += 1
+                to = -1
+            else:
+                bulk += 1
+        while True:  # site x takes ``new``
+            if t > burn_in:
+                old = values[x]
+                step = old - new
+                row = rows[x]
+                for y in sites:  # in place: faster than a comprehension at small n
+                    row[y] += step * (offset[y] + values[y] * t)
+                offset[x] += step * t
+                w = t - last[x]
+                if w > 0.0:
+                    hist_add[x](old, w)
+                    last[x] = t
+            else:
+                offset[x] = -new * burn_in
+            values[x] = new
+            rate = rate_of(new)
+            delta = rate - site_rate[x]
+            site_rate[x] = rate
+            rate_sum += delta
+            if tree is not None:
+                tree.add(x, 2.0 * delta)
+            if to < 0:
                 break
-        state.time, state.events, state.rate_sum = t, events, rate_sum
-        state.injected_a, state.extracted_a = injected_a, extracted_a
-        state.injected_b, state.extracted_b = injected_b, extracted_b
-        state.resync()  # also at the end: a run shorter than RESYNC_INTERVAL measures its drift
-        resyncs += 1
+            x, new, to = to, values[to] + amount, -1
+        events += 1
+        if events == next_resync:
+            state.rate_sum = rate_sum
+            state.resync()
+            rate_sum, site_rate, tree = state.rate_sum, state.site_rate, state.tree
+            next_resync += resync_interval
+            resyncs += 1
+    state.time, state.events, state.rate_sum = t, events, rate_sum
+    state.injected_a, state.extracted_a = injected_a, extracted_a
+    state.injected_b, state.extracted_b = injected_b, extracted_b
+    state.resync()  # also at the end: a run shorter than RESYNC_INTERVAL measures its drift
+    resyncs += 1
     while next_grid < grid_samples:  # float edge at the last grid point
         series[next_grid] = values
         next_grid += 1

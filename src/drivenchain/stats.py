@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 MIN_EFFECTIVE_SAMPLES = 100.0
+MIN_EXPECTED_COUNT = 5.0  # chi-square cells merge until each expects this many
 
 
 @dataclass
@@ -165,19 +166,14 @@ def _series_mean_se(blocks: Iterator[np.ndarray]) -> np.ndarray:
     return np.where(var == 0.0, 0.0, np.sqrt(var * tau / length))
 
 
-def chi_square_discrete(
-    observed,
-    expected_pmf,
-    effective_n: float,
-    min_expected: float = 5.0,
-) -> GofResult:
+def chi_square_discrete(observed, expected_pmf, effective_n: float) -> GofResult:
     """Chi-square test of a time-weighted occupation histogram.
 
     ``observed`` is an :class:`IntHistogram` or a weight array indexed by
     value; ``expected_pmf`` maps a value array to exact probabilities.  The
     open tail beyond the observed support forms its own cell with the exact
     complementary mass, and adjacent cells are merged from the tail inward
-    until every expected count reaches ``min_expected``.
+    until every expected count reaches ``MIN_EXPECTED_COUNT``.
     """
     if isinstance(observed, IntHistogram):
         weights = np.asarray(observed.weights, dtype=float)
@@ -205,7 +201,7 @@ def chi_square_discrete(
     for o, e in zip(obs[::-1], exp[::-1]):  # merge from the tail inward
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED_COUNT:
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
             acc_o = acc_e = 0.0
@@ -300,7 +296,6 @@ class ProfileReport:
                 _zscore(emp_cov[i, j] - exact.covariance[i, j], se)
                 for i, j, se in zip(first, second, se_cov)
             ]),
-            notes={"replicas": len(stats.series), "duration": stats.duration},
         )
 
     @property

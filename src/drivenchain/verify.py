@@ -582,24 +582,25 @@ def default_svec_grid(n: int, model: Model, hi: float) -> list[np.ndarray]:
     return vecs
 
 
-def identity_suite(
-    tol_anti: float = 1e-10,
-    tol_limit: float = 1e-4,
-    tol_frullani: float = 1e-9,
-) -> list[VerificationReport]:
+# identity_suite's tolerances: on the default grids, at lam = 1 +- 1e-6 and
+# t = +-1e-6 beside the removable point c(s) = 0, and for Frullani.
+ANTIDERIVATIVE_TOL = 1e-10
+ANTIDERIVATIVE_LIMIT_TOL = 1e-4
+FRULLANI_TOL = 1e-9
+
+
+def identity_suite() -> list[VerificationReport]:
     """Antiderivative identities across the default grids, plus Frullani."""
     reports = []
     for m in (0.5, 1.0, 2.0, 3.0):
-        for lam in LAMBDA_GRID:
-            reports.append(check_antiderivative(Model.DISCRETE, m, float(lam), tol_anti))
-        for lam in (1.0 - 1e-6, 1.0 + 1e-6):
-            reports.append(check_antiderivative(Model.DISCRETE, m, lam, tol_limit))
-        for t in t_grid(m):
-            reports.append(check_antiderivative(Model.CONTINUOUS, m, float(t), tol_anti))
-        for t in (-1e-6, 1e-6):
-            reports.append(check_antiderivative(Model.CONTINUOUS, m, t, tol_limit))
+        for model, grid, near in ((Model.DISCRETE, LAMBDA_GRID, (1.0 - 1e-6, 1.0 + 1e-6)),
+                                  (Model.CONTINUOUS, t_grid(m), (-1e-6, 1e-6))):
+            for s in grid:
+                reports.append(check_antiderivative(model, m, float(s), ANTIDERIVATIVE_TOL))
+            for s in near:
+                reports.append(check_antiderivative(model, m, s, ANTIDERIVATIVE_LIMIT_TOL))
     for a, b in ((1.0, 2.0), (0.5, 3.0), (2.0, 2.0)):
-        reports.append(check_frullani(a, b, tol_frullani))
+        reports.append(check_frullani(a, b, FRULLANI_TOL))
     return reports
 
 

@@ -47,7 +47,7 @@ def _jump(state, rng):
     values = state.values
     rate_a = state.sampler_a.total_rate
     rate_b = state.sampler_b.total_rate
-    u = rng.random() * state.total_rate
+    u = rng.random() * (2.0 * state.rate_sum + state.inj_rate)
     if u < rate_a:
         amount = state.sampler_a.draw(rng)
         _update_site(state, 0, values[0] + amount)

@@ -39,6 +39,9 @@ from drivenchain.stats import (
     profile_report,
 )
 from drivenchain.verify import (
+    ANTIDERIVATIVE_LIMIT_TOL,
+    ANTIDERIVATIVE_TOL,
+    FRULLANI_TOL,
     check_equilibrium_limit,
     check_frullani,
     check_stationarity_direct_discrete,
@@ -122,7 +125,8 @@ def test_criterion_3_telescoping_identities():
 
 def test_criterion_4_identity_suite():
     t0 = time.perf_counter()
-    reports = identity_suite(tol_anti=1e-10, tol_limit=1e-4, tol_frullani=1e-9)
+    assert (ANTIDERIVATIVE_TOL, ANTIDERIVATIVE_LIMIT_TOL, FRULLANI_TOL) == (1e-10, 1e-4, 1e-9)
+    reports = identity_suite()
     ok = all(r.passed for r in reports)
     frullani = [check_frullani(a, b, tol=1e-9) for a, b in
                 ((1.0, 2.0), (0.5, 3.0), (2.0, 2.0))]

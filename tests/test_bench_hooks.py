@@ -1,4 +1,5 @@
-"""The benchmark in bench/ hooks the package by attribute name: every name must resolve."""
+"""The benchmark in bench/ hooks the package by attribute name: every name must
+resolve, and the CLI must still call each hooked layer."""
 
 import os
 import subprocess
@@ -95,4 +96,51 @@ def test_exact_law_density_contract():
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-c", DENSITY_SCRIPT, str(BENCH)], env=env,
                           capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+# One tiny run of each CLI command under the traced run's wrappers: a CLI that
+# stopped calling a hooked name would silently drop that layer's spans.
+CALLS_SCRIPT = """
+import sys, types
+sys.path.insert(0, sys.argv[1])
+import tracing
+from drivenchain import cli
+
+tracer = tracing.Tracer()
+registered = set()
+wrap = tracer.wrap
+
+def registering(owner, attr, span, inspect=None):
+    registered.add(span)
+    wrap(owner, attr, span, inspect)
+
+tracer.wrap = registering
+tracing.install(tracer, types.SimpleNamespace(samplers=[]))
+assert tracer.missing == [], tracer.missing
+out = sys.argv[2]
+sim = ["simulate", "--n", "2", "--t-max", "30", "--seed", "1", "--grid-samples", "256"]
+for argv in (
+    sim + ["--model", "discrete", "--replicas", "2", "--workers", "1", "--out", out + "/d"],
+    sim + ["--model", "continuous", "--out", out + "/c"],
+    ["compare", "--sim", out + "/d", "--out", out + "/cd"],
+    ["compare", "--sim", out + "/c", "--out", out + "/cc"],
+    ["sample-exact", "--model", "discrete", "--n", "2", "--samples", "50", "--out", out + "/sd"],
+    ["sample-exact", "--model", "continuous", "--n", "2", "--samples", "50", "--out", out + "/sc"],
+    ["verify", "--suite", "stationarity", "--n", "1", "--out", out + "/v1"],
+    ["verify", "--suite", "telescoping", "--sizes", "1,4", "--mc-samples", "20000",
+     "--out", out + "/v2"],
+    ["verify", "--suite", "identities", "--out", out + "/v3"],
+    ["verify", "--suite", "equilibrium", "--out", out + "/v4"],
+):
+    rc = cli.main(argv)
+    assert rc in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE), (argv, rc)
+assert registered - set(tracer.names) == set(), sorted(registered - set(tracer.names))
+"""
+
+
+def test_cli_calls_every_hooked_layer(tmp_path):
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", CALLS_SCRIPT, str(BENCH), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -122,6 +122,13 @@ class TestSimulate:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["epsilon"] == 1e-5
 
+    @pytest.mark.parametrize("flags", [["--t-max", "10", "--burn-in", "20"],
+                                       ["--model", "continuous", "--epsilon", "-1"]])
+    def test_rejected_configuration_leaves_no_directory(self, tmp_path, flags):
+        out = tmp_path / "t" / "sim"
+        assert run_cli(["simulate", *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_invalid_params_exit_2(self, tmp_path):
         rc = run_cli(["simulate", "--model", "discrete", "--n", "0",
                       "--out", str(tmp_path)])

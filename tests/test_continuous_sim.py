@@ -14,8 +14,9 @@ from drivenchain.continuous_sim import (
     sample_alpha_removal,
     simulate_continuous,
 )
-from drivenchain.core import RESYNC_DRIFT_TOL, ChainParams, exp_integral_e1, make_rng
+from drivenchain.core import ChainParams, exp_integral_e1, make_rng
 from drivenchain.measure import MixtureSpec, Model
+from drivenchain.occupation import RESYNC_DRIFT_TOL
 
 NEQ = ChainParams(n=5, t_a=1.0, t_b=2.0)
 
@@ -35,13 +36,13 @@ class TestAlphaRemoval:
         # z = eps * e and U = 1/2 invert to alpha = eps * sqrt(e)
         eps = 1e-6
         z = eps * math.e
-        alpha = sample_alpha_removal(z, eps, _FixedRng([0.5]))
+        alpha = sample_alpha_removal(eps, z, _FixedRng([0.5]))
         assert alpha == pytest.approx(eps * math.sqrt(math.e), rel=1e-12)
 
     def test_bounds_and_median(self):
         eps, z = 1e-6, 2.0
         rng = make_rng(0)
-        draws = np.array([sample_alpha_removal(z, eps, rng) for _ in range(100_000)])
+        draws = np.array([sample_alpha_removal(eps, z, rng) for _ in range(100_000)])
         assert draws.min() >= eps and draws.max() <= z
         med_expected = math.sqrt(eps * z)  # CDF inversion at 1/2
         assert np.median(draws) == pytest.approx(med_expected, rel=0.05)
@@ -49,13 +50,9 @@ class TestAlphaRemoval:
     def test_log_transform_uniform(self):
         eps, z = 1e-6, 2.0
         rng = make_rng(1)
-        draws = np.array([sample_alpha_removal(z, eps, rng) for _ in range(100_000)])
+        draws = np.array([sample_alpha_removal(eps, z, rng) for _ in range(100_000)])
         u = np.log(draws / eps) / math.log(z / eps)
         assert sps.kstest(u, "uniform").pvalue > 0.01
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            sample_alpha_removal(1e-7, 1e-6, make_rng(0))
 
 
 class TestAlphaInjection:
@@ -120,19 +117,17 @@ class TestStateAndStep:
         eps = 1e-6
         st = new_state_continuous(p, epsilon=eps)
         expected = exp_integral_e1(eps / 1.0) + exp_integral_e1(eps / 2.0)
-        assert st.total_rate == pytest.approx(expected, rel=1e-12)
+        assert st.inj_rate == pytest.approx(expected, rel=1e-12)
+        assert st.rate_sum == 0.0
 
     def test_single_site_rate_formula(self):
         p = ChainParams(n=1, t_a=1.0, t_b=2.0)
         eps = 1e-6
         z1 = 0.8
         st = new_state_continuous(p, epsilon=eps, z0=[z1])
-        expected = (
-            2.0 * math.log(z1 / eps)
-            + exp_integral_e1(eps / 1.0)
-            + exp_integral_e1(eps / 2.0)
-        )
-        assert st.total_rate == pytest.approx(expected, rel=1e-12)
+        assert st.rate_sum == pytest.approx(math.log(z1 / eps), rel=1e-12)
+        assert st.inj_rate == pytest.approx(exp_integral_e1(eps / 1.0) + exp_integral_e1(eps / 2.0),
+                                            rel=1e-12)
 
     def test_first_event_from_empty_is_injection(self, reference_run, same_run):
         p = ChainParams(n=3, t_a=1.0, t_b=2.0)
@@ -166,6 +161,21 @@ class TestStateAndStep:
         assert negative == []
         same_run(simulate_continuous(p, t_max=400.0, epsilon=1e-5, seed=9, grid_samples=64),
                  state)
+
+    def test_removal_at_or_below_cutoff_is_hard_error(self, monkeypatch):
+        # sample_alpha_removal needs z > epsilon; the engine's floor check guards it.
+        real_new_state = continuous_sim.new_state_continuous
+
+        def corrupted(params, epsilon=None, z0=None):
+            state = real_new_state(params, epsilon, z0)
+            state.site_rate[1] = 5.0  # rate cache says the drained middle site can fire
+            state.rate_sum = 5.0
+            return state
+
+        monkeypatch.setattr(continuous_sim, "new_state_continuous", corrupted)
+        with pytest.raises(RuntimeError, match="removal channel selected at site 1 holding 0.0"):
+            simulate_continuous(ChainParams(n=3, t_a=1.0, t_b=2.0), t_max=50.0, seed=10,
+                                grid_samples=64)
 
     def test_resync_records_drift(self, monkeypatch):
         monkeypatch.setattr(occupation, "RESYNC_INTERVAL", 50)

@@ -193,7 +193,7 @@ class TestFenwick:
         if total <= 0.0:
             return
         tree = FenwickTree(weights)
-        assert tree.total() == pytest.approx(total, rel=1e-12)
+        assert tree.search(2.0 * total) == (len(weights) - 1, total)  # past the end: u - total
         u = frac * total
         idx, offset = tree.search(u)
         acc = 0.0
@@ -213,7 +213,7 @@ class TestFenwick:
     def test_add_updates(self):
         tree = FenwickTree([1.0, 2.0, 3.0])
         tree.add(1, 4.0)
-        assert tree.total() == pytest.approx(10.0)
+        assert tree.search(20.0) == (2, 10.0)  # past the end: u - total
         assert tree.search(6.9)[0] == 1
         assert tree.search(7.1)[0] == 2
 

@@ -7,9 +7,10 @@ import pytest
 from scipy import stats as sps
 
 from drivenchain import discrete_sim, occupation
-from drivenchain.core import RESYNC_DRIFT_TOL, ChainParams, harmonic_number, make_rng
+from drivenchain.core import ChainParams, harmonic_number, make_rng
 from drivenchain.discrete_sim import LogSeriesSampler, new_state, sample_k_harmonic, simulate
 from drivenchain.measure import MixtureSpec, Model, geometric_pmf, moment_profile
+from drivenchain.occupation import RESYNC_DRIFT_TOL
 
 NEQ = ChainParams(n=5, beta_a=0.5, beta_b=0.75)
 
@@ -110,7 +111,8 @@ class TestStateAndStep:
         p = ChainParams(n=1, beta_a=0.5, beta_b=0.75)
         st = new_state(p)
         lam_a, lam_b = math.log(2.0), math.log(4.0)
-        assert st.total_rate == pytest.approx(lam_a + lam_b, abs=1e-14)
+        assert st.inj_rate == pytest.approx(lam_a + lam_b, abs=1e-14)
+        assert st.rate_sum == 0.0
 
     def test_two_site_rates(self):
         # eta = (3, 0): each site-1 channel fires at H(3) = 11/6
@@ -118,8 +120,8 @@ class TestStateAndStep:
         st = new_state(p, eta0=[3, 0])
         assert st.site_rate[0] == pytest.approx(11.0 / 6.0, abs=1e-14)
         assert st.site_rate[1] == 0.0
-        expected = 2.0 * 11.0 / 6.0 + math.log(2.0) + math.log(4.0)
-        assert st.total_rate == pytest.approx(expected, abs=1e-13)
+        assert st.rate_sum == pytest.approx(11.0 / 6.0, abs=1e-14)
+        assert st.inj_rate == pytest.approx(math.log(2.0) + math.log(4.0), abs=1e-14)
 
     def test_first_event_from_empty_is_injection(self, reference_run, same_run):
         p = ChainParams(n=3, beta_a=0.5, beta_b=0.75)

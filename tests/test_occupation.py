@@ -270,7 +270,7 @@ def test_merge_lists_per_replica_extra(monkeypatch, model):
         keys = ("final_z", "acceptance_a", "acceptance_b")
     a, b, c = runs
     merged = a.merge(b)
-    assert merged.replicas == 2
+    assert len(merged.series) == 2
     for key in keys:
         assert merged.extra[key] == [a.extra[key], b.extra[key]]
     drifts = [r.extra["max_resync_drift"] for r in runs]
@@ -282,7 +282,7 @@ def test_merge_lists_per_replica_extra(monkeypatch, model):
     assert sum(merged.extra["channel_events"].values()) == merged.event_count
     # Associative: both groupings list the three replicas in order.
     left, right = merged.merge(c), a.merge(b.merge(c))
-    assert left.replicas == right.replicas == 3
+    assert len(left.series) == len(right.series) == 3
     assert left.extra == right.extra
     for key in keys:
         assert left.extra[key] == [r.extra[key] for r in runs]
