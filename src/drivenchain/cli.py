@@ -205,15 +205,13 @@ def _read_profile(sim_dir: Path, stats: OccupationStats, spec: MixtureSpec) -> P
 
     Only the standard errors are taken from the files.  Every other field
     must equal, to the last bit, what the run's accumulators, the exact law
-    and the z-score of the read errors give; a missing or mismatched file is
-    a ValueError, never a reason to recompute the report.
+    and the z-score of the read errors give; a mismatched file is a
+    ValueError, never a reason to recompute the report.
     """
     tables, errors = [], []
     for name, header in (("profile.csv", _PROFILE_HEADER),
                          ("covariance.csv", _COVARIANCE_HEADER)):
         path = sim_dir / name
-        if not path.is_file():
-            raise ValueError(f"{path} is missing: rerun simulate")
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if rows[:1] != [header]:
@@ -290,7 +288,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_sample_exact(cfg: RunConfig) -> int:
     params = cfg.chain_params()
-    outdir = _resolve_outdir(cfg)
     model = Model(cfg.model)
     spec = MixtureSpec(params, model)
     rng = make_rng(cfg.seed)
@@ -298,15 +295,16 @@ def cmd_sample_exact(cfg: RunConfig) -> int:
         draws = sample_exact_discrete(spec, rng, size=cfg.samples)
     else:
         draws = sample_exact_continuous(spec, rng, size=cfg.samples)
+    exact = moment_profile(spec)
+    emp_mean = draws.mean(axis=0)
+    se = draws.std(axis=0, ddof=1) / np.sqrt(cfg.samples)
+    z = (emp_mean - exact.means) / se
+    outdir = _resolve_outdir(cfg)  # only now: a rejected configuration leaves no directory
     _write_csv(
         outdir / "samples.csv",
         [f"site_{x}" for x in range(1, cfg.n + 1)],
         draws.tolist(),
     )
-    exact = moment_profile(spec)
-    emp_mean = draws.mean(axis=0)
-    se = draws.std(axis=0, ddof=1) / np.sqrt(cfg.samples)
-    z = (emp_mean - exact.means) / se
     _write_csv(
         outdir / "moments.csv",
         ["site", "emp_mean", "se", "exact_mean", "z"],
@@ -366,10 +364,17 @@ def cmd_verify(cfg: RunConfig) -> int:
 def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
     """A saved run's configuration (its recorded fields over the defaults) and
     what ``compare`` tests of it: the moment accumulators, the series and,
-    for particles, the histograms."""
+    for particles, the histograms.  ValueError unless ``sim_dir`` holds the
+    output of ``simulate`` with every file ``compare`` reads."""
     with open(sim_dir / "meta.json") as fh:
         meta = json.load(fh)
     cfg = RunConfig(**meta["config"])
+    if cfg.command != "simulate":
+        raise ValueError(f"{sim_dir} holds the output of {cfg.command}, not of simulate")
+    histograms = ["histograms.csv"] if cfg.model == "discrete" else []
+    for name in ["profile.csv", "covariance.csv", "series.npy", *histograms]:
+        if not (sim_dir / name).is_file():
+            raise ValueError(f"{sim_dir / name} is missing: rerun simulate")
     acc = meta["accumulators"]
     hists = []
     if cfg.model == "discrete":
@@ -400,7 +405,6 @@ def cmd_compare(cfg: RunConfig) -> int:
     model = Model(sim_cfg.model)
     spec = MixtureSpec(params, model)
     rep = _read_profile(sim_dir, stats, spec)
-    outdir = _resolve_outdir(cfg)
     n = params.n
     site_level = cfg.level / n  # Bonferroni across sites
     ess = sum(effective_sample_size(s.T) for s in stats.series)  # per site, over replicas
@@ -421,6 +425,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         any_inconclusive |= g.inconclusive
         gof_rows.append((x, g.name, g.statistic, g.dof, float(g.effective_n),
                          g.p_value, ok, g.bins_note))
+    outdir = _resolve_outdir(cfg)  # only now: a run compare cannot use leaves no directory
     _write_csv(
         outdir / "gof.csv",
         ["site", "test", "statistic", "dof", "effective_n", "p_value",
@@ -559,7 +564,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
 
 
 # Least value of each count a run can honour; a standard error needs two samples.
-_LEAST = {"replicas": 1, "workers": 1, "grid_samples": 2, "samples": 2}
+_LEAST = {"replicas": 1, "workers": 1, "grid_samples": 2, "samples": 2, "seed": 0}
 
 
 def check_options(cfg: RunConfig, given: set[str]) -> None:

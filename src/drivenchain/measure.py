@@ -261,8 +261,7 @@ def _mixture_density(
     drawn = 0
     while drawn < mc_samples:
         b = min(batch, mc_samples - drawn)
-        m = rng.uniform(lo, hi, size=(b, n))
-        m.sort(axis=-1)
+        m = sample_ordered_profile(spec, rng, b)
         vals = np.prod(kernel(m, values[np.newaxis, :]), axis=1)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())

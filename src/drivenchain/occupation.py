@@ -164,8 +164,8 @@ class OccupationStats:
     def merge(self, other: "OccupationStats") -> "OccupationStats":
         """Sum accumulators of two independent runs (associative).
 
-        ``extra`` keeps self's run settings, lists the per-trajectory entries
-        of ``PER_REPLICA_EXTRA`` replica by replica, takes the largest
+        ``extra`` keeps self's ``epsilon`` and ``selection``, lists each
+        ``PER_REPLICA_EXTRA`` entry replica by replica, takes the largest
         ``max_resync_drift`` and sums the ``resyncs`` and ``channel_events``.
         """
         if (self.n_sites, self.model) != (other.n_sites, other.model):
@@ -233,9 +233,9 @@ class ChainState:
     caches the site rates, ``rate_sum`` their incrementally updated sum and,
     above LINEAR_SCAN_MAX_SITES sites, ``tree`` their Fenwick tree (each
     site's weight is its two channels, 2 * rate); ``resync`` rebuilds all
-    three from ``values``.  ``run_window`` advances the state in local
-    variables; it writes ``rate_sum`` back before each resync, and the clock,
-    the event count and the fluxes at the end of the run.
+    three from ``values``.  The state holds the chain and this cache only:
+    ``run_window`` keeps every number a run measures in local variables and
+    writes back only ``rate_sum``, before each resync.
     """
 
     values: list
@@ -248,35 +248,25 @@ class ChainState:
     rate_sum: float = field(init=False)
     inj_rate: float = field(init=False)
     tree: FenwickTree | None = field(init=False)
-    time: float = 0.0
-    events: int = 0
-    injected_a: Any = 0
-    extracted_a: Any = 0
-    injected_b: Any = 0
-    extracted_b: Any = 0
-    max_resync_drift: float = 0.0
 
     def __post_init__(self) -> None:
         self.inj_rate = self.sampler_a.total_rate + self.sampler_b.total_rate
         self.rate_sum = math.fsum(map(self.rate_of, self.values))  # exact: no drift to record
         self.resync()
 
-    def resync(self) -> None:
-        """Recompute the rate cache from ``values``.
-
-        The relative drift of ``rate_sum`` is recorded in ``max_resync_drift``;
-        past RESYNC_DRIFT_TOL it is a RuntimeError.
-        """
+    def resync(self) -> float:
+        """Recompute the rate cache from ``values``; return the relative drift
+        of ``rate_sum`` it found, a RuntimeError past RESYNC_DRIFT_TOL."""
         site_rate = [self.rate_of(v) for v in self.values]
         exact = math.fsum(site_rate)
         drift = abs(self.rate_sum - exact) / max(exact, 1.0)
-        self.max_resync_drift = max(self.max_resync_drift, drift)
         if drift > RESYNC_DRIFT_TOL:
             raise RuntimeError(f"rate cache drifted by {drift:.3e} (relative) before resync")
         self.site_rate = site_rate
         self.rate_sum = exact
         self.tree = (FenwickTree([2.0 * r for r in site_rate])
                      if len(site_rate) > LINEAR_SCAN_MAX_SITES else None)
+        return drift
 
 
 def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
@@ -306,9 +296,11 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     eta_x * I_y(t_max), and the rows, symmetric up to rounding, are averaged
     with their transpose into second_acc.
 
-    The rate cache resyncs (``ChainState.resync``) every RESYNC_INTERVAL
-    events, inside the loop, and once more at the end, so ``max_resync_drift``
-    covers every run.  burn_in defaults to 10% of t_max.  The trajectory is
+    The clock, the counts and the fluxes start at zero in local variables,
+    so one state can run several windows.  The rate cache resyncs
+    (``ChainState.resync``) every RESYNC_INTERVAL events, inside the loop,
+    and once more at the end, so ``max_resync_drift``, the largest drift
+    found, covers every run.  burn_in defaults to 10% of t_max.  The trajectory is
     also sampled on a uniform grid of ``grid_samples`` points across the
     window (an evenly spaced series for autocorrelation estimates), each
     point passed to every ``observers`` callable as (time, values).
@@ -341,13 +333,10 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     rate_b, draw_b = state.sampler_b.total_rate, state.sampler_b.draw
     inj_rate = state.inj_rate
     rate_of, remove, floor = state.rate_of, state.remove, state.floor
-    events = state.events
-    injected_a, extracted_a = state.injected_a, state.extracted_a
-    injected_b, extracted_b = state.injected_b, state.extracted_b
-    inject_a = inject_b = exit_a = exit_b = bulk = 0
-    resync_interval = RESYNC_INTERVAL
-    next_resync = (events // resync_interval + 1) * resync_interval
-    resyncs = 0
+    events = inject_a = inject_b = exit_a = exit_b = bulk = resyncs = 0
+    injected_a = extracted_a = injected_b = extracted_b = 0
+    max_drift = 0.0
+    next_resync = resync_interval = RESYNC_INTERVAL
     rate_sum, site_rate, tree = state.rate_sum, state.site_rate, state.tree
     wall_start = time.perf_counter()
     t = 0.0
@@ -435,14 +424,12 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
         events += 1
         if events == next_resync:
             state.rate_sum = rate_sum
-            state.resync()
+            max_drift = max(max_drift, state.resync())
             rate_sum, site_rate, tree = state.rate_sum, state.site_rate, state.tree
             next_resync += resync_interval
             resyncs += 1
-    state.time, state.events, state.rate_sum = t, events, rate_sum
-    state.injected_a, state.extracted_a = injected_a, extracted_a
-    state.injected_b, state.extracted_b = injected_b, extracted_b
-    state.resync()  # also at the end: a run shorter than RESYNC_INTERVAL measures its drift
+    state.rate_sum = rate_sum
+    max_drift = max(max_drift, state.resync())  # at the end too: every run measures drift
     resyncs += 1
     while next_grid < grid_samples:  # float edge at the last grid point
         series[next_grid] = values
@@ -460,8 +447,7 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
         series=[series], series_dt=grid_dt, wall_seconds=wall,
         injected_a=float(injected_a), extracted_a=float(extracted_a),
         injected_b=float(injected_b), extracted_b=float(extracted_b),
-        extra={"t_max": t_max, "burn_in": burn_in,
-               "max_resync_drift": state.max_resync_drift,
+        extra={"max_resync_drift": max_drift,
                "channel_events": dict(zip(CHANNELS, (inject_a, inject_b, exit_a, exit_b, bulk))),
                "resyncs": resyncs, "selection": "linear" if tree is None else "fenwick"},
     )

@@ -279,23 +279,19 @@ class ProfileReport:
         exact = moment_profile(spec)
         n = stats.n_sites
         emp_mean = stats.mean()
-        emp_cov = stats.cov()
         first, second = np.triu_indices(n)
+        emp_cov, exact_cov = stats.cov()[first, second], exact.covariance[first, second]
         return cls(
             sites=np.arange(1, n + 1),
             emp_mean=emp_mean,
             se_mean=se_mean,
             exact_mean=exact.means,
-            z_mean=np.array([_zscore(emp_mean[x] - exact.means[x], se_mean[x])
-                             for x in range(n)]),
+            z_mean=_zscores(emp_mean - exact.means, se_mean),
             pairs=[(int(i) + 1, int(j) + 1) for i, j in zip(first, second)],
-            emp_cov=emp_cov[first, second],
+            emp_cov=emp_cov,
             se_cov=se_cov,
-            exact_cov=exact.covariance[first, second],
-            z_cov=np.array([
-                _zscore(emp_cov[i, j] - exact.covariance[i, j], se)
-                for i, j, se in zip(first, second, se_cov)
-            ]),
+            exact_cov=exact_cov,
+            z_cov=_zscores(emp_cov - exact_cov, se_cov),
         )
 
     @property
@@ -317,10 +313,11 @@ class ProfileReport:
                    self.exact_cov.tolist(), self.z_cov.tolist())
 
 
-def _zscore(diff: float, se: float) -> float:
-    if se == 0.0:
-        return 0.0 if diff == 0.0 else float("inf")
-    return diff / se
+def _zscores(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """diff / se, with 0 (no miss) or inf (a miss) where se is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = diff / se
+    return np.where(se == 0.0, np.where(diff == 0.0, 0.0, np.inf), z)
 
 
 def profile_report(stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:

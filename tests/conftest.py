@@ -2,11 +2,15 @@
 
 The stepper runs the dynamics of ``occupation.run_window`` one function call
 per event (``_jump``), per site change (``_update_site``) and per channel
-choice (``_select_site``), with all state kept on the ``ChainState``.  It
-draws the same random numbers in the same order and does the same float
-operations, so ``run_window`` must reproduce its trajectory bit for bit; it
-accumulates no statistics.
+choice (``_select_site``), with the chain and its rate cache kept on the
+``ChainState`` and the clock, event count, fluxes and largest resync drift
+in a ``StepperRun`` record of its own.  It draws the same random numbers in
+the same order and does the same float operations, so ``run_window`` must
+reproduce its trajectory bit for bit; it accumulates no statistics.
 """
+
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
 
@@ -42,8 +46,21 @@ def _update_site(state, x, new):
         state.tree.add(x, 2.0 * delta)
 
 
-def _jump(state, rng):
-    """Select one channel proportionally to its rate and execute it."""
+@dataclass
+class StepperRun:
+    """What the reference stepper counts: clock, events, fluxes, largest resync drift."""
+
+    time: float = 0.0
+    events: int = 0
+    injected_a: Any = 0
+    extracted_a: Any = 0
+    injected_b: Any = 0
+    extracted_b: Any = 0
+    max_resync_drift: float = 0.0
+
+
+def _jump(state, run, rng):
+    """Select one channel proportionally to its rate, execute it, and book its flux in ``run``."""
     values = state.values
     rate_a = state.sampler_a.total_rate
     rate_b = state.sampler_b.total_rate
@@ -51,14 +68,14 @@ def _jump(state, rng):
     if u < rate_a:
         amount = state.sampler_a.draw(rng)
         _update_site(state, 0, values[0] + amount)
-        state.injected_a += amount
+        run.injected_a += amount
         return
     u -= rate_a
     last = len(values) - 1
     if u < rate_b:
         amount = state.sampler_b.draw(rng)
         _update_site(state, last, values[last] + amount)
-        state.injected_b += amount
+        run.injected_b += amount
         return
     u -= rate_b
     # Removal channels: two per site, each at rate site_rate[x].
@@ -70,51 +87,53 @@ def _jump(state, rng):
     amount = state.remove(held, rng)
     _update_site(state, x, held - amount)
     if to < 0:
-        state.extracted_a += amount
+        run.extracted_a += amount
     elif to > last:
-        state.extracted_b += amount
+        run.extracted_b += amount
     else:
         _update_site(state, to, values[to] + amount)
 
 
-def run_reference(state, rng, t_max, after_each_event=lambda state: None):
-    """Advance ``state`` to t_max, calling after_each_event(state) after every event.
+def run_reference(state, rng, t_max, after_each_event=lambda state, run: None) -> StepperRun:
+    """Advance ``state`` to t_max, calling after_each_event(state, run) after every event.
 
-    The hook runs before ``state.events`` counts the event, so it sees 0 on
-    the first event.  The rate cache resyncs as in ``run_window``.
+    The hook runs before ``run.events`` counts the event, so it sees 0 on
+    the first event.  The rate cache resyncs as in ``run_window``.  Returns
+    the run's record.
     """
-    t = 0.0
+    run = StepperRun()
     while True:
         dt = rng.standard_exponential() / (2.0 * state.rate_sum + state.inj_rate)
-        t_new = t + dt
+        t_new = run.time + dt
         if t_new >= t_max:
             break
-        state.time = t = t_new
-        _jump(state, rng)
-        after_each_event(state)
-        state.events += 1
-        if state.events % occupation.RESYNC_INTERVAL == 0:
-            state.resync()
-    state.resync()
+        run.time = t_new
+        _jump(state, run, rng)
+        after_each_event(state, run)
+        run.events += 1
+        if run.events % occupation.RESYNC_INTERVAL == 0:
+            run.max_resync_drift = max(run.max_resync_drift, state.resync())
+    run.max_resync_drift = max(run.max_resync_drift, state.resync())
+    return run
 
 
-def assert_same_run(stats, state) -> None:
-    """The engine's ``stats`` ended where the stepper's ``state`` did, bit for bit:
-    event count, final values, the four fluxes and the largest resync drift."""
+def assert_same_run(stats, state, run) -> None:
+    """The engine's ``stats`` ended where the stepper's ``state`` and ``run`` did, bit
+    for bit: event count, final values, the four fluxes and the largest resync drift."""
     final = stats.extra["final_eta" if stats.model == "discrete" else "final_z"]
     assert (stats.event_count, final, stats.injected_a, stats.extracted_a,
             stats.injected_b, stats.extracted_b, stats.extra["max_resync_drift"]) == (
-        state.events, state.values, float(state.injected_a), float(state.extracted_a),
-        float(state.injected_b), float(state.extracted_b), state.max_resync_drift)
+        run.events, state.values, float(run.injected_a), float(run.extracted_a),
+        float(run.injected_b), float(run.extracted_b), run.max_resync_drift)
 
 
 @pytest.fixture
 def reference_run():
-    """``run(state, rng, t_max, after_each_event)``: the reference stepper."""
+    """``run(state, rng, t_max, after_each_event) -> StepperRun``: the reference stepper."""
     return run_reference
 
 
 @pytest.fixture
 def same_run():
-    """``check(stats, state)``: assert an engine run ended as the stepper did."""
+    """``check(stats, state, run)``: assert an engine run ended as the stepper did."""
     return assert_same_run

@@ -205,6 +205,15 @@ class TestSampleExact:
         assert data.shape == (20000, 2)
         assert data.min() >= 0.0
 
+    def test_rejected_draw_leaves_no_directory(self, tmp_path, monkeypatch):
+        def reject(spec, rng, size):
+            raise ValueError("no draw")
+
+        monkeypatch.setattr(cli, "sample_exact_discrete", reject)
+        out = tmp_path / "se"
+        assert run_cli(["sample-exact", "--n", "3", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestVerify:
     def test_identities_pass(self, tmp_path):
@@ -405,13 +414,30 @@ class TestCompare:
         monkeypatch.setattr(stats, "profile_report", refuse)
         assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "cmp")]) in (0, 3, 4)
 
-    @pytest.mark.parametrize("name", ["profile.csv", "covariance.csv"])
+    @pytest.mark.parametrize("name", ["profile.csv", "covariance.csv", "series.npy",
+                                      "histograms.csv"])
     def test_missing_profile_exits_2(self, tmp_path, name, capsys):
         sim = simulate_small(tmp_path / "sim")
         (sim / name).unlink()
         out = tmp_path / "cmp"
         assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_output_exits_2(self, tmp_path, capsys):
+        ver = tmp_path / "ver"
+        assert run_cli(["verify", "--suite", "equilibrium", "--out", str(ver)]) == 0
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(ver), "--out", str(out)]) == 2
+        assert "output of verify" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_histograms_leave_no_directory(self, tmp_path, capsys):
+        sim = simulate_small(tmp_path / "sim")
+        (sim / "histograms.csv").write_text("site,value_or_lo,hi,weight\n")
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
+        assert "histogram is empty" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name, line, column", [
@@ -467,6 +493,9 @@ class TestNumericOptions:
         ("simulate", "--grid-samples", "1"),
         ("simulate", "--workers", "0"),
         ("simulate", "--replicas", "0"),
+        ("simulate", "--seed", "-1"),
+        ("sample-exact", "--seed", "-1"),
+        ("verify", "--seed", "-1"),
         ("compare", "--level", "0"),
         ("compare", "--level", "1"),
         ("compare", "--level", "-0.5"),
@@ -474,7 +503,8 @@ class TestNumericOptions:
     def test_unhonourable_value_exits_2(self, tmp_path, command, flag, value, capsys):
         out = tmp_path / "out"
         rest = {"simulate": ["--n", "2", "--t-max", "5"], "sample-exact": ["--n", "2"],
-                "compare": ["--sim", str(tmp_path)]}[command]
+                "compare": ["--sim", str(tmp_path)],
+                "verify": ["--suite", "telescoping"]}[command]
         assert run_cli([command, flag, value, *rest, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()

@@ -133,9 +133,9 @@ class TestStateAndStep:
         p = ChainParams(n=3, t_a=1.0, t_b=2.0)
         first = []
         state = new_state_continuous(p)
-        reference_run(state, make_rng(7), 5.0, lambda st: st.events == 0 and (
-            first.append((st.time, sum(st.values), st.injected_a + st.injected_b))))
-        same_run(simulate_continuous(p, t_max=5.0, seed=7, grid_samples=8), state)
+        run = reference_run(state, make_rng(7), 5.0, lambda st, r: r.events == 0 and (
+            first.append((r.time, sum(st.values), r.injected_a + r.injected_b))))
+        same_run(simulate_continuous(p, t_max=5.0, seed=7, grid_samples=8), state, run)
         (t, energy, injected), = first
         assert t > 0.0
         assert injected == pytest.approx(energy)
@@ -155,12 +155,12 @@ class TestStateAndStep:
         p = ChainParams(n=2, t_a=0.5, t_b=0.5)
         negative = []
         state = new_state_continuous(p, epsilon=1e-5)
-        reference_run(state, make_rng(9), 400.0,
-                      lambda st: min(st.values) < 0.0 and negative.append(list(st.values)))
-        assert state.events >= 20_000
+        run = reference_run(state, make_rng(9), 400.0,
+                            lambda st, r: min(st.values) < 0.0 and negative.append(list(st.values)))
+        assert run.events >= 20_000
         assert negative == []
         same_run(simulate_continuous(p, t_max=400.0, epsilon=1e-5, seed=9, grid_samples=64),
-                 state)
+                 state, run)
 
     def test_removal_at_or_below_cutoff_is_hard_error(self, monkeypatch):
         # sample_alpha_removal needs z > epsilon; the engine's floor check guards it.

@@ -128,9 +128,9 @@ class TestStateAndStep:
         first = []
         for seed in range(50):
             state = new_state(p)
-            reference_run(state, make_rng(seed), 50.0, lambda st: st.events == 0 and (
-                first.append((st.time, sum(st.values), st.injected_a + st.injected_b))))
-            same_run(simulate(p, t_max=50.0, seed=seed, grid_samples=8), state)
+            run = reference_run(state, make_rng(seed), 50.0, lambda st, r: r.events == 0 and (
+                first.append((r.time, sum(st.values), r.injected_a + r.injected_b))))
+            same_run(simulate(p, t_max=50.0, seed=seed, grid_samples=8), state, run)
         assert len(first) == 50
         for t, mass, injected in first:
             assert t > 0.0

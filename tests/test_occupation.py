@@ -44,8 +44,15 @@ def run_engine(name: str) -> OccupationStats:
     return (simulate if model == "discrete" else simulate_continuous)(params, **kw)
 
 
+def window(name: str) -> tuple[float, float]:
+    """A case's (burn_in, t_max); burn_in defaults to 10% of t_max, as in ``run_window``."""
+    kw = CASES[name][2]
+    return kw.get("burn_in", 0.1 * kw["t_max"]), kw["t_max"]
+
+
 def run_stepper(name: str, reference_run):
-    """The reference stepper on a case: (start values, final state, [(event time, values after)])."""
+    """The reference stepper on a case: (start values, final state, its run record,
+    [(event time, values after)])."""
     model, params, kw = CASES[name]
     if model == "discrete":
         state = new_state(params, kw.get("eta0"))
@@ -53,9 +60,9 @@ def run_stepper(name: str, reference_run):
         state = new_state_continuous(params, z0=kw.get("z0"))
     start = list(state.values)
     events = []
-    reference_run(state, make_rng(kw["seed"]), kw["t_max"],
-                  lambda st: events.append((st.time, list(st.values))))
-    return start, state, events
+    run = reference_run(state, make_rng(kw["seed"]), kw["t_max"],
+                        lambda st, r: events.append((r.time, list(st.values))))
+    return start, state, run, events
 
 
 # Produced by the dense per-event accumulator these runs replaced:
@@ -124,11 +131,11 @@ def dense_walk(start, events, burn_in: float, t_max: float):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_engine_matches_reference_stepper(reference_run, same_run, name):
     st = run_engine(name)
-    start, state, events = run_stepper(name, reference_run)
-    same_run(st, state)
+    start, state, run, events = run_stepper(name, reference_run)
+    same_run(st, state, run)
     assert st.event_count == len(events)
     # Grid point g shows the state held just before the first event at or after g.
-    burn_in, grid_dt = st.extra["burn_in"], st.series_dt
+    (burn_in, _), grid_dt = window(name), st.series_dt
     times = [c for c, _ in events]
     states = [start] + [s for _, s in events]
     grid = [burn_in + (k + 1) * grid_dt for k in range(len(st.series[0]))]
@@ -150,8 +157,8 @@ def test_channel_counts_sum_to_event_count(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lazy_accumulator_matches_dense_rewalk(reference_run, name):
     st = run_engine(name)
-    start, _, events = run_stepper(name, reference_run)
-    burn_in, t_max = st.extra["burn_in"], st.extra["t_max"]
+    start, _, _, events = run_stepper(name, reference_run)
+    burn_in, t_max = window(name)
     assert len(events) == st.event_count
 
     w, x, mean, second = dense_walk(start, events, burn_in, t_max)
@@ -236,12 +243,19 @@ def _short_run_from(monkeypatch, model, corrupt):
 
 
 @pytest.mark.parametrize("model", ["discrete", "continuous"])
-def test_simulators_reject_broken_mass_balance(monkeypatch, model):
-    def leaky(state):  # books one unit of injection that never arrives
-        state.injected_a = 1
+def test_simulators_reject_broken_mass_balance(model):
+    leaked = []
 
+    def leak(t, values):  # one unit appears at site 1 that no channel brought in
+        if not leaked:
+            values[0] += 1
+            leaked.append(t)
+
+    run, params = (simulate, D5) if model == "discrete" else (simulate_continuous, C5)
+    # Site 1's next change heals its cached rate, so only the mass balance sees the leak.
     with pytest.raises(RuntimeError, match="mass balance"):
-        _short_run_from(monkeypatch, model, leaky)
+        run(params, 50.0, seed=1, grid_samples=64, observers=[leak])
+    assert len(leaked) == 1
 
 
 @pytest.mark.parametrize("model", ["discrete", "continuous"])
@@ -255,6 +269,28 @@ def test_short_run_checks_its_rate_cache(monkeypatch, model):
     assert st.extra["resyncs"] == 1
     with pytest.raises(RuntimeError, match="drifted"):
         _short_run_from(monkeypatch, model, inflate)
+
+
+@pytest.mark.parametrize("model", ["discrete", "continuous"])
+def test_one_state_runs_two_windows(model):
+    # The state holds no counts or fluxes, so a second window starts its own from zero.
+    if model == "discrete":
+        state, tol = new_state(ChainParams(n=3, beta_a=0.5, beta_b=0.75)), 0.0
+        hists = lambda: [IntHistogram() for _ in range(3)]
+    else:
+        params = ChainParams(n=3, t_a=1.0, t_b=2.0)
+        state, tol = new_state_continuous(params), 1e-9
+        hists = lambda: [continuous_sim.energy_histogram(params, state.floor) for _ in range(3)]
+    rng = make_rng(1)
+    first = occupation.run_window(state, rng, hists(), model, 50.0, None, 64, (), tol)
+    start = list(state.values)
+    second = occupation.run_window(state, rng, hists(), model, 50.0, None, 64, (), tol)
+    for st in (first, second):
+        assert st.event_count > 100
+        assert sum(st.extra["channel_events"].values()) == st.event_count
+        assert st.extra["resyncs"] == 1
+    net = second.injected_a + second.injected_b - second.extracted_a - second.extracted_b
+    assert net == pytest.approx(sum(state.values) - sum(start), rel=0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("model", ["discrete", "continuous"])
@@ -275,7 +311,6 @@ def test_merge_lists_per_replica_extra(monkeypatch, model):
         assert merged.extra[key] == [a.extra[key], b.extra[key]]
     drifts = [r.extra["max_resync_drift"] for r in runs]
     assert merged.extra["max_resync_drift"] == max(drifts[:2]) > 0.0
-    assert merged.extra["t_max"] == a.extra["t_max"]
     assert merged.extra["resyncs"] == a.extra["resyncs"] + b.extra["resyncs"] > 2
     assert merged.extra["channel_events"] == {
         k: a.extra["channel_events"][k] + b.extra["channel_events"][k] for k in CHANNELS}

@@ -327,6 +327,14 @@ class TestProfileReport:
         with pytest.raises(ValueError):
             profile_report(st, MixtureSpec(ChainParams(n=1), Model.DISCRETE))
 
+    def test_zscores_match_per_entry_rule(self):
+        # A zero standard error gives 0 for no miss and inf for any miss, else diff / se.
+        diff = np.array([0.0, 1.5, -2.0, 0.3, -0.7, math.nan])
+        se = np.array([0.0, 0.0, 0.0, 0.1, 0.25, 0.0])
+        expect = [(0.0 if d == 0.0 else math.inf) if e == 0.0 else d / e
+                  for d, e in zip(diff.tolist(), se.tolist())]
+        assert stats._zscores(diff, se).tolist() == expect
+
 
 class TestGofResult:
     def test_pass_semantics(self):
