@@ -155,10 +155,9 @@ def _replica_job(args) -> OccupationStats:
 
 
 def _run_replicas(cfg: RunConfig, params: ChainParams) -> OccupationStats:
-    burn_in = cfg.burn_in if cfg.burn_in is not None else 0.1 * cfg.t_max
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)
     jobs = [
-        (cfg.model, params, cfg.t_max, burn_in, cfg.epsilon, cfg.grid_samples, c)
+        (cfg.model, params, cfg.t_max, cfg.burn_in, cfg.epsilon, cfg.grid_samples, c)
         for c in children
     ]
     workers = cfg.workers or os.cpu_count() or 1
@@ -307,7 +306,7 @@ def cmd_sample_exact(cfg: RunConfig) -> int:
     )
     _write_csv(
         outdir / "moments.csv",
-        ["site", "emp_mean", "se", "exact_mean", "z"],
+        _PROFILE_HEADER,
         zip(range(1, cfg.n + 1), emp_mean.tolist(), se.tolist(),
             exact.means.tolist(), z.tolist()),
     )
@@ -563,8 +562,10 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     return cfg, given
 
 
-# Least value of each count a run can honour; a standard error needs two samples.
-_LEAST = {"replicas": 1, "workers": 1, "grid_samples": 2, "samples": 2, "seed": 0}
+# Least value of each number a run can honour; a standard error needs two
+# samples.  NaN is below every least value.
+_LEAST = {"replicas": 1, "workers": 1, "grid_samples": 2, "samples": 2, "mc_samples": 2,
+          "seed": 0, "tol": 0.0}
 
 
 def check_options(cfg: RunConfig, given: set[str]) -> None:
@@ -576,8 +577,9 @@ def check_options(cfg: RunConfig, given: set[str]) -> None:
         raise ValueError(f"{cfg.command} ({variant}) does not use "
                          + ", ".join(map(_flag, unread)))
     for name in given & _LEAST.keys():
-        if getattr(cfg, name) < _LEAST[name]:
-            raise ValueError(f"{_flag(name)} must be at least {_LEAST[name]}")
+        if not getattr(cfg, name) >= _LEAST[name]:
+            raise ValueError(f"{_flag(name)} must be at least {_LEAST[name]}, "
+                             f"got {getattr(cfg, name)}")
     if not 0.0 < cfg.level < 1.0:
         raise ValueError(f"--level must lie in (0, 1), got {cfg.level}")
 

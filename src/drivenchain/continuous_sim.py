@@ -6,8 +6,9 @@ first jump.  The simulator truncates every jump measure below a cutoff
 ``epsilon``: removal/bulk channels at site x then fire at total rate
 log(z_x/epsilon) (zero once z_x <= epsilon) and the reservoir at temperature T
 injects at rate E1(epsilon/T).  The discarded small-jump drift from
-injections and removals nearly cancels; the residual bias is O(epsilon) and
-is probed empirically by cutoff-refinement runs rather than corrected.
+injections and removals nearly cancels.  Nothing bounds the bias that is
+left; acceptance criterion 6 probes it by rerunning at half the cutoff (its
+cutoff-refinement check), and it is not corrected.
 
 The chain runs on the shared event engine, ``occupation.run_window``, as in
 ``discrete_sim``; it adds only its rate function, its cutoff as the engine's

@@ -252,8 +252,8 @@ def _mixture_density(
         return DensityEstimate(norm * raw, norm * raw_err, "quadrature")
     # Monte Carlo over the ordered box: sorted uniforms are uniform on it,
     # so the mixture value is the plain sample mean of the product kernel.
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
+    if mc_samples < 2:
+        raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
     rng = make_rng(seed)
     batch = min(mc_samples, 1 << 18)
     total = 0.0
@@ -287,7 +287,8 @@ def mixture_density_discrete(
     For n <= QUADRATURE_MAX_SITES, the Chebyshev ordered-box integral of
     :func:`drivenchain.core.ordered_simplex_integral`, one call for a whole
     table; beyond, Monte Carlo over ``mc_samples`` sorted uniform profiles
-    drawn from ``seed`` (``mc_samples`` < 1, or a grid, is a ValueError).
+    drawn from ``seed`` (``mc_samples`` < 2, which leaves no standard error,
+    or a grid, is a ValueError).
     The degenerate interval rho_a == rho_b, whose mixture is the product
     geometric pmf, is integrated like any other.
     """
@@ -315,6 +316,9 @@ def mixture_density_continuous(
 # Marginals and moments
 # ---------------------------------------------------------------------------
 
+# Quadrature tolerance of every marginal: the error bound on each value.
+MARGINAL_TOL = 1e-11
+
 def order_stat_density(lo: float, hi: float, x: int, n: int, m) -> np.ndarray:
     """Density of the x-th smallest of n uniforms on [lo, hi] at m.
 
@@ -329,9 +333,7 @@ def order_stat_density(lo: float, hi: float, x: int, n: int, m) -> np.ndarray:
     return np.where((u >= 0.0) & (u <= 1.0), out, 0.0)
 
 
-def marginal_pmf_discrete(
-    spec: MixtureSpec, x: int, k, tol: float = 1e-11
-) -> np.ndarray | float:
+def marginal_pmf_discrete(spec: MixtureSpec, x: int, k) -> np.ndarray | float:
     """P(eta_x = k) under the mixture; ``k`` may be an array of occupations.
 
     Integrating out every other profile coordinate leaves the x-th order
@@ -350,13 +352,11 @@ def marginal_pmf_discrete(
     if lo <= 0.0:  # the nodes run from m = lo up
         raise ValueError("geometric_pmf needs m > 0")
     f = lambda m: _geometric_pmf(m, k_arr[..., np.newaxis]) * order_stat_density(lo, hi, x, n, m)
-    out = np.reshape(quadrature_1d(f, lo, hi, tol).value, k_arr.shape)
+    out = np.reshape(quadrature_1d(f, lo, hi, MARGINAL_TOL).value, k_arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def marginal_cdf_continuous(
-    spec: MixtureSpec, x: int, z, tol: float = 1e-11
-) -> np.ndarray | float:
+def marginal_cdf_continuous(spec: MixtureSpec, x: int, z) -> np.ndarray | float:
     """CDF of z_x under the mixture; ``z`` may be an array of query points."""
     if spec.model is not Model.CONTINUOUS:
         raise ValueError("spec.model must be CONTINUOUS")
@@ -371,7 +371,7 @@ def marginal_cdf_continuous(
         f = lambda m: (
             (1.0 - np.exp(-z_arr[..., np.newaxis] / m)) * order_stat_density(lo, hi, x, n, m)
         )
-        out = np.reshape(quadrature_1d(f, lo, hi, tol).value, z_arr.shape)
+        out = np.reshape(quadrature_1d(f, lo, hi, MARGINAL_TOL).value, z_arr.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -11,18 +11,24 @@ Four families of checks, in increasing strength:
   kernel vanishes -- each x-term individually, not only their sum;
 * direct balance-equation residuals of the particle chain on a box, at any
   n whose candidate table fits MAX_TABLE_ENTRIES, certified against both the
-  geometric tails of the truncated sums and the table's own error.
+  geometric tails of the truncated sums and the table's own error;
+
+and the equilibrium limit, where the mixture collapses to the product law.
 
 The first and third families take the model as an argument: both site laws
 share the generating function 1 / (1 + c(s) m), and ``measure.Model`` supplies
 c(s) and the arguments s where it holds, so one check serves both chains.
-Checks report residuals, tolerances, and method notes; deliberately wrong
-candidate measures (products matching the true marginals or their means) are
-supported everywhere so the checks' rejection power is itself testable.
+Every check hands its residuals, tolerances, method and notes to one builder,
+``_report``, which is also the one place a failed integral is handled: a
+QuadratureError ends the check inconclusive, never failed and never raised.
+Deliberately wrong candidate measures (products matching the true marginals
+or their means) are supported everywhere so the checks' rejection power is
+itself testable.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -40,6 +46,7 @@ from .core import (
     quadrature_1d,
 )
 from .measure import (
+    MARGINAL_TOL,
     MixtureSpec,
     Model,
     geometric_pmf,
@@ -91,31 +98,26 @@ class VerificationReport:
         return max((abs(v) for v in self.residuals.values()), default=0.0)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "params": self.params,
-                "residuals": self.residuals,
-                "tolerances": self.tolerances,
-                "method": self.method,
-                "notes": self.notes,
-                "inconclusive": self.inconclusive,
-                "passed": self.passed,
-            },
-            sort_keys=True,
+        return json.dumps({**dataclasses.asdict(self), "passed": self.passed}, sort_keys=True)
+
+
+def _report(name: str, params: dict, compute) -> VerificationReport:
+    """The report of one check: ``compute()`` returns its residuals,
+    tolerances, method and notes.  A QuadratureError raised inside makes the
+    report inconclusive, carrying the integral's error estimate and message."""
+    try:
+        found = compute()
+    except QuadratureError as exc:
+        return VerificationReport(
+            name=name,
+            params=params,
+            residuals={"quadrature_error": exc.error},
+            tolerances={"quadrature_error": 0.0},
+            method="quadrature",
+            notes={"failure": str(exc)},
+            inconclusive=True,
         )
-
-
-def _report_quad_failure(name: str, params: dict, exc: QuadratureError) -> VerificationReport:
-    return VerificationReport(
-        name=name,
-        params=params,
-        residuals={"quadrature_error": exc.error},
-        tolerances={"quadrature_error": 0.0},
-        method="quadrature",
-        notes={"failure": str(exc)},
-        inconclusive=True,
-    )
+    return VerificationReport(name, params, *found)
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +141,14 @@ def check_antiderivative(
     if c == 0.0:
         raise ValueError(f"{model.argument} = {s} is the removable point c = 0; "
                          "check nearby values instead")
-    name = f"antiderivative_{model.value}"
-    params = {"m": m, model.argument: s}
-    try:
+
+    def compute():
         quad = quadrature_1d(lambda u: 1.0 / (1.0 + c * u), 0.0, m, tol * 1e-2)
-    except QuadratureError as exc:
-        return _report_quad_failure(name, params, exc)
-    closed = math.log(1.0 / (1.0 + c * m)) / -c
-    return VerificationReport(
-        name=name,
-        params=params,
-        residuals={"residual": quad.value - closed},
-        tolerances={"residual": tol},
-        method="quadrature",
-        notes={"quad_error": quad.error, "degree": quad.intervals},
-    )
+        closed = math.log(1.0 / (1.0 + c * m)) / -c
+        return ({"residual": quad.value - closed}, {"residual": tol}, "quadrature",
+                {"quad_error": quad.error, "degree": quad.intervals})
+
+    return _report(f"antiderivative_{model.value}", {"m": m, model.argument: s}, compute)
 
 
 def check_frullani(a: float, b: float, tol: float = 1e-9) -> VerificationReport:
@@ -164,7 +159,6 @@ def check_frullani(a: float, b: float, tol: float = 1e-9) -> VerificationReport:
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("need a, b > 0")
-    params = {"a": a, "b": b}
     delta = 1e-4
     # Term-by-term integral of the Taylor series on [0, delta].
     head = 0.0
@@ -177,20 +171,15 @@ def check_frullani(a: float, b: float, tol: float = 1e-9) -> VerificationReport:
     while math.exp(-mn * cut) / (mn * cut) > tol / 10.0:
         cut *= 2.0
     f = lambda x: (np.exp(-a * x) - np.exp(-b * x)) / x
-    try:
+
+    def compute():
         quad = quadrature_1d(f, delta, cut, tol * 1e-2)
-    except QuadratureError as exc:
-        return _report_quad_failure("frullani", params, exc)
-    value = head + quad.value
-    return VerificationReport(
-        name="frullani",
-        params=params,
-        residuals={"residual": value - math.log(b / a)},
-        tolerances={"residual": tol},
-        method="series+quadrature",
-        notes={"tail_cut": cut, "tail_bound": math.exp(-mn * cut) / (mn * cut),
-               "quad_error": quad.error},
-    )
+        return ({"residual": head + quad.value - math.log(b / a)}, {"residual": tol},
+                "series+quadrature",
+                {"tail_cut": cut, "tail_bound": math.exp(-mn * cut) / (mn * cut),
+                 "quad_error": quad.error})
+
+    return _report("frullani", {"a": a, "b": b}, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +207,7 @@ def _bracket(
 
 def _telescoping_quadrature(
     model: Model, lo: float, hi: float, svec: np.ndarray, tol: float
-) -> tuple[dict[str, float], dict]:
+) -> tuple[dict[str, float], dict[str, float], dict]:
     n = len(svec)
     factors = [(lambda m, s=float(s): _mgf(model, m, s)) for s in svec]
     residuals, errors = {}, {}
@@ -237,7 +226,7 @@ def _telescoping_quadrature(
         residuals[f"term_{x + 1}"] = sum(v for v, _ in terms)
         errors[f"term_{x + 1}"] = sum(e for _, e in terms)
     residuals["total"] = sum(residuals.values())
-    return residuals, {"quad_error": errors}
+    return residuals, {k: tol for k in residuals}, {"quad_error": errors}
 
 
 # Profiles drawn per Monte Carlo batch: bounds the (batch, n) profile array.
@@ -260,8 +249,8 @@ def _telescoping_mc(
     with the same seed would draw: its residuals are those of that call, bit
     for bit.  Returns one (residuals, tolerances, notes) triple per row.
     """
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
+    if mc_samples < 2:
+        raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
     if profile_law not in ("ordered", "independent-marginals"):
         raise ValueError(f"unknown profile_law {profile_law!r}")
     n = svecs.shape[1]
@@ -325,17 +314,16 @@ def check_telescoping(
     ``notes["quad_error"]``.  Monte Carlo draws each batch of profiles once
     for all rows, judges at four standard errors and records its seed; each
     row's report is bit for bit the one a call with that row alone gives, and
-    ``mc_samples`` < 1 is a ValueError.  ``profile_law='independent-marginals'``
-    swaps in the impostor profile with the right marginals but no ordering;
-    the residuals must then be far from zero, which is how the check's power
-    is audited.
+    ``mc_samples`` < 2 (no standard error) is a ValueError.
+    ``profile_law='independent-marginals'`` swaps in the impostor profile with
+    the right marginals but no ordering; the residuals must then be far from
+    zero, which is how the check's power is audited.
     """
     model = spec.model
     n = spec.params.n
     svecs = np.asarray(svecs, dtype=float)
     if svecs.ndim != 2 or svecs.shape[1] != n:
         raise ValueError(f"argument vectors must form a (V, {n}) array, got shape {svecs.shape}")
-    name = f"telescoping_{model.value}"
     lo, hi = spec.interval
     model.validate_mgf_arguments(svecs, hi)
     if method is None:
@@ -346,27 +334,16 @@ def check_telescoping(
         raise ValueError(f"unknown method {method!r}")
     elif profile_law != "ordered":
         raise ValueError("quadrature path only integrates the ordered profile law")
-    reports = []
-    for i, svec in enumerate(svecs):
-        meta = {"n": n, "lo": lo, "hi": hi, "svec": svec.tolist()}
-        if method == "quadrature":
-            try:
-                residuals, notes = _telescoping_quadrature(model, lo, hi, svec, tol)
-            except QuadratureError as exc:
-                reports.append(_report_quad_failure(name, meta, exc))
-                continue
-            tolerances = {k: tol for k in residuals}
-        else:
-            residuals, tolerances, notes = results[i]
-        reports.append(VerificationReport(
-            name=name,
-            params=meta,
-            residuals=residuals,
-            tolerances=tolerances,
-            method=method,
-            notes=notes,
-        ))
-    return reports
+
+    def compute(i):
+        residuals, tolerances, notes = (results[i] if method == "monte-carlo" else
+                                        _telescoping_quadrature(model, lo, hi, svecs[i], tol))
+        return residuals, tolerances, method, notes
+
+    return [_report(f"telescoping_{model.value}",
+                    {"n": n, "lo": lo, "hi": hi, "svec": svec.tolist()},
+                    functools.partial(compute, i))
+            for i, svec in enumerate(svecs)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +379,8 @@ def _candidate_table(spec: MixtureSpec, extent: int, candidate: str,
     if candidate == "product-geometric":
         pmfs, error = [geometric_pmf(m, ks) for m in moment_profile(spec).means], 0.0
     elif candidate == "product-marginals" and n > 1:  # at n = 1 it is the mixture
-        marginal_tol = 1e-11
-        pmfs = [marginal_pmf_discrete(spec, x, ks, marginal_tol) for x in range(1, n + 1)]
-        error = n * marginal_tol  # n factors, each in [0, 1]
+        pmfs = [marginal_pmf_discrete(spec, x, ks) for x in range(1, n + 1)]
+        error = n * MARGINAL_TOL  # n factors, each in [0, 1]
     else:
         raise ValueError(f"unknown candidate {candidate!r} for n={n}")
     return functools.reduce(np.multiply.outer, pmfs), error
@@ -493,21 +469,17 @@ def check_stationarity_direct_discrete(
     if (extent + 1) ** n > MAX_TABLE_ENTRIES:
         raise ValueError(f"direct balance check at n={n}, truncation {truncation} needs "
                          f"a {extent + 1}^{n} table, above MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
-    try:
+
+    def compute():
         mu, table_error = _candidate_table(spec, extent, candidate, density_tol)
-    except QuadratureError as exc:
-        return _report_quad_failure("stationarity_direct_discrete", meta, exc)
-    raw = float(np.abs(_balance_residuals(mu, truncation, k_sum, params)).max())
-    return VerificationReport(
-        name="stationarity_direct_discrete",
-        params=meta,
-        residuals={"max_residual": raw + table_error * rate_bound + tail_bound},
-        tolerances={"max_residual": tol},
-        method="table",
-        notes={"k_sum": k_sum, "tail_bound": tail_bound, "extent": extent, "n": n,
-               "beta_a": params.beta_a, "beta_b": params.beta_b, "raw": raw,
-               "table_error": table_error, "rate_bound": rate_bound},
-    )
+        raw = float(np.abs(_balance_residuals(mu, truncation, k_sum, params)).max())
+        return ({"max_residual": raw + table_error * rate_bound + tail_bound},
+                {"max_residual": tol}, "table",
+                {"k_sum": k_sum, "tail_bound": tail_bound, "extent": extent, "n": n,
+                 "beta_a": params.beta_a, "beta_b": params.beta_b, "raw": raw,
+                 "table_error": table_error, "rate_bound": rate_bound})
+
+    return _report("stationarity_direct_discrete", meta, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +499,8 @@ def check_equilibrium_limit(
     the integrated table must match it to round-off; with a tiny gap the
     mixture must still track the product law at the midpoint mean, which is
     checked in relative terms (pass ``relative=True``).  ``method`` is the
-    density's.
+    density's; a table the integrator cannot certify to min(tol/100, 1e-12)
+    makes the report inconclusive.
     """
     spec = MixtureSpec(params, model)
     lo, hi = spec.interval
@@ -537,18 +510,17 @@ def check_equilibrium_limit(
     else:
         values = np.array([0.0, 0.5, 1.5, 2.0, 2.5])
         density, law = mixture_density_continuous, exponential_pdf
-    mix = density(spec, np.tile(values, (n, 1)), tol=min(tol * 1e-2, 1e-12))
-    prod = functools.reduce(np.multiply.outer, [law(0.5 * (lo + hi), values)] * n)
-    diff = np.abs(mix.value - prod)
-    worst = float(np.max(diff / prod if relative else diff))
-    return VerificationReport(
-        name="equilibrium_limit",
-        params={"n": n, "lo": lo, "hi": hi, "model": model.value,
-                "relative": relative},
-        residuals={"max_residual": worst},
-        tolerances={"max_residual": tol},
-        method=mix.method,
-    )
+
+    def compute():
+        mix = density(spec, np.tile(values, (n, 1)), tol=min(tol * 1e-2, 1e-12))
+        prod = functools.reduce(np.multiply.outer, [law(0.5 * (lo + hi), values)] * n)
+        diff = np.abs(mix.value - prod)
+        worst = float(np.max(diff / prod if relative else diff))
+        return {"max_residual": worst}, {"max_residual": tol}, mix.method, {}
+
+    return _report("equilibrium_limit",
+                   {"n": n, "lo": lo, "hi": hi, "model": model.value, "relative": relative},
+                   compute)
 
 
 # ---------------------------------------------------------------------------

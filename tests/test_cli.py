@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import shlex
 import shutil
 import subprocess
@@ -287,6 +288,14 @@ class TestVerify:
         assert reports
         assert all(r["tolerances"]["max_residual"] == 1e-9 for r in reports)
 
+    def test_equilibrium_table_beyond_reach_is_inconclusive(self, tmp_path):
+        out = tmp_path / "ver10"
+        rc = run_cli(["verify", "--suite", "equilibrium", "--tol", "1e-20", "--out", str(out)])
+        assert rc == 4
+        reports = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+        assert len(reports) == 4
+        assert all(r["inconclusive"] and "quadrature_error" in r["residuals"] for r in reports)
+
     def test_zero_tol_is_not_replaced_by_default(self, tmp_path):
         out = tmp_path / "ver8"
         rc = run_cli(["verify", "--suite", "stationarity", "--n", "1", "--k", "20",
@@ -496,6 +505,10 @@ class TestNumericOptions:
         ("simulate", "--seed", "-1"),
         ("sample-exact", "--seed", "-1"),
         ("verify", "--seed", "-1"),
+        ("verify", "--mc-samples", "0"),
+        ("verify", "--mc-samples", "1"),
+        ("verify", "--tol", "nan"),
+        ("verify", "--tol", "-1"),
         ("compare", "--level", "0"),
         ("compare", "--level", "1"),
         ("compare", "--level", "-0.5"),
@@ -654,6 +667,26 @@ class TestConfigResolution:
                       "--samples", "100", "--seed", "1"])
         assert rc == 0
         assert (target / "samples.csv").exists()
+
+
+def test_module_entry_point(tmp_path):
+    # runs ``python -m drivenchain.cli`` as a process, so sys.exit(main()) is covered
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "drivenchain.cli", *args],
+                              capture_output=True, text=True, env=env)
+
+    ok = run("sample-exact", "--model", "discrete", "--n", "2", "--samples", "50",
+             "--seed", "0", "--out", str(tmp_path / "ok"))
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "ok" / "samples.csv").exists()
+    bad = run("sample-exact", "--n", "2", "--samples", "1", "--out", str(tmp_path / "bad"))
+    assert bad.returncode == 2
+    assert "--samples" in bad.stderr
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.skipif(shutil.which("drivenchain") is None,

@@ -308,8 +308,9 @@ class TestMixtureDensities:
         quadlike = mixture_density_discrete(disc_spec(4), [0] * 4, tol=1e-10)
         assert quadlike.method == "quadrature"
 
-    @pytest.mark.parametrize("mc_samples", [0, -1])
+    @pytest.mark.parametrize("mc_samples", [0, 1, -1])
     def test_mc_fallback_rejects_no_samples(self, mc_samples):
+        # one sample has no standard error: its error would read 0
         with pytest.raises(ValueError, match="mc_samples"):
             mixture_density_discrete(disc_spec(5), [0] * 5, mc_samples=mc_samples)
         with pytest.raises(ValueError, match="mc_samples"):

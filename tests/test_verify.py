@@ -141,9 +141,11 @@ class TestTelescoping:
                 assert all(abs(v) < 1e-10 for v in r.residuals.values()), (model, vec)
 
     def test_monte_carlo_rejects_no_samples(self):
+        # one sample has no standard error: its tolerance would be 4 * 0
         p = ChainParams(n=5, beta_a=0.5, beta_b=0.75)
-        with pytest.raises(ValueError, match="mc_samples"):
-            telescoping(p, D, [0.5] * 5, mc_samples=0)
+        for mc_samples in (0, 1):
+            with pytest.raises(ValueError, match="mc_samples"):
+                telescoping(p, D, [0.5] * 5, mc_samples=mc_samples)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -456,6 +458,15 @@ class TestEquilibriumLimit:
         r = check_equilibrium_limit(params, model, tol=1e-12)
         assert len(calls) == 1 and r.method == "quadrature"
         assert r.passed and r.max_residual <= 1e-15
+
+    def test_inconclusive_when_table_cannot_be_certified(self):
+        # tol/100 = 1e-17 is below what the ordered-box integrator reaches
+        r = check_equilibrium_limit(NEQ2, Model.DISCRETE, tol=1e-15)
+        assert r.inconclusive and not r.passed
+        assert r.method == "quadrature"
+        assert r.residuals["quadrature_error"] > 0.0
+        assert r.tolerances == {"quadrature_error": 0.0}
+        assert "failure" in r.notes
 
     def test_near_degenerate_interval_tracks_product(self):
         beta_a = 0.5
