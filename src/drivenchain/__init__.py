@@ -11,7 +11,6 @@ and machine-checks the identities that make the mixtures stationary.
 from .core import (
     ChainParams,
     QuadratureError,
-    exp_integral_e1,
     harmonic_number,
     make_rng,
     quadrature_1d,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -580,6 +581,8 @@ def check_options(cfg: RunConfig, given: set[str]) -> None:
         if not getattr(cfg, name) >= _LEAST[name]:
             raise ValueError(f"{_flag(name)} must be at least {_LEAST[name]}, "
                              f"got {getattr(cfg, name)}")
+    if "tol" in given and not math.isfinite(cfg.tol):  # an infinite tolerance certifies nothing
+        raise ValueError(f"--tol must be finite, got {cfg.tol}")
     if not 0.0 < cfg.level < 1.0:
         raise ValueError(f"--level must lie in (0, 1), got {cfg.level}")
 

@@ -24,10 +24,11 @@ import functools
 import math
 
 import numpy as np
+from scipy.special import exp1
 
-from .core import ChainParams, exp_integral_e1, make_rng
-from .occupation import (DEFAULT_GRID_SAMPLES, BinnedHistogram, ChainState, OccupationStats,
-                         initial_values, run_window)
+from .core import ChainParams, make_rng
+from .occupation import (DEFAULT_GRID_SAMPLES, BinnedHistogram, BlockDraws, ChainState,
+                         OccupationStats, initial_values, run_window)
 
 __all__ = [
     "InjectionSampler",
@@ -48,7 +49,7 @@ def energy_histogram(params: ChainParams, epsilon: float) -> BinnedHistogram:
     return BinnedHistogram(10.0 * epsilon, 50.0 * params.t_b, 256)
 
 
-def sample_alpha_removal(epsilon: float, z: float, rng: np.random.Generator) -> float:
+def sample_alpha_removal(epsilon: float, z: float, rng: BlockDraws) -> float:
     """Jump size with density 1/(alpha log(z/eps)) on [eps, z], z > eps, by exact inversion."""
     alpha = epsilon * (z / epsilon) ** rng.random()
     return alpha if alpha < z else z
@@ -73,9 +74,9 @@ class InjectionSampler:
         self.temperature = temperature
         self.epsilon = epsilon
         self.split = max(epsilon, temperature)
-        self.mass_high = exp_integral_e1(self.split / temperature)
+        self.mass_high = float(exp1(self.split / temperature))
         if epsilon < self.split:
-            self.mass_low = exp_integral_e1(epsilon / temperature) - self.mass_high
+            self.mass_low = float(exp1(epsilon / temperature)) - self.mass_high
             self.log_ratio = math.log(self.split / epsilon)
         else:
             self.mass_low = 0.0
@@ -84,7 +85,7 @@ class InjectionSampler:
         self.proposals = 0
         self.accepts = 0
 
-    def draw(self, rng: np.random.Generator) -> float:
+    def draw(self, rng: BlockDraws) -> float:
         t = self.temperature
         p_low = self.mass_low / self.total_rate
         # Pick the branch once, then reject within it: retrying across
@@ -102,10 +103,6 @@ class InjectionSampler:
             if rng.random() * alpha < self.split:
                 self.accepts += 1
                 return alpha
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepts / self.proposals if self.proposals else float("nan")
 
 
 def new_state_continuous(
@@ -149,7 +146,5 @@ def simulate_continuous(
     hists = [energy_histogram(params, state.floor) for _ in range(params.n)]
     stats = run_window(state, rng, hists, "continuous", t_max, burn_in, grid_samples,
                        observers, 1e-9)
-    stats.extra.update(epsilon=state.floor, final_z=list(state.values),
-                       acceptance_a=state.sampler_a.acceptance_rate,
-                       acceptance_b=state.sampler_b.acceptance_rate)
+    stats.extra.update(epsilon=state.floor, final_z=list(state.values))
     return stats

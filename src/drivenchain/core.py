@@ -2,10 +2,10 @@
 
 Everything downstream (exact measures, simulators, verifier) builds on the
 pieces collected here: validated chain parameters, reproducible random
-streams, harmonic numbers, the exponential integral E1, a Fenwick tree for
-rate-proportional choice, and one Chebyshev integrator with explicit
-convergence reporting: Clenshaw-Curtis on an interval, and cumulative
-integration over the ordered box lo <= m_1 <= ... <= m_n <= hi.
+streams, harmonic numbers, a Fenwick tree for rate-proportional choice, and
+one Chebyshev integrator with explicit convergence reporting: Clenshaw-Curtis
+on an interval, and cumulative integration over the ordered box
+lo <= m_1 <= ... <= m_n <= hi.
 """
 
 from __future__ import annotations
@@ -18,14 +18,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-EULER_GAMMA = 0.57721566490153286061
-
 __all__ = [
     "ChainParams",
     "make_rng",
     "harmonic_number",
     "harmonic_prefix",
-    "exp_integral_e1",
     "quadrature_1d",
     "QuadResult",
     "QuadratureError",
@@ -99,19 +96,15 @@ def _grow_harmonic(n: int) -> None:
 
 
 def harmonic_number(n: int) -> float:
-    """H(n) = sum_{k=1}^{n} 1/k, with H(0) = 0.
+    """H(n) = sum_{k=1}^{n} 1/k, with H(0) = 0: the cached partial sum.
 
-    Exact cached partial sums up to ``HARMONIC_CACHE_LIMIT``; beyond that the
-    asymptotic expansion log n + gamma + 1/(2n) - 1/(12 n^2), whose truncation
-    error (~1/(120 n^4)) is far below 1e-12 in that range.
+    ValueError past ``HARMONIC_CACHE_LIMIT``.
     """
     if n < 0:
         raise ValueError(f"harmonic_number needs n >= 0, got {n}")
-    if n <= HARMONIC_CACHE_LIMIT:
-        if n >= len(_harmonic):
-            _grow_harmonic(n)
-        return _harmonic[n]
-    return math.log(n) + EULER_GAMMA + 1.0 / (2.0 * n) - 1.0 / (12.0 * n * n)
+    if n >= len(_harmonic):
+        return harmonic_prefix(n)[n]
+    return _harmonic[n]
 
 
 def harmonic_prefix(n: int) -> list[float]:
@@ -124,47 +117,6 @@ def harmonic_prefix(n: int) -> list[float]:
     if n >= len(_harmonic):
         _grow_harmonic(n)
     return _harmonic
-
-
-# ---------------------------------------------------------------------------
-# Exponential integral E1
-# ---------------------------------------------------------------------------
-
-def exp_integral_e1(x: float) -> float:
-    """E1(x) = integral of exp(-t)/t from x to infinity, x > 0.
-
-    Power series for x <= 1, modified-Lentz continued fraction for x > 1;
-    both converge to well under 1e-10 relative error on their branches.
-    """
-    if not x > 0.0:
-        raise ValueError(f"exp_integral_e1 needs x > 0, got {x}")
-    if x <= 1.0:
-        # E1(x) = -gamma - log x + sum_{k>=1} (-1)^{k+1} x^k / (k * k!)
-        total = -EULER_GAMMA - math.log(x)
-        term = 1.0
-        for k in range(1, 60):
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < 1e-18 * max(abs(total), 1e-300):
-                break
-        return total
-    # Continued fraction E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h * math.exp(-x)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .core import ChainParams, HARMONIC_CACHE_LIMIT, harmonic_number, harmonic_prefix, make_rng
-from .occupation import (DEFAULT_GRID_SAMPLES, ChainState, IntHistogram, OccupationStats,
-                         initial_values, run_window)
+from .core import ChainParams, harmonic_number, harmonic_prefix, make_rng
+from .occupation import (DEFAULT_GRID_SAMPLES, BlockDraws, ChainState, IntHistogram,
+                         OccupationStats, initial_values, run_window)
 
 __all__ = [
     "LogSeriesSampler",
@@ -34,36 +34,25 @@ __all__ = [
 ]
 
 
-def sample_k_harmonic(n: int, rng: np.random.Generator) -> int:
+def sample_k_harmonic(n: int, rng: BlockDraws) -> int:
     """Batch size k in 1..n with probability (1/k) / H(n).
 
     Inverse CDF over the cached harmonic prefix sums: a short forward scan
     for small occupations (the expected batch n/H(n) keeps it a few steps),
-    bisection for large ones, and bisection on the asymptotic form beyond the
-    cache (unreachable in any realistic run, but the sampler should not care).
+    bisection for large ones.  ValueError past ``HARMONIC_CACHE_LIMIT``.
     """
     if n < 1:
         raise ValueError(f"sample_k_harmonic needs n >= 1, got {n}")
     if n == 1:
         return 1
-    if n <= HARMONIC_CACHE_LIMIT:
-        pref = harmonic_prefix(n)
-        u = rng.random() * pref[n]
-        if n <= 64:
-            k = 1
-            while k < n and pref[k] <= u:
-                k += 1
-            return k
-        return min(bisect_right(pref, u, 1, n + 1), n)
-    u = rng.random() * harmonic_number(n)
-    lo, hi = 1, n  # smallest k with H(k) > u
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if harmonic_number(mid) > u:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    pref = harmonic_prefix(n)
+    u = rng.random() * pref[n]
+    if n <= 64:
+        k = 1
+        while k < n and pref[k] <= u:
+            k += 1
+        return k
+    return min(bisect_right(pref, u, 1, n + 1), n)
 
 
 class LogSeriesSampler:
@@ -82,7 +71,7 @@ class LogSeriesSampler:
         self.beta = beta
         self.total_rate = -math.log1p(-beta)
 
-    def draw(self, rng: np.random.Generator) -> int:
+    def draw(self, rng: BlockDraws) -> int:
         target = rng.random() * self.total_rate
         beta = self.beta
         acc = 0.0

@@ -17,6 +17,9 @@ inline (channel choice, site and rate-cache update, moment accumulation) in
 local variables.  An event changes at most two sites, so rather than
 weighting all n sites after every holding interval (O(n^2) per event) it
 closes a site's interval only when that site changes: O(n) per change.
+Every random number of a run comes from one ``BlockDraws``, which reads the
+Generator's uniforms and exponentials from blocks of DRAW_BLOCK values: a
+scalar Generator call costs several times a list read.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ import copy
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Any, Callable
 
 import numpy as np
 
 from .core import FenwickTree
 
-__all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "ChainState",
+__all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "ChainState", "BlockDraws",
            "initial_values", "run_window", "DEFAULT_GRID_SAMPLES"]
 
 RESYNC_INTERVAL = 1_000_000  # events between rate-cache refreshes
@@ -39,6 +43,31 @@ RESYNC_DRIFT_TOL = 1e-9  # largest relative rate-cache drift a resync accepts
 LINEAR_SCAN_MAX_SITES = 64  # larger chains pick channels by Fenwick search
 DEFAULT_GRID_SAMPLES = 1 << 16  # trajectory series points per run
 CHANNELS = ("inject_a", "inject_b", "exit_a", "exit_b", "bulk")  # event kinds counted per run
+DRAW_BLOCK = 4096  # values a BlockDraws stream takes from its Generator at once
+
+
+def _blocks(draw: Callable[[int], np.ndarray]):
+    """The values of draw(DRAW_BLOCK), draw(DRAW_BLOCK), ... one at a time; a block
+    is drawn only when the one before it is used up."""
+    return chain.from_iterable(draw(DRAW_BLOCK).tolist() for _ in repeat(None))
+
+
+class BlockDraws:
+    """A Generator's uniforms and standard exponentials, drawn in blocks.
+
+    ``random()`` and ``standard_exponential()`` stand in for the Generator's
+    scalar calls.  Each returns the next value of its own stream, which
+    draws ``gen.random(DRAW_BLOCK)`` (``gen.standard_exponential(DRAW_BLOCK)``)
+    when its last block is used up, so the Generator sees the block draws in
+    the order the two streams run out.  Values left in a block when the
+    wrapper is dropped are never used.
+    """
+
+    __slots__ = ("random", "standard_exponential")
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        self.random = _blocks(gen.random).__next__
+        self.standard_exponential = _blocks(gen.standard_exponential).__next__
 
 
 class IntHistogram:
@@ -227,8 +256,8 @@ class ChainState:
 
     Site x holds ``values[x]`` and fires each of its two exit channels at
     rate ``rate_of(values[x])``, which is zero at or below ``floor``; a
-    firing moves ``remove(values[x], rng)`` across.  Reservoir A (B) injects
-    ``sampler_a.draw(rng)`` into the first (last) site at rate
+    firing moves ``remove(values[x], draws)`` across.  Reservoir A (B) injects
+    ``sampler_a.draw(draws)`` into the first (last) site at rate
     ``sampler_a.total_rate``; ``inj_rate`` is their sum.  ``site_rate``
     caches the site rates, ``rate_sum`` their incrementally updated sum and,
     above LINEAR_SCAN_MAX_SITES sites, ``tree`` their Fenwick tree (each
@@ -241,7 +270,7 @@ class ChainState:
     values: list
     rate_of: Callable[[Any], float]
     floor: float
-    remove: Callable[[Any, np.random.Generator], Any]
+    remove: Callable[[Any, BlockDraws], Any]
     sampler_a: Any
     sampler_b: Any
     site_rate: list[float] = field(init=False)
@@ -274,14 +303,17 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
                mass_tol: float) -> OccupationStats:
     """Run a chain state to t_max and measure it over [burn_in, t_max].
 
-    Holding times are exponential at the state's total rate.  Each event
-    draws its holding time (``standard_exponential``), then picks one channel
-    proportionally to its rate (``random``: injection at A, injection at B,
-    then the two exit channels of each site, by linear scan up to
-    LINEAR_SCAN_MAX_SITES sites and by Fenwick search above), then draws the
-    amount moved (the chain's samplers).  It changes one or two sites; each
-    change updates the rate cache, the moments and ``hists``.  The loop
-    keeps all of this in local variables.
+    Every random number of the run comes from one ``BlockDraws`` that wraps
+    the Generator ``rng`` at the start; the chain's samplers receive that
+    wrapper as their ``rng``.  Holding times are exponential at the state's
+    total rate.  Each event draws its holding time (``standard_exponential``),
+    then picks one channel proportionally to its rate (``random``: injection
+    at A, injection at B, then the two exit channels of each site, by linear
+    scan up to LINEAR_SCAN_MAX_SITES sites and by Fenwick search above), then
+    draws the amount moved (the chain's samplers).  It changes one or two
+    sites; each change updates the rate cache, the moments and ``hists``.
+    The loop keeps all of this in local variables.  ``rng`` ends the run
+    advanced by whole blocks, the unused tails of the last ones included.
 
     The moments accumulate lazily.  Per site x the loop keeps the time
     ``last[x]`` of its last change, the running integral
@@ -305,10 +337,13 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     window (an evenly spaced series for autocorrelation estimates), each
     point passed to every ``observers`` callable as (time, values).
     ``extra`` counts the events of each of ``CHANNELS``, the resyncs, and
-    names the channel ``selection`` path.  The run fails with RuntimeError if
-    a removal is picked at a site at or below the floor, unless injected -
-    extracted matches the mass gained within ``mass_tol`` (relative), and
-    unless every value stays non-negative.
+    names the channel ``selection`` path.  Injection samplers that count
+    their ``proposals`` and ``accepts`` (the energy chain's) get this run's
+    share of them as ``acceptance_a``/``acceptance_b``: the change in the
+    counts over the run, so each window reports its own rate.  The run fails
+    with RuntimeError if a removal is picked at a site at or below the floor,
+    unless injected - extracted matches the mass gained within ``mass_tol``
+    (relative), and unless every value stays non-negative.
     """
     if burn_in is None:
         burn_in = 0.1 * t_max
@@ -327,8 +362,8 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     grid_dt = (t_max - burn_in) / grid_samples
     next_grid = 0
     grid_time = burn_in + (next_grid + 1) * grid_dt
-    rexp = rng.standard_exponential
-    uniform = rng.random
+    draws = BlockDraws(rng)
+    rexp, uniform = draws.standard_exponential, draws.random
     rate_a, draw_a = state.sampler_a.total_rate, state.sampler_a.draw
     rate_b, draw_b = state.sampler_b.total_rate, state.sampler_b.draw
     inj_rate = state.inj_rate
@@ -338,6 +373,9 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     max_drift = 0.0
     next_resync = resync_interval = RESYNC_INTERVAL
     rate_sum, site_rate, tree = state.rate_sum, state.site_rate, state.tree
+    counted = [(key, sampler, sampler.proposals, sampler.accepts) for key, sampler in
+               zip(("acceptance_a", "acceptance_b"), (state.sampler_a, state.sampler_b))
+               if hasattr(sampler, "proposals")]
     wall_start = time.perf_counter()
     t = 0.0
     while True:
@@ -357,12 +395,12 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
         u = uniform() * total
         to = -1
         if u < rate_a:
-            amount = draw_a(rng)
+            amount = draw_a(draws)
             x, new = 0, values[0] + amount
             injected_a += amount
             inject_a += 1
         elif u - rate_a < rate_b:
-            amount = draw_b(rng)
+            amount = draw_b(draws)
             x, new = last_site, values[last_site] + amount
             injected_b += amount
             inject_b += 1
@@ -386,7 +424,7 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
             held = values[x]
             if not held > floor:
                 raise RuntimeError(f"removal channel selected at site {x} holding {held!r}")
-            amount = remove(held, rng)
+            amount = remove(held, draws)
             new = held - amount
             if to < 0:
                 extracted_a += amount
@@ -451,5 +489,9 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
                "channel_events": dict(zip(CHANNELS, (inject_a, inject_b, exit_a, exit_b, bulk))),
                "resyncs": resyncs, "selection": "linear" if tree is None else "fenwick"},
     )
+    for key, sampler, proposals_before, accepts_before in counted:  # this run's share
+        proposals = sampler.proposals - proposals_before
+        accepts = sampler.accepts - accepts_before
+        stats.extra[key] = accepts / proposals if proposals else math.nan
     stats.check_run(start_mass, values, mass_tol)
     return stats

@@ -4,9 +4,12 @@ The stepper runs the dynamics of ``occupation.run_window`` one function call
 per event (``_jump``), per site change (``_update_site``) and per channel
 choice (``_select_site``), with the chain and its rate cache kept on the
 ``ChainState`` and the clock, event count, fluxes and largest resync drift
-in a ``StepperRun`` record of its own.  It draws the same random numbers in
-the same order and does the same float operations, so ``run_window`` must
-reproduce its trajectory bit for bit; it accumulates no statistics.
+in a ``StepperRun`` record of its own.  Like ``run_window`` it wraps the
+Generator it is given in one ``occupation.BlockDraws`` and takes every draw
+from that wrapper, the samplers' included.  It draws the same random
+numbers in the same order and does the same float operations, so
+``run_window`` must reproduce its trajectory bit for bit; it accumulates no
+statistics.
 """
 
 from dataclasses import dataclass
@@ -59,21 +62,21 @@ class StepperRun:
     max_resync_drift: float = 0.0
 
 
-def _jump(state, run, rng):
+def _jump(state, run, draws):
     """Select one channel proportionally to its rate, execute it, and book its flux in ``run``."""
     values = state.values
     rate_a = state.sampler_a.total_rate
     rate_b = state.sampler_b.total_rate
-    u = rng.random() * (2.0 * state.rate_sum + state.inj_rate)
+    u = draws.random() * (2.0 * state.rate_sum + state.inj_rate)
     if u < rate_a:
-        amount = state.sampler_a.draw(rng)
+        amount = state.sampler_a.draw(draws)
         _update_site(state, 0, values[0] + amount)
         run.injected_a += amount
         return
     u -= rate_a
     last = len(values) - 1
     if u < rate_b:
-        amount = state.sampler_b.draw(rng)
+        amount = state.sampler_b.draw(draws)
         _update_site(state, last, values[last] + amount)
         run.injected_b += amount
         return
@@ -84,7 +87,7 @@ def _jump(state, run, rng):
     held = values[x]
     if not held > state.floor:
         raise RuntimeError(f"removal channel selected at site {x} holding {held!r}")
-    amount = state.remove(held, rng)
+    amount = state.remove(held, draws)
     _update_site(state, x, held - amount)
     if to < 0:
         run.extracted_a += amount
@@ -99,16 +102,17 @@ def run_reference(state, rng, t_max, after_each_event=lambda state, run: None) -
 
     The hook runs before ``run.events`` counts the event, so it sees 0 on
     the first event.  The rate cache resyncs as in ``run_window``.  Returns
-    the run's record.
+    the run's record.  ``rng`` is a Generator, wrapped here as ``run_window`` wraps it.
     """
+    draws = occupation.BlockDraws(rng)
     run = StepperRun()
     while True:
-        dt = rng.standard_exponential() / (2.0 * state.rate_sum + state.inj_rate)
+        dt = draws.standard_exponential() / (2.0 * state.rate_sum + state.inj_rate)
         t_new = run.time + dt
         if t_new >= t_max:
             break
         run.time = t_new
-        _jump(state, run, rng)
+        _jump(state, run, draws)
         after_each_event(state, run)
         run.events += 1
         if run.events % occupation.RESYNC_INTERVAL == 0:

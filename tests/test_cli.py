@@ -397,15 +397,24 @@ class TestCompare:
         assert_compare_reuses_profile(sim, out)
 
     def test_continuous_round_trip(self, tmp_path):
+        # The verdict is a statistical test that rejects a correct engine at a
+        # small rate (about 2% of seeds here), so the test holds compare to the
+        # verdict it wrote, not to a pass.
         sim = tmp_path / "csim"
-        run_cli([
+        assert run_cli([
             "simulate", "--model", "continuous", "--n", "2", "--t-a", "1",
             "--t-b", "2", "--t-max", "600", "--seed", "12",
             "--grid-samples", "4096", "--out", str(sim),
-        ])
+        ]) == 0
         out = tmp_path / "ccmp"
-        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 0
+        code = run_cli(["compare", "--sim", str(sim), "--out", str(out)])
         assert_compare_reuses_profile(sim, out)
+        rows = list(csv.DictReader((out / "gof.csv").read_text().splitlines()))
+        assert [r["test"] for r in rows] == ["ks", "ks"]
+        z = [float(row["z"]) for name in ("compare_profile.csv", "compare_covariance.csv")
+             for row in csv.DictReader((out / name).read_text().splitlines())]
+        passed = all(r["passed"] == "True" for r in rows) and max(map(abs, z)) < 4.0
+        assert code == (0 if passed else 3)
 
     def test_replicas_round_trip(self, tmp_path):
         sim = simulate_small(tmp_path / "rsim", "--replicas", "3", "--workers", "1")
@@ -522,16 +531,37 @@ class TestNumericOptions:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_infinite_tol_exits_2(self, tmp_path, source, capsys):
+        # A check against an infinite tolerance passes anything, wrong candidates too.
+        if source == "config":
+            path = tmp_path / "run.cfg"
+            path.write_text("tol=inf\n")
+            option = ["--config", str(path)]
+        else:
+            option = ["--tol", "inf"]
+        out = tmp_path / "out"
+        assert run_cli(["verify", "--suite", "stationarity", "--n", "1", "--k", "20",
+                        "--candidate", "product-geometric", *option, "--out", str(out)]) == 2
+        assert "--tol must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_z_fails_compare(self, tmp_path):
-        # two grid points: site 2 never moves between them, so its se is 0 and
-        # its mean misses the exact one; every finite z stays below 4
+        # A window of 1e-6 time units holds no event whatever the seed, so every
+        # site keeps its value across the two grid points: every se is 0 and
+        # every moment misses the exact one (integer means, non-integer exact
+        # ones), so every z is inf.  Two samples leave the GOF inconclusive,
+        # so the infinite z alone fails compare; skipped, it would give exit 4.
         sim = tmp_path / "sim"
-        assert run_cli(["simulate", "--n", "2", "--t-max", "50", "--seed", "0",
-                        "--grid-samples", "2", "--out", str(sim)]) == 0
+        assert run_cli(["simulate", "--n", "2", "--t-max", "50", "--burn-in", "49.999999",
+                        "--seed", "0", "--grid-samples", "2", "--out", str(sim)]) == 0
         z = [float(row["z"]) for name in ("profile.csv", "covariance.csv")
              for row in csv.DictReader((sim / name).read_text().splitlines())]
-        assert math.inf in z and max(abs(v) for v in z if math.isfinite(v)) < 4.0
-        assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "cmp")]) == 3
+        assert len(z) == 5 and all(v == math.inf for v in z)
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 3
+        notes = {row["note"] for row in csv.DictReader((out / "gof.csv").read_text().splitlines())}
+        assert notes == {"insufficient effective samples"}
 
 
 class TestUnreadOptions:

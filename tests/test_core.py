@@ -1,17 +1,17 @@
-"""Core numerics: parameters, RNG streams, harmonic numbers, E1, quadrature."""
+"""Core numerics: parameters, RNG streams, harmonic numbers, quadrature."""
 
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import integrate, special
+from scipy import integrate
 
 from drivenchain.core import (
+    HARMONIC_CACHE_LIMIT,
     ChainParams,
     FenwickTree,
     QuadratureError,
-    exp_integral_e1,
     harmonic_number,
     harmonic_prefix,
     make_rng,
@@ -76,40 +76,15 @@ class TestHarmonic:
         pref = harmonic_prefix(1000)
         assert np.all(np.diff(pref) > 0)
 
-    def test_asymptotic_branch_vs_cached_continuation(self):
-        top = 1_000_000
-        exact_top = harmonic_number(top)  # cached partial sum
-        for extra in (1, 5, 17):
-            oracle = exact_top + sum(1.0 / k for k in range(top + 1, top + extra + 1))
-            assert harmonic_number(top + extra) == pytest.approx(oracle, abs=1e-12)
+    def test_past_cache_rejected(self):
+        top = HARMONIC_CACHE_LIMIT
+        assert harmonic_number(top) == harmonic_prefix(top)[top]
+        with pytest.raises(ValueError, match="cached up to"):
+            harmonic_number(top + 1)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             harmonic_number(-1)
-
-
-class TestExpIntegral:
-    def test_derived_values_from_quadrature_oracle(self):
-        # oracle: adaptive quadrature of the defining integral (independent code)
-        for x, frozen in ((1.0, 0.21938393439552029), (0.5, 0.5597735947761607)):
-            oracle, err = integrate.quad(lambda t: math.exp(-t) / t, x, np.inf)
-            assert oracle == pytest.approx(frozen, abs=5e-9)
-            assert exp_integral_e1(x) == pytest.approx(frozen, rel=1e-10)
-
-    def test_matches_scipy_across_range(self):
-        for x in (1e-6, 0.01, 0.3, 0.999, 1.0, 1.001, 3.0, 12.0, 80.0):
-            assert exp_integral_e1(x) == pytest.approx(float(special.exp1(x)), rel=1e-10)
-
-    def test_vanishes_at_infinity(self):
-        assert exp_integral_e1(200.0) < 1e-80
-        xs = [0.1, 0.5, 1.0, 5.0, 20.0]
-        vals = [exp_integral_e1(x) for x in xs]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    @pytest.mark.parametrize("x", [0.0, -1.0])
-    def test_domain_error(self, x):
-        with pytest.raises(ValueError):
-            exp_integral_e1(x)
 
 
 class TestQuadrature:

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as sps
 
 from drivenchain import discrete_sim, occupation
-from drivenchain.core import ChainParams, harmonic_number, make_rng
+from drivenchain.core import HARMONIC_CACHE_LIMIT, ChainParams, harmonic_number, make_rng
 from drivenchain.discrete_sim import LogSeriesSampler, new_state, sample_k_harmonic, simulate
 from drivenchain.measure import MixtureSpec, Model, geometric_pmf, moment_profile
 from drivenchain.occupation import RESYNC_DRIFT_TOL
@@ -50,6 +50,8 @@ class TestSampleKHarmonic:
     def test_invalid(self):
         with pytest.raises(ValueError):
             sample_k_harmonic(0, make_rng(0))
+        with pytest.raises(ValueError, match="cached up to"):  # no draw past the cache
+            sample_k_harmonic(HARMONIC_CACHE_LIMIT + 1, make_rng(0))
 
 
 class TestSampleKLogarithmic:

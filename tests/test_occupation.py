@@ -1,5 +1,6 @@
-"""The fused event engine against the reference stepper, and its accumulator
-against a dense re-walk of the stepper's trajectory."""
+"""The fused event engine against the reference stepper, its accumulator
+against a dense re-walk of the stepper's trajectory, and its block draws
+against the Generator's own vector draws."""
 
 import hashlib
 import math
@@ -12,7 +13,8 @@ from drivenchain import continuous_sim, discrete_sim, occupation
 from drivenchain.continuous_sim import new_state_continuous, simulate_continuous
 from drivenchain.core import ChainParams, make_rng
 from drivenchain.discrete_sim import new_state, simulate
-from drivenchain.occupation import CHANNELS, BinnedHistogram, IntHistogram, OccupationStats
+from drivenchain.occupation import (CHANNELS, DRAW_BLOCK, BinnedHistogram, BlockDraws,
+                                   IntHistogram, OccupationStats)
 
 D5 = ChainParams(n=5, beta_a=0.5, beta_b=0.75)
 D65 = ChainParams(n=65, beta_a=0.5, beta_b=0.75)
@@ -65,39 +67,40 @@ def run_stepper(name: str, reference_run):
     return start, state, run, events
 
 
-# Produced by the dense per-event accumulator these runs replaced:
+# Produced by the block-draw engine (``occupation.BlockDraws``), which the
+# reference stepper and the dense re-walk above hold to:
 # (event_count, sha256 of series[0] bytes, (injected_a, extracted_a, injected_b,
 # extracted_b), sha256 of repr(final state)), each hash cut to 16 hex digits.
 PINNED = {
-    "discrete-burn0": (4164, "055d03e9a4cbb183", (300.0, 465.0, 947.0, 765.0), "c040ef405f193012"),
-    "discrete-mid": (4896, "6389cf44cbdf6b26", (385.0, 481.0, 1186.0, 1086.0), "8a1e43aed43e5c63"),
-    "discrete-fenwick": (1552, "25adbe9b7535c091", (73.0, 68.0, 152.0, 135.0), "1c3d4536df0631cf"),
-    "discrete-eta0": (4267, "497ae3177f18c25c", (300.0, 418.0, 935.0, 819.0), "778718abaec62213"),
-    "continuous-burn0": (9921, "1784f8d0950b2921", (55.547187668999584, 61.20601251619684,
-                                                     127.41476607151174, 110.00563993310008),
-                         "2a65873a981e08a3"),
-    "continuous-mid": (13159, "d0a4e02ebe687db8", (78.6486513797708, 81.59697040747524,
-                                                   147.44763595433147, 139.46897328112203),
-                       "a94661a75234bc12"),
-    "continuous-fenwick": (4554, "26c40db2aa961042", (5.875349512203456, 4.384232468036669,
-                                                      20.462177404520645, 12.944521118793496),
-                           "96985e1f286f42b2"),
-    "continuous-z0": (9924, "007c331aa28596be", (70.4519849983999, 85.88596406018863,
-                                                 120.94552257784532, 92.8293230699425),
-                      "864a20001a66840d"),
+    "discrete-burn0": (3436, "35eab234dc16f058", (258.0, 362.0, 930.0, 816.0), "2ee5aa041f7b1675"),
+    "discrete-mid": (4675, "397a7863799773a7", (372.0, 461.0, 1138.0, 1043.0), "566fbb2e9fb8e2fd"),
+    "discrete-fenwick": (1818, "d30ddb1241ed5164", (54.0, 50.0, 206.0, 180.0), "366360df8e6fca5f"),
+    "discrete-eta0": (4105, "39b8d043576bc879", (288.0, 419.0, 977.0, 843.0), "9882250c7663e1a6"),
+    "continuous-burn0": (10035, "6b4d5ed755a9b6f7", (50.11032809955426, 53.32489719378615,
+                                                      121.7409401242193, 106.94016005782865),
+                         "3a5ca777c07c7b44"),
+    "continuous-mid": (12901, "4792b8896f3a1cad", (91.21059703577245, 106.45954847255935,
+                                                   131.16347889839082, 112.29166170508903),
+                       "c1093974b3c25f27"),
+    "continuous-fenwick": (3301, "6b9abf8573575fe1", (6.963067427125223, 6.081850365662997,
+                                                      15.143059324970087, 6.8187506633911985),
+                           "592b977d2ee0f79a"),
+    "continuous-z0": (9706, "6205d55c57523b14", (56.23622989837987, 59.591965218699464,
+                                                 106.91063801995158, 101.72105048436876),
+                      "875c92567c60b9e7"),
 }
 
 # The float accumulators of the same runs: sha256 of mean_acc bytes, of
 # second_acc bytes and of repr(list of histogram weight lists), 16 hex digits each.
 PINNED_ACC = {
-    "continuous-burn0": ("4162fd6f9e398ee5", "2f7ac3fc26c57aec", "82553d522b85001d"),
-    "continuous-fenwick": ("f07aa31ff6d0b0ce", "849510e3c942aa52", "89ad31e91c566844"),
-    "continuous-mid": ("28bc4f211a4269de", "21fcf763f0e17ec7", "31bdf3d358068357"),
-    "continuous-z0": ("1c23758eb8c1e2af", "16ec4728e226cf94", "6166ae7e0bc07bc0"),
-    "discrete-burn0": ("3fa44e4f20366cea", "2121c73da9e5fa6f", "34de824a555fe733"),
-    "discrete-eta0": ("19ff96662db71f6b", "54277422cca32e65", "e01fec431afcd989"),
-    "discrete-fenwick": ("d880093b31e7cc5d", "e3a28f64c102f459", "baec8583791962c3"),
-    "discrete-mid": ("52a9494bc7ab583e", "5f857b8510656496", "23edd01d349bed0e"),
+    "continuous-burn0": ("57d110cf62e28628", "e447e2ddbff8fb09", "aac5ecfbdf8e4681"),
+    "continuous-fenwick": ("6149be6ed68f08f3", "e126748a6fd34e37", "085c0e7ca8e35c8d"),
+    "continuous-mid": ("6a46928071a654c0", "db73d4af306f2694", "3b76b8b92bac2e52"),
+    "continuous-z0": ("0a25765df6cd9d09", "9ad80eb924e9572c", "addf8e0ffaec6945"),
+    "discrete-burn0": ("5621b7554a588bcd", "41effb60bd919e18", "7089f3f0628df26f"),
+    "discrete-eta0": ("8400eaf746f3c909", "12a42e079ec0b944", "9a00e14f86dc63b7"),
+    "discrete-fenwick": ("99f553c47238b15b", "44a4a3c12633b26e", "9b5a4af4e7ac43c6"),
+    "discrete-mid": ("6cc49bdf02d950b1", "8edaecbe1f9c3961", "a295aa016d5a8878"),
 }
 
 
@@ -200,6 +203,29 @@ def test_float_accumulators_are_pinned(name):
             _sha(repr([h.weights for h in st.hists]).encode())) == PINNED_ACC[name]
 
 
+@pytest.mark.parametrize("order", ["interleaved", "uniforms first"])
+def test_block_draws_are_the_generators_vector_draws(order):
+    # Three refills of each stream; the fourth block is read once.  The twin
+    # draws its blocks in the order the two streams run out.
+    count = 3 * DRAW_BLOCK + 1
+    draws, twin = BlockDraws(make_rng(5)), make_rng(5)
+    if order == "interleaved":
+        pairs = [(draws.random(), draws.standard_exponential()) for _ in range(count)]
+        uniforms, exponentials = (list(v) for v in zip(*pairs))
+        blocks = [(twin.random(DRAW_BLOCK), twin.standard_exponential(DRAW_BLOCK))
+                  for _ in range(4)]
+        want_u = np.concatenate([u for u, _ in blocks])
+        want_e = np.concatenate([e for _, e in blocks])
+    else:
+        uniforms = [draws.random() for _ in range(count)]
+        exponentials = [draws.standard_exponential() for _ in range(count)]
+        want_u = np.concatenate([twin.random(DRAW_BLOCK) for _ in range(4)])
+        want_e = np.concatenate([twin.standard_exponential(DRAW_BLOCK) for _ in range(4)])
+    assert uniforms == want_u[:count].tolist()
+    assert exponentials == want_e[:count].tolist()
+    assert all(type(v) is float for v in (uniforms[-1], exponentials[-1]))
+
+
 def _stats(**kw) -> OccupationStats:
     base = dict(n_sites=2, model="continuous", mean_acc=np.array([1.0, 2.0]),
                 injected_a=3.0, extracted_a=1.0, injected_b=0.5, extracted_b=0.5)
@@ -291,6 +317,27 @@ def test_one_state_runs_two_windows(model):
         assert st.extra["resyncs"] == 1
     net = second.injected_a + second.injected_b - second.extracted_a - second.extracted_b
     assert net == pytest.approx(sum(state.values) - sum(start), rel=0.0, abs=1e-9)
+
+
+def test_each_window_reports_its_own_acceptance():
+    # The samplers count over their whole life; a window reports the change.
+    params = ChainParams(n=3, t_a=1.0, t_b=2.0)
+    state = new_state_continuous(params)
+    samplers = (state.sampler_a, state.sampler_b)
+    rng = make_rng(1)
+    windows = []
+    for _ in range(2):
+        before = [(s.proposals, s.accepts) for s in samplers]
+        hists = [continuous_sim.energy_histogram(params, state.floor) for _ in range(3)]
+        st = occupation.run_window(state, rng, hists, "continuous", 50.0, None, 64, (), 1e-9)
+        windows.append([(s.proposals - p, s.accepts - a) for s, (p, a) in zip(samplers, before)])
+        for key, (proposals, accepts) in zip(("acceptance_a", "acceptance_b"), windows[-1]):
+            assert proposals > 100
+            assert st.extra[key] == accepts / proposals
+    lifetime = samplers[0].accepts / samplers[0].proposals
+    assert st.extra["acceptance_a"] != lifetime  # the second window is not the sampler's life
+    discrete = simulate(ChainParams(n=3, beta_a=0.5, beta_b=0.75), 20.0, seed=1, grid_samples=8)
+    assert "acceptance_a" not in discrete.extra  # its samplers count no proposals
 
 
 @pytest.mark.parametrize("model", ["discrete", "continuous"])
