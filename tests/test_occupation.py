@@ -20,9 +20,11 @@ D5 = ChainParams(n=5, beta_a=0.5, beta_b=0.75)
 D65 = ChainParams(n=65, beta_a=0.5, beta_b=0.75)
 C5 = ChainParams(n=5, t_a=1.0, t_b=2.0)
 C65 = ChainParams(n=65, t_a=1.0, t_b=2.0)
+D200 = ChainParams(n=200, beta_a=0.5, beta_b=0.75)
 
 # name -> (model, params, simulator keywords); burn_in=37.3 and 13.7 fall
-# between events, n=65 runs on the Fenwick path.
+# between events, burn_in=0.9 after the second event, n=65 and n=200 run on
+# the Fenwick path, and n=200 spans many flush blocks of the row update.
 CASES = {
     "discrete-burn0": ("discrete", D5, dict(t_max=300.0, burn_in=0.0, seed=32, grid_samples=512)),
     "discrete-mid": ("discrete", D5, dict(t_max=400.0, burn_in=37.3, seed=31, grid_samples=512)),
@@ -30,6 +32,9 @@ CASES = {
                                                grid_samples=256)),
     "discrete-eta0": ("discrete", D5, dict(t_max=300.0, seed=34, eta0=[3, 0, 7, 1, 2],
                                            grid_samples=512)),
+    "discrete-early": ("discrete", D5, dict(t_max=150.0, burn_in=0.9, seed=38, grid_samples=512)),
+    "discrete-fenwick200": ("discrete", D200, dict(t_max=6.0, seed=39, eta0=[2] * 200,
+                                                   grid_samples=256)),
     "continuous-burn0": ("continuous", C5, dict(t_max=60.0, burn_in=0.0, seed=35,
                                                 grid_samples=512)),
     "continuous-mid": ("continuous", C5, dict(t_max=80.0, burn_in=13.7, seed=36,
@@ -76,6 +81,8 @@ PINNED = {
     "discrete-mid": (4675, "397a7863799773a7", (372.0, 461.0, 1138.0, 1043.0), "566fbb2e9fb8e2fd"),
     "discrete-fenwick": (1818, "d30ddb1241ed5164", (54.0, 50.0, 206.0, 180.0), "366360df8e6fca5f"),
     "discrete-eta0": (4105, "39b8d043576bc879", (288.0, 419.0, 977.0, 843.0), "9882250c7663e1a6"),
+    "discrete-early": (2046, "2b0dda85ad85f7e9", (145.0, 209.0, 506.0, 426.0), "e355f6ac911ed6bc"),
+    "discrete-fenwick200": (2854, "0907034fb05e9d08", (2.0, 13.0, 24.0, 15.0), "53ff202b0650a762"),
     "continuous-burn0": (10035, "6b4d5ed755a9b6f7", (50.11032809955426, 53.32489719378615,
                                                       121.7409401242193, 106.94016005782865),
                          "3a5ca777c07c7b44"),
@@ -98,8 +105,10 @@ PINNED_ACC = {
     "continuous-mid": ("6a46928071a654c0", "db73d4af306f2694", "3b76b8b92bac2e52"),
     "continuous-z0": ("0a25765df6cd9d09", "9ad80eb924e9572c", "addf8e0ffaec6945"),
     "discrete-burn0": ("5621b7554a588bcd", "41effb60bd919e18", "7089f3f0628df26f"),
+    "discrete-early": ("7d612680e93955e9", "bdb6cf37d0cd817e", "d87c2253ed9948b2"),
     "discrete-eta0": ("8400eaf746f3c909", "12a42e079ec0b944", "9a00e14f86dc63b7"),
     "discrete-fenwick": ("99f553c47238b15b", "44a4a3c12633b26e", "9b5a4af4e7ac43c6"),
+    "discrete-fenwick200": ("8bb090f62ca71ecf", "aa50aecea13f4f8a", "3a6e46648bdce5e1"),
     "discrete-mid": ("6cc49bdf02d950b1", "8edaecbe1f9c3961", "a295aa016d5a8878"),
 }
 
