@@ -581,8 +581,10 @@ def check_options(cfg: RunConfig, given: set[str]) -> None:
         if not getattr(cfg, name) >= _LEAST[name]:
             raise ValueError(f"{_flag(name)} must be at least {_LEAST[name]}, "
                              f"got {getattr(cfg, name)}")
-    if "tol" in given and not math.isfinite(cfg.tol):  # an infinite tolerance certifies nothing
-        raise ValueError(f"--tol must be finite, got {cfg.tol}")
+    # An infinite tolerance certifies nothing; an infinite window never ends.
+    for name in given & {"tol", "t_max", "burn_in"}:
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{_flag(name)} must be finite, got {getattr(cfg, name)}")
     if not 0.0 < cfg.level < 1.0:
         raise ValueError(f"--level must lie in (0, 1), got {cfg.level}")
 

@@ -7,8 +7,10 @@ reservoirs inject batches of k particles at rate beta^k / k, i.e. a constant
 total rate -log(1-beta) with logarithmically distributed batch sizes.  The
 chain is simulated exactly by the shared event engine, ``occupation.run_window``,
 one loop that runs each event in local variables: exponential holding times
-at the total rate, channels picked proportionally to their rates, O(n)
-accumulation work per changed site (at most two per event).  The chain adds
+at the total rate, channels picked proportionally to their rates, O(1)
+Python work per changed site (at most two per event) plus one numpy flush
+of the O(n) second-moment rows per block of changes, with the float sums of
+a per-site loop, so the results do not depend on the block.  The chain adds
 only its rate function H and the samplers below.  A run fails with
 RuntimeError on a removal picked at an empty site, on rate-cache drift past
 ``occupation.RESYNC_DRIFT_TOL``, on particle counts that do not balance the boundary

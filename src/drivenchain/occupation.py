@@ -16,10 +16,13 @@ for every reported moment.
 inline (channel choice, site and rate-cache update, moment accumulation) in
 local variables.  An event changes at most two sites, so rather than
 weighting all n sites after every holding interval (O(n^2) per event) it
-closes a site's interval only when that site changes: O(n) per change.
-Every random number of a run comes from one ``BlockDraws``, which reads the
-Generator's uniforms and exponentials from blocks of DRAW_BLOCK values: a
-scalar Generator call costs several times a list read.
+closes a site's interval only when that site changes.  A change costs O(1)
+Python work: it logs five numbers, and the O(n) second-moment row update of
+a block of logged changes runs as one numpy flush (``_flush``), bit for bit
+the sums a scalar loop would make.  Every random number of a run comes from
+one ``BlockDraws``, which reads the Generator's uniforms and exponentials
+from blocks of DRAW_BLOCK values: a scalar Generator call costs several
+times a list read.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ LINEAR_SCAN_MAX_SITES = 64  # larger chains pick channels by Fenwick search
 DEFAULT_GRID_SAMPLES = 1 << 16  # trajectory series points per run
 CHANNELS = ("inject_a", "inject_b", "exit_a", "exit_b", "bulk")  # event kinds counted per run
 DRAW_BLOCK = 4096  # values a BlockDraws stream takes from its Generator at once
+FLUSH_BLOCK_BYTES = 1 << 18  # size of one (changes x n) float array of a row flush
 
 
 def _blocks(draw: Callable[[int], np.ndarray]):
@@ -298,6 +302,38 @@ class ChainState:
         return drift
 
 
+def _flush(rows: np.ndarray, changes: list, opened, values: list, offset: list):
+    """Add a block of logged changes to ``rows``; return the next block's opening state.
+
+    ``changes`` holds five entries per change: site x, step = old - new, time
+    t, the new value and the new offset of x.  ``opened`` is the (values,
+    offsets) pair of arrays the block opened on.  Change i adds
+    step * (offset_y + value_y * t) to rows[x, y] for every y, with value_y
+    and offset_y as change i found them: the opening state, forward-filled
+    with the changes before i.  These are the float operations of a scalar
+    loop over y, and ``np.add.at`` adds the rows in change order, so every
+    entry of ``rows`` takes the same sums in the same order.  The log is
+    cleared; the returned pair is ``values`` and ``offset`` as arrays.
+    """
+    if changes:
+        block = np.array(changes, dtype=float).reshape(-1, 5)
+        sites = block[:, 0].astype(np.intp)
+        k, n = len(block), len(values)
+        # seen[i, y] indexes site y's state for change i: y in the opening
+        # state, or n + j after change j, the last change of y before i.
+        seen = np.tile(np.arange(n), (k, 1))
+        seen[np.arange(1, k), sites[:-1]] = np.arange(n, n + k - 1)
+        np.maximum.accumulate(seen, axis=0, out=seen)
+        added = np.concatenate((opened[0], block[:, 3]))[seen]  # value_y, then the sum
+        added *= block[:, 2, None]
+        added += np.concatenate((opened[1], block[:, 4]))[seen]
+        added *= block[:, 1, None]
+        # One flat index per entry: the 1-D np.add.at is the fast one.
+        np.add.at(rows.reshape(-1), (sites[:, None] * n + np.arange(n)).ravel(), added.ravel())
+        changes.clear()
+    return np.array(values, dtype=float), np.array(offset)
+
+
 def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
                burn_in: float | None, grid_samples: int, observers,
                mass_tol: float) -> OccupationStats:
@@ -320,10 +356,18 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     I_x(c) = int_burn_in^c eta_x dt as I_x(c) = offset[x] + eta_x * c (exact
     while eta_x holds), and row x of int eta_x eta_y dt.  Summed by parts
     over x's holding intervals, a change of x from ``old`` to ``new`` at
-    time c adds (old - new) * I_y(c) to row x (one O(n) pass, before the
-    value list moves), offset[x] gains (old - new) * c and the histogram of
+    time c adds (old - new) * I_y(c) to row x (every y, as the sites stood
+    before the change), offset[x] gains (old - new) * c and the histogram of
     x takes ``old`` for c - last[x].  A change at or before burn_in only
-    resets offset[x] to -new * burn_in, so the window opens on ``new``.  At
+    resets offset[x] to -new * burn_in, so the window opens on ``new``.
+    The loop does the O(1) part of each change after burn_in and logs it;
+    the row additions wait in blocks of at most FLUSH_BLOCK_BYTES / (8 n)
+    changes.  The first change after burn_in, and the first change after a
+    full block, first flushes the block before it and snapshots the values
+    and offsets the new block opens on; the window flushes once more at
+    t_max.  A flush (``_flush``) rebuilds each change's view of the sites
+    from that snapshot and adds in change order with the scalar loop's float
+    operations, so second_acc does not depend on the block length.  At
     t_max every site closes: I_x(t_max) is mean_acc[x], row x gains
     eta_x * I_y(t_max), and the rows, symmetric up to rounding, are averaged
     with their transpose into second_acc.
@@ -343,19 +387,22 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     counts over the run, so each window reports its own rate.  The run fails
     with RuntimeError if a removal is picked at a site at or below the floor,
     unless injected - extracted matches the mass gained within ``mass_tol``
-    (relative), and unless every value stays non-negative.
+    (relative), and unless every value stays non-negative.  A non-finite
+    t_max or burn_in is a ValueError: the window would never close.
     """
     if burn_in is None:
         burn_in = 0.1 * t_max
-    if not t_max > burn_in >= 0.0:
-        raise ValueError(f"need t_max > burn_in >= 0, got ({t_max}, {burn_in})")
+    if not (math.isfinite(t_max) and t_max > burn_in >= 0.0):
+        raise ValueError(f"need finite t_max > burn_in >= 0, got ({t_max}, {burn_in})")
     values = state.values
     n = len(values)
     start_mass = math.fsum(values)
-    sites = range(n)
     last = [burn_in] * n
     offset = [-v * burn_in for v in values]
-    rows = [[0.0] * n for _ in sites]
+    rows = np.zeros((n, n))
+    changes: list = []  # five entries per change after burn_in, see ``_flush``
+    block_entries = 5 * max(1, FLUSH_BLOCK_BYTES // (8 * n))
+    flush_at, opened = 0, None  # the first change after burn_in opens the first block
     hist_add = [h.add for h in hists]
     last_site = n - 1
     series = np.empty((grid_samples, n), dtype=np.int64 if model == "discrete" else np.float64)
@@ -437,12 +484,13 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
                 bulk += 1
         while True:  # site x takes ``new``
             if t > burn_in:
+                if len(changes) == flush_at:  # before this change: it opens the next block
+                    opened = _flush(rows, changes, opened, values, offset)
+                    flush_at = block_entries
                 old = values[x]
                 step = old - new
-                row = rows[x]
-                for y in sites:  # in place: faster than a comprehension at small n
-                    row[y] += step * (offset[y] + values[y] * t)
-                offset[x] += step * t
+                offset[x] = moved = offset[x] + step * t
+                changes += (x, step, t, new, moved)
                 w = t - last[x]
                 if w > 0.0:
                     hist_add[x](old, w)
@@ -472,11 +520,12 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     while next_grid < grid_samples:  # float edge at the last grid point
         series[next_grid] = values
         next_grid += 1
+    _flush(rows, changes, opened, values, offset)
     totals = [a + v * t_max for a, v in zip(offset, values)]
     for x, v in enumerate(values):
         if t_max > last[x]:
             hist_add[x](v, t_max - last[x])
-    second = np.array(rows) + np.outer(values, totals)
+    second = rows + np.outer(values, totals)
     mean_acc, second_acc = np.array(totals), 0.5 * (second + second.T)
     wall = time.perf_counter() - wall_start
     stats = OccupationStats(

@@ -699,24 +699,40 @@ class TestConfigResolution:
         assert (target / "samples.csv").exists()
 
 
-def test_module_entry_point(tmp_path):
-    # runs ``python -m drivenchain.cli`` as a process, so sys.exit(main()) is covered
+def run_module(*args, timeout=None) -> subprocess.CompletedProcess:
+    """``python -m drivenchain.cli *args`` as a process, with this package on its path."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "drivenchain.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "drivenchain.cli", *args],
-                              capture_output=True, text=True, env=env)
 
-    ok = run("sample-exact", "--model", "discrete", "--n", "2", "--samples", "50",
-             "--seed", "0", "--out", str(tmp_path / "ok"))
+def test_module_entry_point(tmp_path):
+    # runs ``python -m drivenchain.cli`` as a process, so sys.exit(main()) is covered
+    ok = run_module("sample-exact", "--model", "discrete", "--n", "2", "--samples", "50",
+                    "--seed", "0", "--out", str(tmp_path / "ok"))
     assert ok.returncode == 0, ok.stderr
     assert (tmp_path / "ok" / "samples.csv").exists()
-    bad = run("sample-exact", "--n", "2", "--samples", "1", "--out", str(tmp_path / "bad"))
+    bad = run_module("sample-exact", "--n", "2", "--samples", "1",
+                     "--out", str(tmp_path / "bad"))
     assert bad.returncode == 2
     assert "--samples" in bad.stderr
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--t-max", "inf"), ("--t-max", "nan"),
+                                         ("--burn-in", "inf")])
+def test_non_finite_window_exits_2(tmp_path, flag, value):
+    # An infinite window never ends, so the command runs as a process with a
+    # timeout: a hang fails this test instead of stalling the suite.
+    window = {"--t-max": "5", "--burn-in": "0", flag: value}
+    proc = run_module("simulate", "--n", "2", "--grid-samples", "8",
+                      *(a for item in window.items() for a in item),
+                      "--out", str(tmp_path / "out"), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{flag} must be finite" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(shutil.which("drivenchain") is None,

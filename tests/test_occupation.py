@@ -5,6 +5,7 @@ against the Generator's own vector draws."""
 import hashlib
 import math
 from bisect import bisect_left
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,7 +137,10 @@ def dense_walk(start, events, burn_in: float, t_max: float):
     x = np.array(held, dtype=float)
     n = x.shape[1]
     mean = np.array([math.fsum(x[:, i] * w) for i in range(n)])
-    second = np.array([[math.fsum(x[:, i] * x[:, j] * w) for j in range(n)] for i in range(n)])
+    second = np.zeros((n, n))
+    for i in range(n):  # x_i x_j w and x_j x_i w are the same floats
+        for j in range(i, n):
+            second[i, j] = second[j, i] = math.fsum(x[:, i] * x[:, j] * w)
     return w, x, mean, second
 
 
@@ -167,31 +171,36 @@ def test_channel_counts_sum_to_event_count(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_lazy_accumulator_matches_dense_rewalk(reference_run, name):
-    st = run_engine(name)
+def test_lazy_accumulator_matches_dense_rewalk(monkeypatch, reference_run, name):
     start, _, _, events = run_stepper(name, reference_run)
     burn_in, t_max = window(name)
-    assert len(events) == st.event_count
-
     w, x, mean, second = dense_walk(start, events, burn_in, t_max)
-    assert math.fsum(w) == pytest.approx(st.duration, rel=1e-12)
-    np.testing.assert_allclose(st.mean_acc, mean, rtol=1e-12, atol=0.0)
     # Pairs are judged on the Cauchy-Schwarz scale sqrt(M_xx M_yy) >= |M_xy|:
     # lazy increments carry rounding of the running integrals, so a pair that
     # barely overlaps in time is exact only relative to that scale.
     scale = np.sqrt(np.outer(np.diag(second), np.diag(second)))
-    assert np.all(np.abs(st.second_acc - second) <= 1e-12 * scale)
-    assert np.array_equal(st.second_acc, st.second_acc.T)
-    for site, h in enumerate(st.hists):
-        if isinstance(h, IntHistogram):
-            expect = np.bincount(x[:, site].astype(int), weights=w)
-        else:
-            oracle = BinnedHistogram(h.lo, h.hi, h.n_bins)
-            for v, wi in zip(x[:, site], w):
-                oracle.add(v, wi)
-            expect = np.array(oracle.weights)
-        assert len(h.weights) == len(expect)
-        np.testing.assert_allclose(h.weights, expect, rtol=1e-12, atol=0.0)
+    n = CASES[name][1].n
+    # The row update flushes after every change, every 7 changes, and in
+    # default-sized blocks; the accumulators must not see the difference.
+    for block_bytes in (8 * n, 7 * 8 * n, occupation.FLUSH_BLOCK_BYTES):
+        monkeypatch.setattr(occupation, "FLUSH_BLOCK_BYTES", block_bytes)
+        st = run_engine(name)
+        assert len(events) == st.event_count
+        assert math.fsum(w) == pytest.approx(st.duration, rel=1e-12)
+        np.testing.assert_allclose(st.mean_acc, mean, rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(st.second_acc - second) <= 1e-12 * scale)
+        assert np.array_equal(st.second_acc, st.second_acc.T)
+        for site, h in enumerate(st.hists):
+            if isinstance(h, IntHistogram):
+                expect = np.bincount(x[:, site].astype(int), weights=w)
+            else:
+                oracle = BinnedHistogram(h.lo, h.hi, h.n_bins)
+                for v, wi in zip(x[:, site], w):
+                    oracle.add(v, wi)
+                expect = np.array(oracle.weights)
+            assert len(h.weights) == len(expect)
+            np.testing.assert_allclose(h.weights, expect, rtol=1e-12, atol=0.0)
+        assert accumulator_hashes(st) == PINNED_ACC[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -205,11 +214,14 @@ def test_integer_outputs_series_and_fluxes_are_pinned(name):
     assert _sha(repr(list(final)).encode()) == final_sha
 
 
+def accumulator_hashes(st: OccupationStats) -> tuple[str, str, str]:
+    return (_sha(st.mean_acc.tobytes()), _sha(st.second_acc.tobytes()),
+            _sha(repr([h.weights for h in st.hists]).encode()))
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_ACC))
 def test_float_accumulators_are_pinned(name):
-    st = run_engine(name)
-    assert (_sha(st.mean_acc.tobytes()), _sha(st.second_acc.tobytes()),
-            _sha(repr([h.weights for h in st.hists]).encode())) == PINNED_ACC[name]
+    assert accumulator_hashes(run_engine(name)) == PINNED_ACC[name]
 
 
 @pytest.mark.parametrize("order", ["interleaved", "uniforms first"])
@@ -326,6 +338,19 @@ def test_one_state_runs_two_windows(model):
         assert st.extra["resyncs"] == 1
     net = second.injected_a + second.injected_b - second.extracted_a - second.extracted_b
     assert net == pytest.approx(sum(state.values) - sum(start), rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("t_max, burn_in", [(math.inf, 0.0), (math.inf, None), (math.nan, 0.0),
+                                             (50.0, math.inf), (50.0, math.nan)])
+def test_non_finite_window_is_rejected(t_max, burn_in):
+    def no_draws(size):  # a window that never ends must not start
+        raise AssertionError("the run drew random numbers")
+
+    rng = SimpleNamespace(random=no_draws, standard_exponential=no_draws)
+    state = new_state(ChainParams(n=3, beta_a=0.5, beta_b=0.75))
+    with pytest.raises(ValueError, match="finite"):
+        occupation.run_window(state, rng, [IntHistogram() for _ in range(3)], "discrete",
+                              t_max, burn_in, 8, (), 0.0)
 
 
 def test_each_window_reports_its_own_acceptance():
