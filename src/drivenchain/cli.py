@@ -47,6 +47,7 @@ from .measure import (
 from .occupation import DEFAULT_GRID_SAMPLES, IntHistogram, OccupationStats
 from .stats import (
     ProfileReport,
+    _zscores,
     chi_square_discrete,
     effective_sample_size,
     ks_continuous,
@@ -148,11 +149,9 @@ def _resolve_outdir(cfg: RunConfig) -> Path:
 def _replica_job(args) -> OccupationStats:
     model, params, t_max, burn_in, epsilon, grid_samples, child_seq = args
     rng = np.random.Generator(np.random.PCG64(child_seq))
-    if model == "discrete":
-        return simulate(params, t_max, burn_in=burn_in, rng=rng,
-                        grid_samples=grid_samples)
-    return simulate_continuous(params, t_max, epsilon=epsilon, burn_in=burn_in,
-                               rng=rng, grid_samples=grid_samples)
+    run = simulate if Model(model) is Model.DISCRETE else simulate_continuous
+    cutoff = {} if epsilon is None else {"epsilon": epsilon}  # only energies read --epsilon
+    return run(params, t_max, burn_in=burn_in, rng=rng, grid_samples=grid_samples, **cutoff)
 
 
 def _run_replicas(cfg: RunConfig, params: ChainParams) -> OccupationStats:
@@ -236,14 +235,14 @@ def _read_profile(sim_dir: Path, stats: OccupationStats, spec: MixtureSpec) -> P
 
 
 def _run_counters(stats: OccupationStats) -> dict:
-    """The run's deterministic diagnostics (never its wall-clock rate)."""
+    """The run's deterministic diagnostics (never its wall-clock rate), and the
+    energy chain's cutoff and per-replica injection acceptance."""
     extra = stats.extra
     counters = {key: extra[key] for key in
-                ("max_resync_drift", "resyncs", "channel_events", "selection")}
-    if stats.model == "continuous":
-        counters["epsilon"] = extra["epsilon"]
-        for key in ("acceptance_a", "acceptance_b"):
-            counters[key] = stats.per_replica(key)
+                ("max_resync_drift", "resyncs", "channel_events", "selection", "epsilon")
+                if key in extra}
+    counters.update({key: stats.per_replica(key) for key in ("acceptance_a", "acceptance_b")
+                     if key in extra})
     return counters
 
 
@@ -287,18 +286,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample_exact(cfg: RunConfig) -> int:
-    params = cfg.chain_params()
-    model = Model(cfg.model)
-    spec = MixtureSpec(params, model)
-    rng = make_rng(cfg.seed)
-    if model is Model.DISCRETE:
-        draws = sample_exact_discrete(spec, rng, size=cfg.samples)
-    else:
-        draws = sample_exact_continuous(spec, rng, size=cfg.samples)
+    spec = MixtureSpec(cfg.chain_params(), cfg.model)
+    sample = sample_exact_discrete if spec.model is Model.DISCRETE else sample_exact_continuous
+    draws = sample(spec, make_rng(cfg.seed), size=cfg.samples)
     exact = moment_profile(spec)
     emp_mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(cfg.samples)
-    z = (emp_mean - exact.means) / se
+    z = _zscores(emp_mean - exact.means, se)
     outdir = _resolve_outdir(cfg)  # only now: a rejected configuration leaves no directory
     _write_csv(
         outdir / "samples.csv",
@@ -365,19 +359,25 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
     """A saved run's configuration (its recorded fields over the defaults) and
     what ``compare`` tests of it: the moment accumulators, the series and,
     for particles, the histograms.  ValueError unless ``sim_dir`` holds the
-    output of ``simulate`` with every file ``compare`` reads."""
-    with open(sim_dir / "meta.json") as fh:
+    output of ``simulate`` with every file ``compare`` reads; a malformed
+    meta.json is one too, naming the file."""
+    path = sim_dir / "meta.json"
+    with open(path) as fh:
         meta = json.load(fh)
-    cfg = RunConfig(**meta["config"])
-    if cfg.command != "simulate":
-        raise ValueError(f"{sim_dir} holds the output of {cfg.command}, not of simulate")
-    histograms = ["histograms.csv"] if cfg.model == "discrete" else []
+    try:
+        cfg = RunConfig(**meta["config"])
+        if cfg.command != "simulate":
+            raise ValueError(f"{sim_dir} holds the output of {cfg.command}, not of simulate")
+        acc = {key: meta["accumulators"][key] for key in ("duration", "mean_acc", "second_acc")}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not the record of a simulate run: {exc!r}") from None
+    counts = Model(cfg.model).site.integral  # the chi-square reads count histograms
+    histograms = ["histograms.csv"] if counts else []
     for name in ["profile.csv", "covariance.csv", "series.npy", *histograms]:
         if not (sim_dir / name).is_file():
             raise ValueError(f"{sim_dir / name} is missing: rerun simulate")
-    acc = meta["accumulators"]
     hists = []
-    if cfg.model == "discrete":
+    if counts:
         hists = [IntHistogram() for _ in range(cfg.n)]
         with open(sim_dir / "histograms.csv") as fh:
             rd = csv.reader(fh)
@@ -401,18 +401,16 @@ def cmd_compare(cfg: RunConfig) -> int:
     if not (sim_dir / "meta.json").exists():
         raise ValueError(f"no simulation output at {sim_dir}")
     sim_cfg, stats = _load_sim_dir(sim_dir)
-    params = sim_cfg.chain_params()
-    model = Model(sim_cfg.model)
-    spec = MixtureSpec(params, model)
+    spec = MixtureSpec(sim_cfg.chain_params(), sim_cfg.model)
     rep = _read_profile(sim_dir, stats, spec)
-    n = params.n
+    n = spec.params.n
     site_level = cfg.level / n  # Bonferroni across sites
     ess = sum(effective_sample_size(s.T) for s in stats.series)  # per site, over replicas
     gof_rows = []
     all_pass = True
     any_inconclusive = False
     for x in range(1, n + 1):
-        if model is Model.DISCRETE:
+        if spec.model is Model.DISCRETE:
             pmf = lambda vals: marginal_pmf_discrete(spec, x, vals)
             g = chi_square_discrete(stats.hists[x - 1], pmf, ess[x - 1])
         else:
@@ -581,8 +579,9 @@ def check_options(cfg: RunConfig, given: set[str]) -> None:
         if not getattr(cfg, name) >= _LEAST[name]:
             raise ValueError(f"{_flag(name)} must be at least {_LEAST[name]}, "
                              f"got {getattr(cfg, name)}")
-    # An infinite tolerance certifies nothing; an infinite window never ends.
-    for name in given & {"tol", "t_max", "burn_in"}:
+    # An infinite tolerance certifies nothing, an infinite window never ends,
+    # and no site fires above an infinite cutoff.
+    for name in given & {"tol", "t_max", "burn_in", "epsilon"}:
         if not math.isfinite(getattr(cfg, name)):
             raise ValueError(f"{_flag(name)} must be finite, got {getattr(cfg, name)}")
     if not 0.0 < cfg.level < 1.0:

@@ -9,9 +9,11 @@ energy chain on [t_a, t_b].  This module samples those laws, evaluates their
 densities by Chebyshev integration over the ordered box (n <= 4; one
 configuration or a whole table of them per call) or Monte Carlo (larger n),
 and reduces them to marginals and moments for the statistical test harness.
-``Model`` names the chain and holds what the two site laws share: the
-generating function 1 / (1 + c(s) m) of mean m, its coefficient c(s) and the
-arguments s where it holds, which the identity checks in ``verify`` read.
+The site law is the only difference, so each ``Model`` member holds one
+frozen ``SiteLaw``, and each sampler, density and marginal is one body that
+reads it behind one-line ``*_discrete``/``*_continuous`` entries.  A record
+holds no function a caller may replace by module attribute (the entries,
+``quadrature_1d``): those are looked up at each call, so a replacement sees all.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .core import (
 
 __all__ = [
     "Model",
+    "SiteLaw",
     "MixtureSpec",
     "DensityEstimate",
     "ProfileMoments",
@@ -48,34 +52,109 @@ __all__ = [
 ]
 
 
-class Model(str, Enum):
-    """Which chain: particles (geometric sites) or energies (exponential sites).
+# ---------------------------------------------------------------------------
+# Elementary laws
+# ---------------------------------------------------------------------------
 
-    Both site laws of mean m have the generating function 1 / (1 + c(s) m):
+def _geometric_pmf(m, k):
+    """:func:`geometric_pmf` without its argument checks, for validated m > 0, k >= 0."""
+    return np.exp(-np.log1p(m) + k * (np.log(m) - np.log1p(m)))
+
+
+def _exponential_pdf(m, z):
+    """:func:`exponential_pdf` without its argument checks, for validated m > 0, z >= 0."""
+    return np.exp(-z / m) / m
+
+
+def _checked(kernel, name: str, value: str, m, v):
+    """``kernel(m, v)`` once m > 0 and v >= 0 hold; a float for scalar m and v."""
+    m_arr, v_arr = np.asarray(m, dtype=float), np.asarray(v, dtype=float)
+    if np.any(m_arr <= 0.0):
+        raise ValueError(f"{name} needs m > 0")
+    if np.any(v_arr < 0.0):
+        raise ValueError(f"{name} needs {value} >= 0")
+    out = kernel(m_arr, v_arr)
+    return float(out) if np.isscalar(m) and np.isscalar(v) else out
+
+
+def geometric_pmf(m, k):
+    """P(eta = k) for the geometric law of mean m: (1/(1+m)) (m/(1+m))^k.
+
+    Accepts scalars or broadcastable arrays; evaluated in log space so large
+    k does not underflow prematurely.
+    """
+    return _checked(_geometric_pmf, "geometric_pmf", "k", m, k)
+
+
+def exponential_pdf(m, z):
+    """Density (1/m) exp(-z/m) of the exponential law of mean m, z >= 0."""
+    return _checked(_exponential_pdf, "exponential_pdf", "z", m, z)
+
+
+@dataclass(frozen=True)
+class SiteLaw:
+    """What a chain's stationary law needs of its site law of mean m.
+
+    Both site laws have the generating function 1 / (1 + c(s) m):
     sum_k pmf(k) lam^k with c = 1 - lam, and E e^{t z} with c = -t.
     """
 
-    DISCRETE = "discrete"
-    CONTINUOUS = "continuous"
+    interval: Callable[[ChainParams], tuple[float, float]]  # the profile's [lo, hi]
+    argument: str  # name of the generating function's argument s
+    coefficient: Callable  # c(s)
+    argument_floor: float  # least s besides c(s) > -1/m; -inf if none
+    dtype: type  # of a configuration: counts or energies
+    law: Callable  # law(m, v), pmf or density, rejecting m <= 0 and v < 0
+    kernel: Callable  # law(m, v) unchecked, for validated m > 0, v >= 0
+    marginal_kernel: Callable  # (m, v) -> the pmf (counts) or the CDF (energies) at v
+    draw: Callable  # (rng, m) -> one site value per mean
+    variance_slope: float  # Var(site | m) = variance_slope * m + m**2
+
+    @property
+    def integral(self) -> bool:
+        return np.issubdtype(self.dtype, np.integer)
+
+
+class Model(str, Enum):
+    """Which chain: particles (geometric sites) or energies (exponential sites).
+    Each member's ``site`` is that chain's ``SiteLaw``."""
+
+    DISCRETE = ("discrete", SiteLaw(
+        interval=lambda p: (p.rho_a, p.rho_b), argument="lam", coefficient=lambda s: 1.0 - s,
+        argument_floor=0.0, dtype=np.int64, law=geometric_pmf, kernel=_geometric_pmf,
+        marginal_kernel=_geometric_pmf, variance_slope=1.0,
+        # numpy's geometric counts trials >= 1; the occupation counts failures.
+        draw=lambda rng, m: rng.geometric(1.0 / (1.0 + m)) - 1))
+    CONTINUOUS = ("continuous", SiteLaw(
+        interval=lambda p: (p.t_a, p.t_b), argument="t", coefficient=lambda s: -s,
+        argument_floor=-math.inf, dtype=np.float64, law=exponential_pdf,
+        kernel=_exponential_pdf, marginal_kernel=lambda m, z: 1.0 - np.exp(-z / m),
+        variance_slope=0.0, draw=lambda rng, m: rng.exponential(m)))
+
+    def __new__(cls, value: str, site: SiteLaw):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.site = site
+        return member
 
     @property
     def argument(self) -> str:
         """Name of the generating function's argument s: ``lam`` or ``t``."""
-        return "lam" if self is Model.DISCRETE else "t"
+        return self.site.argument
 
     def mgf_coefficient(self, s):
         """c(s) in the site generating function 1 / (1 + c(s) m)."""
-        return 1.0 - s if self is Model.DISCRETE else -s
+        return self.site.coefficient(s)
 
     def validate_mgf_arguments(self, s, m: float) -> None:
         """ValueError unless every s keeps 1 / (1 + c(s) m') the generating
         function at every mean m' <= m: c(s) > -1/m, and lam >= 0 for particles."""
         s = np.asarray(s, dtype=float)
-        particles = self is Model.DISCRETE
-        if np.any(self.mgf_coefficient(s) <= -1.0 / m) or (particles and np.any(s < 0.0)):
+        floor = self.site.argument_floor
+        if np.any(self.mgf_coefficient(s) <= -1.0 / m) or np.any(s < floor):
             raise ValueError(f"{self.argument} = {s.tolist()} outside the generating function's "
                              f"domain at m = {m}: c({self.argument}) > -1/m"
-                             + (", lam >= 0" if particles else ""))
+                             + (f", {self.argument} >= {floor:g}" if floor > -math.inf else ""))
 
 
 @dataclass(frozen=True)
@@ -93,10 +172,7 @@ class MixtureSpec:
 
     @property
     def interval(self) -> tuple[float, float]:
-        p = self.params
-        if self.model is Model.DISCRETE:
-            return p.rho_a, p.rho_b
-        return p.t_a, p.t_b
+        return self.model.site.interval(self.params)
 
 
 @dataclass(frozen=True)
@@ -111,6 +187,13 @@ class DensityEstimate:
 class ProfileMoments:
     means: np.ndarray
     covariance: np.ndarray
+
+
+def _site(spec: MixtureSpec, model: Model) -> SiteLaw:
+    """``model``'s site law; ValueError unless ``spec`` feeds that model."""
+    if spec.model is not model:
+        raise ValueError(f"spec.model must be {model.name}")
+    return model.site
 
 
 # ---------------------------------------------------------------------------
@@ -132,71 +215,23 @@ def sample_ordered_profile(
     return m
 
 
+def _sample_exact(model: Model, spec: MixtureSpec, rng, size: int | None) -> np.ndarray:
+    """Stationary configuration(s) of ``model``: a hidden profile, then one site draw per mean."""
+    return _site(spec, model).draw(rng, sample_ordered_profile(spec, rng, size))
+
+
 def sample_exact_discrete(
     spec: MixtureSpec, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
     """Stationary particle configuration(s): geometrics over a hidden profile."""
-    if spec.model is not Model.DISCRETE:
-        raise ValueError("spec.model must be DISCRETE")
-    m = sample_ordered_profile(spec, rng, size)
-    # numpy's geometric counts trials >= 1; the occupation counts failures.
-    return rng.geometric(1.0 / (1.0 + m)) - 1
+    return _sample_exact(Model.DISCRETE, spec, rng, size)
 
 
 def sample_exact_continuous(
     spec: MixtureSpec, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
     """Stationary energy configuration(s): exponentials over a hidden profile."""
-    if spec.model is not Model.CONTINUOUS:
-        raise ValueError("spec.model must be CONTINUOUS")
-    m = sample_ordered_profile(spec, rng, size)
-    return rng.exponential(m)
-
-
-# ---------------------------------------------------------------------------
-# Elementary laws
-# ---------------------------------------------------------------------------
-
-def _geometric_pmf(m, k):
-    """:func:`geometric_pmf` without its argument checks, for validated m > 0, k >= 0."""
-    return np.exp(-np.log1p(m) + k * (np.log(m) - np.log1p(m)))
-
-
-def _exponential_pdf(m, z):
-    """:func:`exponential_pdf` without its argument checks, for validated m > 0, z >= 0."""
-    return np.exp(-z / m) / m
-
-
-def geometric_pmf(m, k):
-    """P(eta = k) for the geometric law of mean m: (1/(1+m)) (m/(1+m))^k.
-
-    Accepts scalars or broadcastable arrays; evaluated in log space so large
-    k does not underflow prematurely.
-    """
-    m_arr = np.asarray(m, dtype=float)
-    k_arr = np.asarray(k)
-    if np.any(m_arr <= 0.0):
-        raise ValueError("geometric_pmf needs m > 0")
-    if np.any(k_arr < 0):
-        raise ValueError("geometric_pmf needs k >= 0")
-    out = _geometric_pmf(m_arr, k_arr)
-    if np.isscalar(m) and np.isscalar(k):
-        return float(out)
-    return out
-
-
-def exponential_pdf(m, z):
-    """Density (1/m) exp(-z/m) of the exponential law of mean m, z >= 0."""
-    m_arr = np.asarray(m, dtype=float)
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(m_arr <= 0.0):
-        raise ValueError("exponential_pdf needs m > 0")
-    if np.any(z_arr < 0.0):
-        raise ValueError("exponential_pdf needs z >= 0")
-    out = _exponential_pdf(m_arr, z_arr)
-    if np.isscalar(m) and np.isscalar(z):
-        return float(out)
-    return out
+    return _sample_exact(Model.CONTINUOUS, spec, rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -206,36 +241,33 @@ def exponential_pdf(m, z):
 QUADRATURE_MAX_SITES = 4
 
 
-def _check_config(values: np.ndarray, n: int, integral: bool) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim not in (1, 2) or arr.shape[0] != n:
-        raise ValueError(f"configuration must have shape ({n},) or ({n}, K), got {arr.shape}")
-    if integral and not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ValueError("particle configuration must be integer-valued")
-        arr = arr.astype(np.int64)
-    if np.any(arr < 0):
-        raise ValueError("configuration entries must be non-negative")
-    return arr
-
-
 def _mixture_density(
+    model: Model,
     spec: MixtureSpec,
-    values: np.ndarray,
+    values,
     tol: float,
     mc_samples: int,
     seed: int,
-    law,
-    kernel,
 ) -> DensityEstimate:
-    """``values`` is a validated configuration (n,) or grid (n, K).  ``law``,
-    the checked site law, runs first at m = lo and rejects lo <= 0, the
-    smallest mean its unchecked twin ``kernel`` is then given.  A degenerate
-    interval lo == hi takes the same path: the box has width 0."""
+    """The body of both ``mixture_density_*`` entries: ``values`` is a
+    configuration (n,) or grid (n, K) of ``model``.  The site's checked ``law`` runs first at
+    m = lo and rejects lo <= 0, the smallest mean its unchecked ``kernel`` is
+    then given.  A degenerate interval lo == hi takes the same path: the box
+    has width 0."""
+    site = _site(spec, model)
+    kernel = site.kernel
     lo, hi = spec.interval
     n = spec.params.n
+    values = np.asarray(values)
+    if values.ndim not in (1, 2) or values.shape[0] != n:
+        raise ValueError(f"configuration must have shape ({n},) or ({n}, K), got {values.shape}")
+    if site.integral and not np.all(values == np.floor(values)):
+        raise ValueError("particle configuration must be integer-valued")
+    if np.any(values < 0):
+        raise ValueError("configuration entries must be non-negative")
+    values = values.astype(site.dtype, copy=False)
     grid = values.ndim == 2
-    law(lo, values)
+    site.law(lo, values)
     if grid and n > QUADRATURE_MAX_SITES:
         raise ValueError(f"a ({n}, K) grid needs n <= {QUADRATURE_MAX_SITES} (quadrature)")
     width = hi - lo
@@ -292,10 +324,7 @@ def mixture_density_discrete(
     The degenerate interval rho_a == rho_b, whose mixture is the product
     geometric pmf, is integrated like any other.
     """
-    if spec.model is not Model.DISCRETE:
-        raise ValueError("spec.model must be DISCRETE")
-    eta = _check_config(eta, spec.params.n, integral=True)
-    return _mixture_density(spec, eta, tol, mc_samples, seed, geometric_pmf, _geometric_pmf)
+    return _mixture_density(Model.DISCRETE, spec, eta, tol, mc_samples, seed)
 
 
 def mixture_density_continuous(
@@ -306,10 +335,7 @@ def mixture_density_continuous(
     seed: int = 0,
 ) -> DensityEstimate:
     """Stationary density of an energy configuration or grid (same scheme as discrete)."""
-    if spec.model is not Model.CONTINUOUS:
-        raise ValueError("spec.model must be CONTINUOUS")
-    z = _check_config(z, spec.params.n, integral=False).astype(float)
-    return _mixture_density(spec, z, tol, mc_samples, seed, exponential_pdf, _exponential_pdf)
+    return _mixture_density(Model.CONTINUOUS, spec, z, tol, mc_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -333,46 +359,33 @@ def order_stat_density(lo: float, hi: float, x: int, n: int, m) -> np.ndarray:
     return np.where((u >= 0.0) & (u <= 1.0), out, 0.0)
 
 
-def marginal_pmf_discrete(spec: MixtureSpec, x: int, k) -> np.ndarray | float:
-    """P(eta_x = k) under the mixture; ``k`` may be an array of occupations.
-
-    Integrating out every other profile coordinate leaves the x-th order
-    statistic, so the marginal is the geometric pmf averaged against a
-    shifted-scaled Beta(x, n - x + 1) density: one quadrature for all k.
-    """
-    if spec.model is not Model.DISCRETE:
-        raise ValueError("spec.model must be DISCRETE")
-    k_arr = np.asarray(k)
-    if np.any(k_arr < 0):
-        raise ValueError("k must be >= 0")
+def _marginal(model: Model, spec: MixtureSpec, x: int, v) -> np.ndarray | float:
+    """The body of both ``marginal_*`` entries.  Integrating out every other profile
+    coordinate leaves the x-th order statistic, so the marginal is the site's
+    ``marginal_kernel`` averaged against a shifted-scaled Beta(x, n - x + 1)
+    density: one quadrature for all query points ``v``."""
+    site = _site(spec, model)
+    v_arr = np.asarray(v, dtype=float)
     lo, hi = spec.interval
     n = spec.params.n
+    site.law(lo, v_arr)  # rejects v < 0, and lo <= 0: the nodes run from m = lo up
     if lo == hi:
-        return geometric_pmf(lo, k)
-    if lo <= 0.0:  # the nodes run from m = lo up
-        raise ValueError("geometric_pmf needs m > 0")
-    f = lambda m: _geometric_pmf(m, k_arr[..., np.newaxis]) * order_stat_density(lo, hi, x, n, m)
-    out = np.reshape(quadrature_1d(f, lo, hi, MARGINAL_TOL).value, k_arr.shape)
+        out = site.marginal_kernel(lo, v_arr)
+    else:
+        f = lambda m: (site.marginal_kernel(m, v_arr[..., np.newaxis])
+                       * order_stat_density(lo, hi, x, n, m))
+        out = np.reshape(quadrature_1d(f, lo, hi, MARGINAL_TOL).value, v_arr.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def marginal_pmf_discrete(spec: MixtureSpec, x: int, k) -> np.ndarray | float:
+    """P(eta_x = k) under the mixture; ``k`` may be an array of occupations."""
+    return _marginal(Model.DISCRETE, spec, x, k)
 
 
 def marginal_cdf_continuous(spec: MixtureSpec, x: int, z) -> np.ndarray | float:
     """CDF of z_x under the mixture; ``z`` may be an array of query points."""
-    if spec.model is not Model.CONTINUOUS:
-        raise ValueError("spec.model must be CONTINUOUS")
-    lo, hi = spec.interval
-    n = spec.params.n
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
-        raise ValueError("z must be >= 0")
-    if lo == hi:
-        out = 1.0 - np.exp(-z_arr / lo)
-    else:
-        f = lambda m: (
-            (1.0 - np.exp(-z_arr[..., np.newaxis] / m)) * order_stat_density(lo, hi, x, n, m)
-        )
-        out = np.reshape(quadrature_1d(f, lo, hi, MARGINAL_TOL).value, z_arr.shape)
-    return float(out) if out.ndim == 0 else out
+    return _marginal(Model.CONTINUOUS, spec, x, z)
 
 
 def moment_profile(spec: MixtureSpec) -> ProfileMoments:
@@ -394,9 +407,5 @@ def moment_profile(spec: MixtureSpec) -> ProfileMoments:
     xi = np.minimum.outer(x, x)
     yj = np.maximum.outer(x, x)
     cov = width**2 * xi * (n + 1 - yj) / ((n + 1) ** 2 * (n + 2))
-    if spec.model is Model.DISCRETE:
-        diag = means + 2.0 * e_m2 - means**2
-    else:
-        diag = 2.0 * e_m2 - means**2
-    np.fill_diagonal(cov, diag)
+    np.fill_diagonal(cov, spec.model.site.variance_slope * means + 2.0 * e_m2 - means**2)
     return ProfileMoments(means=means, covariance=cov)

@@ -37,6 +37,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .core import FenwickTree
+from .measure import Model
 
 __all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "ChainState", "BlockDraws",
            "initial_values", "run_window", "DEFAULT_GRID_SAMPLES"]
@@ -378,8 +379,9 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     and once more at the end, so ``max_resync_drift``, the largest drift
     found, covers every run.  burn_in defaults to 10% of t_max.  The trajectory is
     also sampled on a uniform grid of ``grid_samples`` points across the
-    window (an evenly spaced series for autocorrelation estimates), each
-    point passed to every ``observers`` callable as (time, values).
+    window (an evenly spaced series for autocorrelation estimates, of the
+    ``model``'s site dtype), each point passed to every ``observers``
+    callable as (time, values).
     ``extra`` counts the events of each of ``CHANNELS``, the resyncs, and
     names the channel ``selection`` path.  Injection samplers that count
     their ``proposals`` and ``accepts`` (the energy chain's) get this run's
@@ -405,7 +407,7 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     flush_at, opened = 0, None  # the first change after burn_in opens the first block
     hist_add = [h.add for h in hists]
     last_site = n - 1
-    series = np.empty((grid_samples, n), dtype=np.int64 if model == "discrete" else np.float64)
+    series = np.empty((grid_samples, n), dtype=Model(model).site.dtype)
     grid_dt = (t_max - burn_in) / grid_samples
     next_grid = 0
     grid_time = burn_in + (next_grid + 1) * grid_dt

@@ -50,7 +50,6 @@ from .measure import (
     MixtureSpec,
     Model,
     geometric_pmf,
-    exponential_pdf,
     marginal_pmf_discrete,
     mixture_density_continuous,
     mixture_density_discrete,
@@ -505,11 +504,9 @@ def check_equilibrium_limit(
     spec = MixtureSpec(params, model)
     lo, hi = spec.interval
     n = params.n
-    if model is Model.DISCRETE:
-        values, density, law = np.arange(3), mixture_density_discrete, geometric_pmf
-    else:
-        values = np.array([0.0, 0.5, 1.5, 2.0, 2.5])
-        density, law = mixture_density_continuous, exponential_pdf
+    values, density = ((np.arange(3), mixture_density_discrete) if spec.model is Model.DISCRETE else
+                       (np.array([0.0, 0.5, 1.5, 2.0, 2.5]), mixture_density_continuous))
+    law = spec.model.site.law
 
     def compute():
         mix = density(spec, np.tile(values, (n, 1)), tol=min(tol * 1e-2, 1e-12))
@@ -519,7 +516,7 @@ def check_equilibrium_limit(
         return {"max_residual": worst}, {"max_residual": tol}, mix.method, {}
 
     return _report("equilibrium_limit",
-                   {"n": n, "lo": lo, "hi": hi, "model": model.value, "relative": relative},
+                   {"n": n, "lo": lo, "hi": hi, "model": spec.model.value, "relative": relative},
                    compute)
 
 
@@ -606,19 +603,10 @@ def stationarity_suite() -> list[VerificationReport]:
 
 
 def equilibrium_suite(tol: float = 1e-12) -> list[VerificationReport]:
-    reports = []
-    for n in (2, 3):
-        reports.append(
-            check_equilibrium_limit(
-                ChainParams(n=n, beta_a=2.0 / 3.0, beta_b=2.0 / 3.0), Model.DISCRETE, tol
-            )
-        )
-        reports.append(
-            check_equilibrium_limit(
-                ChainParams(n=n, t_a=1.5, t_b=1.5), Model.CONTINUOUS, tol
-            )
-        )
-    return reports
+    """Both chains at n = 2, 3 on a degenerate interval: rho = 2 for particles, T = 1.5."""
+    return [check_equilibrium_limit(
+                ChainParams(n=n, beta_a=2.0 / 3.0, beta_b=2.0 / 3.0, t_a=1.5, t_b=1.5), model, tol)
+            for n in (2, 3) for model in Model]
 
 
 SUITES = {

@@ -100,20 +100,41 @@ def test_exact_law_density_contract():
 
 
 # One tiny run of each CLI command under the traced run's wrappers: a CLI that
-# stopped calling a hooked name would silently drop that layer's spans.
+# stopped calling a hooked name would silently drop that layer's spans, and a
+# dispatch that reached one twin past its hook would drop that (owner, name)
+# pair.  These pairs are hooked but no CLI run here reaches them: the n=2
+# chi-square is inconclusive before it evaluates the pmf, the product
+# candidates and direct callers are not run, and core's integrators are
+# reached through the measure and verify aliases.
+NOT_REACHED = {("cli", "marginal_pmf_discrete"), ("verify", "marginal_pmf_discrete"),
+               ("verify", "moment_profile"), ("measure", "mixture_density_discrete"),
+               ("measure", "mixture_density_continuous"), ("core", "quadrature_1d"),
+               ("core", "ordered_simplex_integral")}
+
 CALLS_SCRIPT = """
-import sys, types
+import ast, sys, types
 sys.path.insert(0, sys.argv[1])
 import tracing
 from drivenchain import cli
 
 tracer = tracing.Tracer()
-registered = set()
+registered, pairs, reached = set(), set(), set()
 wrap = tracer.wrap
 
 def registering(owner, attr, span, inspect=None):
     registered.add(span)
     wrap(owner, attr, span, inspect)
+    spanned = getattr(owner, attr, None)
+    if spanned is None:
+        return
+    pair = (owner.__name__.rpartition(".")[2], attr)
+    pairs.add(pair)
+
+    def reaching(*args, **kwargs):
+        reached.add(pair)
+        return spanned(*args, **kwargs)
+
+    setattr(owner, attr, reaching)
 
 tracer.wrap = registering
 tracing.install(tracer, types.SimpleNamespace(samplers=[]))
@@ -136,11 +157,15 @@ for argv in (
     rc = cli.main(argv)
     assert rc in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE), (argv, rc)
 assert registered - set(tracer.names) == set(), sorted(registered - set(tracer.names))
+not_reached = ast.literal_eval(sys.argv[3])
+assert not_reached <= pairs, sorted(not_reached - pairs)
+assert pairs - reached <= not_reached, sorted(pairs - reached - not_reached)
 """
 
 
 def test_cli_calls_every_hooked_layer(tmp_path):
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, "-c", CALLS_SCRIPT, str(BENCH), str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", CALLS_SCRIPT, str(BENCH), str(tmp_path),
+                           repr(NOT_REACHED)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

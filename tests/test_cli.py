@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,19 @@ class TestSampleExact:
         data = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)
         assert data.shape == (20000, 2)
         assert data.min() >= 0.0
+
+    def test_zero_standard_error_z_is_the_profile_rule(self, tmp_path):
+        # At beta = 1e-9 every draw is 0: se = 0 and the exact mean misses by
+        # about 1e-9, so z is inf, as stats._zscores gives in profile.csv,
+        # with no division warning.
+        out = tmp_path / "ez"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(["sample-exact", "--n", "2", "--beta-a", "1e-9", "--beta-b", "1e-9",
+                            "--samples", "2", "--out", str(out)]) == 0
+        with open(out / "moments.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["se"], r["z"]) for r in rows] == [("0.0", "inf")] * 2
 
     def test_rejected_draw_leaves_no_directory(self, tmp_path, monkeypatch):
         def reject(spec, rng, size):
@@ -497,6 +511,21 @@ class TestCompare:
         for name in ("gof.csv", "compare_profile.csv", "compare_covariance.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: {},
+        lambda meta: {k: v for k, v in meta.items() if k != "accumulators"},
+        lambda meta: {**meta, "config": {**meta["config"], "colour": "red"}},
+        lambda meta: {**meta, "accumulators": {}},
+    ], ids=["empty", "no-accumulators", "unknown-config-key", "empty-accumulators"])
+    def test_malformed_meta_exits_2(self, tmp_path, edit, capsys):
+        sim = simulate_small(tmp_path / "sim")
+        meta = json.loads((sim / "meta.json").read_text())
+        (sim / "meta.json").write_text(json.dumps(edit(meta)))
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
+        assert f"{sim / 'meta.json'} is not the record of a simulate run" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_sim_dir_exit_2(self, tmp_path):
         rc = run_cli(["compare", "--sim", str(tmp_path / "nope"),
                       "--out", str(tmp_path)])
@@ -733,6 +762,16 @@ def test_non_finite_window_exits_2(tmp_path, flag, value):
     assert proc.returncode == 2, proc.stderr
     assert f"{flag} must be finite" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_epsilon_exits_2(tmp_path, value, capsys):
+    # --model continuous: the particle chain rejects --epsilon as an option it does not read.
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--model", "continuous", "--n", "2", "--t-max", "5",
+                    "--grid-samples", "8", "--epsilon", value, "--out", str(out)]) == 2
+    assert f"--epsilon must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.skipif(shutil.which("drivenchain") is None,

@@ -169,6 +169,7 @@ class TestElementaryLaws:
         (Model.CONTINUOUS, 2, lambda spec: mixture_density_continuous(spec, [0.5, 1.0])),
         (Model.CONTINUOUS, 5, lambda spec: mixture_density_continuous(spec, [0.5] * 5,
                                                                       mc_samples=10)),
+        (Model.CONTINUOUS, 3, lambda spec: marginal_cdf_continuous(spec, 1, [0.5, 1.0])),
     ])
     def test_interval_endpoint_zero_is_rejected(self, model, n, call):
         # The densities evaluate the laws unchecked inside the integrators;
@@ -176,6 +177,26 @@ class TestElementaryLaws:
         params = types.SimpleNamespace(n=n, rho_a=0.0, rho_b=1.0, t_a=0.0, t_b=1.0)
         with pytest.raises(ValueError, match="needs m > 0"):
             call(MixtureSpec(params, model))
+
+
+ENTRY_ARGS = [
+    (sample_exact_discrete, lambda: (make_rng(0),)),
+    (sample_exact_continuous, lambda: (make_rng(0),)),
+    (mixture_density_discrete, lambda: ([0, 1, 2],)),
+    (mixture_density_continuous, lambda: ([0.5, 1.0, 2.0],)),
+    (marginal_pmf_discrete, lambda: (1, [0, 1])),
+    (marginal_cdf_continuous, lambda: (1, [0.5, 1.0])),
+]
+
+
+@pytest.mark.parametrize("entry, args", ENTRY_ARGS, ids=[e.__name__ for e, _ in ENTRY_ARGS])
+def test_entry_rejects_the_other_models_spec(entry, args):
+    # Each *_discrete/*_continuous entry names its model; the other model's
+    # spec is a ValueError, never a quiet evaluation of the wrong site law.
+    own = Model.DISCRETE if entry.__name__.endswith("_discrete") else Model.CONTINUOUS
+    (other,) = set(Model) - {own}
+    with pytest.raises(ValueError, match=f"spec.model must be {own.name}"):
+        entry(MixtureSpec(NEQ, other), *args())
 
 
 def mgf(model, m, s):
