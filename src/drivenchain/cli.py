@@ -360,7 +360,7 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
     what ``compare`` tests of it: the moment accumulators, the series and,
     for particles, the histograms.  ValueError unless ``sim_dir`` holds the
     output of ``simulate`` with every file ``compare`` reads; a malformed
-    meta.json is one too, naming the file."""
+    meta.json or histograms.csv row is one too, naming the file (and line)."""
     path = sim_dir / "meta.json"
     with open(path) as fh:
         meta = json.load(fh)
@@ -379,11 +379,18 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
     hists = []
     if counts:
         hists = [IntHistogram() for _ in range(cfg.n)]
-        with open(sim_dir / "histograms.csv") as fh:
-            rd = csv.reader(fh)
-            next(rd)
-            for row in rd:
-                hists[int(row[0]) - 1].add(int(row[1]), float(row[3]))
+        path = sim_dir / "histograms.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        for line, row in enumerate(rows, start=2):
+            try:
+                site, value, weight = int(row[0]), int(row[1]), float(row[3])
+                if not (1 <= site <= cfg.n and value >= 0):
+                    raise ValueError
+            except (IndexError, ValueError):
+                raise ValueError(f"{path} line {line} reads {','.join(row)}: it needs a site "
+                                 f"in 1..{cfg.n} and a non-negative integer value") from None
+            hists[site - 1].add(value, weight)
     stats = OccupationStats(
         n_sites=cfg.n,
         model=cfg.model,

@@ -6,9 +6,11 @@ hidden profile ``m`` uniformly from the ordered box
 then sample each site independently -- geometric with mean ``m_x`` for the
 particle chain on [rho_a, rho_b], exponential with mean ``m_x`` for the
 energy chain on [t_a, t_b].  This module samples those laws, evaluates their
-densities by Chebyshev integration over the ordered box (n <= 4; one
-configuration or a whole table of them per call) or Monte Carlo (larger n),
-and reduces them to marginals and moments for the statistical test harness.
+densities by Chebyshev integration over the ordered box (n <= 4, to ``tol``;
+one configuration or a whole table of them per call) or Monte Carlo (larger
+n, exactly ``mc_samples`` profiles), and reduces them to marginals and
+moments for the statistical test harness.  ``verify``'s ordered-box checks
+share that rule (``uses_quadrature``) and the one Monte Carlo loop.
 The site law is the only difference, so each ``Model`` member holds one
 frozen ``SiteLaw``, and each sampler, density and marginal is one body that
 reads it behind one-line ``*_discrete``/``*_continuous`` entries.  A record
@@ -18,6 +20,7 @@ holds no function a caller may replace by module attribute (the entries,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -66,13 +69,15 @@ def _exponential_pdf(m, z):
     return np.exp(-z / m) / m
 
 
-def _checked(kernel, name: str, value: str, m, v):
-    """``kernel(m, v)`` once m > 0 and v >= 0 hold; a float for scalar m and v."""
+def _checked(kernel, name: str, value: str, m, v, integer: bool = False):
+    """``kernel(m, v)`` once m > 0, v >= 0 and ``integer`` v hold; a float for scalar m and v."""
     m_arr, v_arr = np.asarray(m, dtype=float), np.asarray(v, dtype=float)
     if np.any(m_arr <= 0.0):
         raise ValueError(f"{name} needs m > 0")
     if np.any(v_arr < 0.0):
         raise ValueError(f"{name} needs {value} >= 0")
+    if integer and not np.all(v_arr == np.floor(v_arr)):
+        raise ValueError(f"{name} needs integer {value}")
     out = kernel(m_arr, v_arr)
     return float(out) if np.isscalar(m) and np.isscalar(v) else out
 
@@ -80,10 +85,10 @@ def _checked(kernel, name: str, value: str, m, v):
 def geometric_pmf(m, k):
     """P(eta = k) for the geometric law of mean m: (1/(1+m)) (m/(1+m))^k.
 
-    Accepts scalars or broadcastable arrays; evaluated in log space so large
-    k does not underflow prematurely.
+    Accepts scalars or broadcastable arrays of integers k >= 0; evaluated in
+    log space so large k does not underflow prematurely.
     """
-    return _checked(_geometric_pmf, "geometric_pmf", "k", m, k)
+    return _checked(_geometric_pmf, "geometric_pmf", "k", m, k, integer=True)
 
 
 def exponential_pdf(m, z):
@@ -104,7 +109,7 @@ class SiteLaw:
     coefficient: Callable  # c(s)
     argument_floor: float  # least s besides c(s) > -1/m; -inf if none
     dtype: type  # of a configuration: counts or energies
-    law: Callable  # law(m, v), pmf or density, rejecting m <= 0 and v < 0
+    law: Callable  # law(m, v), pmf or density, rejecting m <= 0, v < 0 and non-integer counts
     kernel: Callable  # law(m, v) unchecked, for validated m > 0, v >= 0
     marginal_kernel: Callable  # (m, v) -> the pmf (counts) or the CDF (energies) at v
     draw: Callable  # (rng, m) -> one site value per mean
@@ -238,7 +243,36 @@ def sample_exact_continuous(
 # Mixture densities
 # ---------------------------------------------------------------------------
 
+# An ordered-box integral over n <= QUADRATURE_MAX_SITES sites runs by
+# quadrature, over more by Monte Carlo; MC_BATCH bounds each (batch, n) draw.
 QUADRATURE_MAX_SITES = 4
+MC_BATCH = 1 << 19
+
+
+def uses_quadrature(n: int) -> bool:
+    """Whether an ordered-box integral over n sites runs by quadrature, not Monte Carlo."""
+    return n <= QUADRATURE_MAX_SITES
+
+
+def profile_monte_carlo(draw, weigh, mc_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means and standard errors of integrands over random profiles.
+
+    ``draw(rng, b)`` returns b profiles (b, n); ``weigh(m)`` yields one (b,)
+    array of integrand values per output.  Exactly ``mc_samples`` profiles
+    are drawn from ``seed`` in batches of at most MC_BATCH, and each output's
+    sum and sum of squares grow batch by batch, whatever the other outputs.
+    ``mc_samples`` < 2, which leaves no standard error, is a ValueError.
+    """
+    if mc_samples < 2:
+        raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
+    rng = make_rng(seed)
+    totals, drawn = 0.0, 0
+    while drawn < mc_samples:
+        b = min(MC_BATCH, mc_samples - drawn)
+        totals = totals + np.array([(g.sum(), (g * g).sum()) for g in weigh(draw(rng, b))])
+        drawn += b
+    means = totals[:, 0] / drawn
+    return means, np.sqrt(np.maximum(totals[:, 1] / drawn - means**2, 0.0) / drawn)
 
 
 def _mixture_density(
@@ -250,10 +284,10 @@ def _mixture_density(
     seed: int,
 ) -> DensityEstimate:
     """The body of both ``mixture_density_*`` entries: ``values`` is a
-    configuration (n,) or grid (n, K) of ``model``.  The site's checked ``law`` runs first at
-    m = lo and rejects lo <= 0, the smallest mean its unchecked ``kernel`` is
-    then given.  A degenerate interval lo == hi takes the same path: the box
-    has width 0."""
+    configuration (n,) or grid (n, K) of ``model``.  The site's checked
+    ``law`` runs first at m = lo and rejects lo <= 0, the smallest mean its
+    unchecked ``kernel`` is then given, and any value it has no law at.  A
+    degenerate interval lo == hi takes the same path: the box has width 0."""
     site = _site(spec, model)
     kernel = site.kernel
     lo, hi = spec.interval
@@ -261,49 +295,29 @@ def _mixture_density(
     values = np.asarray(values)
     if values.ndim not in (1, 2) or values.shape[0] != n:
         raise ValueError(f"configuration must have shape ({n},) or ({n}, K), got {values.shape}")
-    if site.integral and not np.all(values == np.floor(values)):
-        raise ValueError("particle configuration must be integer-valued")
-    if np.any(values < 0):
-        raise ValueError("configuration entries must be non-negative")
+    site.law(lo, values)
     values = values.astype(site.dtype, copy=False)
     grid = values.ndim == 2
-    site.law(lo, values)
-    if grid and n > QUADRATURE_MAX_SITES:
-        raise ValueError(f"a ({n}, K) grid needs n <= {QUADRATURE_MAX_SITES} (quadrature)")
-    width = hi - lo
-    if n <= QUADRATURE_MAX_SITES:
-        # Integrate in unit-box coordinates m = lo + width*u: the density is
-        # n! times the unit-simplex integral, and the integrand stays O(1)
-        # however narrow the parameter interval is.  A grid's row x goes on
-        # axis x of n, so the factors broadcast to the (K,)*n table.
-        norm = math.factorial(n)
+    if not uses_quadrature(n):
         if grid:
-            values = [row.reshape((-1,) + (1,) * (n - x)) for x, row in enumerate(values)]
-        factors = [(lambda u, v=v: kernel(lo + width * u, v)) for v in values]
-        raw, raw_err = ordered_simplex_integral(factors, 0.0, 1.0, tol=tol / norm)
-        return DensityEstimate(norm * raw, norm * raw_err, "quadrature")
-    # Monte Carlo over the ordered box: sorted uniforms are uniform on it,
-    # so the mixture value is the plain sample mean of the product kernel.
-    if mc_samples < 2:
-        raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
-    rng = make_rng(seed)
-    batch = min(mc_samples, 1 << 18)
-    total = 0.0
-    total_sq = 0.0
-    drawn = 0
-    while drawn < mc_samples:
-        b = min(batch, mc_samples - drawn)
-        m = sample_ordered_profile(spec, rng, b)
-        vals = np.prod(kernel(m, values[np.newaxis, :]), axis=1)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        drawn += b
-        mean = total / drawn
-        var = max(total_sq / drawn - mean * mean, 0.0)
-        se = math.sqrt(var / drawn)
-        if drawn >= batch and se <= tol:
-            break
-    return DensityEstimate(mean, se, "monte-carlo", drawn)
+            raise ValueError(f"a ({n}, K) grid needs n <= {QUADRATURE_MAX_SITES} (quadrature)")
+        # Sorted uniforms are uniform on the ordered box, so the mixture
+        # value is the plain sample mean of the product kernel.
+        means, errors = profile_monte_carlo(
+            functools.partial(sample_ordered_profile, spec),
+            lambda m: [np.prod(kernel(m, values[np.newaxis, :]), axis=1)], mc_samples, seed)
+        return DensityEstimate(float(means[0]), float(errors[0]), "monte-carlo", mc_samples)
+    # Integrate in unit-box coordinates m = lo + width*u: the density is
+    # n! times the unit-simplex integral, and the integrand stays O(1)
+    # however narrow the parameter interval is.  A grid's row x goes on
+    # axis x of n, so the factors broadcast to the (K,)*n table.
+    width = hi - lo
+    norm = math.factorial(n)
+    if grid:
+        values = [row.reshape((-1,) + (1,) * (n - x)) for x, row in enumerate(values)]
+    factors = [(lambda u, v=v: kernel(lo + width * u, v)) for v in values]
+    raw, raw_err = ordered_simplex_integral(factors, 0.0, 1.0, tol=tol / norm)
+    return DensityEstimate(norm * raw, norm * raw_err, "quadrature")
 
 
 def mixture_density_discrete(
@@ -317,10 +331,10 @@ def mixture_density_discrete(
     (K,)*n table of an (n, K) grid whose row x holds site x's values.
 
     For n <= QUADRATURE_MAX_SITES, the Chebyshev ordered-box integral of
-    :func:`drivenchain.core.ordered_simplex_integral`, one call for a whole
-    table; beyond, Monte Carlo over ``mc_samples`` sorted uniform profiles
-    drawn from ``seed`` (``mc_samples`` < 2, which leaves no standard error,
-    or a grid, is a ValueError).
+    :func:`drivenchain.core.ordered_simplex_integral` to ``tol``, one call for
+    a whole table; beyond, Monte Carlo over exactly ``mc_samples`` sorted
+    uniform profiles from ``seed``, ``tol`` unread (``mc_samples`` < 2, which
+    leaves no standard error, or a grid, is a ValueError).
     The degenerate interval rho_a == rho_b, whose mixture is the product
     geometric pmf, is integrated like any other.
     """

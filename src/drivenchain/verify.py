@@ -54,6 +54,9 @@ from .measure import (
     mixture_density_continuous,
     mixture_density_discrete,
     moment_profile,
+    profile_monte_carlo,
+    sample_ordered_profile,
+    uses_quadrature,
 )
 
 __all__ = [
@@ -228,66 +231,43 @@ def _telescoping_quadrature(
     return residuals, {k: tol for k in residuals}, {"quad_error": errors}
 
 
-# Profiles drawn per Monte Carlo batch: bounds the (batch, n) profile array.
-MC_BATCH = 1 << 19
+def _impostor_profile(spec: MixtureSpec, rng, b: int) -> np.ndarray:
+    """b profiles with the right per-site order-statistic marginals but
+    independent sites: the product-of-marginals impostor in profile space."""
+    (lo, hi), n = spec.interval, spec.params.n
+    return np.column_stack([lo + (hi - lo) * rng.beta(x + 1, n - x, size=b) for x in range(n)])
 
 
 def _telescoping_mc(
-    model: Model,
-    lo: float,
-    hi: float,
+    spec: MixtureSpec,
     svecs: np.ndarray,
     mc_samples: int,
     seed: int,
     profile_law: str,
 ) -> list[tuple[dict[str, float], dict[str, float], dict]]:
-    """Monte Carlo residuals of every argument vector (row) of ``svecs``.
-
-    Each batch of profiles is drawn once and weighted for every vector in
-    turn, so each vector sees the batches, in order, that a call of its own
-    with the same seed would draw: its residuals are those of that call, bit
-    for bit.  Returns one (residuals, tolerances, notes) triple per row.
-    """
-    if mc_samples < 2:
-        raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
-    if profile_law not in ("ordered", "independent-marginals"):
-        raise ValueError(f"unknown profile_law {profile_law!r}")
+    """Monte Carlo (residuals, tolerances, notes) of every argument vector (row)
+    of ``svecs``, from one draw of each batch of profiles for all rows."""
+    model = spec.model
+    lo, hi = spec.interval
     n = svecs.shape[1]
-    rng = make_rng(seed)
+    draw = functools.partial(
+        sample_ordered_profile if profile_law == "ordered" else _impostor_profile, spec)
+
+    def weigh(m):
+        for svec in svecs:
+            weight = np.prod([_mgf(model, m[:, x], float(svec[x])) for x in range(n)], axis=0)
+            for x in range(n):
+                yield _bracket(model, m, x, svec, lo, hi) * weight
+
+    means, sds = profile_monte_carlo(draw, weigh, mc_samples, seed)
     volume = (hi - lo) ** n / math.factorial(n)
-    sums = np.zeros(svecs.shape)
-    sums_sq = np.zeros(svecs.shape)
-    drawn = 0
-    batch = min(mc_samples, MC_BATCH)
-    while drawn < mc_samples:
-        b = min(batch, mc_samples - drawn)
-        if profile_law == "ordered":
-            m = rng.uniform(lo, hi, size=(b, n))
-            m.sort(axis=-1)
-        else:
-            # Correct per-site order-statistic marginals, ordering destroyed:
-            # the product-of-marginals impostor in profile space.
-            m = np.empty((b, n))
-            for x in range(n):
-                m[:, x] = lo + (hi - lo) * rng.beta(x + 1, n - x, size=b)
-        for svec, row, row_sq in zip(svecs, sums, sums_sq):
-            weight = np.prod(
-                [_mgf(model, m[:, x], float(svec[x])) for x in range(n)], axis=0
-            )
-            for x in range(n):
-                g = _bracket(model, m, x, svec, lo, hi) * weight
-                row[x] += g.sum()
-                row_sq[x] += (g * g).sum()
-        drawn += b
     out = []
-    for row, row_sq in zip(sums, sums_sq):
-        means = row / drawn
-        sds = np.sqrt(np.maximum(row_sq / drawn - means**2, 0.0) / drawn)
-        residuals = {f"term_{x + 1}": volume * means[x] for x in range(n)}
-        residuals["total"] = volume * means.sum()
-        tolerances = {f"term_{x + 1}": 4.0 * volume * sds[x] for x in range(n)}
-        tolerances["total"] = 4.0 * volume * math.sqrt(float((sds**2).sum()))
-        notes = {"samples": drawn, "seed": seed, "profile_law": profile_law}
+    for row, row_sds in zip(means.reshape(-1, n), sds.reshape(-1, n)):
+        residuals = {f"term_{x + 1}": volume * row[x] for x in range(n)}
+        residuals["total"] = volume * row.sum()
+        tolerances = {f"term_{x + 1}": 4.0 * volume * row_sds[x] for x in range(n)}
+        tolerances["total"] = 4.0 * volume * math.sqrt(float((row_sds**2).sum()))
+        notes = {"samples": mc_samples, "seed": seed, "profile_law": profile_law}
         out.append((residuals, tolerances, notes))
     return out
 
@@ -296,7 +276,6 @@ def check_telescoping(
     spec: MixtureSpec,
     svecs,
     tol: float = 1e-8,
-    method: str | None = None,
     mc_samples: int = 10_000_000,
     seed: int = 7,
     profile_law: str = "ordered",
@@ -305,34 +284,32 @@ def check_telescoping(
 
     One report per argument vector (row) of ``svecs``, a (V, n) array of
     ``lam`` or ``t`` values by ``spec.model``, all inside the generating
-    function's domain at the interval's top.  ``method`` defaults to
-    quadrature for n <= 3 and Monte Carlo above.  The quadrature path splits
-    each site's bracket into three product integrals over the ordered box
+    function's domain at the interval's top.  The densities' rule picks the
+    method: quadrature for n <= ``measure.QUADRATURE_MAX_SITES``, else Monte
+    Carlo.  The quadrature path splits each site's bracket into three product
+    integrals over the ordered box
     (:func:`drivenchain.core.ordered_simplex_integral`), judges every term at
     ``tol`` and records each term's summed error estimate in
-    ``notes["quad_error"]``.  Monte Carlo draws each batch of profiles once
-    for all rows, judges at four standard errors and records its seed; each
-    row's report is bit for bit the one a call with that row alone gives, and
-    ``mc_samples`` < 2 (no standard error) is a ValueError.
+    ``notes["quad_error"]``.  Monte Carlo draws exactly ``mc_samples``
+    profiles from ``seed``, once for all rows, judges at four standard errors
+    (not ``tol``) and records its seed; each row's report is bit for bit the
+    one a call with that row alone gives; ``mc_samples`` < 2 is a ValueError.
     ``profile_law='independent-marginals'`` swaps in the impostor profile with
-    the right marginals but no ordering; the residuals must then be far from
-    zero, which is how the check's power is audited.
+    the right marginals but no ordering, always by Monte Carlo; the residuals
+    must then be far from zero, which is how the check's power is audited.
     """
     model = spec.model
     n = spec.params.n
     svecs = np.asarray(svecs, dtype=float)
     if svecs.ndim != 2 or svecs.shape[1] != n:
         raise ValueError(f"argument vectors must form a (V, {n}) array, got shape {svecs.shape}")
+    if profile_law not in ("ordered", "independent-marginals"):
+        raise ValueError(f"unknown profile_law {profile_law!r}")
     lo, hi = spec.interval
     model.validate_mgf_arguments(svecs, hi)
-    if method is None:
-        method = "quadrature" if n <= 3 and profile_law == "ordered" else "monte-carlo"
+    method = "quadrature" if profile_law == "ordered" and uses_quadrature(n) else "monte-carlo"
     if method == "monte-carlo":
-        results = _telescoping_mc(model, lo, hi, svecs, mc_samples, seed, profile_law)
-    elif method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    elif profile_law != "ordered":
-        raise ValueError("quadrature path only integrates the ordered profile law")
+        results = _telescoping_mc(spec, svecs, mc_samples, seed, profile_law)
 
     def compute(i):
         residuals, tolerances, notes = (results[i] if method == "monte-carlo" else

@@ -99,6 +99,41 @@ def test_exact_law_density_contract():
     assert proc.returncode == 0, proc.stderr
 
 
+# The exact-law workload's telescoping run, at its smoke sample count: it fails
+# an operation unless every report passes.  The method follows the densities'
+# rule, and a Monte Carlo size draws exactly the flag's samples.
+TELESCOPING_SCRIPT = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+from drivenchain import cli, measure
+
+law = workloads.EXACT_LAW
+sizes, mc = law["telescoping_sizes"], law["smoke"]["telescoping_mc"]
+out = Path(sys.argv[2])
+assert cli.main(["verify", "--suite", "telescoping", "--sizes", sizes,
+                 "--mc-samples", str(mc), "--out", str(out)]) == cli.EXIT_OK
+reports = [json.loads(line) for line in open(out / "reports.jsonl")]
+assert {r["params"]["n"] for r in reports} == {int(s) for s in sizes.split(",")}
+assert 5 in {r["params"]["n"] for r in reports}
+for r in reports:
+    assert r["passed"], r
+    if r["params"]["n"] <= measure.QUADRATURE_MAX_SITES:
+        assert r["method"] == "quadrature", r
+    else:
+        assert r["method"] == "monte-carlo" and r["notes"]["samples"] == mc, r
+"""
+
+
+def test_exact_law_telescoping_contract(tmp_path):
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", TELESCOPING_SCRIPT, str(BENCH),
+                           str(tmp_path / "tele")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 # One tiny run of each CLI command under the traced run's wrappers: a CLI that
 # stopped calling a hooked name would silently drop that layer's spans, and a
 # dispatch that reached one twin past its hook would drop that (owner, name)

@@ -472,6 +472,23 @@ class TestCompare:
         assert "histogram is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("column, value", [
+        (0, "0"),   # a site below 1, once filed under the last site
+        (0, "9"),   # a site beyond n = 3
+        (1, "-1"),  # a negative count
+    ], ids=["site-0", "site-9", "value-minus-1"])
+    def test_malformed_histogram_row_exits_2(self, tmp_path, column, value, capsys):
+        sim = simulate_small(tmp_path / "sim")
+        lines = (sim / "histograms.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[column] = value
+        lines[1] = ",".join(fields)
+        (sim / "histograms.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
+        assert f"{sim / 'histograms.csv'} line 2 reads {lines[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, line, column", [
         ("profile.csv", 2, 2),      # se of site 1
         ("covariance.csv", 3, 3),   # se of pair (1, 2)

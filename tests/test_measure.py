@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats as sps
 
+from drivenchain import measure
 from drivenchain.core import ChainParams, make_rng
 from drivenchain.measure import (
     MixtureSpec,
@@ -151,6 +152,17 @@ class TestElementaryLaws:
             geometric_pmf(0.0, 1)
         with pytest.raises(ValueError):
             geometric_pmf(1.0, -1)
+
+    @pytest.mark.parametrize("k", [0.5, [0, 1.5], math.nan])
+    def test_geometric_pmf_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError, match="geometric_pmf needs integer k"):
+            geometric_pmf(1.0, k)
+
+    def test_marginal_pmf_rejects_non_integer_k(self):
+        with pytest.raises(ValueError, match="geometric_pmf needs integer k"):
+            marginal_pmf_discrete(disc_spec(2), 1, 0.5)
+        assert marginal_pmf_discrete(disc_spec(2), 1, 2.0) == marginal_pmf_discrete(
+            disc_spec(2), 1, 2)
 
     def test_geometric_pmf_log_space_large_k(self):
         v = geometric_pmf(1.0, 3000)
@@ -325,9 +337,30 @@ class TestMixtureDensities:
         spec = disc_spec(5)
         d = mixture_density_discrete(spec, [0] * 5, tol=1e-4, mc_samples=300_000, seed=3)
         assert d.method == "monte-carlo"
-        assert d.samples > 0
+        assert d.samples == 300_000  # every draw asked for, whatever tol
         quadlike = mixture_density_discrete(disc_spec(4), [0] * 4, tol=1e-10)
         assert quadlike.method == "quadrature"
+
+    @pytest.mark.parametrize("density, spec, config", [
+        (mixture_density_discrete, disc_spec(5), [0, 1, 0, 2, 1]),
+        (mixture_density_continuous, cont_spec(5), [0.5, 1.0, 0.2, 2.5, 1.5]),
+    ])
+    def test_monte_carlo_matches_hand_drawn_batches(self, monkeypatch, density, spec, config):
+        # Oracle: the batches of 1000, 1000 and 500 profiles drawn by hand
+        # and their product kernels summed in order.
+        monkeypatch.setattr(measure, "MC_BATCH", 1000)
+        law = spec.model.site.law
+        rng = make_rng(3)
+        total = total_sq = 0.0
+        for b in (1000, 1000, 500):
+            vals = np.prod(law(sample_ordered_profile(spec, rng, b), np.asarray(config)), axis=1)
+            total += vals.sum()
+            total_sq += (vals * vals).sum()
+        mean = total / 2500
+        d = density(spec, config, mc_samples=2500, seed=3)
+        assert d.method == "monte-carlo" and d.samples == 2500
+        assert d.value == mean
+        assert d.error == math.sqrt(max(total_sq / 2500 - mean * mean, 0.0) / 2500)
 
     @pytest.mark.parametrize("mc_samples", [0, 1, -1])
     def test_mc_fallback_rejects_no_samples(self, mc_samples):

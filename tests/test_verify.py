@@ -130,13 +130,25 @@ class TestTelescoping:
         assert r.passed
         assert r.notes["seed"] == 7
 
+    @pytest.mark.parametrize("model", list(Model))
+    def test_method_follows_the_density_rule(self, model):
+        # quadrature up to QUADRATURE_MAX_SITES = 4, Monte Carlo beyond
+        for n, method in ((4, "quadrature"), (5, "monte-carlo")):
+            p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+            spec = MixtureSpec(p, model)
+            (r,) = check_telescoping(spec, default_svec_grid(n, model, spec.interval[1])[:1],
+                                     mc_samples=20_000)
+            assert r.method == method and r.passed, (n, r)
+            assert ("samples" in r.notes) == (method == "monte-carlo")
+
     @pytest.mark.parametrize("n", [5, 8])
-    def test_quadrature_terms_vanish_beyond_default_threshold(self, n):
+    def test_quadrature_terms_vanish_beyond_default_threshold(self, monkeypatch, n):
         # the deterministic companion of the Monte Carlo check at N=5
+        monkeypatch.setattr(measure, "QUADRATURE_MAX_SITES", 8)
         p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
         for model, hi in ((Model.DISCRETE, p.rho_b), (Model.CONTINUOUS, p.t_b)):
             for vec in default_svec_grid(n, model, hi):
-                r = telescoping(p, model, vec, method="quadrature")
+                r = telescoping(p, model, vec)
                 assert r.method == "quadrature" and not r.inconclusive
                 assert all(abs(v) < 1e-10 for v in r.residuals.values()), (model, vec)
 
@@ -165,20 +177,12 @@ class TestTelescoping:
         # Power requirement: residual at least 100x the quadrature tolerance.
         p = ChainParams(n=n, beta_a=0.5, beta_b=0.75)
         vec = [0.3 if x % 2 == 0 else 0.7 for x in range(n)]
-        r = telescoping(
-            p, D, vec, method="monte-carlo", mc_samples=1_000_000, seed=11,
-            profile_law="independent-marginals",
-        )
+        r = telescoping(p, D, vec, mc_samples=1_000_000, seed=11,
+                        profile_law="independent-marginals")
+        assert r.method == "monte-carlo"
         assert not r.passed
         assert r.max_residual > 100.0 * 1e-8
         assert r.max_residual > r.tolerances["total"]
-
-    def test_quadrature_rejects_impostor_law(self):
-        with pytest.raises(ValueError):
-            telescoping(
-                NEQ2, D, [0.3, 0.7], method="quadrature",
-                profile_law="independent-marginals",
-            )
 
     @pytest.mark.parametrize("model", list(Model))
     @pytest.mark.parametrize("profile_law", ["ordered", "independent-marginals"])
@@ -212,13 +216,13 @@ class TestTelescoping:
                 drawn += b
             return sums / drawn, sums_sq / drawn
 
-        monkeypatch.setattr(verify, "MC_BATCH", 1000)
+        monkeypatch.setattr(measure, "MC_BATCH", 1000)
         p = ChainParams(n=5, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
-        lo, hi = MixtureSpec(p, model).interval
+        spec = MixtureSpec(p, model)
+        lo, hi = spec.interval
         grid = default_svec_grid(5, model, hi)
         mc_samples = 2500  # batches of 1000, 1000 and 500
-        results = verify._telescoping_mc(model, lo, hi, np.array(grid), mc_samples, 3,
-                                         profile_law)
+        results = verify._telescoping_mc(spec, np.array(grid), mc_samples, 3, profile_law)
         volume = (hi - lo) ** 5 / math.factorial(5)
         for svec, (residuals, tolerances, notes) in zip(grid, results):
             means, second = oracle(lo, hi, svec, mc_samples, 3, 1000)
