@@ -11,11 +11,12 @@ left; acceptance criterion 6 probes it by rerunning at half the cutoff (its
 cutoff-refinement check), and it is not corrected.
 
 The chain runs on the shared event engine, ``occupation.run_window``, as in
-``discrete_sim``; it adds only its rate function, its cutoff as the engine's
+``discrete_sim``; ``new_state_continuous`` fixes what it adds: its model, its
+log-binned energy histograms, its rate function, its cutoff as the engine's
 removal floor, and the samplers below.  A run fails with RuntimeError on a
 removal picked at a site at or below the cutoff, on rate-cache drift past
-``occupation.RESYNC_DRIFT_TOL``, on an energy balance off by more than 1e-9
-relative, or on a negative energy.
+``occupation.RESYNC_DRIFT_TOL``, on an energy balance off by more than
+``occupation.MASS_TOL`` relative, or on a negative energy.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from scipy.special import exp1
 
 from .core import ChainParams, make_rng
+from .measure import Model
 from .occupation import (DEFAULT_GRID_SAMPLES, BinnedHistogram, BlockDraws, ChainState,
                          OccupationStats, initial_values, run_window)
 
@@ -36,17 +38,11 @@ __all__ = [
     "simulate_continuous",
     "sample_alpha_removal",
     "default_epsilon",
-    "energy_histogram",
 ]
 
 
 def default_epsilon(params: ChainParams) -> float:
     return 1e-6 * min(params.t_a, 1.0)
-
-
-def energy_histogram(params: ChainParams, epsilon: float) -> BinnedHistogram:
-    """The binning of every energy histogram: 256 log-spaced bins on (10 eps, 50 T_B]."""
-    return BinnedHistogram(10.0 * epsilon, 50.0 * params.t_b, 256)
 
 
 def sample_alpha_removal(epsilon: float, z: float, rng: BlockDraws) -> float:
@@ -108,13 +104,16 @@ class InjectionSampler:
 def new_state_continuous(
     params: ChainParams, epsilon: float | None = None, z0=None
 ) -> ChainState:
-    """Energy-chain state with cutoff ``epsilon``: drained, or started from ``z0``."""
+    """Energy-chain state with cutoff ``epsilon``: drained, or started from ``z0``;
+    a run's site histograms have 256 log-spaced bins on (10 eps, 50 T_B]."""
     if epsilon is None:
         epsilon = default_epsilon(params)
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     return ChainState(
-        initial_values(params.n, z0, float),
+        Model.CONTINUOUS,
+        functools.partial(BinnedHistogram, 10.0 * epsilon, 50.0 * params.t_b, 256),
+        initial_values(params.n, z0, Model.CONTINUOUS),
         lambda z: math.log(z / epsilon) if z > epsilon else 0.0,
         epsilon,
         functools.partial(sample_alpha_removal, epsilon),
@@ -143,8 +142,6 @@ def simulate_continuous(
     if rng is None:
         rng = make_rng(0 if seed is None else seed)
     state = new_state_continuous(params, epsilon, z0)
-    hists = [energy_histogram(params, state.floor) for _ in range(params.n)]
-    stats = run_window(state, rng, hists, "continuous", t_max, burn_in, grid_samples,
-                       observers, 1e-9)
+    stats = run_window(state, rng, t_max, burn_in, grid_samples, observers)
     stats.extra.update(epsilon=state.floor, final_z=list(state.values))
     return stats

@@ -10,11 +10,12 @@ one loop that runs each event in local variables: exponential holding times
 at the total rate, channels picked proportionally to their rates, O(1)
 Python work per changed site (at most two per event) plus one numpy flush
 of the O(n) second-moment rows per block of changes, with the float sums of
-a per-site loop, so the results do not depend on the block.  The chain adds
-only its rate function H and the samplers below.  A run fails with
-RuntimeError on a removal picked at an empty site, on rate-cache drift past
-``occupation.RESYNC_DRIFT_TOL``, on particle counts that do not balance the boundary
-fluxes exactly, or on a negative occupation.
+a per-site loop, so the results do not depend on the block.  ``new_state``
+adds only the particle model, count histograms, the rate function H and the
+samplers below.  A run fails with RuntimeError on a removal picked at an
+empty site, on rate-cache drift past ``occupation.RESYNC_DRIFT_TOL``, on
+particle counts that do not balance the boundary fluxes exactly, or on a
+negative occupation.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .core import ChainParams, harmonic_number, harmonic_prefix, make_rng
+from .measure import Model
 from .occupation import (DEFAULT_GRID_SAMPLES, BlockDraws, ChainState, IntHistogram,
                          OccupationStats, initial_values, run_window)
 
@@ -90,7 +92,8 @@ class LogSeriesSampler:
 
 def new_state(params: ChainParams, eta0=None) -> ChainState:
     """Particle-chain state: empty, or started from the counts ``eta0``."""
-    return ChainState(initial_values(params.n, eta0, int), harmonic_number, 0,
+    return ChainState(Model.DISCRETE, IntHistogram,
+                      initial_values(params.n, eta0, Model.DISCRETE), harmonic_number, 0,
                       sample_k_harmonic, LogSeriesSampler(params.beta_a),
                       LogSeriesSampler(params.beta_b))
 
@@ -115,7 +118,6 @@ def simulate(
     if rng is None:
         rng = make_rng(0 if seed is None else seed)
     state = new_state(params, eta0)
-    stats = run_window(state, rng, [IntHistogram() for _ in range(params.n)], "discrete",
-                       t_max, burn_in, grid_samples, observers, 0.0)
+    stats = run_window(state, rng, t_max, burn_in, grid_samples, observers)
     stats.extra["final_eta"] = list(state.values)
     return stats

@@ -70,11 +70,12 @@ def _exponential_pdf(m, z):
 
 
 def _checked(kernel, name: str, value: str, m, v, integer: bool = False):
-    """``kernel(m, v)`` once m > 0, v >= 0 and ``integer`` v hold; a float for scalar m and v."""
+    """``kernel(m, v)`` once finite m > 0, v >= 0 and ``integer`` v hold (a NaN
+    fails them: an ``integer`` v as non-integer); a float for scalar m and v."""
     m_arr, v_arr = np.asarray(m, dtype=float), np.asarray(v, dtype=float)
-    if np.any(m_arr <= 0.0):
+    if not np.all((m_arr > 0.0) & (m_arr < math.inf)):
         raise ValueError(f"{name} needs m > 0")
-    if np.any(v_arr < 0.0):
+    if np.any(v_arr < 0.0) or (not integer and np.any(np.isnan(v_arr))):
         raise ValueError(f"{name} needs {value} >= 0")
     if integer and not np.all(v_arr == np.floor(v_arr)):
         raise ValueError(f"{name} needs integer {value}")

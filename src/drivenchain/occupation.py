@@ -1,8 +1,10 @@
 """The event engine of both chains and their time-weighted trajectory statistics.
 
 Both chains are one boundary-driven dynamics, held by one ``ChainState``; a
-chain supplies only its site-rate function, the value at or below which a
-site cannot fire, a removal sampler and two injection samplers.
+chain supplies only its ``measure.Model``, the factory of one site's empty
+histogram, its site-rate function, the value at or below which a site cannot
+fire, a removal sampler and two injection samplers.  So the state fixes all a
+run needs of its chain: histograms, series dtype, model and mass tolerance.
 
 A trajectory is piecewise constant, so the occupation measure weights each
 visited configuration by its holding time.  ``OccupationStats`` holds per-site
@@ -49,6 +51,7 @@ DEFAULT_GRID_SAMPLES = 1 << 16  # trajectory series points per run
 CHANNELS = ("inject_a", "inject_b", "exit_a", "exit_b", "bulk")  # event kinds counted per run
 DRAW_BLOCK = 4096  # values a BlockDraws stream takes from its Generator at once
 FLUSH_BLOCK_BYTES = 1 << 18  # size of one (changes x n) float array of a row flush
+MASS_TOL = 1e-9  # relative mass-balance slip an energy run may show; counts balance exactly
 
 
 def _blocks(draw: Callable[[int], np.ndarray]):
@@ -180,13 +183,15 @@ class OccupationStats:
         mu = self.mean()
         return self.second_acc / self.duration - np.outer(mu, mu)
 
-    def check_run(self, start_mass: float, final, tol: float) -> None:
+    def check_run(self, start_mass: float, final) -> None:
         """Raise RuntimeError unless a finished run kept its invariants.
 
         Mass balance: injected - extracted equals the mass gained from
-        ``start_mass`` to the ``final`` state, within ``tol`` relative to the
-        mass brought in.  Non-negativity: of the final state and mean_acc.
+        ``start_mass`` to the ``final`` state, exactly for counts and within
+        MASS_TOL relative to the mass brought in for energies.
+        Non-negativity: of the final state and mean_acc.
         """
+        tol = 0.0 if Model(self.model).site.integral else MASS_TOL
         net = self.injected_a + self.injected_b - self.extracted_a - self.extracted_b
         gained = math.fsum(final) - start_mass
         if abs(net - gained) > tol * max(1.0, start_mass + self.injected_a + self.injected_b):
@@ -247,31 +252,39 @@ class OccupationStats:
         return out
 
 
-def initial_values(n: int, start, cast) -> list:
-    """n zeros, or ``start`` cast site by site; ValueError unless n non-negative values."""
-    values = [cast(0)] * n if start is None else [cast(v) for v in start]
-    if len(values) != n or any(v < 0 for v in values):
-        raise ValueError(f"a start state must hold {n} non-negative values")
-    return values
+def initial_values(n: int, start, model: Model) -> list:
+    """n zeros, or ``start`` as ``model``'s values (ints for counts, floats for
+    energies); ValueError unless n finite non-negative values, whole for counts."""
+    start = [0] * n if start is None else list(start)
+    integral = model.site.integral
+    as_float = [float(v) for v in start]
+    if len(start) != n or not all(math.isfinite(v) and v >= 0.0 and
+                                  (v.is_integer() or not integral) for v in as_float):
+        raise ValueError(f"a start state must hold {n} finite non-negative "
+                         f"{'integer counts' if integral else 'energies'}, got {start!r}")
+    return [int(v) for v in start] if integral else as_float
 
 
 @dataclass(slots=True)
 class ChainState:
     """Live state of either chain, with cached channel rates.
 
-    Site x holds ``values[x]`` and fires each of its two exit channels at
-    rate ``rate_of(values[x])``, which is zero at or below ``floor``; a
-    firing moves ``remove(values[x], draws)`` across.  Reservoir A (B) injects
-    ``sampler_a.draw(draws)`` into the first (last) site at rate
-    ``sampler_a.total_rate``; ``inj_rate`` is their sum.  ``site_rate``
-    caches the site rates, ``rate_sum`` their incrementally updated sum and,
-    above LINEAR_SCAN_MAX_SITES sites, ``tree`` their Fenwick tree (each
-    site's weight is its two channels, 2 * rate); ``resync`` rebuilds all
-    three from ``values``.  The state holds the chain and this cache only:
+    ``model`` names the chain and ``new_hist()`` makes one site's empty
+    histogram for ``run_window``.  Site x holds ``values[x]`` and fires each
+    of its two exit channels at rate ``rate_of(values[x])``, which is zero at
+    or below ``floor``; a firing moves ``remove(values[x], draws)`` across.
+    Reservoir A (B) injects ``sampler_a.draw(draws)`` into the first (last)
+    site at rate ``sampler_a.total_rate``; ``inj_rate`` is their sum.
+    ``site_rate`` caches the site rates, ``rate_sum`` their incrementally
+    updated sum and, above LINEAR_SCAN_MAX_SITES sites, ``tree`` their
+    Fenwick tree (each site's weight is its two channels, 2 * rate);
+    ``resync`` rebuilds all three from ``values``.  The state holds the chain and this cache only:
     ``run_window`` keeps every number a run measures in local variables and
     writes back only ``rate_sum``, before each resync.
     """
 
+    model: Model
+    new_hist: Callable[[], Any]
     values: list
     rate_of: Callable[[Any], float]
     floor: float
@@ -335,9 +348,8 @@ def _flush(rows: np.ndarray, changes: list, opened, values: list, offset: list):
     return np.array(values, dtype=float), np.array(offset)
 
 
-def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
-               burn_in: float | None, grid_samples: int, observers,
-               mass_tol: float) -> OccupationStats:
+def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
+               grid_samples: int, observers) -> OccupationStats:
     """Run a chain state to t_max and measure it over [burn_in, t_max].
 
     Every random number of the run comes from one ``BlockDraws`` that wraps
@@ -348,7 +360,8 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     at A, injection at B, then the two exit channels of each site, by linear
     scan up to LINEAR_SCAN_MAX_SITES sites and by Fenwick search above), then
     draws the amount moved (the chain's samplers).  It changes one or two
-    sites; each change updates the rate cache, the moments and ``hists``.
+    sites; each change updates the rate cache, the moments and the site's
+    histogram, one ``state.new_hist()`` per site and run.
     The loop keeps all of this in local variables.  ``rng`` ends the run
     advanced by whole blocks, the unused tails of the last ones included.
 
@@ -380,22 +393,24 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     found, covers every run.  burn_in defaults to 10% of t_max.  The trajectory is
     also sampled on a uniform grid of ``grid_samples`` points across the
     window (an evenly spaced series for autocorrelation estimates, of the
-    ``model``'s site dtype), each point passed to every ``observers``
-    callable as (time, values).
-    ``extra`` counts the events of each of ``CHANNELS``, the resyncs, and
+    state's model's site dtype), each point passed to every ``observers``
+    callable as (time, values).  ``extra`` counts the events of each of ``CHANNELS``, the resyncs, and
     names the channel ``selection`` path.  Injection samplers that count
     their ``proposals`` and ``accepts`` (the energy chain's) get this run's
     share of them as ``acceptance_a``/``acceptance_b``: the change in the
     counts over the run, so each window reports its own rate.  The run fails
     with RuntimeError if a removal is picked at a site at or below the floor,
-    unless injected - extracted matches the mass gained within ``mass_tol``
-    (relative), and unless every value stays non-negative.  A non-finite
-    t_max or burn_in is a ValueError: the window would never close.
+    unless injected - extracted matches the mass gained (``check_run``), and
+    unless every value stays non-negative.  A non-finite t_max or burn_in is
+    a ValueError: the window would never close; so is grid_samples < 1,
+    which leaves no series.  Both are checked before any draw.
     """
     if burn_in is None:
         burn_in = 0.1 * t_max
     if not (math.isfinite(t_max) and t_max > burn_in >= 0.0):
         raise ValueError(f"need finite t_max > burn_in >= 0, got ({t_max}, {burn_in})")
+    if not grid_samples >= 1:
+        raise ValueError(f"need grid_samples >= 1, got {grid_samples}")
     values = state.values
     n = len(values)
     start_mass = math.fsum(values)
@@ -405,9 +420,10 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     changes: list = []  # five entries per change after burn_in, see ``_flush``
     block_entries = 5 * max(1, FLUSH_BLOCK_BYTES // (8 * n))
     flush_at, opened = 0, None  # the first change after burn_in opens the first block
+    hists = [state.new_hist() for _ in range(n)]
     hist_add = [h.add for h in hists]
     last_site = n - 1
-    series = np.empty((grid_samples, n), dtype=Model(model).site.dtype)
+    series = np.empty((grid_samples, n), dtype=state.model.site.dtype)
     grid_dt = (t_max - burn_in) / grid_samples
     next_grid = 0
     grid_time = burn_in + (next_grid + 1) * grid_dt
@@ -531,7 +547,7 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
     mean_acc, second_acc = np.array(totals), 0.5 * (second + second.T)
     wall = time.perf_counter() - wall_start
     stats = OccupationStats(
-        n_sites=n, model=model, duration=t_max - burn_in,
+        n_sites=n, model=state.model.value, duration=t_max - burn_in,
         event_count=events, mean_acc=mean_acc, second_acc=second_acc, hists=hists,
         series=[series], series_dt=grid_dt, wall_seconds=wall,
         injected_a=float(injected_a), extracted_a=float(extracted_a),
@@ -544,5 +560,5 @@ def run_window(state: ChainState, rng, hists: list, model: str, t_max: float,
         proposals = sampler.proposals - proposals_before
         accepts = sampler.accepts - accepts_before
         stats.extra[key] = accepts / proposals if proposals else math.nan
-    stats.check_run(start_mass, values, mass_tol)
+    stats.check_run(start_mass, values)
     return stats

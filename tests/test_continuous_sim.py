@@ -258,5 +258,6 @@ class TestSimulateContinuous:
         assert np.all(diff < np.maximum(4.0 * joint, 0.01 * p.t_a))
 
     def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            new_state_continuous(NEQ, epsilon=-1.0)
+        for epsilon in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                new_state_continuous(NEQ, epsilon=epsilon)

@@ -173,6 +173,28 @@ class TestElementaryLaws:
         with pytest.raises(ValueError):
             exponential_pdf(-1.0, 1.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: exponential_pdf(1.0, math.nan), "exponential_pdf needs z >= 0"),
+        (lambda: exponential_pdf(math.nan, 1.0), "exponential_pdf needs m > 0"),
+        (lambda: exponential_pdf(math.inf, 1.0), "exponential_pdf needs m > 0"),
+        (lambda: geometric_pmf(math.nan, 1), "geometric_pmf needs m > 0"),
+        (lambda: geometric_pmf([1.0, math.inf], 1), "geometric_pmf needs m > 0"),
+    ], ids=["pdf-nan-z", "pdf-nan-m", "pdf-inf-m", "pmf-nan-m", "pmf-inf-m"])
+    def test_laws_reject_nan_and_infinite_means(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_monte_carlo_density_rejects_a_nan_energy(self):
+        # It returned DensityEstimate(nan, nan, "monte-carlo").
+        with pytest.raises(ValueError, match="exponential_pdf needs z >= 0"):
+            mixture_density_continuous(cont_spec(5), [math.nan, 1.0, 1.0, 1.0, 1.0],
+                                       mc_samples=100)
+
+    def test_marginal_rejects_a_nan_energy(self):
+        # It failed deep in the quadrature with a non-finite integrand.
+        with pytest.raises(ValueError, match="exponential_pdf needs z >= 0"):
+            marginal_cdf_continuous(cont_spec(2), 1, math.nan)
+
     @pytest.mark.parametrize("model, n, call", [
         (Model.DISCRETE, 2, lambda spec: mixture_density_discrete(spec, [1, 2])),
         (Model.DISCRETE, 5, lambda spec: mixture_density_discrete(spec, [0, 1, 0, 2, 1],

@@ -14,6 +14,7 @@ from drivenchain import continuous_sim, discrete_sim, occupation
 from drivenchain.continuous_sim import new_state_continuous, simulate_continuous
 from drivenchain.core import ChainParams, make_rng
 from drivenchain.discrete_sim import new_state, simulate
+from drivenchain.measure import Model
 from drivenchain.occupation import (CHANNELS, DRAW_BLOCK, BinnedHistogram, BlockDraws,
                                    IntHistogram, OccupationStats)
 
@@ -256,20 +257,20 @@ def _stats(**kw) -> OccupationStats:
 
 class TestCheckRun:
     def test_balanced_run_passes(self):
-        _stats().check_run(0.0, [1.5, 0.5], 1e-9)
-        _stats().check_run(1.0, [2.5, 0.5], 1e-9)  # started with mass 1
+        _stats().check_run(0.0, [1.5, 0.5])
+        _stats().check_run(1.0, [2.5, 0.5])  # started with mass 1
 
     def test_mass_imbalance_raises(self):
         with pytest.raises(RuntimeError, match="mass balance"):
-            _stats().check_run(0.0, [1.5, 0.6], 1e-9)
+            _stats().check_run(0.0, [1.5, 0.6])
         with pytest.raises(RuntimeError, match="mass balance"):
-            _stats(model="discrete").check_run(0.0, [1.0, 1.0 + 1e-12], 0.0)
+            _stats(model="discrete").check_run(0.0, [1.0, 1.0 + 1e-12])
 
     def test_negative_values_raise(self):
         with pytest.raises(RuntimeError, match="negative"):
-            _stats().check_run(0.0, [2.5, -0.5], 1e-9)
+            _stats().check_run(0.0, [2.5, -0.5])
         with pytest.raises(RuntimeError, match="negative"):
-            _stats(mean_acc=np.array([1.0, -1e-300])).check_run(0.0, [1.5, 0.5], 1e-9)
+            _stats(mean_acc=np.array([1.0, -1e-300])).check_run(0.0, [1.5, 0.5])
 
 
 def _short_run_from(monkeypatch, model, corrupt):
@@ -322,16 +323,14 @@ def test_short_run_checks_its_rate_cache(monkeypatch, model):
 def test_one_state_runs_two_windows(model):
     # The state holds no counts or fluxes, so a second window starts its own from zero.
     if model == "discrete":
-        state, tol = new_state(ChainParams(n=3, beta_a=0.5, beta_b=0.75)), 0.0
-        hists = lambda: [IntHistogram() for _ in range(3)]
+        state = new_state(ChainParams(n=3, beta_a=0.5, beta_b=0.75))
     else:
-        params = ChainParams(n=3, t_a=1.0, t_b=2.0)
-        state, tol = new_state_continuous(params), 1e-9
-        hists = lambda: [continuous_sim.energy_histogram(params, state.floor) for _ in range(3)]
+        state = new_state_continuous(ChainParams(n=3, t_a=1.0, t_b=2.0))
     rng = make_rng(1)
-    first = occupation.run_window(state, rng, hists(), model, 50.0, None, 64, (), tol)
+    first = occupation.run_window(state, rng, 50.0, None, 64, ())
     start = list(state.values)
-    second = occupation.run_window(state, rng, hists(), model, 50.0, None, 64, (), tol)
+    second = occupation.run_window(state, rng, 50.0, None, 64, ())
+    assert all(a is not b for a, b in zip(first.hists, second.hists))  # fresh per window
     for st in (first, second):
         assert st.event_count > 100
         assert sum(st.extra["channel_events"].values()) == st.event_count
@@ -349,21 +348,84 @@ def test_non_finite_window_is_rejected(t_max, burn_in):
     rng = SimpleNamespace(random=no_draws, standard_exponential=no_draws)
     state = new_state(ChainParams(n=3, beta_a=0.5, beta_b=0.75))
     with pytest.raises(ValueError, match="finite"):
-        occupation.run_window(state, rng, [IntHistogram() for _ in range(3)], "discrete",
-                              t_max, burn_in, 8, (), 0.0)
+        occupation.run_window(state, rng, t_max, burn_in, 8, ())
+
+
+@pytest.mark.parametrize("grid_samples", [0, -3])
+def test_window_without_grid_points_is_rejected(grid_samples):
+    def no_draws(size):  # a window with no series must not start
+        raise AssertionError("the run drew random numbers")
+
+    rng = SimpleNamespace(random=no_draws, standard_exponential=no_draws)
+    state = new_state(ChainParams(n=3, beta_a=0.5, beta_b=0.75))
+    with pytest.raises(ValueError, match="grid_samples >= 1"):
+        occupation.run_window(state, rng, 50.0, None, grid_samples, ())
+    with pytest.raises(ValueError, match="grid_samples >= 1"):
+        simulate(ChainParams(n=3, beta_a=0.5, beta_b=0.75), 50.0, seed=1,
+                 grid_samples=grid_samples)
+
+
+@pytest.mark.parametrize("model", ["discrete", "continuous"])
+def test_the_state_fixes_what_a_run_records(model):
+    # Histograms, series dtype, model name and mass rule come from the state alone.
+    if model == "discrete":
+        state = new_state(ChainParams(n=3, beta_a=0.5, beta_b=0.75))
+        hist_type, dtype = IntHistogram, np.int64
+    else:
+        state = new_state_continuous(ChainParams(n=3, t_a=1.0, t_b=2.0))
+        hist_type, dtype = BinnedHistogram, np.float64
+    made, make = [], state.new_hist
+    state.new_hist = lambda: made.append(make()) or made[-1]
+    st = occupation.run_window(state, make_rng(1), 50.0, None, 64, ())
+    assert state.model is Model(model) and st.model == model
+    assert st.hists == made and len(made) == 3
+    assert all(type(h) is hist_type for h in made)
+    assert st.series[0].dtype == dtype
+    final = list(state.values)
+    st.check_run(0.0, final)  # the window opened on the empty chain
+    slipped = [final[0] + 1e-12 * (st.injected_a + st.injected_b)] + final[1:]
+    if model == "discrete":  # counts balance exactly
+        with pytest.raises(RuntimeError, match="mass balance"):
+            st.check_run(0.0, slipped)
+    else:  # energies within occupation.MASS_TOL, relative
+        st.check_run(0.0, slipped)
+
+
+@pytest.mark.parametrize("factory, key, start", [
+    (new_state, "eta0", [1.5, 0.7]),
+    (new_state, "eta0", [math.nan, 0]),
+    (new_state, "eta0", [math.inf, 0]),
+    (new_state, "eta0", [2, -1]),
+    (new_state, "eta0", [2]),
+    (new_state_continuous, "z0", [math.nan, 1.0]),
+    (new_state_continuous, "z0", [0.5, math.inf]),
+    (new_state_continuous, "z0", [0.5, -1e-300]),
+], ids=["counts-fraction", "counts-nan", "counts-inf", "counts-negative", "counts-short",
+        "energies-nan", "energies-inf", "energies-negative"])
+def test_start_state_must_hold_the_models_values(factory, key, start):
+    params = ChainParams(n=2, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+    with pytest.raises(ValueError, match="a start state must hold 2"):
+        factory(params, **{key: start})
+
+
+def test_start_state_takes_the_models_value_type():
+    params = ChainParams(n=2, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+    for start in ([3.0, 0], np.array([3, 0])):
+        values = new_state(params, eta0=start).values
+        assert values == [3, 0] and all(type(v) is int for v in values)
+    values = new_state_continuous(params, z0=np.array([3, 0])).values
+    assert values == [3.0, 0.0] and all(type(v) is float for v in values)
 
 
 def test_each_window_reports_its_own_acceptance():
     # The samplers count over their whole life; a window reports the change.
-    params = ChainParams(n=3, t_a=1.0, t_b=2.0)
-    state = new_state_continuous(params)
+    state = new_state_continuous(ChainParams(n=3, t_a=1.0, t_b=2.0))
     samplers = (state.sampler_a, state.sampler_b)
     rng = make_rng(1)
     windows = []
     for _ in range(2):
         before = [(s.proposals, s.accepts) for s in samplers]
-        hists = [continuous_sim.energy_histogram(params, state.floor) for _ in range(3)]
-        st = occupation.run_window(state, rng, hists, "continuous", 50.0, None, 64, (), 1e-9)
+        st = occupation.run_window(state, rng, 50.0, None, 64, ())
         windows.append([(s.proposals - p, s.accepts - a) for s, (p, a) in zip(samplers, before)])
         for key, (proposals, accepts) in zip(("acceptance_a", "acceptance_b"), windows[-1]):
             assert proposals > 100
