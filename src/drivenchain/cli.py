@@ -32,10 +32,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .continuous_sim import simulate_continuous
+from .continuous_sim import check_epsilon, simulate_continuous
 from .core import ChainParams, make_rng
 from .discrete_sim import simulate
 from .measure import (
+    QUADRATURE_MAX_SITES,
     MixtureSpec,
     Model,
     marginal_cdf_continuous,
@@ -111,12 +112,31 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     csv renders a float by ``repr`` (the shortest text that reads back to the
     same value) and an int by ``str``.  Callers convert numpy data with
     ``.tolist()``: a numpy scalar would go through numpy's own ``str``, one
-    slow call per value, and a float32 would lose digits.
+    slow call per value, and a float32 would lose digits.  ``samples.csv``,
+    one numeric array, has its own faster writer, ``_write_samples``.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+# Rows of samples.csv formatted at once: bounds the memory of a large --samples.
+SAMPLE_BLOCK = 1 << 16
+
+
+def _write_samples(path: Path, draws: np.ndarray) -> None:
+    """Write ``draws`` (rows, n) under a site_1..site_n header, the bytes
+    ``_write_csv`` would write: ``%r`` renders a Python int by ``str`` and a
+    float by ``repr`` as csv does, and no number needs quoting.  Each block of
+    at most SAMPLE_BLOCK rows is one %-format over its values."""
+    n = draws.shape[1]
+    row = ",".join(["%r"] * n) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(f"site_{x}" for x in range(1, n + 1)) + "\r\n")
+        for start in range(0, len(draws), SAMPLE_BLOCK):
+            block = draws[start:start + SAMPLE_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_meta(outdir: Path, cfg: RunConfig, extra: dict | None = None) -> None:
@@ -294,11 +314,7 @@ def cmd_sample_exact(cfg: RunConfig) -> int:
     se = draws.std(axis=0, ddof=1) / np.sqrt(cfg.samples)
     z = _zscores(emp_mean - exact.means, se)
     outdir = _resolve_outdir(cfg)  # only now: a rejected configuration leaves no directory
-    _write_csv(
-        outdir / "samples.csv",
-        [f"site_{x}" for x in range(1, cfg.n + 1)],
-        draws.tolist(),
-    )
+    _write_samples(outdir / "samples.csv", draws)
     _write_csv(
         outdir / "moments.csv",
         _PROFILE_HEADER,
@@ -493,6 +509,8 @@ _ARGUMENTS = {
     "suite": {"choices": sorted(SUITES) + ["all"]},
     "truncation": {"help": "box truncation for the direct balance check"},
     "sizes": {"help": "comma-separated chain sizes"},
+    "mc_samples": {"help": f"Monte Carlo draws for each size above {QUADRATURE_MAX_SITES}; "
+                           "smaller sizes run by quadrature and do not read it"},
     "candidate": {"choices": ["mixture", "product-geometric", "product-marginals"]},
     "sim_dir": {"required": True},
     "out": {"help": f"output directory (default: ${ENV_OUTDIR} or the working directory)"},
@@ -591,6 +609,8 @@ def check_options(cfg: RunConfig, given: set[str]) -> None:
     for name in given & {"tol", "t_max", "burn_in", "epsilon"}:
         if not math.isfinite(getattr(cfg, name)):
             raise ValueError(f"{_flag(name)} must be finite, got {getattr(cfg, name)}")
+    if "epsilon" in given:  # read only by an energy run, whose histograms end at 50 T_B
+        check_epsilon(cfg.epsilon, cfg.t_b, _flag("epsilon"))
     if not 0.0 < cfg.level < 1.0:
         raise ValueError(f"--level must lie in (0, 1), got {cfg.level}")
 

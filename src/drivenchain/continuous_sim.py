@@ -38,11 +38,22 @@ __all__ = [
     "simulate_continuous",
     "sample_alpha_removal",
     "default_epsilon",
+    "check_epsilon",
 ]
 
 
 def default_epsilon(params: ChainParams) -> float:
     return 1e-6 * min(params.t_a, 1.0)
+
+
+def check_epsilon(epsilon: float, t_b: float, name: str = "epsilon") -> None:
+    """ValueError, calling the cutoff ``name``, unless it is finite, > 0 and
+    below 5 T_B: a run's site histograms bin (10 epsilon, 50 T_B]."""
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {epsilon}")
+    if not 10.0 * epsilon < 50.0 * t_b:
+        raise ValueError(f"{name} = {epsilon} must be below 5 T_B = {5.0 * t_b}: the site "
+                         f"histograms bin (10 epsilon, 50 T_B] = ({10.0 * epsilon}, {50.0 * t_b}]")
 
 
 def sample_alpha_removal(epsilon: float, z: float, rng: BlockDraws) -> float:
@@ -105,11 +116,11 @@ def new_state_continuous(
     params: ChainParams, epsilon: float | None = None, z0=None
 ) -> ChainState:
     """Energy-chain state with cutoff ``epsilon``: drained, or started from ``z0``;
-    a run's site histograms have 256 log-spaced bins on (10 eps, 50 T_B]."""
+    a run's site histograms have 256 log-spaced bins on (10 eps, 50 T_B], so
+    the cutoff must lie below 5 T_B (see :func:`check_epsilon`)."""
     if epsilon is None:
         epsilon = default_epsilon(params)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    check_epsilon(epsilon, params.t_b)
     return ChainState(
         Model.CONTINUOUS,
         functools.partial(BinnedHistogram, 10.0 * epsilon, 50.0 * params.t_b, 256),

@@ -6,11 +6,12 @@ hidden profile ``m`` uniformly from the ordered box
 then sample each site independently -- geometric with mean ``m_x`` for the
 particle chain on [rho_a, rho_b], exponential with mean ``m_x`` for the
 energy chain on [t_a, t_b].  This module samples those laws, evaluates their
-densities by Chebyshev integration over the ordered box (n <= 4, to ``tol``;
-one configuration or a whole table of them per call) or Monte Carlo (larger
-n, exactly ``mc_samples`` profiles), and reduces them to marginals and
-moments for the statistical test harness.  ``verify``'s ordered-box checks
-share that rule (``uses_quadrature``) and the one Monte Carlo loop.
+densities by Chebyshev integration over the ordered box (n <= 5, to ``tol``;
+one configuration or a whole table of them per call) or Monte Carlo (only
+when the caller passes ``mc_samples``, or beyond n = 5 at 10^7 profiles by
+default), and reduces them to marginals and moments for the statistical
+test harness.  ``verify``'s ordered-box checks share that rule
+(``uses_quadrature``) and the one Monte Carlo loop.
 The site law is the only difference, so each ``Model`` member holds one
 frozen ``SiteLaw``, and each sampler, density and marginal is one body that
 reads it behind one-line ``*_discrete``/``*_continuous`` entries.  A record
@@ -245,14 +246,23 @@ def sample_exact_continuous(
 # ---------------------------------------------------------------------------
 
 # An ordered-box integral over n <= QUADRATURE_MAX_SITES sites runs by
-# quadrature, over more by Monte Carlo; MC_BATCH bounds each (batch, n) draw.
-QUADRATURE_MAX_SITES = 4
+# quadrature unless the caller asks for Monte Carlo; beyond, Monte Carlo draws
+# DEFAULT_MC_SAMPLES profiles unless told otherwise.  Above five sites the
+# integrator's error estimate can fall below its true error near round-off.
+# MC_BATCH bounds each (batch, n) draw; MAX_TABLE_ENTRIES bounds a density
+# table, K^n entries for an (n, K) grid.
+QUADRATURE_MAX_SITES = 5
+DEFAULT_MC_SAMPLES = 10_000_000
 MC_BATCH = 1 << 19
+MAX_TABLE_ENTRIES = 2**18
 
 
-def uses_quadrature(n: int) -> bool:
-    """Whether an ordered-box integral over n sites runs by quadrature, not Monte Carlo."""
-    return n <= QUADRATURE_MAX_SITES
+def uses_quadrature(n: int, mc_samples: int | None) -> bool:
+    """Whether an ordered-box integral over n sites runs by quadrature: only
+    when no ``mc_samples`` is given and n <= QUADRATURE_MAX_SITES.  Otherwise
+    it runs by Monte Carlo over ``mc_samples`` profiles, or DEFAULT_MC_SAMPLES
+    when that is None."""
+    return mc_samples is None and n <= QUADRATURE_MAX_SITES
 
 
 def profile_monte_carlo(draw, weigh, mc_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,14 +291,16 @@ def _mixture_density(
     spec: MixtureSpec,
     values,
     tol: float,
-    mc_samples: int,
+    mc_samples: int | None,
     seed: int,
 ) -> DensityEstimate:
     """The body of both ``mixture_density_*`` entries: ``values`` is a
-    configuration (n,) or grid (n, K) of ``model``.  The site's checked
-    ``law`` runs first at m = lo and rejects lo <= 0, the smallest mean its
-    unchecked ``kernel`` is then given, and any value it has no law at.  A
-    degenerate interval lo == hi takes the same path: the box has width 0."""
+    configuration (n,) or grid (n, K) of ``model``.  A grid whose K^n table
+    exceeds MAX_TABLE_ENTRIES is rejected before anything is built.  The
+    site's checked ``law`` then runs at m = lo and rejects lo <= 0, the
+    smallest mean its unchecked ``kernel`` is then given, and any value it
+    has no law at.  A degenerate interval lo == hi takes the same path: the
+    box has width 0."""
     site = _site(spec, model)
     kernel = site.kernel
     lo, hi = spec.interval
@@ -296,12 +308,18 @@ def _mixture_density(
     values = np.asarray(values)
     if values.ndim not in (1, 2) or values.shape[0] != n:
         raise ValueError(f"configuration must have shape ({n},) or ({n}, K), got {values.shape}")
+    grid = values.ndim == 2
+    if grid and values.shape[1] ** n > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a ({n}, {values.shape[1]}) grid needs a {values.shape[1]}^{n} table, "
+                         f"above MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
     site.law(lo, values)
     values = values.astype(site.dtype, copy=False)
-    grid = values.ndim == 2
-    if not uses_quadrature(n):
+    if not uses_quadrature(n, mc_samples):
         if grid:
-            raise ValueError(f"a ({n}, K) grid needs n <= {QUADRATURE_MAX_SITES} (quadrature)")
+            raise ValueError(f"a ({n}, K) grid needs quadrature: n <= {QUADRATURE_MAX_SITES} "
+                             "and no mc_samples")
+        if mc_samples is None:
+            mc_samples = DEFAULT_MC_SAMPLES
         # Sorted uniforms are uniform on the ordered box, so the mixture
         # value is the plain sample mean of the product kernel.
         means, errors = profile_monte_carlo(
@@ -325,17 +343,20 @@ def mixture_density_discrete(
     spec: MixtureSpec,
     eta,
     tol: float = 1e-10,
-    mc_samples: int = 10_000_000,
+    mc_samples: int | None = None,
     seed: int = 0,
 ) -> DensityEstimate:
     """Stationary probability of a particle configuration (n,), or the
-    (K,)*n table of an (n, K) grid whose row x holds site x's values.
+    (K,)*n table of an (n, K) grid whose row x holds site x's values; a
+    table above MAX_TABLE_ENTRIES is a ValueError.
 
-    For n <= QUADRATURE_MAX_SITES, the Chebyshev ordered-box integral of
-    :func:`drivenchain.core.ordered_simplex_integral` to ``tol``, one call for
-    a whole table; beyond, Monte Carlo over exactly ``mc_samples`` sorted
-    uniform profiles from ``seed``, ``tol`` unread (``mc_samples`` < 2, which
-    leaves no standard error, or a grid, is a ValueError).
+    Without ``mc_samples`` and for n <= QUADRATURE_MAX_SITES, the Chebyshev
+    ordered-box integral of :func:`drivenchain.core.ordered_simplex_integral`
+    to ``tol``, one call for a whole table.  Otherwise Monte Carlo over
+    exactly ``mc_samples`` sorted uniform profiles from ``seed`` (beyond the
+    limit, DEFAULT_MC_SAMPLES when ``mc_samples`` is None), ``tol`` unread
+    (``mc_samples`` < 2, which leaves no standard error, or a grid, is a
+    ValueError).
     The degenerate interval rho_a == rho_b, whose mixture is the product
     geometric pmf, is integrated like any other.
     """
@@ -346,7 +367,7 @@ def mixture_density_continuous(
     spec: MixtureSpec,
     z,
     tol: float = 1e-10,
-    mc_samples: int = 10_000_000,
+    mc_samples: int | None = None,
     seed: int = 0,
 ) -> DensityEstimate:
     """Stationary density of an energy configuration or grid (same scheme as discrete)."""

@@ -8,9 +8,11 @@ Four families of checks, in increasing strength:
   differences into those same logs;
 * the telescoping identities: for every site x, the ordered-box integral of
   the discrete-Laplacian-in-m of log generating functions against the product
-  kernel vanishes -- each x-term individually, not only their sum;
+  kernel vanishes -- each x-term individually, not only their sum.  They
+  follow the densities' rule, ``measure.uses_quadrature``: quadrature through
+  n = 5, Monte Carlo beyond it or when the caller passes ``mc_samples``;
 * direct balance-equation residuals of the particle chain on a box, at any
-  n whose candidate table fits MAX_TABLE_ENTRIES, certified against both the
+  n whose candidate table fits ``measure.MAX_TABLE_ENTRIES``, certified against both the
   geometric tails of the truncated sums and the table's own error;
 
 and the equilibrium limit, where the mixture collapses to the product law.
@@ -47,6 +49,8 @@ from .core import (
 )
 from .measure import (
     MARGINAL_TOL,
+    DEFAULT_MC_SAMPLES,
+    MAX_TABLE_ENTRIES,
     MixtureSpec,
     Model,
     geometric_pmf,
@@ -276,7 +280,7 @@ def check_telescoping(
     spec: MixtureSpec,
     svecs,
     tol: float = 1e-8,
-    mc_samples: int = 10_000_000,
+    mc_samples: int | None = None,
     seed: int = 7,
     profile_law: str = "ordered",
 ) -> list[VerificationReport]:
@@ -284,14 +288,15 @@ def check_telescoping(
 
     One report per argument vector (row) of ``svecs``, a (V, n) array of
     ``lam`` or ``t`` values by ``spec.model``, all inside the generating
-    function's domain at the interval's top.  The densities' rule picks the
-    method: quadrature for n <= ``measure.QUADRATURE_MAX_SITES``, else Monte
-    Carlo.  The quadrature path splits each site's bracket into three product
+    function's domain at the interval's top.  The densities' rule
+    (:func:`drivenchain.measure.uses_quadrature`) picks the method:
+    quadrature when ``mc_samples`` is None and n <=
+    ``measure.QUADRATURE_MAX_SITES``, else Monte Carlo.  The quadrature path splits each site's bracket into three product
     integrals over the ordered box
     (:func:`drivenchain.core.ordered_simplex_integral`), judges every term at
     ``tol`` and records each term's summed error estimate in
     ``notes["quad_error"]``.  Monte Carlo draws exactly ``mc_samples``
-    profiles from ``seed``, once for all rows, judges at four standard errors
+    profiles (``measure.DEFAULT_MC_SAMPLES`` if None) from ``seed``, once for all rows, judges at four standard errors
     (not ``tol``) and records its seed; each row's report is bit for bit the
     one a call with that row alone gives; ``mc_samples`` < 2 is a ValueError.
     ``profile_law='independent-marginals'`` swaps in the impostor profile with
@@ -307,9 +312,11 @@ def check_telescoping(
         raise ValueError(f"unknown profile_law {profile_law!r}")
     lo, hi = spec.interval
     model.validate_mgf_arguments(svecs, hi)
-    method = "quadrature" if profile_law == "ordered" and uses_quadrature(n) else "monte-carlo"
+    method = ("quadrature" if profile_law == "ordered" and uses_quadrature(n, mc_samples)
+              else "monte-carlo")
     if method == "monte-carlo":
-        results = _telescoping_mc(spec, svecs, mc_samples, seed, profile_law)
+        results = _telescoping_mc(spec, svecs, DEFAULT_MC_SAMPLES if mc_samples is None
+                                  else mc_samples, seed, profile_law)
 
     def compute(i):
         residuals, tolerances, notes = (results[i] if method == "monte-carlo" else
@@ -328,7 +335,6 @@ def check_telescoping(
 
 # Default (truncation, tol) of the direct check by n; larger n take the last.
 DIRECT_DEFAULTS = {1: (200, 1e-8), 2: (60, 1e-6)}
-MAX_TABLE_ENTRIES = 2**18  # largest (extent + 1)^n candidate table the check builds
 
 
 def _tail_k(q: float, budget: float, n_sums: int) -> int | None:
@@ -553,14 +559,15 @@ def identity_suite() -> list[VerificationReport]:
 def telescoping_suite(
     sizes: tuple[int, ...] = (1, 2, 3, 5),
     tol: float = 1e-8,
-    mc_samples: int = 10_000_000,
+    mc_samples: int | None = None,
     seed: int = 7,
 ) -> list[VerificationReport]:
     """Telescoping residuals for both models across chain sizes.
 
     Each model's whole argument grid goes to one :func:`check_telescoping`
     call, so a Monte Carlo size draws its profile sample once per model
-    rather than once per vector.
+    rather than once per vector.  Sizes up to ``measure.QUADRATURE_MAX_SITES``
+    run by quadrature; ``mc_samples`` goes only to the sizes above it.
     """
     reports = []
     for n in sizes:
@@ -568,7 +575,8 @@ def telescoping_suite(
         for model in Model:
             spec = MixtureSpec(p, model)
             grid = default_svec_grid(n, model, spec.interval[1])
-            reports.extend(check_telescoping(spec, grid, tol, mc_samples=mc_samples, seed=seed))
+            draws = None if uses_quadrature(n, None) else mc_samples
+            reports.extend(check_telescoping(spec, grid, tol, mc_samples=draws, seed=seed))
     return reports
 
 

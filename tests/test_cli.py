@@ -131,6 +131,16 @@ class TestSimulate:
         assert run_cli(["simulate", *flags, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_epsilon_above_the_histogram_range_exits_2(self, tmp_path, capsys):
+        # At epsilon >= 5 T_B the site histograms' bins (10 eps, 50 T_B] are empty;
+        # the run used to fail inside with "need 0 < lo < hi".
+        out = tmp_path / "t" / "sim"
+        assert run_cli(["simulate", "--model", "continuous", "--n", "2", "--t-max", "10",
+                        "--epsilon", "1000", "--grid-samples", "8", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--epsilon" in err and "(10 epsilon, 50 T_B]" in err, err
+        assert not out.exists()
+
     def test_invalid_params_exit_2(self, tmp_path):
         rc = run_cli(["simulate", "--model", "discrete", "--n", "0",
                       "--out", str(tmp_path)])
@@ -179,6 +189,25 @@ class TestSampleExact:
                 for x in range(3)]
         assert (out / "moments.csv").read_bytes() == csv_oracle(
             ["site", "emp_mean", "se", "exact_mean", "z"], rows)
+
+    @pytest.mark.parametrize("model, sampler, special", [
+        ("discrete", measure.sample_exact_discrete, [0, 2**53 + 1, 2**63 - 1]),
+        ("continuous", measure.sample_exact_continuous,
+         [0.1, 1e-05, 1e+16, 5e-324, 1.7976931348623157e308, 0.0]),
+    ])
+    def test_samples_writer_matches_csv_writer_across_blocks(self, tmp_path, model, sampler,
+                                                              special):
+        spec = measure.MixtureSpec(cli.RunConfig(command="sample-exact", n=3).chain_params(),
+                                   measure.Model(model))
+        draws = sampler(spec, np.random.default_rng(2), size=cli.SAMPLE_BLOCK + 5)
+        # the special values sit on both sides of the first block boundary
+        draws.ravel()[3 * cli.SAMPLE_BLOCK - len(special) // 2:][:len(special)] = special
+        cli._write_samples(tmp_path / "samples.csv", draws)
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(["site_1", "site_2", "site_3"])
+        w.writerows(draws.tolist())
+        assert (tmp_path / "samples.csv").read_bytes() == buf.getvalue().encode()
 
     def test_moments_and_determinism(self, tmp_path):
         args = [

@@ -261,3 +261,11 @@ class TestSimulateContinuous:
         for epsilon in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 new_state_continuous(NEQ, epsilon=epsilon)
+
+    def test_epsilon_must_leave_the_histograms_a_range(self):
+        # a run's site histograms bin (10 eps, 50 T_B]: empty from eps = 5 T_B up
+        p = ChainParams(n=2, t_a=1.0, t_b=2.0)
+        new_state_continuous(p, epsilon=9.99)
+        for epsilon in (10.0, 1000.0):
+            with pytest.raises(ValueError, match=r"epsilon = .* below 5 T_B = 10\.0"):
+                new_state_continuous(p, epsilon=epsilon)

@@ -227,6 +227,21 @@ class TestOrderedSimplexIntegral:
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
             ordered_simplex_integral([lambda m: 1.0 / (1.0 + m)], -1.0, 2.0)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_error_estimate_covers_the_closed_form(self, n):
+        # int over 0 <= m_1 <= ... <= m_n <= 1 of prod m_j^{a_j} is
+        # prod_j 1 / (a_1 + ... + a_j + j).  With a_j in 0..3 the reported
+        # error bounds the true one through n = 5, the densities' quadrature
+        # limit; from n = 6, or with larger powers, it can fall below it.
+        rng = make_rng(n)
+        for _ in range(200):
+            a = rng.integers(0, 4, size=n)
+            exact = math.prod(1.0 / (s + j) for j, s in enumerate(np.cumsum(a).tolist(), 1))
+            tol = 1e-10 * exact
+            val, err = ordered_simplex_integral([lambda m, k=int(k): m**k for k in a],
+                                                0.0, 1.0, tol=tol)
+            assert abs(val - exact) <= err <= tol, (a, val - exact, err)
+
     def test_batched_factors_match_per_row_calls(self):
         # factors shaped (3, 1, nodes), (4, nodes) and (nodes,) broadcast to a
         # (3, 4) table holding each combination's own integral

@@ -1,6 +1,7 @@
 """Exact-measure machinery: samplers, densities, generating functions, moments."""
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -384,6 +385,40 @@ class TestMixtureDensities:
         assert d.value == mean
         assert d.error == math.sqrt(max(total_sq / 2500 - mean * mean, 0.0) / 2500)
 
+    @pytest.mark.parametrize("density, spec, config", [
+        (mixture_density_discrete, disc_spec(5), [0, 1, 0, 2, 1]),
+        (mixture_density_continuous, cont_spec(5), [0.5, 1.0, 0.2, 2.5, 1.5]),
+    ])
+    def test_five_sites_by_quadrature_match_monte_carlo(self, density, spec, config):
+        quad = density(spec, config)
+        assert quad.method == "quadrature" and quad.samples == 0
+        assert 0.0 <= quad.error <= 1e-10
+        mc = density(spec, config, mc_samples=1_000_000, seed=4)
+        assert mc.method == "monte-carlo" and mc.samples == 1_000_000
+        assert abs(quad.value - mc.value) < 4.0 * mc.error, (quad, mc)
+
+    def test_explicit_mc_samples_run_monte_carlo_within_the_limit(self):
+        d = mixture_density_continuous(cont_spec(3), [0.5, 1.0, 2.0], mc_samples=2000, seed=1)
+        assert d.method == "monte-carlo" and d.samples == 2000
+
+    def test_beyond_the_limit_monte_carlo_defaults_to_1e7_draws(self, monkeypatch):
+        # The rule's count, read without drawing it: the loop is replaced by
+        # one that weighs two profiles and returns what it was asked for.
+        asked = []
+
+        def two_profiles(draw, weigh, mc_samples, seed):
+            asked.append(mc_samples)
+            outputs = list(weigh(draw(make_rng(seed), 2)))
+            return np.ones(len(outputs)), np.zeros(len(outputs))
+
+        monkeypatch.setattr(measure, "profile_monte_carlo", two_profiles)
+        assert measure.QUADRATURE_MAX_SITES == 5
+        for density, spec, config in ((mixture_density_discrete, disc_spec(6), [0] * 6),
+                                      (mixture_density_continuous, cont_spec(6), [1.0] * 6)):
+            d = density(spec, config)
+            assert d.method == "monte-carlo" and d.samples == 10_000_000
+        assert asked == [10_000_000] * 2
+
     @pytest.mark.parametrize("mc_samples", [0, 1, -1])
     def test_mc_fallback_rejects_no_samples(self, mc_samples):
         # one sample has no standard error: its error would read 0
@@ -476,9 +511,28 @@ class TestDensityTables:
 
     def test_grid_needs_quadrature(self):
         with pytest.raises(ValueError, match="grid"):
-            mixture_density_discrete(disc_spec(5), np.zeros((5, 2), dtype=int))
+            mixture_density_discrete(disc_spec(6), np.zeros((6, 2), dtype=int))
+        with pytest.raises(ValueError, match="grid"):
+            mixture_density_discrete(disc_spec(3), np.zeros((3, 2), dtype=int), mc_samples=100)
         with pytest.raises(ValueError, match="shape"):
             mixture_density_discrete(disc_spec(2), np.zeros((3, 2), dtype=int))
+
+
+    def test_table_above_the_cap_is_rejected_before_it_is_built(self):
+        # A (4, 40) grid asks for 40^4 = 2.56M entries, 10 GB of Chebyshev
+        # values at the top degree; the check runs before any array is made.
+        assert 40**4 > measure.MAX_TABLE_ENTRIES == 2**18
+        grid = np.tile(np.arange(40), (4, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_TABLE_ENTRIES"):
+                mixture_density_discrete(disc_spec(4), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert mixture_density_discrete(disc_spec(2), np.tile(np.arange(512), (2, 1)),
+                                        tol=1e-8).value.shape == (512, 512)
 
 
 class TestMarginals:

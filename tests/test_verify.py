@@ -132,14 +132,29 @@ class TestTelescoping:
 
     @pytest.mark.parametrize("model", list(Model))
     def test_method_follows_the_density_rule(self, model):
-        # quadrature up to QUADRATURE_MAX_SITES = 4, Monte Carlo beyond
-        for n, method in ((4, "quadrature"), (5, "monte-carlo")):
+        # quadrature through QUADRATURE_MAX_SITES = 5 unless mc_samples is given
+        for n, mc_samples, method in ((5, None, "quadrature"), (3, 20_000, "monte-carlo")):
             p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
             spec = MixtureSpec(p, model)
             (r,) = check_telescoping(spec, default_svec_grid(n, model, spec.interval[1])[:1],
-                                     mc_samples=20_000)
+                                     mc_samples=mc_samples)
             assert r.method == method and r.passed, (n, r)
-            assert ("samples" in r.notes) == (method == "monte-carlo")
+            assert r.notes.get("samples") == mc_samples
+
+    def test_beyond_the_limit_monte_carlo_defaults_to_1e7_draws(self, monkeypatch):
+        # The count is read from the notes; the loop is replaced by one that
+        # weighs two profiles, so the 10^7 draws are never made.
+        def two_profiles(draw, weigh, mc_samples, seed):
+            outputs = list(weigh(draw(make_rng(seed), 2)))
+            return np.zeros(len(outputs)), np.ones(len(outputs))
+
+        monkeypatch.setattr(verify, "profile_monte_carlo", two_profiles)
+        p = ChainParams(n=6, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+        for model in Model:
+            spec = MixtureSpec(p, model)
+            reports = check_telescoping(spec, default_svec_grid(6, model, spec.interval[1]))
+            assert [(r.method, r.notes["samples"]) for r in reports] == \
+                [("monte-carlo", 10_000_000)] * 6
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_quadrature_terms_vanish_beyond_default_threshold(self, monkeypatch, n):
@@ -508,16 +523,29 @@ class TestReportsAndSuites:
         assert all(r.passed for r in reports)
 
     def test_telescoping_suite_equals_per_vector_checks(self):
-        reports = telescoping_suite(sizes=(2, 5), mc_samples=30_000, seed=5)
+        # n = 6, above the quadrature limit, keeps the batched Monte Carlo path covered
+        reports = telescoping_suite(sizes=(2, 6), mc_samples=30_000, seed=5)
         expected = []
-        for n in (2, 5):
+        for n, mc_samples in ((2, None), (6, 30_000)):
             p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
             for vec in default_svec_grid(n, Model.DISCRETE, p.rho_b):
-                expected.append(telescoping(p, D, vec, mc_samples=30_000, seed=5))
+                expected.append(telescoping(p, D, vec, mc_samples=mc_samples, seed=5))
             for vec in default_svec_grid(n, Model.CONTINUOUS, p.t_b):
-                expected.append(telescoping(p, C, vec, mc_samples=30_000, seed=5))
+                expected.append(telescoping(p, C, vec, mc_samples=mc_samples, seed=5))
         assert [r.method for r in reports] == ["quadrature"] * 12 + ["monte-carlo"] * 12
         assert reports == expected  # field by field, floats compared exactly
+
+    def test_telescoping_suite_hands_mc_samples_only_above_the_limit(self, monkeypatch):
+        calls = []
+
+        def record(spec, svecs, tol, mc_samples, seed):
+            calls.append((spec.params.n, spec.model, mc_samples))
+            return []
+
+        monkeypatch.setattr(verify, "check_telescoping", record)
+        telescoping_suite(sizes=(1, 5, 6), mc_samples=123)
+        assert calls == [(n, model, mc) for n, mc in ((1, None), (5, None), (6, 123))
+                         for model in Model]
 
     def test_stationarity_suite_reduced(self, monkeypatch):
         # The suite runs one check per DIRECT_DEFAULTS entry: smaller boxes, same tols.
