@@ -12,8 +12,9 @@ Four families of checks, in increasing strength:
   follow the densities' rule, ``measure.uses_quadrature``: quadrature through
   n = 5, Monte Carlo beyond it or when the caller passes ``mc_samples``;
 * direct balance-equation residuals of the particle chain on a box, at any
-  n whose candidate table fits ``measure.MAX_TABLE_ENTRIES``, certified against both the
-  geometric tails of the truncated sums and the table's own error;
+  n whose candidate table fits ``measure.MAX_TABLE_ENTRIES``, certified
+  against both the geometric tails of the truncated sums and the table's
+  own error;
 
 and the equilibrium limit, where the mixture collapses to the product law.
 
@@ -291,14 +292,15 @@ def check_telescoping(
     function's domain at the interval's top.  The densities' rule
     (:func:`drivenchain.measure.uses_quadrature`) picks the method:
     quadrature when ``mc_samples`` is None and n <=
-    ``measure.QUADRATURE_MAX_SITES``, else Monte Carlo.  The quadrature path splits each site's bracket into three product
-    integrals over the ordered box
-    (:func:`drivenchain.core.ordered_simplex_integral`), judges every term at
-    ``tol`` and records each term's summed error estimate in
+    ``measure.QUADRATURE_MAX_SITES``, else Monte Carlo.  The quadrature path
+    splits each site's bracket into three product integrals over the ordered
+    box (:func:`drivenchain.core.ordered_simplex_integral`), judges every term
+    at ``tol`` and records each term's summed error estimate in
     ``notes["quad_error"]``.  Monte Carlo draws exactly ``mc_samples``
-    profiles (``measure.DEFAULT_MC_SAMPLES`` if None) from ``seed``, once for all rows, judges at four standard errors
-    (not ``tol``) and records its seed; each row's report is bit for bit the
-    one a call with that row alone gives; ``mc_samples`` < 2 is a ValueError.
+    profiles (``measure.DEFAULT_MC_SAMPLES`` if None) from ``seed``, once for
+    all rows, judges at four standard errors (not ``tol``) and records its
+    seed; each row's report is bit for bit the one a call with that row alone
+    gives; ``mc_samples`` < 2 is a ValueError.
     ``profile_law='independent-marginals'`` swaps in the impostor profile with
     the right marginals but no ordering, always by Monte Carlo; the residuals
     must then be far from zero, which is how the check's power is audited.
