@@ -56,6 +56,7 @@ from .stats import (
 )
 from .verify import (
     DIRECT_DEFAULTS,
+    LEAST_MC_SAMPLES,
     SUITES,
     check_stationarity_direct_discrete,
     run_suite,
@@ -338,11 +339,9 @@ def _direct_stationarity(cfg: RunConfig) -> bool:
 
 def cmd_verify(cfg: RunConfig) -> int:
     if _direct_stationarity(cfg):
-        params = ChainParams(n=cfg.n, beta_a=cfg.beta_a, beta_b=cfg.beta_b)
-        truncation, tol = DIRECT_DEFAULTS[min(params.n, max(DIRECT_DEFAULTS))]
         reports = [check_stationarity_direct_discrete(
-            params, truncation if cfg.truncation is None else cfg.truncation,
-            tol if cfg.tol is None else cfg.tol, candidate=cfg.candidate)]
+            ChainParams(n=cfg.n, beta_a=cfg.beta_a, beta_b=cfg.beta_b), cfg.truncation,
+            cfg.tol, candidate=cfg.candidate)]
     else:
         kwargs = {} if cfg.tol is None else {"tol": cfg.tol}
         if cfg.suite == "telescoping":
@@ -509,8 +508,9 @@ _ARGUMENTS = {
     "suite": {"choices": sorted(SUITES) + ["all"]},
     "truncation": {"help": "box truncation for the direct balance check"},
     "sizes": {"help": "comma-separated chain sizes"},
-    "mc_samples": {"help": f"Monte Carlo draws for each size above {QUADRATURE_MAX_SITES}; "
-                           "smaller sizes run by quadrature and do not read it"},
+    "mc_samples": {"help": f"Monte Carlo draws for each size above {QUADRATURE_MAX_SITES}, "
+                           f"at least {LEAST_MC_SAMPLES}; smaller sizes run by quadrature "
+                           "and do not read it"},
     "candidate": {"choices": ["mixture", "product-geometric", "product-marginals"]},
     "sim_dir": {"required": True},
     "out": {"help": f"output directory (default: ${ENV_OUTDIR} or the working directory)"},
@@ -587,9 +587,9 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
 
 
 # Least value of each number a run can honour; a standard error needs two
-# samples.  NaN is below every least value.
-_LEAST = {"replicas": 1, "workers": 1, "grid_samples": 2, "samples": 2, "mc_samples": 2,
-          "seed": 0, "tol": 0.0}
+# samples, a Monte Carlo verdict LEAST_MC_SAMPLES.  NaN is below every least value.
+_LEAST = {"replicas": 1, "workers": 1, "grid_samples": 2, "samples": 2,
+          "mc_samples": LEAST_MC_SAMPLES, "seed": 0, "tol": 0.0}
 
 
 def check_options(cfg: RunConfig, given: set[str]) -> None:

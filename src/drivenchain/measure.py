@@ -8,10 +8,10 @@ particle chain on [rho_a, rho_b], exponential with mean ``m_x`` for the
 energy chain on [t_a, t_b].  This module samples those laws, evaluates their
 densities by Chebyshev integration over the ordered box (n <= 5, to ``tol``;
 one configuration or a whole table of them per call) or Monte Carlo (only
-when the caller passes ``mc_samples``, or beyond n = 5 at 10^7 profiles by
-default), and reduces them to marginals and moments for the statistical
-test harness.  ``verify``'s ordered-box checks share that rule
-(``uses_quadrature``) and the one Monte Carlo loop.
+when the caller passes ``mc_samples``, which beyond n = 5 it must), and
+reduces them to marginals and moments for the statistical test harness.
+``verify``'s ordered-box checks share that rule (``uses_quadrature``) and
+the one Monte Carlo loop.
 The site law is the only difference, so each ``Model`` member holds one
 frozen ``SiteLaw``, and each sampler, density and marginal is one body that
 reads it behind one-line ``*_discrete``/``*_continuous`` entries.  A record
@@ -246,13 +246,12 @@ def sample_exact_continuous(
 # ---------------------------------------------------------------------------
 
 # An ordered-box integral over n <= QUADRATURE_MAX_SITES sites runs by
-# quadrature unless the caller asks for Monte Carlo; beyond, Monte Carlo draws
-# DEFAULT_MC_SAMPLES profiles unless told otherwise.  Above five sites the
-# integrator's error estimate can fall below its true error near round-off.
+# quadrature unless the caller asks for Monte Carlo; beyond, only by Monte
+# Carlo over the count the caller passes.  Above five sites the integrator's
+# error estimate can fall below its true error near round-off.
 # MC_BATCH bounds each (batch, n) draw; MAX_TABLE_ENTRIES bounds a density
 # table, K^n entries for an (n, K) grid.
 QUADRATURE_MAX_SITES = 5
-DEFAULT_MC_SAMPLES = 10_000_000
 MC_BATCH = 1 << 19
 MAX_TABLE_ENTRIES = 2**18
 
@@ -260,8 +259,8 @@ MAX_TABLE_ENTRIES = 2**18
 def uses_quadrature(n: int, mc_samples: int | None) -> bool:
     """Whether an ordered-box integral over n sites runs by quadrature: only
     when no ``mc_samples`` is given and n <= QUADRATURE_MAX_SITES.  Otherwise
-    it runs by Monte Carlo over ``mc_samples`` profiles, or DEFAULT_MC_SAMPLES
-    when that is None."""
+    it runs by Monte Carlo over ``mc_samples`` profiles, which beyond the
+    limit the caller must pass."""
     return mc_samples is None and n <= QUADRATURE_MAX_SITES
 
 
@@ -319,7 +318,8 @@ def _mixture_density(
             raise ValueError(f"a ({n}, K) grid needs quadrature: n <= {QUADRATURE_MAX_SITES} "
                              "and no mc_samples")
         if mc_samples is None:
-            mc_samples = DEFAULT_MC_SAMPLES
+            raise ValueError(f"n={n} is above QUADRATURE_MAX_SITES = {QUADRATURE_MAX_SITES}: "
+                             "pass mc_samples for Monte Carlo")
         # Sorted uniforms are uniform on the ordered box, so the mixture
         # value is the plain sample mean of the product kernel.
         means, errors = profile_monte_carlo(
@@ -353,10 +353,9 @@ def mixture_density_discrete(
     Without ``mc_samples`` and for n <= QUADRATURE_MAX_SITES, the Chebyshev
     ordered-box integral of :func:`drivenchain.core.ordered_simplex_integral`
     to ``tol``, one call for a whole table.  Otherwise Monte Carlo over
-    exactly ``mc_samples`` sorted uniform profiles from ``seed`` (beyond the
-    limit, DEFAULT_MC_SAMPLES when ``mc_samples`` is None), ``tol`` unread
-    (``mc_samples`` < 2, which leaves no standard error, or a grid, is a
-    ValueError).
+    exactly ``mc_samples`` sorted uniform profiles from ``seed``, ``tol``
+    unread (no ``mc_samples`` beyond the limit, ``mc_samples`` < 2, which
+    leaves no standard error, or a grid, is a ValueError).
     The degenerate interval rho_a == rho_b, whose mixture is the product
     geometric pmf, is integrated like any other.
     """

@@ -10,7 +10,8 @@ Four families of checks, in increasing strength:
   the discrete-Laplacian-in-m of log generating functions against the product
   kernel vanishes -- each x-term individually, not only their sum.  They
   follow the densities' rule, ``measure.uses_quadrature``: quadrature through
-  n = 5, Monte Carlo beyond it or when the caller passes ``mc_samples``;
+  n = 5, Monte Carlo only when the caller passes ``mc_samples`` (at least
+  LEAST_MC_SAMPLES), which beyond n = 5 it must;
 * direct balance-equation residuals of the particle chain on a box, at any
   n whose candidate table fits ``measure.MAX_TABLE_ENTRIES``, certified
   against both the geometric tails of the truncated sums and the table's
@@ -21,6 +22,7 @@ and the equilibrium limit, where the mixture collapses to the product law.
 The first and third families take the model as an argument: both site laws
 share the generating function 1 / (1 + c(s) m), and ``measure.Model`` supplies
 c(s) and the arguments s where it holds, so one check serves both chains.
+Each identity and each telescoping quadrature report is one integrator call.
 Every check hands its residuals, tolerances, method and notes to one builder,
 ``_report``, which is also the one place a failed integral is handled: a
 QuadratureError ends the check inconclusive, never failed and never raised.
@@ -50,7 +52,6 @@ from .core import (
 )
 from .measure import (
     MARGINAL_TOL,
-    DEFAULT_MC_SAMPLES,
     MAX_TABLE_ENTRIES,
     MixtureSpec,
     Model,
@@ -94,11 +95,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        if self.inconclusive:
-            return False
-        return all(
-            abs(v) <= self.tolerances[k] for k, v in self.residuals.items()
-        )
+        return not self.inconclusive and all(
+            abs(v) <= self.tolerances[k] for k, v in self.residuals.items())
 
     @property
     def max_residual(self) -> float:
@@ -115,15 +113,9 @@ def _report(name: str, params: dict, compute) -> VerificationReport:
     try:
         found = compute()
     except QuadratureError as exc:
-        return VerificationReport(
-            name=name,
-            params=params,
-            residuals={"quadrature_error": exc.error},
-            tolerances={"quadrature_error": 0.0},
-            method="quadrature",
-            notes={"failure": str(exc)},
-            inconclusive=True,
-        )
+        return VerificationReport(name, params, residuals={"quadrature_error": exc.error},
+                                  tolerances={"quadrature_error": 0.0}, method="quadrature",
+                                  notes={"failure": str(exc)}, inconclusive=True)
     return VerificationReport(name, params, *found)
 
 
@@ -161,28 +153,22 @@ def check_antiderivative(
 def check_frullani(a: float, b: float, tol: float = 1e-9) -> VerificationReport:
     """Integral of (e^{-ax} - e^{-bx})/x over (0, inf) against log(b/a).
 
-    The removable singularity is integrated by series below 1e-4 and the tail
-    is cut where an analytic envelope drops below tol/10.
+    One quadrature over [0, cut], the integrand taking its removable value
+    b - a at x = 0; the tail is cut where an analytic envelope drops below
+    tol/10.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("need a, b > 0")
-    delta = 1e-4
-    # Term-by-term integral of the Taylor series on [0, delta].
-    head = 0.0
-    fact = 1.0
-    for k in range(1, 12):
-        fact *= k
-        head += (-1.0) ** (k + 1) * (b**k - a**k) * delta**k / (k * fact)
     mn = min(a, b)
-    cut = delta
+    cut = 1e-4
     while math.exp(-mn * cut) / (mn * cut) > tol / 10.0:
         cut *= 2.0
-    f = lambda x: (np.exp(-a * x) - np.exp(-b * x)) / x
+    f = lambda x: np.divide(np.exp(-a * x) - np.exp(-b * x), x, out=np.full_like(x, b - a),
+                            where=x > 0.0)
 
     def compute():
-        quad = quadrature_1d(f, delta, cut, tol * 1e-2)
-        return ({"residual": head + quad.value - math.log(b / a)}, {"residual": tol},
-                "series+quadrature",
+        quad = quadrature_1d(f, 0.0, cut, tol * 1e-2)
+        return ({"residual": quad.value - math.log(b / a)}, {"residual": tol}, "quadrature",
                 {"tail_cut": cut, "tail_bound": math.exp(-mn * cut) / (mn * cut),
                  "quad_error": quad.error})
 
@@ -193,47 +179,49 @@ def check_frullani(a: float, b: float, tol: float = 1e-9) -> VerificationReport:
 # Telescoping identities over the ordered box
 # ---------------------------------------------------------------------------
 
-def _log_mgf(model: Model, m: np.ndarray, s: float) -> np.ndarray:
+def _log_mgf(model: Model, m: np.ndarray, s) -> np.ndarray:
     return -np.log1p(model.mgf_coefficient(s) * m)
 
 
-def _mgf(model: Model, m: np.ndarray, s: float) -> np.ndarray:
+def _mgf(model: Model, m: np.ndarray, s) -> np.ndarray:
     return 1.0 / (1.0 + model.mgf_coefficient(s) * m)
 
 
-def _bracket(
-    model: Model, mvecs: np.ndarray, x: int, svec: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
-    """Discrete Laplacian in the profile at site x (boundaries pinned to lo/hi)."""
-    n = mvecs.shape[1]
-    sx = float(svec[x])
-    left = _log_mgf(model, lo if x == 0 else mvecs[:, x - 1], sx)
-    right = _log_mgf(model, hi if x == n - 1 else mvecs[:, x + 1], sx)
-    return left - 2.0 * _log_mgf(model, mvecs[:, x], sx) + right
+# Site x's bracket, the discrete Laplacian of L_x = log(generating function
+# at s_x) in the profile: its entry k reads coordinate x - 1 + k with weight
+# LAPLACIAN[k], where coordinates -1 and n are the pinned edges m_0 = lo and
+# m_{n+1} = hi.  Quadrature and Monte Carlo both read this one layout.
+LAPLACIAN = (1.0, -2.0, 1.0)
+
+
+def _bracket_reads(n: int) -> np.ndarray:
+    """The coordinate x - 1 + k that entry (x, k) of site x's bracket reads, (n, 3)."""
+    return np.arange(n)[:, np.newaxis] + np.arange(-1, 2)
 
 
 def _telescoping_quadrature(
     model: Model, lo: float, hi: float, svec: np.ndarray, tol: float
 ) -> tuple[dict[str, float], dict[str, float], dict]:
+    """Every bracket entry of one argument vector in one ordered-box integral:
+    entry (x, k) multiplies the factor at the coordinate it reads by
+    LAPLACIAN[k] L_x, or at a pinned edge factor x by LAPLACIAN[k] L_x(edge)."""
     n = len(svec)
-    factors = [(lambda m, s=float(s): _mgf(model, m, s)) for s in svec]
-    residuals, errors = {}, {}
-    for x in range(n):
-        # One product integral per bracket entry L_x(m_y): it multiplies factor
-        # y, or factor x as the constant L_x(edge) at a pinned edge m_0 / m_{n+1}.
-        terms = []
-        for y, weight in ((x - 1, 1.0), (x, -2.0), (x + 1, 1.0)):
-            at, edge = (y, None) if 0 <= y < n else (x, lo if y < 0 else hi)
+    reads = _bracket_reads(n)[..., np.newaxis]  # (n, 3, 1): broadcast over the nodes
+    pinned = (reads < 0) | (reads >= n)
+    at = np.where(pinned, np.arange(n)[:, np.newaxis, np.newaxis], reads)
+    edge = np.where(reads < 0, lo, hi)
+    weight = np.array(LAPLACIAN)[:, np.newaxis]
+    s = svec[:, np.newaxis, np.newaxis]
 
-            def weighted(m, at=at, edge=edge, weight=weight, s=float(svec[x])):
-                return weight * _log_mgf(model, m if edge is None else edge, s) * factors[at](m)
+    def factor(y, m):
+        weighted = weight * _log_mgf(model, np.where(pinned, edge, m), s)
+        return _mgf(model, m, svec[y]) * np.where(at == y, weighted, 1.0)
 
-            terms.append(ordered_simplex_integral(
-                factors[:at] + [weighted] + factors[at + 1:], lo, hi, tol=tol * 1e-2))
-        residuals[f"term_{x + 1}"] = sum(v for v, _ in terms)
-        errors[f"term_{x + 1}"] = sum(e for _, e in terms)
+    values, error = ordered_simplex_integral(
+        [functools.partial(factor, y) for y in range(n)], lo, hi, tol=tol * 1e-2)
+    residuals = {f"term_{x + 1}": float(v) for x, v in enumerate(values.sum(axis=1))}
     residuals["total"] = sum(residuals.values())
-    return residuals, {k: tol for k in residuals}, {"quad_error": errors}
+    return residuals, {k: tol for k in residuals}, {"quad_error": error}
 
 
 def _impostor_profile(spec: MixtureSpec, rng, b: int) -> np.ndarray:
@@ -241,6 +229,11 @@ def _impostor_profile(spec: MixtureSpec, rng, b: int) -> np.ndarray:
     independent sites: the product-of-marginals impostor in profile space."""
     (lo, hi), n = spec.interval, spec.params.n
     return np.column_stack([lo + (hi - lo) * rng.beta(x + 1, n - x, size=b) for x in range(n)])
+
+
+# Least profile count of a Monte Carlo telescoping verdict: at n = 5 the 4-SE rule
+# fails a true identity in 58-61% of reports at 2 draws, 1.7% at 10, never at 1000.
+LEAST_MC_SAMPLES = 1000
 
 
 def _telescoping_mc(
@@ -251,27 +244,35 @@ def _telescoping_mc(
     profile_law: str,
 ) -> list[tuple[dict[str, float], dict[str, float], dict]]:
     """Monte Carlo (residuals, tolerances, notes) of every argument vector (row)
-    of ``svecs``, from one draw of each batch of profiles for all rows."""
+    of ``svecs``, from one draw of each batch of profiles for all rows.  Each
+    term is judged at four of its standard errors, and the total at four of
+    the per-profile total's: the terms of one profile are not independent."""
     model = spec.model
     lo, hi = spec.interval
     n = svecs.shape[1]
     draw = functools.partial(
         sample_ordered_profile if profile_law == "ordered" else _impostor_profile, spec)
+    reads = _bracket_reads(n) + 1  # rows of the padded profiles below
 
     def weigh(m):
+        # Profiles as columns, edges as rows 0 and n + 1; per row, n terms and their total.
+        padded = np.vstack([np.full(len(m), lo), m.T, np.full(len(m), hi)])
         for svec in svecs:
-            weight = np.prod([_mgf(model, m[:, x], float(svec[x])) for x in range(n)], axis=0)
-            for x in range(n):
-                yield _bracket(model, m, x, svec, lo, hi) * weight
+            s = svec[:, np.newaxis]
+            brackets = sum(w * _log_mgf(model, padded[reads[:, k]], s)
+                           for k, w in enumerate(LAPLACIAN))
+            terms = brackets * np.prod(_mgf(model, padded[1:-1], s), axis=0)
+            yield from terms
+            yield terms.sum(axis=0)
 
     means, sds = profile_monte_carlo(draw, weigh, mc_samples, seed)
     volume = (hi - lo) ** n / math.factorial(n)
     out = []
-    for row, row_sds in zip(means.reshape(-1, n), sds.reshape(-1, n)):
+    for row, row_sds in zip(means.reshape(-1, n + 1), sds.reshape(-1, n + 1)):
         residuals = {f"term_{x + 1}": volume * row[x] for x in range(n)}
-        residuals["total"] = volume * row.sum()
+        residuals["total"] = volume * row[:n].sum()
         tolerances = {f"term_{x + 1}": 4.0 * volume * row_sds[x] for x in range(n)}
-        tolerances["total"] = 4.0 * volume * math.sqrt(float((row_sds**2).sum()))
+        tolerances["total"] = 4.0 * volume * row_sds[n]
         notes = {"samples": mc_samples, "seed": seed, "profile_law": profile_law}
         out.append((residuals, tolerances, notes))
     return out
@@ -293,14 +294,14 @@ def check_telescoping(
     (:func:`drivenchain.measure.uses_quadrature`) picks the method:
     quadrature when ``mc_samples`` is None and n <=
     ``measure.QUADRATURE_MAX_SITES``, else Monte Carlo.  The quadrature path
-    splits each site's bracket into three product integrals over the ordered
-    box (:func:`drivenchain.core.ordered_simplex_integral`), judges every term
-    at ``tol`` and records each term's summed error estimate in
-    ``notes["quad_error"]``.  Monte Carlo draws exactly ``mc_samples``
-    profiles (``measure.DEFAULT_MC_SAMPLES`` if None) from ``seed``, once for
+    integrates the 3n bracket entries of a row in one ordered-box call
+    (:func:`drivenchain.core.ordered_simplex_integral`), judges every term at
+    ``tol`` and records the call's error estimate in ``notes["quad_error"]``.
+    Monte Carlo draws exactly ``mc_samples`` profiles from ``seed``, once for
     all rows, judges at four standard errors (not ``tol``) and records its
     seed; each row's report is bit for bit the one a call with that row alone
-    gives; ``mc_samples`` < 2 is a ValueError.
+    gives.  A Monte Carlo call without ``mc_samples``, or with fewer than
+    LEAST_MC_SAMPLES, is a ValueError.
     ``profile_law='independent-marginals'`` swaps in the impostor profile with
     the right marginals but no ordering, always by Monte Carlo; the residuals
     must then be far from zero, which is how the check's power is audited.
@@ -317,8 +318,10 @@ def check_telescoping(
     method = ("quadrature" if profile_law == "ordered" and uses_quadrature(n, mc_samples)
               else "monte-carlo")
     if method == "monte-carlo":
-        results = _telescoping_mc(spec, svecs, DEFAULT_MC_SAMPLES if mc_samples is None
-                                  else mc_samples, seed, profile_law)
+        if mc_samples is None or mc_samples < LEAST_MC_SAMPLES:
+            raise ValueError(f"telescoping at n={n} by Monte Carlo ({profile_law} profiles) "
+                             f"needs mc_samples >= {LEAST_MC_SAMPLES}, got {mc_samples}")
+        results = _telescoping_mc(spec, svecs, mc_samples, seed, profile_law)
 
     def compute(i):
         residuals, tolerances, notes = (results[i] if method == "monte-carlo" else
@@ -403,8 +406,8 @@ def _balance_residuals(mu: np.ndarray, box: int, k_sum: int, params: ChainParams
 
 def check_stationarity_direct_discrete(
     params: ChainParams,
-    truncation: int,
-    tol: float = 1e-8,
+    truncation: int | None = None,
+    tol: float | None = None,
     candidate: str = "mixture",
 ) -> VerificationReport:
     """Balance-equation residuals of a candidate stationary law on a box.
@@ -424,11 +427,14 @@ def check_stationarity_direct_discrete(
     is on raw residual + table error * R + tail bound.  An unattainable
     certificate yields an inconclusive report, not a failure.  ``candidate``
     picks the measure under test: the exact mixture, or wrong products used
-    to audit the check's power.
+    to audit the check's power.  A ``truncation`` or ``tol`` left None takes
+    DIRECT_DEFAULTS' entry for n (the last for larger n).
     """
+    n = params.n
+    defaults = DIRECT_DEFAULTS[min(n, max(DIRECT_DEFAULTS))]
+    truncation, tol = [d if v is None else v for v, d in zip((truncation, tol), defaults)]
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
-    n = params.n
     spec = MixtureSpec(params, Model.DISCRETE)
     rho_b = params.rho_b
     q = rho_b / (1.0 + rho_b)
@@ -436,14 +442,9 @@ def check_stationarity_direct_discrete(
     meta = {"truncation": truncation, "candidate": candidate}
     if k_sum is None:
         return VerificationReport(
-            name="stationarity_direct_discrete",
-            params=meta,
-            residuals={"tail_bound": float("inf")},
-            tolerances={"tail_bound": tol / 10.0},
-            method="table",
-            notes={"failure": "no truncation level meets the tail budget"},
-            inconclusive=True,
-        )
+            "stationarity_direct_discrete", meta, residuals={"tail_bound": float("inf")},
+            tolerances={"tail_bound": tol / 10.0}, method="table",
+            notes={"failure": "no truncation level meets the tail budget"}, inconclusive=True)
     tail_bound = 2.0 * q ** (k_sum + 1) / ((k_sum + 1) * (1.0 - q))
     inj = -math.log1p(-params.beta_a) - math.log1p(-params.beta_b)
     rate_bound = (2.0 * inj + (4 * n - 2) * harmonic_number(truncation)
@@ -532,8 +533,7 @@ def default_svec_grid(n: int, model: Model, hi: float) -> list[np.ndarray]:
         consts = [-1.0, 0.1, 0.6 / hi]
         alt = [-0.5 if x % 2 == 0 else 0.3 / hi for x in range(n)]
         rand = [rng.uniform(-1.0, 0.9 / hi, size=n) for _ in range(2)]
-    vecs = [np.full(n, c) for c in consts] + [np.array(alt)] + rand
-    return vecs
+    return [np.full(n, c) for c in consts] + [np.array(alt)] + rand
 
 
 # identity_suite's tolerances: on the default grids, at lam = 1 +- 1e-6 and
@@ -584,9 +584,8 @@ def telescoping_suite(
 
 def stationarity_suite() -> list[VerificationReport]:
     """Direct balance residuals at each n of DIRECT_DEFAULTS, with its truncation and tol."""
-    return [check_stationarity_direct_discrete(ChainParams(n=n, beta_a=0.5, beta_b=0.75),
-                                               truncation, tol)
-            for n, (truncation, tol) in DIRECT_DEFAULTS.items()]
+    return [check_stationarity_direct_discrete(ChainParams(n=n, beta_a=0.5, beta_b=0.75))
+            for n in DIRECT_DEFAULTS]
 
 
 def equilibrium_suite(tol: float = 1e-12) -> list[VerificationReport]:
@@ -608,10 +607,7 @@ def run_suite(name: str, **kwargs) -> list[VerificationReport]:
     if name == "all":
         if kwargs:
             raise ValueError(f"suite 'all' takes no options, got {sorted(kwargs)}")
-        out = []
-        for fn in SUITES.values():
-            out.extend(fn())
-        return out
+        return [r for fn in SUITES.values() for r in fn()]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name](**kwargs)

@@ -389,6 +389,15 @@ class TestVerify:
         assert rc == 2
         assert not (out / "reports.jsonl").exists()
 
+    def test_monte_carlo_below_the_least_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ver10"
+        rc = run_cli(["verify", "--suite", "telescoping", "--sizes", "6",
+                      "--mc-samples", "999", "--out", str(out)])
+        assert rc == 2 and "--mc-samples" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(["verify", "--suite", "telescoping", "--sizes", "6",
+                        "--mc-samples", "1000", "--out", str(out)]) == 0
+
     def test_telescoping_sizes_flag(self, tmp_path):
         out = tmp_path / "ver3"
         rc = run_cli(["verify", "--suite", "telescoping", "--sizes", "1,2",
@@ -591,6 +600,7 @@ class TestNumericOptions:
         ("verify", "--seed", "-1"),
         ("verify", "--mc-samples", "0"),
         ("verify", "--mc-samples", "1"),
+        ("verify", "--mc-samples", "999"),
         ("verify", "--tol", "nan"),
         ("verify", "--tol", "-1"),
         ("compare", "--level", "0"),

@@ -401,23 +401,18 @@ class TestMixtureDensities:
         d = mixture_density_continuous(cont_spec(3), [0.5, 1.0, 2.0], mc_samples=2000, seed=1)
         assert d.method == "monte-carlo" and d.samples == 2000
 
-    def test_beyond_the_limit_monte_carlo_defaults_to_1e7_draws(self, monkeypatch):
-        # The rule's count, read without drawing it: the loop is replaced by
-        # one that weighs two profiles and returns what it was asked for.
-        asked = []
+    def test_beyond_the_limit_without_mc_samples_is_an_error(self, monkeypatch):
+        # Monte Carlo runs only on request: no count beyond the limit is a
+        # ValueError raised before any profile is drawn.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew profiles")
 
-        def two_profiles(draw, weigh, mc_samples, seed):
-            asked.append(mc_samples)
-            outputs = list(weigh(draw(make_rng(seed), 2)))
-            return np.ones(len(outputs)), np.zeros(len(outputs))
-
-        monkeypatch.setattr(measure, "profile_monte_carlo", two_profiles)
+        monkeypatch.setattr(measure, "profile_monte_carlo", no_draw)
         assert measure.QUADRATURE_MAX_SITES == 5
         for density, spec, config in ((mixture_density_discrete, disc_spec(6), [0] * 6),
                                       (mixture_density_continuous, cont_spec(6), [1.0] * 6)):
-            d = density(spec, config)
-            assert d.method == "monte-carlo" and d.samples == 10_000_000
-        assert asked == [10_000_000] * 2
+            with pytest.raises(ValueError, match="mc_samples"):
+                density(spec, config)
 
     @pytest.mark.parametrize("mc_samples", [0, 1, -1])
     def test_mc_fallback_rejects_no_samples(self, mc_samples):

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from drivenchain import measure, verify
-from drivenchain.core import ChainParams, harmonic_number, make_rng
+from drivenchain.core import (
+    ChainParams,
+    harmonic_number,
+    make_rng,
+    ordered_simplex_integral,
+    quadrature_1d,
+)
 from drivenchain.measure import MixtureSpec, Model, mixture_density_discrete
 from drivenchain.verify import (
     DIRECT_DEFAULTS,
@@ -141,20 +147,40 @@ class TestTelescoping:
             assert r.method == method and r.passed, (n, r)
             assert r.notes.get("samples") == mc_samples
 
-    def test_beyond_the_limit_monte_carlo_defaults_to_1e7_draws(self, monkeypatch):
-        # The count is read from the notes; the loop is replaced by one that
-        # weighs two profiles, so the 10^7 draws are never made.
+    def test_monte_carlo_without_mc_samples_is_an_error(self, monkeypatch):
+        # Beyond the limit, and for the impostor at any n, no count is an
+        # error raised before any profile is drawn.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew profiles")
+
+        monkeypatch.setattr(verify, "profile_monte_carlo", no_draw)
+        for n, profile_law in ((6, "ordered"), (6, "independent-marginals"),
+                               (2, "independent-marginals")):
+            p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+            for model in Model:
+                spec = MixtureSpec(p, model)
+                with pytest.raises(ValueError, match="mc_samples"):
+                    check_telescoping(spec, default_svec_grid(n, model, spec.interval[1]),
+                                      profile_law=profile_law)
+
+    @pytest.mark.parametrize("profile_law", ["ordered", "independent-marginals"])
+    def test_monte_carlo_verdict_needs_the_least_count(self, monkeypatch, profile_law):
+        asked = []
+
         def two_profiles(draw, weigh, mc_samples, seed):
+            asked.append(mc_samples)
             outputs = list(weigh(draw(make_rng(seed), 2)))
             return np.zeros(len(outputs)), np.ones(len(outputs))
 
         monkeypatch.setattr(verify, "profile_monte_carlo", two_profiles)
-        p = ChainParams(n=6, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
-        for model in Model:
-            spec = MixtureSpec(p, model)
-            reports = check_telescoping(spec, default_svec_grid(6, model, spec.interval[1]))
-            assert [(r.method, r.notes["samples"]) for r in reports] == \
-                [("monte-carlo", 10_000_000)] * 6
+        assert verify.LEAST_MC_SAMPLES == 1000
+        for n in (3, 6):
+            p = ChainParams(n=n, beta_a=0.5, beta_b=0.75)
+            with pytest.raises(ValueError, match="mc_samples >= 1000"):
+                telescoping(p, D, [0.5] * n, mc_samples=999, profile_law=profile_law)
+            r = telescoping(p, D, [0.5] * n, mc_samples=1000, profile_law=profile_law)
+            assert r.method == "monte-carlo" and r.notes["samples"] == 1000
+        assert asked == [1000, 1000]
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_quadrature_terms_vanish_beyond_default_threshold(self, monkeypatch, n):
@@ -204,10 +230,11 @@ class TestTelescoping:
     def test_batched_monte_carlo_matches_per_vector_draws(self, monkeypatch, model,
                                                           profile_law):
         # Oracle: a fresh draw per vector, pinned edges as np.full columns.
+        # Entry n is the per-profile total, the sum of the site terms.
         def oracle(lo, hi, svec, mc_samples, seed, batch):
             n = len(svec)
             rng = make_rng(seed)
-            sums, sums_sq, drawn = np.zeros(n), np.zeros(n), 0
+            sums, sums_sq, drawn = np.zeros(n + 1), np.zeros(n + 1), 0
             while drawn < mc_samples:
                 b = min(batch, mc_samples - drawn)
                 if profile_law == "ordered":
@@ -219,6 +246,7 @@ class TestTelescoping:
                         m[:, x] = lo + (hi - lo) * rng.beta(x + 1, n - x, size=b)
                 weight = np.prod([verify._mgf(model, m[:, x], float(svec[x]))
                                   for x in range(n)], axis=0)
+                total = np.zeros(b)
                 for x in range(n):
                     sx = float(svec[x])
                     left = np.full(b, lo) if x == 0 else m[:, x - 1]
@@ -228,6 +256,9 @@ class TestTelescoping:
                          + verify._log_mgf(model, right, sx)) * weight
                     sums[x] += g.sum()
                     sums_sq[x] += (g * g).sum()
+                    total = total + g
+                sums[n] += total.sum()
+                sums_sq[n] += (total * total).sum()
                 drawn += b
             return sums / drawn, sums_sq / drawn
 
@@ -245,8 +276,8 @@ class TestTelescoping:
             for x in range(5):
                 assert residuals[f"term_{x + 1}"] == volume * means[x]
                 assert tolerances[f"term_{x + 1}"] == 4.0 * volume * sds[x]
-            assert residuals["total"] == volume * means.sum()
-            assert tolerances["total"] == 4.0 * volume * math.sqrt(float((sds**2).sum()))
+            assert residuals["total"] == volume * means[:5].sum()
+            assert tolerances["total"] == 4.0 * volume * sds[5]
             assert notes == {"samples": mc_samples, "seed": 3, "profile_law": profile_law}
 
     def test_default_grid_respects_domains(self):
@@ -255,6 +286,100 @@ class TestTelescoping:
                 assert np.all(vec >= 0.0) and np.all(vec < 4.0 / 3.0)
             for vec in default_svec_grid(n, Model.CONTINUOUS, 2.0):
                 assert np.all(vec < 0.5)
+
+
+def _telescoping_per_entry(model, lo, hi, svec, tol):
+    """Reference: each site term as three separate ordered-box integrals, one
+    per bracket entry, with the term's summed error estimate."""
+    n = len(svec)
+    factors = [(lambda m, s=float(s): verify._mgf(model, m, s)) for s in svec]
+    values, errors = [], []
+    for x in range(n):
+        terms = []
+        for y, weight in ((x - 1, 1.0), (x, -2.0), (x + 1, 1.0)):
+            at, edge = (y, None) if 0 <= y < n else (x, lo if y < 0 else hi)
+
+            def weighted(m, at=at, edge=edge, weight=weight, s=float(svec[x])):
+                return (weight * verify._log_mgf(model, m if edge is None else edge, s)
+                        * factors[at](m))
+
+            terms.append(ordered_simplex_integral(
+                factors[:at] + [weighted] + factors[at + 1:], lo, hi, tol=tol * 1e-2))
+        values.append(sum(v for v, _ in terms))
+        errors.append(sum(e for _, e in terms))
+    return values, errors
+
+
+def _frullani_series_head(a, b, tol):
+    """Reference: the Taylor series on [0, 1e-4] plus quadrature on [1e-4, cut],
+    with the same cut as the check; (value, quadrature error)."""
+    delta, head, fact = 1e-4, 0.0, 1.0
+    for k in range(1, 12):
+        fact *= k
+        head += (-1.0) ** (k + 1) * (b**k - a**k) * delta**k / (k * fact)
+    mn, cut = min(a, b), delta
+    while math.exp(-mn * cut) / (mn * cut) > tol / 10.0:
+        cut *= 2.0
+    quad = quadrature_1d(lambda x: (np.exp(-a * x) - np.exp(-b * x)) / x, delta, cut, tol * 1e-2)
+    return head + quad.value, quad.error
+
+
+class TestOneIntegratorCall:
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"ordered_simplex_integral": 0, "quadrature_1d": 0}
+        for name in calls:
+            real = getattr(verify, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_one_ordered_box_call_per_telescoping_report(self, monkeypatch, n):
+        calls = self._count(monkeypatch)
+        p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+        for model in Model:
+            spec = MixtureSpec(p, model)
+            grid = default_svec_grid(n, model, spec.interval[1])
+            before = calls["ordered_simplex_integral"]
+            reports = check_telescoping(spec, grid)
+            assert all(r.method == "quadrature" and r.passed for r in reports)
+            assert calls["ordered_simplex_integral"] - before == len(grid)
+        assert calls["quadrature_1d"] == 0
+
+    def test_one_quadrature_per_identity_report(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        assert check_frullani(0.5, 3.0).passed
+        assert calls == {"ordered_simplex_integral": 0, "quadrature_1d": 1}
+        assert check_antiderivative(C, 2.0, -1.0).passed
+        assert calls == {"ordered_simplex_integral": 0, "quadrature_1d": 2}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stacked_terms_match_per_entry_integrals(self, n):
+        # The stacked call's one error bounds each of a term's three entries,
+        # so a term is off by at most 3 * quad_error, plus the reference's own.
+        p = ChainParams(n=n, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+        for model in Model:
+            spec = MixtureSpec(p, model)
+            lo, hi = spec.interval
+            for svec in default_svec_grid(n, model, hi):
+                r = telescoping(p, model, svec)
+                values, errors = _telescoping_per_entry(model, lo, hi, svec, 1e-8)
+                for x in range(n):
+                    bound = 3.0 * r.notes["quad_error"] + errors[x]
+                    assert abs(r.residuals[f"term_{x + 1}"] - values[x]) <= bound, (model, svec, x)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.5, 3.0), (2.0, 2.0), (0.1, 10.0), (3.0, 0.2)])
+    def test_frullani_matches_the_series_head(self, a, b):
+        r = check_frullani(a, b, tol=1e-9)
+        assert r.passed and r.method == "quadrature"
+        value, error = _frullani_series_head(a, b, 1e-9)
+        found = r.residuals["residual"] + math.log(b / a)
+        assert abs(found - value) <= r.notes["quad_error"] + error, (found, value)
 
 
 def _generator_residuals_oracle(params, box, k_sum, mu):
@@ -555,6 +680,17 @@ class TestReportsAndSuites:
         assert [(r.notes["n"], r.params["truncation"], r.tolerances["max_residual"])
                 for r in reports] == [(n, k, tol) for n, (k, tol) in reduced.items()]
         assert all(r.passed for r in reports)
+
+    def test_missing_truncation_and_tol_take_direct_defaults(self, monkeypatch):
+        # Larger n take the last entry; the cheap product candidate keeps n = 3 small.
+        monkeypatch.setattr(verify, "DIRECT_DEFAULTS", {1: (30, 1e-8), 2: (5, 1e-6)})
+        for params, truncation, tol, want in ((NEQ1, None, None, (30, 1e-8)),
+                                              (NEQ3, None, None, (5, 1e-6)),
+                                              (NEQ2, 3, None, (3, 1e-6)),
+                                              (NEQ1, None, 1e-7, (30, 1e-7))):
+            r = check_stationarity_direct_discrete(params, truncation, tol,
+                                                   candidate="product-geometric")
+            assert (r.params["truncation"], r.tolerances["max_residual"]) == want
 
     def test_run_suite_dispatch(self):
         assert run_suite("identities")
