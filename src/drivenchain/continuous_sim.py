@@ -11,7 +11,9 @@ left; acceptance criterion 6 probes it by rerunning at half the cutoff (its
 cutoff-refinement check), and it is not corrected.
 
 The chain runs on the shared event engine, ``occupation.run_window``, as in
-``discrete_sim``; ``new_state_continuous`` fixes what it adds: its model, its
+``discrete_sim``: a loop that does the dynamics and logs each changed site,
+and a block flush that derives every statistic from the log, energy
+histogram bins included.  ``new_state_continuous`` fixes what it adds: its model, its
 log-binned energy histograms, its rate function, its cutoff as the engine's
 removal floor, and the samplers below.  A run fails with RuntimeError on a
 removal picked at a site at or below the cutoff, on rate-cache drift past
@@ -144,7 +146,9 @@ def simulate_continuous(
     grid_samples: int = DEFAULT_GRID_SAMPLES,
     observers=(),
 ) -> OccupationStats:
-    """Run one energy trajectory; see ``discrete_sim.simulate`` for semantics.
+    """Run one energy trajectory; see ``discrete_sim.simulate`` for semantics,
+    the ``observers`` included: they get a list copy of the state at each
+    grid time, from the block flushes, and cannot alter the run.
 
     Histograms use log-spaced bins (exponential marginals span decades); the
     cutoff actually used is recorded in ``extra`` along with the injection

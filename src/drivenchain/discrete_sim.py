@@ -6,11 +6,12 @@ and moving a batch of k particles with probability (1/k)/H(eta_x).  The two
 reservoirs inject batches of k particles at rate beta^k / k, i.e. a constant
 total rate -log(1-beta) with logarithmically distributed batch sizes.  The
 chain is simulated exactly by the shared event engine, ``occupation.run_window``,
-one loop that runs each event in local variables: exponential holding times
-at the total rate, channels picked proportionally to their rates, O(1)
-Python work per changed site (at most two per event) plus one numpy flush
-of the O(n) second-moment rows per block of changes, with the float sums of
-a per-site loop, so the results do not depend on the block.  ``new_state``
+one loop that runs the dynamics in local variables: exponential holding
+times at the total rate, channels picked proportionally to their rates, and
+a log of (site, time, new value) per changed site (at most two per event).
+One numpy flush per block of that log derives every statistic (moments,
+histograms, the grid series, the observer calls) with the float sums of a
+per-site loop, so the results do not depend on the block.  ``new_state``
 adds only the particle model, count histograms, the rate function H and the
 samplers below.  A run fails with RuntimeError on a removal picked at an
 empty site, on rate-cache drift past ``occupation.RESYNC_DRIFT_TOL``, on
@@ -112,8 +113,11 @@ def simulate(
 
     Statistics are weighted by holding time (the occupation measure is a time
     average) over [burn_in, t_max] (burn_in defaults to 10% of t_max); see
-    ``occupation.run_window`` for the accumulation, the ``grid_samples``
-    series and the ``observers``.
+    ``occupation.run_window`` for the accumulation and the ``grid_samples``
+    series.  Each of ``observers`` is called as observer(t, values) at every
+    grid time t the run reaches, in order, with a list copy of the state
+    there.  The calls come in bursts, from the block flushes, after the run
+    has moved on, so an observer cannot alter the run.
     """
     if rng is None:
         rng = make_rng(0 if seed is None else seed)

@@ -15,16 +15,18 @@ makes R merged replicas identical to one run of the concatenated duration
 for every reported moment.
 
 ``run_window`` drives a ``ChainState`` in one loop that executes each event
-inline (channel choice, site and rate-cache update, moment accumulation) in
-local variables.  An event changes at most two sites, so rather than
-weighting all n sites after every holding interval (O(n^2) per event) it
-closes a site's interval only when that site changes.  A change costs O(1)
-Python work: it logs five numbers, and the O(n) second-moment row update of
-a block of logged changes runs as one numpy flush (``_flush``), bit for bit
-the sums a scalar loop would make.  Every random number of a run comes from
-one ``BlockDraws``, which reads the Generator's uniforms and exponentials
-from blocks of DRAW_BLOCK values: a scalar Generator call costs several
-times a list read.
+inline (channel choice, site and rate-cache update) in local variables.  The
+loop does the dynamics only: after burn_in each changed site logs three
+numbers, its index, the time and its new value, and a block flush derives
+every statistic of the window from a block of that log in numpy (old values,
+running integrals, second-moment rows, holding times, histograms, the grid
+series and the observer calls), bit for bit the sums a scalar loop would
+make.  An event changes at most two sites, so rather than weighting all n
+sites after every holding interval (O(n^2) per event) a flush closes a
+site's interval only when that site changes.  Every random number of a run
+comes from one ``BlockDraws``, which reads the Generator's uniforms and
+exponentials from blocks of DRAW_BLOCK values: a scalar Generator call costs
+several times a list read.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ class IntHistogram:
             ws.extend([0.0] * (value + 1 - len(ws)))
         ws[value] += w
 
+    @staticmethod
+    def index(values: np.ndarray) -> np.ndarray:
+        """The slot of each value (whole numbers, as floats): the value itself."""
+        return values.astype(np.intp)
+
     def merge(self, other: "IntHistogram") -> None:
         if len(other.weights) > len(self.weights):
             self.weights.extend([0.0] * (len(other.weights) - len(self.weights)))
@@ -125,15 +132,22 @@ class BinnedHistogram:
         self._dlog = (math.log(hi) - self._log_lo) / n_bins
         self.weights = [0.0] * (n_bins + 2)  # [under, bins..., over]
 
+    def index(self, values: np.ndarray) -> np.ndarray:
+        """The slot of each value: 0 at or below lo, n_bins + 1 above hi, else
+        1 + the truncated (log(value) - log(lo)) / dlog, at most n_bins.
+
+        ``math.log``, not ``np.log``: the two differ in the last bit for some
+        inputs, and a value on a bin edge would change bins.
+        """
+        inside = (values > self.lo) & (values <= self.hi)
+        logs = np.fromiter(map(math.log, values[inside].tolist()), float)
+        out = np.where(values > self.hi, self.n_bins + 1, 0)
+        out[inside] = np.minimum(((logs - self._log_lo) / self._dlog).astype(np.intp) + 1,
+                                 self.n_bins)
+        return out
+
     def add(self, value: float, w: float) -> None:
-        ws = self.weights
-        if value <= self.lo:
-            ws[0] += w
-        elif value > self.hi:
-            ws[-1] += w
-        else:
-            idx = int((math.log(value) - self._log_lo) / self._dlog)
-            ws[idx + 1 if idx < self.n_bins else self.n_bins] += w
+        self.weights[self.index(np.array([value], dtype=float))[0]] += w
 
     def merge(self, other: "BinnedHistogram") -> None:
         if (other.lo, other.hi, other.n_bins) != (self.lo, self.hi, self.n_bins):
@@ -316,36 +330,110 @@ class ChainState:
         return drift
 
 
-def _flush(rows: np.ndarray, changes: list, opened, values: list, offset: list):
-    """Add a block of logged changes to ``rows``; return the next block's opening state.
+class _Blocks:
+    """The statistics of one window, derived from the loop's change log block by block.
 
-    ``changes`` holds five entries per change: site x, step = old - new, time
-    t, the new value and the new offset of x.  ``opened`` is the (values,
-    offsets) pair of arrays the block opened on.  Change i adds
-    step * (offset_y + value_y * t) to rows[x, y] for every y, with value_y
-    and offset_y as change i found them: the opening state, forward-filled
-    with the changes before i.  These are the float operations of a scalar
-    loop over y, and ``np.add.at`` adds the rows in change order, so every
-    entry of ``rows`` takes the same sums in the same order.  The log is
-    cleared; the returned pair is ``values`` and ``offset`` as arrays.
+    The loop calls ``flush(changes, upto)`` before the first change after
+    burn_in, which opens the window on the live ``values``, before the first
+    change after a full block, and at the end; ``upto`` is a time the loop
+    has reached, so the series is done up to it.  A flush forward-fills each
+    change's view of the sites from the state its block opened on (``seen``)
+    and gathers every statistic from it: old values and steps, the offsets
+    (``np.cumsum`` along each site's changes), the second-moment rows, the
+    holding times into the histograms, and the series with its observer calls.
     """
-    if changes:
-        block = np.array(changes, dtype=float).reshape(-1, 5)
-        sites = block[:, 0].astype(np.intp)
-        k, n = len(block), len(values)
-        # seen[i, y] indexes site y's state for change i: y in the opening
-        # state, or n + j after change j, the last change of y before i.
-        seen = np.tile(np.arange(n), (k, 1))
-        seen[np.arange(1, k), sites[:-1]] = np.arange(n, n + k - 1)
-        np.maximum.accumulate(seen, axis=0, out=seen)
-        added = np.concatenate((opened[0], block[:, 3]))[seen]  # value_y, then the sum
-        added *= block[:, 2, None]
-        added += np.concatenate((opened[1], block[:, 4]))[seen]
-        added *= block[:, 1, None]
-        # One flat index per entry: the 1-D np.add.at is the fast one.
-        np.add.at(rows.reshape(-1), (sites[:, None] * n + np.arange(n)).ravel(), added.ravel())
+
+    __slots__ = ("values", "burn_in", "opened", "rows", "hists", "weights", "grid", "series",
+                 "next_grid", "observers")
+
+    def __init__(self, values: list, burn_in: float, hists: list, grid: np.ndarray,
+                 series: np.ndarray, observers) -> None:
+        self.values = values  # the live state, read once: the window opens on it
+        self.burn_in = burn_in
+        self.opened = None  # per site: (value, offset, last change time) after the last flush
+        self.rows = np.zeros((len(values), len(values)))
+        self.hists = hists
+        self.weights = np.zeros((len(values), len(hists[0].weights)))  # a row per histogram
+        self.grid = grid
+        self.series = series
+        self.next_grid = 0
+        self.observers = observers
+
+    def flush(self, changes: list, upto: float) -> None:
+        if self.opened is None:
+            values = np.array(self.values, dtype=float)
+            self.opened = (values, -values * self.burn_in, np.full(len(values), self.burn_in))
+        opened = self.opened
+        n = len(opened[0])
+        block = np.array(changes, dtype=float).reshape(-1, 3)
         changes.clear()
-    return np.array(values, dtype=float), np.array(offset)
+        sites, times, new = block[:, 0].astype(np.intp), block[:, 1], block[:, 2]
+        k = len(block)
+        # seen[i, y] indexes site y's state as change i finds it (row k: after
+        # the block): y in the opening state, or n + j after change j, the last
+        # change of y before i.
+        seen = np.tile(np.arange(n), (k + 1, 1))
+        seen[np.arange(1, k + 1), sites] = np.arange(n, n + k)
+        np.maximum.accumulate(seen, axis=0, out=seen)
+        before = seen[np.arange(k), sites]  # x's own state before change i
+        values = np.concatenate((opened[0], new))
+        old = values[before]
+        step = old - new
+        # Column j of a site's ladder row is its offset after its j-th change.
+        counts = np.bincount(sites, minlength=n)
+        rank = np.empty(k, np.intp)
+        rank[np.argsort(sites, kind="stable")] = np.arange(k) - np.repeat(
+            np.cumsum(counts) - counts, counts)
+        ladder = np.zeros((n, counts.max(initial=0) + 1))
+        ladder[:, 0] = opened[1]
+        ladder[sites, rank + 1] = step * times
+        np.cumsum(ladder, axis=1, out=ladder)
+        offsets = np.concatenate((opened[1], ladder[sites, rank + 1]))
+        added = values[seen[:k]]
+        added *= times[:, None]
+        added += offsets[seen[:k]]
+        added *= step[:, None]
+        # One flat index per entry: the 1-D np.add.at is the fast one.
+        np.add.at(self.rows.reshape(-1), (sites[:, None] * n + np.arange(n)).ravel(),
+                  added.ravel())
+        lasts = np.concatenate((opened[2], times))
+        held = times - lasts[before]
+        kept = held > 0.0
+        self._hist_add(sites[kept], old[kept], held[kept])
+        stop = int(np.searchsorted(self.grid, upto, side="right"))
+        if stop > self.next_grid:
+            at = slice(self.next_grid, stop)
+            self.series[at] = values[seen[np.searchsorted(times, self.grid[at])]]
+            if self.observers:
+                for t, state in zip(self.grid[at].tolist(), self.series[at].tolist()):
+                    for obs in self.observers:
+                        obs(t, state)
+            self.next_grid = stop
+        self.opened = values[seen[k]], offsets[seen[k]], lasts[seen[k]]
+
+    def _hist_add(self, sites: np.ndarray, values: np.ndarray, held: np.ndarray) -> None:
+        """Add held[i] to site sites[i]'s histogram at values[i]'s bin, in order."""
+        bins = self.hists[0].index(values)
+        if bins.size and bins.max() >= self.weights.shape[1]:  # counts widen their histogram
+            wider = np.zeros((len(self.weights), max(bins.max() + 1, 2 * self.weights.shape[1])))
+            wider[:, :self.weights.shape[1]] = self.weights
+            self.weights = wider
+        np.add.at(self.weights.reshape(-1), sites * self.weights.shape[1] + bins, held)
+
+    def close(self, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+        """The window's (mean_acc, second_acc), after a flush up to the run's end;
+        fills the histograms' weights and the series points past the last event."""
+        values, offsets, lasts = self.opened
+        self.series[self.next_grid:] = values
+        held = t_max - lasts
+        kept = held > 0.0
+        self._hist_add(np.flatnonzero(kept), values[kept], held[kept])
+        for h, row in zip(self.hists, self.weights):  # each added bin holds a positive weight
+            used = np.flatnonzero(row)
+            h.weights = row[:max(len(h.weights), used[-1] + 1 if used.size else 0)].tolist()
+        totals = offsets + values * t_max
+        second = self.rows + np.outer(values, totals)
+        return totals, 0.5 * (second + second.T)
 
 
 def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
@@ -360,42 +448,43 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
     at A, injection at B, then the two exit channels of each site, by linear
     scan up to LINEAR_SCAN_MAX_SITES sites and by Fenwick search above), then
     draws the amount moved (the chain's samplers).  It changes one or two
-    sites; each change updates the rate cache, the moments and the site's
-    histogram, one ``state.new_hist()`` per site and run.
-    The loop keeps all of this in local variables.  ``rng`` ends the run
-    advanced by whole blocks, the unused tails of the last ones included.
+    sites; each change updates the values and the rate cache, and the
+    channel counts and fluxes.  That is all the loop does, in local
+    variables; after burn_in it also logs each change as (site, time, new
+    value).  ``rng`` ends the run advanced by whole blocks, the unused tails
+    of the last ones included.
 
-    The moments accumulate lazily.  Per site x the loop keeps the time
-    ``last[x]`` of its last change, the running integral
+    Every statistic of the window comes from that log, in blocks of at most
+    FLUSH_BLOCK_BYTES / (8 n) changes (``_Blocks``).  Per site x a flush
+    carries the time of x's last change, the running integral
     I_x(c) = int_burn_in^c eta_x dt as I_x(c) = offset[x] + eta_x * c (exact
     while eta_x holds), and row x of int eta_x eta_y dt.  Summed by parts
     over x's holding intervals, a change of x from ``old`` to ``new`` at
     time c adds (old - new) * I_y(c) to row x (every y, as the sites stood
-    before the change), offset[x] gains (old - new) * c and the histogram of
-    x takes ``old`` for c - last[x].  A change at or before burn_in only
-    resets offset[x] to -new * burn_in, so the window opens on ``new``.
-    The loop does the O(1) part of each change after burn_in and logs it;
-    the row additions wait in blocks of at most FLUSH_BLOCK_BYTES / (8 n)
-    changes.  The first change after burn_in, and the first change after a
-    full block, first flushes the block before it and snapshots the values
-    and offsets the new block opens on; the window flushes once more at
-    t_max.  A flush (``_flush``) rebuilds each change's view of the sites
-    from that snapshot and adds in change order with the scalar loop's float
-    operations, so second_acc does not depend on the block length.  At
-    t_max every site closes: I_x(t_max) is mean_acc[x], row x gains
-    eta_x * I_y(t_max), and the rows, symmetric up to rounding, are averaged
-    with their transpose into second_acc.
+    before the change), offset[x] gains (old - new) * c and x's histogram,
+    one ``state.new_hist()`` per site and run, takes ``old`` for the time
+    since x's last change.  The window opens on the state at burn_in, with
+    offset[x] = -eta_x * burn_in.  A flush does a scalar loop's float
+    operations in change order, so no statistic depends on the block
+    length.  At t_max every site closes: I_x(t_max) is mean_acc[x], row x
+    gains eta_x * I_y(t_max), and the rows, symmetric up to rounding, are
+    averaged with their transpose into second_acc.
 
     The clock, the counts and the fluxes start at zero in local variables,
     so one state can run several windows.  The rate cache resyncs
     (``ChainState.resync``) every RESYNC_INTERVAL events, inside the loop,
     and once more at the end, so ``max_resync_drift``, the largest drift
-    found, covers every run.  burn_in defaults to 10% of t_max.  The trajectory is
-    also sampled on a uniform grid of ``grid_samples`` points across the
-    window (an evenly spaced series for autocorrelation estimates, of the
-    state's model's site dtype), each point passed to every ``observers``
-    callable as (time, values).  ``extra`` counts the events of each of ``CHANNELS``, the resyncs, and
-    names the channel ``selection`` path.  Injection samplers that count
+    found, covers every run.  burn_in defaults to 10% of t_max.  The
+    trajectory is also sampled on a uniform grid of ``grid_samples`` points,
+    burn_in + (k + 1) * (t_max - burn_in) / grid_samples: an evenly spaced
+    series for autocorrelation estimates, of the state's model's site dtype.
+    Point g holds the state just before the first event at or after g, the
+    one that ends the run included.  A flush calls every ``observers``
+    callable once per point it fills, in grid order, as (g, a list copy of
+    that state), so an observer cannot alter the run; a point that rounds
+    past that last event time takes the final state with no call.  ``extra``
+    counts the events of each of ``CHANNELS``, the resyncs, and names the
+    channel ``selection`` path.  Injection samplers that count
     their ``proposals`` and ``accepts`` (the energy chain's) get this run's
     share of them as ``acceptance_a``/``acceptance_b``: the change in the
     counts over the run, so each window reports its own rate.  The run fails
@@ -414,19 +503,15 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
     values = state.values
     n = len(values)
     start_mass = math.fsum(values)
-    last = [burn_in] * n
-    offset = [-v * burn_in for v in values]
-    rows = np.zeros((n, n))
-    changes: list = []  # five entries per change after burn_in, see ``_flush``
-    block_entries = 5 * max(1, FLUSH_BLOCK_BYTES // (8 * n))
-    flush_at, opened = 0, None  # the first change after burn_in opens the first block
+    changes: list = []  # (site, time, new value) per change after burn_in
+    block_entries = 3 * max(1, FLUSH_BLOCK_BYTES // (8 * n))
+    flush_at = 0  # the first change after burn_in opens the window
     hists = [state.new_hist() for _ in range(n)]
-    hist_add = [h.add for h in hists]
     last_site = n - 1
     series = np.empty((grid_samples, n), dtype=state.model.site.dtype)
     grid_dt = (t_max - burn_in) / grid_samples
-    next_grid = 0
-    grid_time = burn_in + (next_grid + 1) * grid_dt
+    window = _Blocks(values, burn_in, hists, burn_in + np.arange(1, grid_samples + 1) * grid_dt,
+                     series, observers)
     draws = BlockDraws(rng)
     rexp, uniform = draws.standard_exponential, draws.random
     rate_a, draw_a = state.sampler_a.total_rate, state.sampler_a.draw
@@ -446,13 +531,6 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
     while True:
         total = 2.0 * rate_sum + inj_rate
         t_new = t + rexp() / total
-        while grid_time <= t_new:
-            series[next_grid] = values
-            for obs in observers:
-                obs(grid_time, values)
-            next_grid += 1
-            grid_time = (burn_in + (next_grid + 1) * grid_dt
-                         if next_grid < grid_samples else math.inf)
         if t_new >= t_max:
             break
         t = t_new
@@ -503,18 +581,9 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
         while True:  # site x takes ``new``
             if t > burn_in:
                 if len(changes) == flush_at:  # before this change: it opens the next block
-                    opened = _flush(rows, changes, opened, values, offset)
+                    window.flush(changes, t)
                     flush_at = block_entries
-                old = values[x]
-                step = old - new
-                offset[x] = moved = offset[x] + step * t
-                changes += (x, step, t, new, moved)
-                w = t - last[x]
-                if w > 0.0:
-                    hist_add[x](old, w)
-                    last[x] = t
-            else:
-                offset[x] = -new * burn_in
+                changes += (x, t, new)
             values[x] = new
             rate = rate_of(new)
             delta = rate - site_rate[x]
@@ -535,16 +604,8 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
     state.rate_sum = rate_sum
     max_drift = max(max_drift, state.resync())  # at the end too: every run measures drift
     resyncs += 1
-    while next_grid < grid_samples:  # float edge at the last grid point
-        series[next_grid] = values
-        next_grid += 1
-    _flush(rows, changes, opened, values, offset)
-    totals = [a + v * t_max for a, v in zip(offset, values)]
-    for x, v in enumerate(values):
-        if t_max > last[x]:
-            hist_add[x](v, t_max - last[x])
-    second = rows + np.outer(values, totals)
-    mean_acc, second_acc = np.array(totals), 0.5 * (second + second.T)
+    window.flush(changes, t_new)
+    mean_acc, second_acc = window.close(t_max)
     wall = time.perf_counter() - wall_start
     stats = OccupationStats(
         n_sites=n, model=state.model.value, duration=t_max - burn_in,

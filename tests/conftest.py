@@ -51,7 +51,8 @@ def _update_site(state, x, new):
 
 @dataclass
 class StepperRun:
-    """What the reference stepper counts: clock, events, fluxes, largest resync drift."""
+    """What the reference stepper counts: clock, events, fluxes, largest resync drift,
+    and ``end``, where the first holding time past t_max ends (at or after t_max)."""
 
     time: float = 0.0
     events: int = 0
@@ -60,6 +61,7 @@ class StepperRun:
     injected_b: Any = 0
     extracted_b: Any = 0
     max_resync_drift: float = 0.0
+    end: float = 0.0
 
 
 def _jump(state, run, draws):
@@ -110,6 +112,7 @@ def run_reference(state, rng, t_max, after_each_event=lambda state, run: None) -
         dt = draws.standard_exponential() / (2.0 * state.rate_sum + state.inj_rate)
         t_new = run.time + dt
         if t_new >= t_max:
+            run.end = t_new
             break
         run.time = t_new
         _jump(state, run, draws)

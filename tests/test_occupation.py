@@ -48,9 +48,10 @@ CASES = {
 }
 
 
-def run_engine(name: str) -> OccupationStats:
+def run_engine(name: str, observers=()) -> OccupationStats:
     model, params, kw = CASES[name]
-    return (simulate if model == "discrete" else simulate_continuous)(params, **kw)
+    return (simulate if model == "discrete" else simulate_continuous)(params, **kw,
+                                                                      observers=observers)
 
 
 def window(name: str) -> tuple[float, float]:
@@ -173,7 +174,7 @@ def test_channel_counts_sum_to_event_count(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lazy_accumulator_matches_dense_rewalk(monkeypatch, reference_run, name):
-    start, _, _, events = run_stepper(name, reference_run)
+    start, _, run, events = run_stepper(name, reference_run)
     burn_in, t_max = window(name)
     w, x, mean, second = dense_walk(start, events, burn_in, t_max)
     # Pairs are judged on the Cauchy-Schwarz scale sqrt(M_xx M_yy) >= |M_xy|:
@@ -181,12 +182,19 @@ def test_lazy_accumulator_matches_dense_rewalk(monkeypatch, reference_run, name)
     # barely overlaps in time is exact only relative to that scale.
     scale = np.sqrt(np.outer(np.diag(second), np.diag(second)))
     n = CASES[name][1].n
-    # The row update flushes after every change, every 7 changes, and in
-    # default-sized blocks; the accumulators must not see the difference.
+    # The statistics flush after every change, every 7 changes, and in
+    # default-sized blocks; the accumulators, the series and the observers
+    # must not see the difference.
     for block_bytes in (8 * n, 7 * 8 * n, occupation.FLUSH_BLOCK_BYTES):
         monkeypatch.setattr(occupation, "FLUSH_BLOCK_BYTES", block_bytes)
-        st = run_engine(name)
+        calls = []
+        st = run_engine(name, observers=[lambda t, values: calls.append((t, values))])
         assert len(events) == st.event_count
+        assert _sha(st.series[0].tobytes()) == PINNED[name][1]
+        # An observer sees each grid point the loop reaches: those at or before
+        # the end of the first holding time past t_max.
+        grid = [burn_in + (k + 1) * st.series_dt for k in range(len(st.series[0]))]
+        assert calls == [(g, row) for g, row in zip(grid, st.series[0].tolist()) if g <= run.end]
         assert math.fsum(w) == pytest.approx(st.duration, rel=1e-12)
         np.testing.assert_allclose(st.mean_acc, mean, rtol=1e-12, atol=0.0)
         assert np.all(np.abs(st.second_acc - second) <= 1e-12 * scale)
@@ -202,6 +210,69 @@ def test_lazy_accumulator_matches_dense_rewalk(monkeypatch, reference_run, name)
             assert len(h.weights) == len(expect)
             np.testing.assert_allclose(h.weights, expect, rtol=1e-12, atol=0.0)
         assert accumulator_hashes(st) == PINNED_ACC[name]
+
+
+@pytest.mark.parametrize("name", ["discrete-mid", "continuous-mid"])
+def test_observers_cannot_alter_the_run(name):
+    def vandal(t, values):
+        values[0] += 1
+        values.clear()
+
+    seen = []
+    st = run_engine(name, observers=[lambda t, values: seen.append(list(values)), vandal])
+    events, series_sha, fluxes, _ = PINNED[name]
+    assert (st.event_count, _sha(st.series[0].tobytes())) == (events, series_sha)
+    assert (st.injected_a, st.extracted_a, st.injected_b, st.extracted_b) == fluxes
+    assert accumulator_hashes(st) == PINNED_ACC[name]
+    assert seen == st.series[0].tolist()  # each grid point gets a fresh copy
+
+
+# Windows that see no change after burn_in, at the parent engine's values:
+# (simulator, keywords, mean_acc, second_acc).  The first two run no event; the
+# third runs 38, all before burn_in.
+QUIET = {
+    "discrete-no-event": (simulate, dict(t_max=1e-9, seed=3, eta0=[3, 1]),
+                          [2.7e-09, 9e-10], [[8.1e-09, 2.7e-09], [2.7e-09, 9e-10]]),
+    "continuous-no-event": (simulate_continuous, dict(t_max=1e-9, seed=3, z0=[0.5, 2.0]),
+                            [4.5e-10, 1.8e-09], [[2.25e-10, 9e-10], [9e-10, 3.6e-09]]),
+    "discrete-late-burn-in": (simulate, dict(t_max=5.0, burn_in=4.999999, seed=3, eta0=[3, 1]),
+                              [0.0, 4.000000000559112e-06],
+                              [[0.0, 0.0], [0.0, 1.6000000002236447e-05]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUIET))
+def test_window_without_changes_holds_its_opening_state(name):
+    run, kw, mean_acc, second_acc = QUIET[name]
+    params = ChainParams(n=2, beta_a=0.5, beta_b=0.75, t_a=1.0, t_b=2.0)
+    st = run(params, **kw, grid_samples=8)
+    final = st.extra["final_eta" if run is simulate else "final_z"]
+    assert st.event_count == (38 if "late" in name else 0)
+    assert st.series[0].tolist() == [final] * 8
+    for h, v in zip(st.hists, final):
+        slot = h.index(np.array([v], dtype=float))[0]
+        assert h.weights[slot] == st.duration
+        assert sum(h.weights) == st.duration  # every other slot is empty
+    assert (st.mean_acc.tolist(), st.second_acc.tolist()) == (mean_acc, second_acc)
+
+
+def test_last_grid_point_past_the_last_event_gets_no_observer_call():
+    # The first holding time is the whole run, and the third grid point
+    # rounds past t_max: it takes the final state but, as in a loop that
+    # visits grid points only up to an event, no observer call.
+    params = ChainParams(n=2, beta_a=0.5, beta_b=0.75)
+    state = new_state(params)
+    t_max = 0.0 + BlockDraws(make_rng(2)).standard_exponential() / (
+        2.0 * state.rate_sum + state.inj_rate)
+    burn_in = 0.1 * t_max
+    grid_dt = (t_max - burn_in) / 3
+    assert burn_in + 2 * grid_dt <= t_max < burn_in + 3 * grid_dt
+    calls = []
+    st = simulate(params, t_max, seed=2, grid_samples=3,
+                  observers=[lambda t, values: calls.append(t)])
+    assert st.event_count == 0
+    assert calls == [burn_in + grid_dt, burn_in + 2 * grid_dt]
+    assert st.series[0].tolist() == [[0, 0]] * 3
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -291,18 +362,24 @@ def _short_run_from(monkeypatch, model, corrupt):
 
 
 @pytest.mark.parametrize("model", ["discrete", "continuous"])
-def test_simulators_reject_broken_mass_balance(model):
+def test_simulators_reject_broken_mass_balance(monkeypatch, model):
     leaked = []
 
-    def leak(t, values):  # one unit appears at site 1 that no channel brought in
-        if not leaked:
-            values[0] += 1
-            leaked.append(t)
+    def leaky_injection(state):  # one unit appears at site 1 that no channel brought in
+        real = state.sampler_a
 
-    run, params = (simulate, D5) if model == "discrete" else (simulate_continuous, C5)
-    # Site 1's next change heals its cached rate, so only the mass balance sees the leak.
+        def draw(draws):
+            if not leaked:
+                state.values[0] += 1
+                leaked.append(state.values[0])
+            return real.draw(draws)
+
+        state.sampler_a = SimpleNamespace(total_rate=real.total_rate, draw=draw)
+
+    # The injection's own change heals site 1's cached rate, so only the mass
+    # balance sees the leak.
     with pytest.raises(RuntimeError, match="mass balance"):
-        run(params, 50.0, seed=1, grid_samples=64, observers=[leak])
+        _short_run_from(monkeypatch, model, leaky_injection)
     assert len(leaked) == 1
 
 
