@@ -197,17 +197,11 @@ def _write_histograms(outdir: Path, stats: OccupationStats) -> None:
     rows = []
     for x, h in enumerate(stats.hists, start=1):
         if isinstance(h, IntHistogram):
-            values, weights = h.as_arrays()
-            for v, w in zip(values.tolist(), weights.tolist()):
-                if w > 0.0:
-                    rows.append((x, v, "", w))
-        else:
-            edges, weights = h.edges().tolist(), np.asarray(h.weights).tolist()
-            rows.append((x, "-inf", edges[0], weights[0]))
-            for i in range(h.n_bins):
-                if weights[i + 1] > 0.0:
-                    rows.append((x, edges[i], edges[i + 1], weights[i + 1]))
-            rows.append((x, edges[-1], "inf", weights[-1]))
+            rows.extend((x, v, "", w) for v, w in enumerate(h.weights) if w > 0.0)
+        else:  # the underflow and overflow slots always, a bin when it holds weight
+            bounds = ["-inf", *h.edges().tolist(), "inf"]
+            rows.extend((x, bounds[i], bounds[i + 1], w) for i, w in enumerate(h.weights)
+                        if w > 0.0 or i in (0, h.n_bins + 1))
     _write_csv(outdir / "histograms.csv", ["site", "value_or_lo", "hi", "weight"], rows)
 
 
@@ -374,8 +368,9 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
     """A saved run's configuration (its recorded fields over the defaults) and
     what ``compare`` tests of it: the moment accumulators, the series and,
     for particles, the histograms.  ValueError unless ``sim_dir`` holds the
-    output of ``simulate`` with every file ``compare`` reads; a malformed
-    meta.json or histograms.csv row is one too, naming the file (and line)."""
+    output of ``simulate`` with every file ``compare`` reads; a malformed file
+    is one too, naming the file (and line): meta.json, a bad or repeated
+    histograms.csv row or site total, or series.npy of another shape."""
     path = sim_dir / "meta.json"
     with open(path) as fh:
         meta = json.load(fh)
@@ -397,15 +392,29 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
         path = sim_dir / "histograms.csv"
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
+        seen = set()
         for line, row in enumerate(rows, start=2):
             try:
                 site, value, weight = int(row[0]), int(row[1]), float(row[3])
-                if not (1 <= site <= cfg.n and value >= 0):
+                if not (1 <= site <= cfg.n and value >= 0 and 0.0 <= weight < math.inf):
                     raise ValueError
             except (IndexError, ValueError):
                 raise ValueError(f"{path} line {line} reads {','.join(row)}: it needs a site "
-                                 f"in 1..{cfg.n} and a non-negative integer value") from None
+                                 f"in 1..{cfg.n}, a count >= 0 and a finite weight >= 0") from None
+            if (site, value) in seen:
+                raise ValueError(f"{path} line {line} repeats site {site}, value {value}")
+            seen.add((site, value))
             hists[site - 1].add(value, weight)
+        for x, h in enumerate(hists, start=1):  # a site's holding times fill the window
+            total, duration = h.total(), acc["duration"]
+            if not abs(total - duration) <= 1e-9 * duration:
+                raise ValueError(f"{path}, site {x}: " + (
+                    f"weights sum to {total!r}, not to meta.json's duration {duration!r}"
+                    if total else "histogram is empty"))
+    series, shape = np.load(sim_dir / "series.npy"), (cfg.replicas, cfg.grid_samples, cfg.n)
+    if series.shape != shape:
+        raise ValueError(f"{sim_dir / 'series.npy'} has shape {series.shape}, not the "
+                         f"(replicas, grid_samples, n) = {shape} in meta.json")
     stats = OccupationStats(
         n_sites=cfg.n,
         model=cfg.model,
@@ -413,7 +422,7 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
         mean_acc=np.array(acc["mean_acc"]),
         second_acc=np.array(acc["second_acc"]),
         hists=hists,
-        series=list(np.load(sim_dir / "series.npy")),
+        series=list(series),
     )
     return cfg, stats
 
@@ -594,9 +603,14 @@ _LEAST = {"replicas": 1, "workers": 1, "grid_samples": 2, "samples": 2,
 
 def check_options(cfg: RunConfig, given: set[str]) -> None:
     """ValueError if an option set by flag or file is one the run does not
-    read (see ``READS``), or holds a value no run can honour."""
+    read (see ``READS``; telescoping reads --tol only for a quadrature size and
+    --seed only for a Monte Carlo one), or holds a value no run can honour."""
     variant = _variant(cfg)
-    unread = sorted(given - set(READS[cfg.command][variant]) - {"out"})
+    read = set(READS[cfg.command][variant])
+    if variant == "telescoping":  # quadrature judges at --tol, Monte Carlo (at 4 SE) draws --seed
+        monte_carlo = {n > QUADRATURE_MAX_SITES for n in cfg.sizes}
+        read -= {name for name, mc in (("tol", False), ("seed", True)) if mc not in monte_carlo}
+    unread = sorted(given - read - {"out"})
     if unread:
         raise ValueError(f"{cfg.command} ({variant}) does not use "
                          + ", ".join(map(_flag, unread)))

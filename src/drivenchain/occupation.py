@@ -108,9 +108,6 @@ class IntHistogram:
     def total(self) -> float:
         return float(sum(self.weights))
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.arange(len(self.weights)), np.asarray(self.weights)
-
 
 class BinnedHistogram:
     """Log-spaced bins on (lo, hi] plus underflow and overflow slots.
@@ -145,9 +142,6 @@ class BinnedHistogram:
         out[inside] = np.minimum(((logs - self._log_lo) / self._dlog).astype(np.intp) + 1,
                                  self.n_bins)
         return out
-
-    def add(self, value: float, w: float) -> None:
-        self.weights[self.index(np.array([value], dtype=float))[0]] += w
 
     def merge(self, other: "BinnedHistogram") -> None:
         if (other.lo, other.hi, other.n_bins) != (self.lo, self.hi, self.n_bins):
@@ -339,7 +333,8 @@ class _Blocks:
     has reached, so the series is done up to it.  A flush forward-fills each
     change's view of the sites from the state its block opened on (``seen``)
     and gathers every statistic from it: old values and steps, the offsets
-    (``np.cumsum`` along each site's changes), the second-moment rows, the
+    (one ``np.cumsum`` down the opening offsets and a row per change holding
+    its step * time in its site's column), the second-moment rows, the
     holding times into the histograms, and the series with its observer calls.
     """
 
@@ -379,19 +374,15 @@ class _Blocks:
         values = np.concatenate((opened[0], new))
         old = values[before]
         step = old - new
-        # Column j of a site's ladder row is its offset after its j-th change.
-        counts = np.bincount(sites, minlength=n)
-        rank = np.empty(k, np.intp)
-        rank[np.argsort(sites, kind="stable")] = np.arange(k) - np.repeat(
-            np.cumsum(counts) - counts, counts)
-        ladder = np.zeros((n, counts.max(initial=0) + 1))
-        ladder[:, 0] = opened[1]
-        ladder[sites, rank + 1] = step * times
-        np.cumsum(ladder, axis=1, out=ladder)
-        offsets = np.concatenate((opened[1], ladder[sites, rank + 1]))
+        # Row i: the offsets change i finds (row k: after the block).  Each column
+        # sums its site's steps in change order; other sites' zeros add exactly.
+        offsets = np.zeros((k + 1, n))
+        offsets[0] = opened[1]
+        offsets[np.arange(1, k + 1), sites] = step * times
+        np.cumsum(offsets, axis=0, out=offsets)
         added = values[seen[:k]]
         added *= times[:, None]
-        added += offsets[seen[:k]]
+        added += offsets[:k]
         added *= step[:, None]
         # One flat index per entry: the 1-D np.add.at is the fast one.
         np.add.at(self.rows.reshape(-1), (sites[:, None] * n + np.arange(n)).ravel(),
@@ -409,7 +400,7 @@ class _Blocks:
                     for obs in self.observers:
                         obs(t, state)
             self.next_grid = stop
-        self.opened = values[seen[k]], offsets[seen[k]], lasts[seen[k]]
+        self.opened = values[seen[k]], offsets[k], lasts[seen[k]]
 
     def _hist_add(self, sites: np.ndarray, values: np.ndarray, held: np.ndarray) -> None:
         """Add held[i] to site sites[i]'s histogram at values[i]'s bin, in order."""
@@ -465,9 +456,10 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
     one ``state.new_hist()`` per site and run, takes ``old`` for the time
     since x's last change.  The window opens on the state at burn_in, with
     offset[x] = -eta_x * burn_in.  A flush does a scalar loop's float
-    operations in change order, so no statistic depends on the block
-    length.  At t_max every site closes: I_x(t_max) is mean_acc[x], row x
-    gains eta_x * I_y(t_max), and the rows, symmetric up to rounding, are
+    operations in change order (its offsets sum down one column per site,
+    where other sites' zeros add exactly), so no statistic depends on the
+    block length.  At t_max every site closes: I_x(t_max) is mean_acc[x],
+    row x gains eta_x * I_y(t_max), and the rows, symmetric up to rounding, are
     averaged with their transpose into second_acc.
 
     The clock, the counts and the fluxes start at zero in local variables,

@@ -9,10 +9,10 @@ size, and profile/covariance standard errors carry the same correction.
 :func:`integrated_autocorr_time` is the one kernel for those times: it takes
 a block of series (or an iterator of blocks) and runs one rfft/irfft per
 memory-bounded chunk of rows, each time equal bit for bit to that of the
-series alone.  :func:`profile_report` feeds it the site series and the
-centred pair products a chunk at a time.  ``ProfileReport.from_errors``
-rebuilds a report from known standard errors, which is how ``compare``
-re-checks the report ``simulate`` wrote instead of computing it again.
+series alone.  :func:`profile_report` feeds it one stream per replica: the
+site series, then the centred pair products, a chunk at a time.  Rebuilt
+from known standard errors by ``ProfileReport.from_errors``, a report is
+re-checked by ``compare``, not computed again.
 """
 
 from __future__ import annotations
@@ -166,6 +166,11 @@ def _series_mean_se(blocks: Iterator[np.ndarray]) -> np.ndarray:
     return np.where(var == 0.0, 0.0, np.sqrt(var * tau / length))
 
 
+def _inconclusive(name: str, effective_n: float, note: str, statistic: float = np.nan) -> GofResult:
+    """A verdict the data cannot give, with no degrees of freedom or p-value."""
+    return GofResult(name, statistic, 0, effective_n, np.nan, bins_note=note, inconclusive=True)
+
+
 def chi_square_discrete(observed, expected_pmf, effective_n: float) -> GofResult:
     """Chi-square test of a time-weighted occupation histogram.
 
@@ -183,10 +188,7 @@ def chi_square_discrete(observed, expected_pmf, effective_n: float) -> GofResult
     if total <= 0.0:
         raise ValueError("observed histogram is empty")
     if effective_n < MIN_EFFECTIVE_SAMPLES:
-        return GofResult(
-            "chi-square", float("nan"), 0, effective_n, float("nan"),
-            bins_note="insufficient effective samples", inconclusive=True,
-        )
+        return _inconclusive("chi-square", effective_n, "insufficient effective samples")
     values = np.arange(len(weights))
     p = np.asarray(expected_pmf(values), dtype=float)
     obs = effective_n * weights / total
@@ -206,11 +208,8 @@ def chi_square_discrete(observed, expected_pmf, effective_n: float) -> GofResult
             merged_exp.append(acc_e)
             acc_o = acc_e = 0.0
     if not merged_obs:
-        return GofResult(
-            "chi-square", float("nan"), 0, effective_n, float("nan"),
-            bins_note="no cell reaches the minimum expected count",
-            inconclusive=True,
-        )
+        return _inconclusive("chi-square", effective_n,
+                             "no cell reaches the minimum expected count")
     merged_obs[-1] += acc_o
     merged_exp[-1] += acc_e
     o_arr = np.array(merged_obs)
@@ -218,10 +217,7 @@ def chi_square_discrete(observed, expected_pmf, effective_n: float) -> GofResult
     stat = float(((o_arr - e_arr) ** 2 / e_arr).sum())
     dof = len(o_arr) - 1
     if dof < 1:
-        return GofResult(
-            "chi-square", stat, 0, effective_n, float("nan"),
-            bins_note="fewer than two cells after merging", inconclusive=True,
-        )
+        return _inconclusive("chi-square", effective_n, "fewer than two cells after merging", stat)
     p_value = float(_sps.chi2.sf(stat, dof))
     return GofResult(
         "chi-square", stat, dof, effective_n, p_value,
@@ -239,10 +235,7 @@ def ks_continuous(samples, expected_cdf, effective_n: float) -> GofResult:
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if effective_n < MIN_EFFECTIVE_SAMPLES:
-        return GofResult(
-            "ks", float("nan"), 0, effective_n, float("nan"),
-            bins_note="insufficient effective samples", inconclusive=True,
-        )
+        return _inconclusive("ks", effective_n, "insufficient effective samples")
     cdf = np.asarray(expected_cdf(x), dtype=float)
     grid = np.arange(1, n + 1) / n
     d_plus = float(np.max(grid - cdf))
@@ -337,23 +330,22 @@ def profile_report(stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:
     n = stats.n_sites
     emp_mean = stats.mean()
     first, second = np.triu_indices(n)
-    # Squared errors summed over replicas as Python floats: x ** 2 is C pow,
-    # which x * x does not always match to the last bit.
-    mean_sq = [0.0] * n
-    cov_sq = [0.0] * len(first)
+    # Squared errors (sites, then pairs) summed over replicas as Python
+    # floats: x ** 2 is C pow, which x * x does not always match to the last bit.
+    sq = [0.0] * (n + len(first))
     for s in stats.series:
         step = _chunk_rows(len(s))
         sites = s.T
-        mean_se = _series_mean_se(sites[k:k + step] for k in range(0, n, step))
-        mean_sq = [a + b ** 2 for a, b in zip(mean_sq, mean_se.tolist())]
 
-        def products():
+        def chunks():
+            for k in range(0, n, step):
+                yield sites[k:k + step]
             for k in range(0, len(first), step):
                 i, j = first[k:k + step], second[k:k + step]
                 yield (sites[i] - emp_mean[i, np.newaxis]) * (sites[j] - emp_mean[j, np.newaxis])
 
-        cov_sq = [a + b ** 2 for a, b in zip(cov_sq, _series_mean_se(products()).tolist())]
-    r = len(stats.series)
-    rep = ProfileReport.from_errors(stats, spec, np.sqrt(mean_sq) / r, np.sqrt(cov_sq) / r)
-    rep.notes["autocorr_series"] = r * (n + len(first))
+        sq = [a + b ** 2 for a, b in zip(sq, _series_mean_se(chunks()).tolist())]
+    se = np.sqrt(sq) / len(stats.series)
+    rep = ProfileReport.from_errors(stats, spec, se[:n], se[n:])
+    rep.notes["autocorr_series"] = len(stats.series) * len(sq)
     return rep

@@ -398,6 +398,19 @@ class TestVerify:
         assert run_cli(["verify", "--suite", "telescoping", "--sizes", "6",
                         "--mc-samples", "1000", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("flags, unread", [
+        (["--sizes", "6", "--mc-samples", "1000", "--tol", "1e-3"], "--tol"),  # 4 SE, not tol
+        (["--sizes", "1,2", "--seed", "3"], "--seed"),  # quadrature draws nothing
+    ], ids=["tol-monte-carlo-only", "seed-quadrature-only"])
+    def test_telescoping_option_no_size_reads_exits_2(self, tmp_path, flags, unread, capsys):
+        out = tmp_path / "ver11"
+        assert run_cli(["verify", "--suite", "telescoping", *flags, "--out", str(out)]) == 2
+        assert f"does not use {unread}" in capsys.readouterr().err
+        assert not out.exists()
+        # Mixed sizes read both.
+        cfg = cli.RunConfig(command="verify", suite="telescoping", sizes=(1, 6), seed=3, tol=1e-3)
+        cli.check_options(cfg, {"suite", "sizes", "seed", "tol"})
+
     def test_telescoping_sizes_flag(self, tmp_path):
         out = tmp_path / "ver3"
         rc = run_cli(["verify", "--suite", "telescoping", "--sizes", "1,2",
@@ -514,7 +527,10 @@ class TestCompare:
         (0, "0"),   # a site below 1, once filed under the last site
         (0, "9"),   # a site beyond n = 3
         (1, "-1"),  # a negative count
-    ], ids=["site-0", "site-9", "value-minus-1"])
+        (3, "nan"),  # once read, then a nan chi-square and exit 3
+        (3, "-0.5"),
+        (3, "inf"),
+    ], ids=["site-0", "site-9", "value-minus-1", "weight-nan", "weight-negative", "weight-inf"])
     def test_malformed_histogram_row_exits_2(self, tmp_path, column, value, capsys):
         sim = simulate_small(tmp_path / "sim")
         lines = (sim / "histograms.csv").read_text().splitlines()
@@ -525,6 +541,35 @@ class TestCompare:
         out = tmp_path / "cmp"
         assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
         assert f"{sim / 'histograms.csv'} line 2 reads {lines[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda lines: [*lines[:2], lines[1], *lines[2:]], "line 3 repeats site 1, value"),
+        (lambda lines: [lines[0], lines[1].rpartition(",")[0] + ",1.5", *lines[2:]],
+         "site 1: weights sum to"),
+    ], ids=["repeated-row", "sum-short-of-duration"])
+    def test_histogram_off_the_run_exits_2(self, tmp_path, edit, says, capsys):
+        sim = simulate_small(tmp_path / "sim")
+        path = sim / "histograms.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and says in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cut", [
+        lambda series: series[:, :, :-1],  # a site short
+        lambda series: series[:, ::2],     # a run on another grid
+        lambda series: np.concatenate([series, series]),  # a replica too many
+    ], ids=["site-short", "other-grid", "extra-replica"])
+    def test_series_of_another_shape_exits_2(self, tmp_path, cut, capsys):
+        sim = simulate_small(tmp_path / "sim")
+        path = sim / "series.npy"
+        np.save(path, cut(np.load(path)))
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
+        assert f"{path} has shape" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name, line, column", [
@@ -611,7 +656,7 @@ class TestNumericOptions:
         out = tmp_path / "out"
         rest = {"simulate": ["--n", "2", "--t-max", "5"], "sample-exact": ["--n", "2"],
                 "compare": ["--sim", str(tmp_path)],
-                "verify": ["--suite", "telescoping"]}[command]
+                "verify": ["--suite", "telescoping", "--sizes", "1,6"]}[command]
         assert run_cli([command, flag, value, *rest, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()

@@ -203,10 +203,14 @@ def test_lazy_accumulator_matches_dense_rewalk(monkeypatch, reference_run, name)
             if isinstance(h, IntHistogram):
                 expect = np.bincount(x[:, site].astype(int), weights=w)
             else:
-                oracle = BinnedHistogram(h.lo, h.hi, h.n_bins)
-                for v, wi in zip(x[:, site], w):
-                    oracle.add(v, wi)
-                expect = np.array(oracle.weights)
+                # Slot 0 at or below lo, n_bins + 1 above hi, else the log bin.
+                log_lo = math.log(h.lo)
+                dlog = (math.log(h.hi) - log_lo) / h.n_bins
+                expect = np.zeros(h.n_bins + 2)
+                for v, wi in zip(x[:, site].tolist(), w):
+                    slot = (0 if v <= h.lo else h.n_bins + 1 if v > h.hi
+                            else min(int((math.log(v) - log_lo) / dlog) + 1, h.n_bins))
+                    expect[slot] += wi
             assert len(h.weights) == len(expect)
             np.testing.assert_allclose(h.weights, expect, rtol=1e-12, atol=0.0)
         assert accumulator_hashes(st) == PINNED_ACC[name]
