@@ -185,6 +185,8 @@ def _run_replicas(cfg: RunConfig, params: ChainParams) -> OccupationStats:
     if cfg.replicas == 1 or workers == 1:
         results = [_replica_job(j) for j in jobs]
     else:
+        if Model(cfg.model) is Model.CONTINUOUS:
+            import scipy.special  # noqa: F401  loaded once here, inherited by each forked worker
         with ProcessPoolExecutor(max_workers=min(workers, cfg.replicas)) as pool:
             results = list(pool.map(_replica_job, jobs))
     merged = results[0]

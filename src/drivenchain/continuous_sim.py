@@ -19,6 +19,10 @@ removal floor, and the samplers below.  A run fails with RuntimeError on a
 removal picked at a site at or below the cutoff, on rate-cache drift past
 ``occupation.RESYNC_DRIFT_TOL``, on an energy balance off by more than
 ``occupation.MASS_TOL`` relative, or on a negative energy.
+
+The injection rate E1 comes from ``scipy.special.exp1``, imported by the
+first ``InjectionSampler``: importing this module does not load
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import exp1
 
 from .core import ChainParams, make_rng
 from .measure import Model
@@ -80,6 +83,8 @@ class InjectionSampler:
     def __init__(self, temperature: float, epsilon: float) -> None:
         if temperature <= 0.0 or epsilon <= 0.0:
             raise ValueError("need temperature > 0 and epsilon > 0")
+        from scipy.special import exp1
+
         self.temperature = temperature
         self.epsilon = epsilon
         self.split = max(epsilon, temperature)

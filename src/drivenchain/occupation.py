@@ -131,16 +131,26 @@ class BinnedHistogram:
 
     def index(self, values: np.ndarray) -> np.ndarray:
         """The slot of each value: 0 at or below lo, n_bins + 1 above hi, else
-        1 + the truncated (log(value) - log(lo)) / dlog, at most n_bins.
+        1 + the truncated q = (log(value) - log(lo)) / dlog, at most n_bins,
+        with log the scalar ``math.log``.
 
-        ``math.log``, not ``np.log``: the two differ in the last bit for some
-        inputs, and a value on a bin edge would change bins.
+        ``np.log`` and ``math.log`` differ in the last bits for some inputs,
+        and a value on a bin edge would change bins, so q is taken from
+        ``np.log`` and recomputed with ``math.log`` wherever its log lies
+        within 1e-9 of an edge (q within 1e-9 / dlog of an integer).  That
+        covers every value the two logs could split: they differ by a few
+        ulps of |log(value)| <= 745, under 1e-12, and the subtraction and
+        division round monotonically, so moving log(value) by d moves q by at
+        most d / dlog plus an ulp of q.
         """
         inside = (values > self.lo) & (values <= self.hi)
-        logs = np.fromiter(map(math.log, values[inside].tolist()), float)
+        kept = values[inside]
+        q = (np.log(kept) - self._log_lo) / self._dlog
+        near = np.abs(q - np.rint(q)) * self._dlog < 1e-9
+        q[near] = (np.fromiter(map(math.log, kept[near].tolist()), float)
+                   - self._log_lo) / self._dlog
         out = np.where(values > self.hi, self.n_bins + 1, 0)
-        out[inside] = np.minimum(((logs - self._log_lo) / self._dlog).astype(np.intp) + 1,
-                                 self.n_bins)
+        out[inside] = np.minimum(q.astype(np.intp) + 1, self.n_bins)
         return out
 
     def merge(self, other: "BinnedHistogram") -> None:

@@ -13,6 +13,11 @@ series alone.  :func:`profile_report` feeds it one stream per replica: the
 site series, then the centred pair products, a chunk at a time.  Rebuilt
 from known standard errors by ``ProfileReport.from_errors``, a report is
 re-checked by ``compare``, not computed again.
+
+The p-values import scipy where they are taken, so importing this module
+loads neither ``scipy.special`` nor ``scipy.stats``: the chi-square test uses
+``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf`` calls, and only
+the KS test loads ``scipy.stats``, for the exact finite-n law ``kstwo``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _sps
 
 from .measure import MixtureSpec, moment_profile
 from .occupation import IntHistogram, OccupationStats
@@ -218,7 +222,9 @@ def chi_square_discrete(observed, expected_pmf, effective_n: float) -> GofResult
     dof = len(o_arr) - 1
     if dof < 1:
         return _inconclusive("chi-square", effective_n, "fewer than two cells after merging", stat)
-    p_value = float(_sps.chi2.sf(stat, dof))
+    from scipy.special import chdtrc  # what scipy.stats.chi2.sf calls
+
+    p_value = float(chdtrc(dof, stat))
     return GofResult(
         "chi-square", stat, dof, effective_n, p_value,
         bins_note=f"{len(o_arr)} cells, min expected {e_arr.min():.1f}",
@@ -241,7 +247,9 @@ def ks_continuous(samples, expected_cdf, effective_n: float) -> GofResult:
     d_plus = float(np.max(grid - cdf))
     d_minus = float(np.max(cdf - (grid - 1.0 / n)))
     stat = max(d_plus, d_minus)
-    p_value = float(_sps.kstwo.sf(stat, max(int(effective_n), 1)))
+    from scipy.stats import kstwo  # exact two-sided finite-n law; scipy.special has none
+
+    p_value = float(kstwo.sf(stat, max(int(effective_n), 1)))
     return GofResult("ks", stat, 0, effective_n, p_value,
                      bins_note=f"{n} samples")
 

@@ -472,6 +472,34 @@ def test_the_state_fixes_what_a_run_records(model):
         st.check_run(0.0, slipped)
 
 
+def scalar_slot(h: BinnedHistogram, v: float) -> int:
+    """The bin rule one value at a time, with ``math.log``."""
+    if v <= h.lo:
+        return 0
+    if v > h.hi:
+        return h.n_bins + 1
+    log_lo = math.log(h.lo)
+    dlog = (math.log(h.hi) - log_lo) / h.n_bins
+    return min(int((math.log(v) - log_lo) / dlog) + 1, h.n_bins)
+
+
+@pytest.mark.parametrize("lo, hi, n_bins", [
+    (10 * continuous_sim.default_epsilon(C5), 50 * C5.t_b, 256),  # a run's site histograms
+    (1e-3, 7.0, 4096),
+    (0.3, 0.31, 1000),
+    (1.0, 1.0 + 1e-9, 256),
+])
+def test_binned_index_matches_the_scalar_rule_on_and_around_every_edge(lo, hi, n_bins):
+    h = BinnedHistogram(lo, hi, n_bins)
+    edges = h.edges()
+    ulps = [edges]
+    for _ in range(3):
+        ulps = [np.nextafter(ulps[0], 0.0), *ulps, np.nextafter(ulps[-1], np.inf)]
+    draws = np.exp(make_rng(7).uniform(math.log(lo) - 0.1, math.log(hi) + 0.1, 100_000))
+    values = np.concatenate([*ulps, draws, [lo, hi, 0.0, np.inf]])
+    assert h.index(values).tolist() == [scalar_slot(h, v) for v in values.tolist()]
+
+
 @pytest.mark.parametrize("factory, key, start", [
     (new_state, "eta0", [1.5, 0.7]),
     (new_state, "eta0", [math.nan, 0]),

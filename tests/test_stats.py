@@ -217,6 +217,39 @@ class TestChiSquare:
             chi_square_discrete(np.zeros(3), lambda v: geometric_pmf(1.0, v), 500.0)
 
 
+class TestChiSquarePValue:
+    """The p-value is ``scipy.special.chdtrc(dof, stat)``, the function
+    ``scipy.stats.chi2.sf(stat, dof)`` calls: equal bit for bit, with no
+    ``scipy.stats`` import on the discrete path."""
+
+    @staticmethod
+    def assert_bits_equal(dof, stat):
+        from scipy.special import chdtrc
+
+        got = np.asarray(chdtrc(dof, stat), dtype=float)
+        want = np.asarray(sps.chi2.sf(stat, dof), dtype=float)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_edges_for_every_dof_to_500(self):
+        dof = np.arange(1, 501)
+        for stat in (0.0 * dof, np.full(500, 1e-300), np.full(500, 1e-12),
+                     dof.astype(float), 10.0 * dof):
+            self.assert_bits_equal(dof, stat)
+
+    def test_drawn_grid(self):
+        rng = make_rng(25)
+        dof = rng.integers(1, 501, size=50_000)
+        stat = dof * np.exp(rng.uniform(-12.0, 3.0, size=dof.size))
+        self.assert_bits_equal(dof, stat)
+
+    def test_gof_p_value_is_chi2_sf(self):
+        for m, seed in [(1.0, 1), (1.0, 2), (1.05, 3), (1.2, 4)]:
+            draws = make_rng(seed).geometric(1.0 / 2.0, size=4_000) - 1
+            g = chi_square_discrete(np.bincount(draws).astype(float),
+                                    lambda v: geometric_pmf(m, v), 4_000.0)
+            assert g.p_value == float(sps.chi2.sf(g.statistic, g.dof))
+
+
 class TestKs:
     def test_null_calibration(self):
         ps = []
