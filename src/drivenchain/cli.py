@@ -287,6 +287,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "extracted_b": stats.extracted_b,
         },
         "autocorr_series": rep.notes["autocorr_series"],
+        "covariance_error": rep.notes["covariance_error"],
         **_run_counters(stats),
     })
     t3 = time.perf_counter()

@@ -98,6 +98,14 @@ def exponential_pdf(m, z):
     return _checked(_exponential_pdf, "exponential_pdf", "z", m, z)
 
 
+# E[v**k | m] for k = 0..4 as coefficients of m**0, m**1, ...  A geometric
+# count has factorial moments E[(v)_j] = j! m**j, so E[v**k] = sum_j S(k, j)
+# j! m**j with S the Stirling numbers of the second kind; an exponential
+# energy has E[v**k] = k! m**k.
+_GEOMETRIC_MOMENTS = ((1,), (0, 1), (0, 1, 2), (0, 1, 6, 6), (0, 1, 14, 36, 24))
+_EXPONENTIAL_MOMENTS = ((1,), (0, 1), (0, 0, 2), (0, 0, 0, 6), (0, 0, 0, 0, 24))
+
+
 @dataclass(frozen=True)
 class SiteLaw:
     """What a chain's stationary law needs of its site law of mean m.
@@ -115,7 +123,7 @@ class SiteLaw:
     kernel: Callable  # law(m, v) unchecked, for validated m > 0, v >= 0
     marginal_kernel: Callable  # (m, v) -> the pmf (counts) or the CDF (energies) at v
     draw: Callable  # (rng, m) -> one site value per mean
-    variance_slope: float  # Var(site | m) = variance_slope * m + m**2
+    moments: tuple  # moments[k][j]: coefficient of m**j in E[v**k | m], k <= 4
 
     @property
     def integral(self) -> bool:
@@ -129,14 +137,14 @@ class Model(str, Enum):
     DISCRETE = ("discrete", SiteLaw(
         interval=lambda p: (p.rho_a, p.rho_b), argument="lam", coefficient=lambda s: 1.0 - s,
         argument_floor=0.0, dtype=np.int64, law=geometric_pmf, kernel=_geometric_pmf,
-        marginal_kernel=_geometric_pmf, variance_slope=1.0,
+        marginal_kernel=_geometric_pmf, moments=_GEOMETRIC_MOMENTS,
         # numpy's geometric counts trials >= 1; the occupation counts failures.
         draw=lambda rng, m: rng.geometric(1.0 / (1.0 + m)) - 1))
     CONTINUOUS = ("continuous", SiteLaw(
         interval=lambda p: (p.t_a, p.t_b), argument="t", coefficient=lambda s: -s,
         argument_floor=-math.inf, dtype=np.float64, law=exponential_pdf,
         kernel=_exponential_pdf, marginal_kernel=lambda m, z: 1.0 - np.exp(-z / m),
-        variance_slope=0.0, draw=lambda rng, m: rng.exponential(m)))
+        moments=_EXPONENTIAL_MOMENTS, draw=lambda rng, m: rng.exponential(m)))
 
     def __new__(cls, value: str, site: SiteLaw):
         member = str.__new__(cls, value)
@@ -194,6 +202,7 @@ class DensityEstimate:
 class ProfileMoments:
     means: np.ndarray
     covariance: np.ndarray
+    product_variance: np.ndarray  # Var((v_x - mu_x)(v_y - mu_y)), (n, n)
 
 
 def _site(spec: MixtureSpec, model: Model) -> SiteLaw:
@@ -423,16 +432,34 @@ def marginal_cdf_continuous(spec: MixtureSpec, x: int, z) -> np.ndarray | float:
     return _marginal(Model.CONTINUOUS, spec, x, z)
 
 
+def _rising(q, k: int):
+    """The rising factorial (q)_k = q (q + 1) ... (q + k - 1), elementwise."""
+    out = np.ones_like(q, dtype=float)
+    for t in range(k):
+        out = out * (q + t)
+    return out
+
+
 def moment_profile(spec: MixtureSpec) -> ProfileMoments:
-    """Exact site means and covariance matrix of the stationary law.
+    """Exact site means, covariance matrix and product variances of the stationary law.
 
     Site means are linear in position.  Off-diagonal covariances equal the
     covariances of the hidden profile (sites are independent given the
     profile); diagonals add the conditional geometric/exponential variance
     through the law of total variance.
+
+    ``product_variance[x, y]`` is the variance of the centred pair product
+    (v_x - mu_x)(v_y - mu_y), the series whose mean is a covariance.  Given
+    the profile the sites are independent, and the site law's ``moments``
+    make each conditional moment a polynomial of degree <= 4 in the profile.
+    With m = lo + (hi - lo) u, the joint moments of uniform order statistics,
+    E[U_(i)**a U_(j)**b] = (i)_a (j + a)_b / (n + 1)_{a + b} for i <= j,
+    turn it into a finite sum: E[(v_x - mu_x)**4] - var_x**2 on the
+    diagonal, and E[(v_x - mu_x)**2 (v_y - mu_y)**2] - cov_xy**2 off it.
     """
     lo, hi = spec.interval
     n = spec.params.n
+    site = spec.model.site
     x = np.arange(1, n + 1, dtype=float)
     width = hi - lo
     means = lo + width * x / (n + 1)
@@ -442,5 +469,21 @@ def moment_profile(spec: MixtureSpec) -> ProfileMoments:
     xi = np.minimum.outer(x, x)
     yj = np.maximum.outer(x, x)
     cov = width**2 * xi * (n + 1 - yj) / ((n + 1) ** 2 * (n + 2))
-    np.fill_diagonal(cov, spec.model.site.variance_slope * means + 2.0 * e_m2 - means**2)
-    return ProfileMoments(means=means, covariance=cov)
+    np.fill_diagonal(cov, site.moments[2][1] * means + site.moments[2][2] * e_m2 - means**2)
+    # raw[k, i]: the coefficient of u**i in E[v**k | m = lo + width u].
+    table = np.zeros((5, 5))
+    for k, row in enumerate(site.moments):
+        table[k, :len(row)] = row
+    shift = np.array([[math.comb(j, i) * lo ** (j - i) * width**i if i <= j else 0.0
+                       for i in range(5)] for j in range(5)])
+    raw = table @ shift
+    mu = means[:, np.newaxis]
+    # Per site, the coefficients in u of E[(v_x - mu_x)**k | u] for k = 2 and 4.
+    second, fourth = (sum(math.comb(k, i) * (-mu) ** (k - i) * raw[i] for i in range(k + 1))
+                      for k in (2, 4))
+    joint = sum(second[xi.astype(int) - 1, a] * second[yj.astype(int) - 1, b]
+                * _rising(xi, a) * _rising(yj + a, b) / _rising(n + 1.0, a + b)
+                for a in range(3) for b in range(3))
+    np.fill_diagonal(joint, sum(fourth[:, a] * _rising(x, a) / _rising(n + 1.0, a)
+                                for a in range(5)))
+    return ProfileMoments(means=means, covariance=cov, product_variance=joint - cov**2)

@@ -4,15 +4,18 @@ Trajectory data are time-weighted and autocorrelated, so nothing here assumes
 i.i.d. input: effective sample sizes come from the integrated autocorrelation
 time of the evenly spaced trajectory series (Geyer's initial positive
 sequence estimator), histogram tests scale their counts by that effective
-size, and profile/covariance standard errors carry the same correction.
+size, and profile standard errors carry the same correction; covariance
+standard errors carry a batch-means one.
 
 :func:`integrated_autocorr_time` is the one kernel for those times: it takes
-a block of series (or an iterator of blocks) and runs one rfft/irfft per
-memory-bounded chunk of rows, each time equal bit for bit to that of the
-series alone.  :func:`profile_report` feeds it one stream per replica: the
-site series, then the centred pair products, a chunk at a time.  Rebuilt
-from known standard errors by ``ProfileReport.from_errors``, a report is
-re-checked by ``compare``, not computed again.
+a block of series and runs one rfft/irfft per memory-bounded chunk of rows,
+each time equal bit for bit to that of the series alone.
+:func:`profile_report` feeds it each replica's site series.  Covariance
+errors need no such time per pair: they take the variance of each centred
+pair product from the exact law and a batch-means time from the product
+series, built a tile of site pairs at a time.  Rebuilt from known
+standard errors by ``ProfileReport.from_errors``, a report is re-checked by
+``compare``, not computed again.
 
 The p-values import scipy where they are taken, so importing this module
 loads neither ``scipy.special`` nor ``scipy.stats``: the chi-square test uses
@@ -22,7 +25,7 @@ the KS test loads ``scipy.stats``, for the exact finite-n law ``kstwo``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +78,8 @@ def _chunk_rows(length: int) -> int:
 def integrated_autocorr_time(series):
     """Integrated autocorrelation time via the initial positive sequence.
 
-    ``series`` is one series (the result is a float), a (k, samples) block
-    of k series, or an iterator of such blocks, all with the same number of
-    samples, such as chunks built on the fly (the result is one time per
+    ``series`` is one series (the result is a float) or a (k, samples) block
+    of k series, which may be a strided view (the result is one time per
     row, in order).  FFT autocovariances, summed over consecutive lag pairs
     while those pair sums stay positive.  Clamped below at 1 (a conservative
     floor: shorter times would only enlarge the claimed effective sample).
@@ -85,45 +87,36 @@ def integrated_autocorr_time(series):
     rfft/irfft per chunk, and each row's time equals, bit for bit, the time
     of that row on its own.
     """
-    if isinstance(series, Iterator):
-        blocks = series
-    else:
-        x = np.asarray(series)
-        if x.ndim == 1:
-            return float(integrated_autocorr_time(x[np.newaxis])[0])
-        blocks = iter([x])
-    taus = [np.ones(0)]
-    padded = np.empty((0, 0))
-    for block in blocks:
-        rows, n = block.shape
-        tau = np.ones(rows)
-        taus.append(tau)
-        if n < 8:
-            continue
-        nfft = 1 << (2 * n - 1).bit_length()
-        step = _chunk_rows(n)
-        if padded.shape[1] != nfft or len(padded) < min(rows, step):
-            # Shared by every chunk: fresh buffers would be paged in anew.
-            padded = np.empty((min(rows, step), nfft))
-            spectrum = np.empty((len(padded), nfft // 2 + 1), dtype=complex)
-        for start in range(0, rows, step):
-            chunk = block[start:start + step]
-            centred = padded[:len(chunk), :n]
-            centred[:] = chunk  # contiguous rows: means sum as a 1-D mean does
-            centred -= centred.mean(axis=1, keepdims=True)
-            live = ~(np.einsum("ij,ij->i", centred, centred) <= 0.0)  # constant rows keep 1
-            k = int(np.count_nonzero(live))
-            if k < len(chunk):
-                centred[:k] = centred[live]
-            padded[:k, n:] = 0.0
-            np.fft.rfft(padded[:k], axis=1, out=spectrum[:k])
-            for row in spectrum[:k]:
-                # A fresh product per row: numpy's complex multiply rounds an
-                # in-place row differently depending on where the row starts.
-                row[:] = row * np.conj(row)
-            np.fft.irfft(spectrum[:k], nfft, axis=1, out=padded[:k])
-            tau[start:start + step][live] = _geyer_sum(padded[:k, :n])
-    return np.concatenate(taus)
+    x = np.asarray(series)
+    if x.ndim == 1:
+        return float(integrated_autocorr_time(x[np.newaxis])[0])
+    rows, n = x.shape
+    tau = np.ones(rows)
+    if n < 8:
+        return tau
+    nfft = 1 << (2 * n - 1).bit_length()
+    step = _chunk_rows(n)
+    # Shared by every chunk: fresh buffers would be paged in anew.
+    padded = np.empty((min(rows, step), nfft))
+    spectrum = np.empty((len(padded), nfft // 2 + 1), dtype=complex)
+    for start in range(0, rows, step):
+        chunk = x[start:start + step]
+        centred = padded[:len(chunk), :n]
+        centred[:] = chunk  # contiguous rows: means sum as a 1-D mean does
+        centred -= centred.mean(axis=1, keepdims=True)
+        live = ~(np.einsum("ij,ij->i", centred, centred) <= 0.0)  # constant rows keep 1
+        k = int(np.count_nonzero(live))
+        if k < len(chunk):
+            centred[:k] = centred[live]
+        padded[:k, n:] = 0.0
+        np.fft.rfft(padded[:k], axis=1, out=spectrum[:k])
+        for row in spectrum[:k]:
+            # A fresh product per row: numpy's complex multiply rounds an
+            # in-place row differently depending on where the row starts.
+            row[:] = row * np.conj(row)
+        np.fft.irfft(spectrum[:k], nfft, axis=1, out=padded[:k])
+        tau[start:start + step][live] = _geyer_sum(padded[:k, :n])
+    return tau
 
 
 def _geyer_sum(acov: np.ndarray) -> np.ndarray:
@@ -151,22 +144,15 @@ def effective_sample_size(series):
     return x.shape[-1] / integrated_autocorr_time(x)
 
 
-def _series_mean_se(blocks: Iterator[np.ndarray]) -> np.ndarray:
-    """Standard errors of the means of stationary series: the rows of
-    ``blocks``, an iterator of blocks of one length."""
-    variances = []
-    length = 0
-
-    def measured():
-        nonlocal length
-        for block in blocks:
-            x = np.ascontiguousarray(block, dtype=float)  # row variances as for 1-D rows
-            variances.append(x.var(axis=1))
-            length = x.shape[1]
-            yield x
-
-    tau = integrated_autocorr_time(measured())
-    var = np.concatenate(variances)
+def _series_mean_se(sites: np.ndarray) -> np.ndarray:
+    """Standard errors of the means of the stationary series in the rows of
+    ``sites`` (k, L), which may be a strided view."""
+    length = sites.shape[1]
+    step = _chunk_rows(length)
+    # Contiguous chunks of rows: row variances as for 1-D rows.
+    var = np.concatenate([np.ascontiguousarray(sites[k:k + step], dtype=float).var(axis=1)
+                          for k in range(0, len(sites), step)])
+    tau = integrated_autocorr_time(sites)
     return np.where(var == 0.0, 0.0, np.sqrt(var * tau / length))
 
 
@@ -321,39 +307,104 @@ def _zscores(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
     return np.where(se == 0.0, np.where(diff == 0.0, 0.0, np.inf), z)
 
 
+# Batches per replica of each centred pair product: the covariance errors'
+# autocorrelation time comes from the variance of their means.
+COV_BATCHES = 32
+
+
+def _batch_means_tau(products: np.ndarray) -> np.ndarray:
+    """Batch-means autocorrelation times of the C-contiguous rows of
+    ``products`` (k, L), which are overwritten.
+
+    Each row splits into COV_BATCHES batches of b = L // COV_BATCHES samples
+    (the last L mod COV_BATCHES samples join none), and its time is
+    b Var(batch means, ddof 1) / Var(row), clamped below at 1 like the site
+    times.  It is 1 where the row's variance is 0, where the ratio would be
+    0/0: a constant product, as when both sites never moved.  Var(row) is
+    ``np.var``'s, bit for bit, taken in place.
+    """
+    rows, length = products.shape
+    size = length // COV_BATCHES
+    batches = products[:, :COV_BATCHES * size].reshape(rows, COV_BATCHES, size)
+    spread = batches.mean(axis=2).var(axis=1, ddof=1)
+    mean = products.sum(axis=1, keepdims=True)
+    mean /= length
+    products -= mean
+    np.square(products, out=products)
+    var = products.sum(axis=1) / length
+    live = var > 0.0
+    tau = np.ones(rows)
+    tau[live] = np.maximum(size * spread[live] / var[live], 1.0)
+    return tau
+
+
+def _pair_taus(series: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Batch-means times of the centred pair products of one replica's (L, n)
+    ``series``, (n, n) with the pair (x, y), x <= y, at [x, y].
+
+    Every time is 1 when L < 2 COV_BATCHES: batches of one sample show no
+    correlation.  The products are built a tile of sites at a time, each
+    site's samples centred at ``mean`` as a contiguous row.
+    """
+    length, n = series.shape
+    tau = np.ones((n, n))
+    if length < 2 * COV_BATCHES:
+        return tau
+    k = max(1, math.isqrt(SPECTRUM_CHUNK_BYTES // (8 * length)))  # k x k products per tile
+    left, right, products = np.empty((k, length)), np.empty((k, length)), np.empty((k * k, length))
+    for a in range(0, n, k):
+        rows = np.subtract(series[:, a:a + k].T, mean[a:a + k, np.newaxis],
+                           out=left[:min(k, n - a)])
+        for b in range(a, n, k):
+            cols = np.subtract(series[:, b:b + k].T, mean[b:b + k, np.newaxis],
+                               out=right[:min(k, n - b)])
+            tile = products[:len(rows) * len(cols)]
+            np.multiply(rows[:, np.newaxis], cols, out=tile.reshape(len(rows), len(cols), length))
+            tau[a:a + k, b:b + k] = _batch_means_tau(tile).reshape(len(rows), len(cols))
+    return tau
+
+
 def profile_report(stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:
     """Compare a run's moments with the exact stationary moments.
 
-    Means come from the exact time-weighted accumulators; their standard
-    errors from per-replica series autocorrelation times, combined as
-    independent replicas.  Covariance errors use the autocorrelation time of
-    the centred product series, built a chunk of pairs at a time.  The
-    series-based errors are exact when the sampling interval sits below the
-    autocorrelation time and conservative (over-estimates) when the grid is
-    coarser than that.  ``notes["autocorr_series"]`` counts the series whose
-    autocorrelation time the report computed.
+    Means come from the exact time-weighted accumulators.  Per replica, a
+    mean's standard error is sqrt(Var(series) tau / L) over its L grid
+    points, tau the Geyer time of the site series; replicas combine as
+    sqrt(sum_r se_r**2) / R.  ``notes["autocorr_series"]`` counts the R n
+    series whose Geyer time the report computed.
+
+    A covariance is the mean of the centred pair product (v_x - mu_x)(v_y -
+    mu_y).  Its error takes the product's variance from the claimed law
+    (``moment_profile``'s ``product_variance``), not from the product series
+    whose mean is the estimate, which moves with the estimate and skews the
+    z-scores: per replica sqrt(Var_exact tau / L), tau the batch-means time
+    of :func:`_pair_taus` (1 when L < 2 COV_BATCHES or the product is
+    constant, so the error is never 0 or NaN), replicas combined as for the
+    means.  Under the claimed law a covariance z is close to Student's t
+    with COV_BATCHES - 1 degrees of freedom: |z| >= 4 has probability about
+    3.7e-4 per entry, against 6.3e-5 for a Gaussian.
+    ``notes["covariance_error"]`` records the rule and COV_BATCHES.
+
+    The series-based times are exact when the sampling interval sits below
+    the autocorrelation time and conservative (over-estimates) when the grid
+    is coarser than that.
     """
     if stats.duration <= 0.0:
         raise ValueError("no post-burn-in time accumulated")
     n = stats.n_sites
     emp_mean = stats.mean()
     first, second = np.triu_indices(n)
+    var_exact = moment_profile(spec).product_variance[first, second]
     # Squared errors (sites, then pairs) summed over replicas as Python
     # floats: x ** 2 is C pow, which x * x does not always match to the last bit.
     sq = [0.0] * (n + len(first))
     for s in stats.series:
-        step = _chunk_rows(len(s))
-        sites = s.T
-
-        def chunks():
-            for k in range(0, n, step):
-                yield sites[k:k + step]
-            for k in range(0, len(first), step):
-                i, j = first[k:k + step], second[k:k + step]
-                yield (sites[i] - emp_mean[i, np.newaxis]) * (sites[j] - emp_mean[j, np.newaxis])
-
-        sq = [a + b ** 2 for a, b in zip(sq, _series_mean_se(chunks()).tolist())]
+        se_mean = _series_mean_se(s.T)
+        se_cov = np.sqrt(var_exact * _pair_taus(s, emp_mean)[first, second] / len(s))
+        sq = [a + b ** 2 for a, b in zip(sq, se_mean.tolist() + se_cov.tolist())]
     se = np.sqrt(sq) / len(stats.series)
     rep = ProfileReport.from_errors(stats, spec, se[:n], se[n:])
-    rep.notes["autocorr_series"] = len(stats.series) * len(sq)
+    rep.notes["autocorr_series"] = len(stats.series) * n
+    rep.notes["covariance_error"] = {"rule": "exact product variance x batch-means tau",
+                                     "batches": COV_BATCHES}
     return rep

@@ -433,7 +433,9 @@ def assert_compare_reuses_profile(sim: Path, out: Path) -> None:
     sim_meta = json.loads((sim / "meta.json").read_text())
     meta = json.loads((out / "meta.json").read_text())
     n, replicas = sim_meta["config"]["n"], sim_meta["config"]["replicas"]
-    assert sim_meta["autocorr_series"] == replicas * (n + n * (n + 1) // 2)
+    assert sim_meta["autocorr_series"] == replicas * n  # the site series only
+    assert sim_meta["covariance_error"] == {
+        "rule": "exact product variance x batch-means tau", "batches": stats.COV_BATCHES}
     assert meta["autocorr_series"] == replicas * n  # the GOF's effective sizes only
 
 
@@ -678,16 +680,20 @@ class TestNumericOptions:
 
     def test_infinite_z_fails_compare(self, tmp_path):
         # A window of 1e-6 time units holds no event whatever the seed, so every
-        # site keeps its value across the two grid points: every se is 0 and
-        # every moment misses the exact one (integer means, non-integer exact
-        # ones), so every z is inf.  Two samples leave the GOF inconclusive,
-        # so the infinite z alone fails compare; skipped, it would give exit 4.
+        # site keeps its value across the two grid points: every mean's se is 0
+        # and every mean misses the exact one (integer means, non-integer exact
+        # ones), so every mean z is inf.  The covariance errors take the exact
+        # law's product variance, so they stay finite.  Two samples leave the
+        # GOF inconclusive, so the infinite z alone fails compare; skipped, it
+        # would give exit 4.
         sim = tmp_path / "sim"
         assert run_cli(["simulate", "--n", "2", "--t-max", "50", "--burn-in", "49.999999",
                         "--seed", "0", "--grid-samples", "2", "--out", str(sim)]) == 0
-        z = [float(row["z"]) for name in ("profile.csv", "covariance.csv")
-             for row in csv.DictReader((sim / name).read_text().splitlines())]
-        assert len(z) == 5 and all(v == math.inf for v in z)
+        z_mean, z_cov = ([float(row["z"]) for row in
+                          csv.DictReader((sim / name).read_text().splitlines())]
+                         for name in ("profile.csv", "covariance.csv"))
+        assert len(z_mean) == 2 and all(v == math.inf for v in z_mean)
+        assert len(z_cov) == 3 and all(math.isfinite(v) and v != 0.0 for v in z_cov)
         out = tmp_path / "cmp"
         assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 3
         notes = {row["note"] for row in csv.DictReader((out / "gof.csv").read_text().splitlines())}

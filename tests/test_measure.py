@@ -656,3 +656,119 @@ class TestMomentProfile:
         centered = draws - draws.mean(axis=0)
         se = np.sqrt((np.mean(centered**4, axis=0) - emp_var**2) / len(draws))
         assert np.all(np.abs(emp_var - np.diag(mp.covariance)) < 4.0 * se)
+
+    @pytest.mark.parametrize("spec", [disc_spec(1), disc_spec(4), disc_spec(65), cont_spec(3),
+                                      cont_spec(7, t_a=0.25, t_b=4.0),
+                                      disc_spec(3, beta_a=0.6, beta_b=0.6)])
+    def test_covariance_bytes_of_the_variance_slope_rule(self, spec):
+        # The diagonal reads the site's moment table; its arithmetic is the
+        # former slope * m + 2 E[m^2] - m^2 with slope 1 (counts) or 0 (energies).
+        lo, hi = spec.interval
+        n = spec.params.n
+        x = np.arange(1, n + 1, dtype=float)
+        means = lo + (hi - lo) * x / (n + 1)
+        e_m2 = means**2 + (hi - lo) ** 2 * (x * (n + 1 - x) / ((n + 1) ** 2 * (n + 2)))
+        slope = 1.0 if spec.model is Model.DISCRETE else 0.0
+        cov = moment_profile(spec).covariance
+        assert np.array_equal(np.diag(cov), slope * means + 2.0 * e_m2 - means**2)
+
+
+def sympy_product_variance(spec):
+    """Var((v_x - mu_x)(v_y - mu_y)) by exact integration over the ordered box,
+    the site moments taken from the generating function, as an (n, n) float table."""
+    sympy = pytest.importorskip("sympy")
+    lo, hi = (sympy.Rational(v) for v in spec.interval)
+    n = spec.params.n
+    t, m = sympy.symbols("t m")
+    mgf = 1 / (1 + m * (1 - sympy.exp(t))) if spec.model is Model.DISCRETE else 1 / (1 - m * t)
+    raw = [sympy.diff(mgf, t, k).subs(t, 0) for k in range(5)]
+    ms = sympy.symbols(f"m1:{n + 1}")
+
+    def expect(f):  # over lo <= m_1 <= ... <= m_n <= hi, density n! / (hi - lo)^n
+        for x in range(n):
+            f = sympy.integrate(f, (ms[x], lo, ms[x + 1] if x + 1 < n else hi))
+        return sympy.factorial(n) * f / (hi - lo) ** n
+
+    mu = [expect(ms[x]) for x in range(n)]
+
+    def central(k, x):  # E[(v_x - mu_x)^k | m]
+        return sum(math.comb(k, i) * raw[i].subs(m, ms[x]) * (-mu[x]) ** (k - i)
+                   for i in range(k + 1))
+
+    out = np.empty((n, n))
+    for x in range(n):
+        for y in range(x, n):
+            if x == y:
+                value = expect(central(4, x)) - expect(central(2, x)) ** 2
+            else:
+                cov = expect((ms[x] - mu[x]) * (ms[y] - mu[y]))
+                value = expect(central(2, x) * central(2, y)) - cov**2
+            out[x, y] = out[y, x] = float(sympy.nsimplify(value))
+    return out
+
+
+class TestProductVariance:
+    """``moment_profile``'s ``product_variance``: the variance of each centred
+    pair product, in closed form from the site moment table."""
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_moment_table_matches_the_generating_function(self, model):
+        sympy = pytest.importorskip("sympy")
+        t, m = sympy.symbols("t m")
+        mgf = 1 / (1 + m * (1 - sympy.exp(t))) if model is Model.DISCRETE else 1 / (1 - m * t)
+        for k, row in enumerate(model.site.moments):
+            want = sympy.Poly(sympy.simplify(sympy.diff(mgf, t, k).subs(t, 0)), m)
+            assert list(row) == [int(c) for c in reversed(want.all_coeffs())], k
+
+    @pytest.mark.parametrize("spec", [
+        disc_spec(1), disc_spec(2), disc_spec(2, beta_a=1 / 3, beta_b=0.7),
+        cont_spec(1), cont_spec(2, t_a=1.0, t_b=2.0), cont_spec(2, t_a=0.5, t_b=2.25),
+    ], ids=["disc-n1", "disc-n2", "disc-n2-narrow", "cont-n1", "cont-n2", "cont-n2-wide"])
+    def test_matches_exact_integration(self, spec):
+        got = moment_profile(spec).product_variance
+        np.testing.assert_allclose(got, sympy_product_variance(spec), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("spec, seed", [
+        (disc_spec(4), 41), (disc_spec(5), 51),
+        (cont_spec(4, t_a=1.0, t_b=2.0), 42), (cont_spec(5, t_a=1.0, t_b=2.0), 52),
+    ], ids=["disc-n4", "disc-n5", "cont-n4", "cont-n5"])
+    def test_matches_exact_draws(self, spec, seed):
+        # 16M draws: each pair's squared centred product (v_x - mu_x)(v_y - mu_y)
+        # - cov_xy, averaged, estimates the variance; its SE from the same draws.
+        draws, batch = 16 << 20, 1 << 20
+        exact = moment_profile(spec)
+        first, second = np.triu_indices(spec.params.n)
+        cov = exact.covariance[first, second]
+        sample = sample_exact_discrete if spec.model is Model.DISCRETE else sample_exact_continuous
+        rng = make_rng(seed)
+        total = squares = 0.0
+        for _ in range(draws // batch):
+            c = sample(spec, rng, size=batch) - exact.means
+            d = c[:, first] * c[:, second] - cov
+            d *= d
+            total = total + d.sum(axis=0)
+            squares = squares + (d * d).sum(axis=0)
+        mean = total / draws
+        se = np.sqrt((squares / draws - mean**2) / draws)
+        z = (mean - exact.product_variance[first, second]) / se
+        assert np.all(np.abs(z) < 4.0), z
+
+    def test_symmetric_and_positive(self):
+        for spec in (disc_spec(65), cont_spec(40, t_a=0.5, t_b=3.0)):
+            pv = moment_profile(spec).product_variance
+            assert np.array_equal(pv, pv.T) and np.all(pv > 0.0)
+
+    def test_degenerate_interval_is_the_product_law(self):
+        # Independent sites of one mean m: Var(c_x c_y) = var^2 off the
+        # diagonal and the fourth central moment minus var^2 on it.
+        rho = 1.5
+        var, fourth = rho + rho**2, rho * (1 + rho) * (1 + 9 * rho + 9 * rho**2)
+        pv = moment_profile(disc_spec(3, beta_a=0.6, beta_b=0.6)).product_variance
+        want = np.full((3, 3), var**2)
+        np.fill_diagonal(want, fourth - var**2)
+        np.testing.assert_allclose(pv, want, rtol=1e-13)
+        t = 2.0
+        pv = moment_profile(cont_spec(3, t_a=t, t_b=t)).product_variance
+        want = np.full((3, 3), t**4)
+        np.fill_diagonal(want, 9 * t**4 - t**4)
+        np.testing.assert_allclose(pv, want, rtol=1e-13)

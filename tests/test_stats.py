@@ -154,27 +154,97 @@ class TestAutocorrelationKernel:
         assert effective_sample_size(block[2]) == got[2]
 
     def test_profile_errors_match_per_series_loop(self):
-        # The report's errors, composed from scalar taus exactly as
-        # sqrt(sum_r se_r ** 2) / r over two replicas.
+        # The report's errors from scalar references, composed exactly as
+        # sqrt(sum_r se_r ** 2) / r over two replicas: a mean's from the series
+        # variance and its Geyer time, a covariance's from the exact product
+        # variance and the batch-means time of the centred product series.
         params = ChainParams(n=3, beta_a=0.5, beta_b=0.75)
+        spec = MixtureSpec(params, Model.DISCRETE)
         parts = [simulate(params, t_max=300.0, seed=50 + i, grid_samples=512) for i in range(2)]
         st = parts[0].merge(parts[1])
-        rep = profile_report(st, MixtureSpec(params, Model.DISCRETE))
+        rep = profile_report(st, spec)
         mean = st.mean()
+        product_variance = moment_profile(spec).product_variance
 
         def se(x):
             var = float(x.var())
             return 0.0 if var == 0.0 else math.sqrt(var * scalar_tau(x) / x.size)
 
+        def se_cov(s, x, y):
+            product = (s[:, x] - mean[x]) * (s[:, y] - mean[y])
+            tau = scalar_batch_means_tau(product)
+            return math.sqrt(float(product_variance[x, y]) * tau / product.size)
+
         want_mean = [math.sqrt(sum(se(s[:, x]) ** 2 for s in st.series)) / 2 for x in range(3)]
-        want_cov = [
-            math.sqrt(sum(se((s[:, x] - mean[x]) * (s[:, y] - mean[y])) ** 2
-                          for s in st.series)) / 2
-            for x in range(3) for y in range(x, 3)
-        ]
+        want_cov = [math.sqrt(sum(se_cov(s, x, y) ** 2 for s in st.series)) / 2
+                    for x in range(3) for y in range(x, 3)]
         assert rep.se_mean.tolist() == want_mean
         assert rep.se_cov.tolist() == want_cov
-        assert rep.notes["autocorr_series"] == 2 * (3 + 6)
+        assert rep.notes["autocorr_series"] == 2 * 3
+        assert rep.notes["covariance_error"]["batches"] == stats.COV_BATCHES
+
+
+def scalar_batch_means_tau(product) -> float:
+    """One product series with a Python loop over its batches: the reference
+    the report's batch-means times must match bit for bit."""
+    size = product.size // stats.COV_BATCHES
+    var = float(product.var())
+    if size < 2 or var == 0.0:
+        return 1.0
+    means = np.array([product[k * size:(k + 1) * size].mean()
+                      for k in range(stats.COV_BATCHES)])
+    return max(size * float(means.var(ddof=1)) / var, 1.0)
+
+
+class TestCovarianceErrors:
+    """Covariance standard errors: sqrt(Var_exact tau / L) per replica, tau
+    from COV_BATCHES batch means, 1 where batches or the series cannot give it."""
+
+    PARAMS = ChainParams(n=3, beta_a=0.5, beta_b=0.75)
+    SPEC = MixtureSpec(PARAMS, Model.DISCRETE)
+
+    @pytest.mark.parametrize("grid", [1, 16, 63, 64, 200])
+    def test_short_grids(self, grid):
+        st = simulate(self.PARAMS, t_max=60.0, seed=9, grid_samples=grid)
+        with np.errstate(all="raise"):  # no 0/0 and no division by zero anywhere
+            rep = profile_report(st, self.SPEC)
+        first, second = np.triu_indices(3)
+        floor = np.sqrt(moment_profile(self.SPEC).product_variance[first, second] / grid)
+        assert np.all(np.isfinite(rep.se_cov)) and np.all(np.isfinite(rep.z_cov))
+        if grid < 2 * stats.COV_BATCHES:  # batches of one sample: tau = 1
+            np.testing.assert_allclose(rep.se_cov, floor, rtol=1e-15)
+        else:
+            assert np.all(rep.se_cov >= floor * (1.0 - 1e-15))
+            s, mean = st.series[0], st.mean()
+            taus = [scalar_batch_means_tau((s[:, x] - mean[x]) * (s[:, y] - mean[y]))
+                    for x, y in zip(first, second)]
+            np.testing.assert_allclose(rep.se_cov, floor * np.sqrt(taus), rtol=1e-15)
+
+    @pytest.mark.parametrize("length", [64, 3001])
+    def test_frozen_sites(self, length):
+        # Sites 1 and 2 never move, at values whose time average need not
+        # round back to them: their products are constant, of variance 0 (the
+        # batch ratio would be 0/0), and take tau = 1.
+        draws = sample_exact_discrete(self.SPEC, make_rng(17), size=length).astype(float)
+        draws[:, 0], draws[:, 1] = 0.1, 2.7
+        st = _stats_from_iid(draws, "continuous")
+        with np.errstate(all="raise"):
+            rep = profile_report(st, self.SPEC)
+        pv = moment_profile(self.SPEC).product_variance
+        frozen = {(1, 1): pv[0, 0], (1, 2): pv[0, 1], (2, 2): pv[1, 1]}
+        for pair, se in zip(rep.pairs, rep.se_cov.tolist()):
+            if pair in frozen:
+                assert se == pytest.approx(math.sqrt(frozen[pair] / length), rel=1e-15)
+        assert np.all(np.isfinite(rep.z_cov)) and np.all(rep.se_cov > 0.0)
+
+    def test_zero_and_constant_rows(self):
+        block = make_rng(18).normal(size=(4, 256)).cumsum(axis=1)
+        block[1] = 0.0
+        block[2] = 0.375
+        want = [scalar_batch_means_tau(row) for row in block]
+        got = stats._batch_means_tau(block.copy())
+        assert got.tolist() == want
+        assert got[1] == got[2] == 1.0 and got[0] > 1.0
 
 
 class TestChiSquare:
