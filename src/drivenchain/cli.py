@@ -241,7 +241,7 @@ def _read_profile(sim_dir: Path, stats: OccupationStats, spec: MixtureSpec) -> P
     for (path, rows), want in zip(tables, (n, n * (n + 1) // 2)):
         if len(rows) != want:
             raise ValueError(f"{path} has {len(rows)} rows, the run in {sim_dir} needs {want}")
-    rep = ProfileReport.from_errors(stats, spec, *errors)
+    rep = ProfileReport.from_errors(stats, moment_profile(spec), *errors)
     for (path, rows), expected in zip(tables, (rep.mean_rows(), rep.cov_rows())):
         for line, (row, want) in enumerate(zip(rows, expected), start=2):
             want = [str(v) for v in want]
@@ -256,7 +256,7 @@ def _run_counters(stats: OccupationStats) -> dict:
     energy chain's cutoff and per-replica injection acceptance."""
     extra = stats.extra
     counters = {key: extra[key] for key in
-                ("max_resync_drift", "resyncs", "channel_events", "selection", "epsilon")
+                ("max_resync_drift", "resyncs", "channel_events", "epsilon")
                 if key in extra}
     counters.update({key: stats.per_replica(key) for key in ("acceptance_a", "acceptance_b")
                      if key in extra})

@@ -2,10 +2,9 @@
 
 Everything downstream (exact measures, simulators, verifier) builds on the
 pieces collected here: validated chain parameters, reproducible random
-streams, harmonic numbers, a Fenwick tree for rate-proportional choice, and
-one Chebyshev integrator with explicit convergence reporting: Clenshaw-Curtis
-on an interval, and cumulative integration over the ordered box
-lo <= m_1 <= ... <= m_n <= hi.
+streams, harmonic numbers, and one Chebyshev integrator with explicit
+convergence reporting: Clenshaw-Curtis on an interval, and cumulative
+integration over the ordered box lo <= m_1 <= ... <= m_n <= hi.
 """
 
 from __future__ import annotations
@@ -117,49 +116,6 @@ def harmonic_prefix(n: int) -> list[float]:
     if n >= len(_harmonic):
         _grow_harmonic(n)
     return _harmonic
-
-
-# ---------------------------------------------------------------------------
-# Weighted selection over dynamic rates
-# ---------------------------------------------------------------------------
-
-class FenwickTree:
-    """Binary indexed tree over non-negative weights with prefix search.
-
-    Supports O(log n) point updates and O(log n) inversion of the cumulative
-    weight function, which is what an event-driven simulator needs to pick a
-    channel proportionally to its rate when the channel count is large.
-    """
-
-    __slots__ = ("n", "tree")
-
-    def __init__(self, weights: Sequence[float]):
-        self.n = len(weights)
-        self.tree = [0.0] * (self.n + 1)
-        for i, w in enumerate(weights):
-            self.add(i, w)
-
-    def add(self, i: int, delta: float) -> None:
-        i += 1
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def search(self, u: float) -> tuple[int, float]:
-        """Index whose cumulative-weight slot [C_i, C_{i+1}) holds u, plus the offset.
-
-        The non-strict comparison skips zero-weight entries even at u == 0,
-        matching the linear-scan convention u < C_{i+1}.
-        """
-        idx = 0
-        bit = 1 << (self.n.bit_length() - 1)  # the largest power of two <= n
-        while bit:
-            nxt = idx + bit
-            if nxt <= self.n and self.tree[nxt] <= u:
-                idx = nxt
-                u -= self.tree[nxt]
-            bit >>= 1
-        return min(idx, self.n - 1), u
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import FenwickTree
 from .measure import Model
 
 __all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "ChainState", "BlockDraws",
@@ -48,7 +47,6 @@ __all__ = ["IntHistogram", "BinnedHistogram", "OccupationStats", "ChainState", "
 
 RESYNC_INTERVAL = 1_000_000  # events between rate-cache refreshes
 RESYNC_DRIFT_TOL = 1e-9  # largest relative rate-cache drift a resync accepts
-LINEAR_SCAN_MAX_SITES = 64  # larger chains pick channels by Fenwick search
 DEFAULT_GRID_SAMPLES = 1 << 16  # trajectory series points per run
 CHANNELS = ("inject_a", "inject_b", "exit_a", "exit_b", "bulk")  # event kinds counted per run
 DRAW_BLOCK = 4096  # values a BlockDraws stream takes from its Generator at once
@@ -221,9 +219,9 @@ class OccupationStats:
     def merge(self, other: "OccupationStats") -> "OccupationStats":
         """Sum accumulators of two independent runs (associative).
 
-        ``extra`` keeps self's ``epsilon`` and ``selection``, lists each
-        ``PER_REPLICA_EXTRA`` entry replica by replica, takes the largest
-        ``max_resync_drift`` and sums the ``resyncs`` and ``channel_events``.
+        ``extra`` keeps self's ``epsilon``, lists each ``PER_REPLICA_EXTRA``
+        entry replica by replica, takes the largest ``max_resync_drift`` and
+        sums the ``resyncs`` and ``channel_events``.
         """
         if (self.n_sites, self.model) != (other.n_sites, other.model):
             raise ValueError("cannot merge stats from different chains")
@@ -293,12 +291,11 @@ class ChainState:
     or below ``floor``; a firing moves ``remove(values[x], draws)`` across.
     Reservoir A (B) injects ``sampler_a.draw(draws)`` into the first (last)
     site at rate ``sampler_a.total_rate``; ``inj_rate`` is their sum.
-    ``site_rate`` caches the site rates, ``rate_sum`` their incrementally
-    updated sum and, above LINEAR_SCAN_MAX_SITES sites, ``tree`` their
-    Fenwick tree (each site's weight is its two channels, 2 * rate);
-    ``resync`` rebuilds all three from ``values``.  The state holds the chain and this cache only:
-    ``run_window`` keeps every number a run measures in local variables and
-    writes back only ``rate_sum``, before each resync.
+    ``site_rate`` caches the site rates and ``rate_sum`` their incrementally
+    updated sum; ``resync`` rebuilds both from ``values``.  The state holds
+    the chain and this cache only: ``run_window`` keeps every number a run
+    measures in local variables and writes back only ``rate_sum``, before
+    each resync.
     """
 
     model: Model
@@ -312,7 +309,6 @@ class ChainState:
     site_rate: list[float] = field(init=False)
     rate_sum: float = field(init=False)
     inj_rate: float = field(init=False)
-    tree: FenwickTree | None = field(init=False)
 
     def __post_init__(self) -> None:
         self.inj_rate = self.sampler_a.total_rate + self.sampler_b.total_rate
@@ -329,8 +325,6 @@ class ChainState:
             raise RuntimeError(f"rate cache drifted by {drift:.3e} (relative) before resync")
         self.site_rate = site_rate
         self.rate_sum = exact
-        self.tree = (FenwickTree([2.0 * r for r in site_rate])
-                     if len(site_rate) > LINEAR_SCAN_MAX_SITES else None)
         return drift
 
 
@@ -446,14 +440,13 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
     wrapper as their ``rng``.  Holding times are exponential at the state's
     total rate.  Each event draws its holding time (``standard_exponential``),
     then picks one channel proportionally to its rate (``random``: injection
-    at A, injection at B, then the two exit channels of each site, by linear
-    scan up to LINEAR_SCAN_MAX_SITES sites and by Fenwick search above), then
-    draws the amount moved (the chain's samplers).  It changes one or two
-    sites; each change updates the values and the rate cache, and the
-    channel counts and fluxes.  That is all the loop does, in local
-    variables; after burn_in it also logs each change as (site, time, new
-    value).  ``rng`` ends the run advanced by whole blocks, the unused tails
-    of the last ones included.
+    at A, injection at B, then the two exit channels of each site, by one
+    linear scan over the site rates at every chain size), then draws the
+    amount moved (the chain's samplers).  It changes one or two sites; each
+    change updates the values and the rate cache, and the channel counts and
+    fluxes.  That is all the loop does, in local variables; after burn_in it
+    also logs each change as (site, time, new value).  ``rng`` ends the run
+    advanced by whole blocks, the unused tails of the last ones included.
 
     Every statistic of the window comes from that log, in blocks of at most
     FLUSH_BLOCK_BYTES / (8 n) changes (``_Blocks``).  Per site x a flush
@@ -485,14 +478,13 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
     callable once per point it fills, in grid order, as (g, a list copy of
     that state), so an observer cannot alter the run; a point that rounds
     past that last event time takes the final state with no call.  ``extra``
-    counts the events of each of ``CHANNELS``, the resyncs, and names the
-    channel ``selection`` path.  Injection samplers that count
-    their ``proposals`` and ``accepts`` (the energy chain's) get this run's
-    share of them as ``acceptance_a``/``acceptance_b``: the change in the
-    counts over the run, so each window reports its own rate.  The run fails
-    with RuntimeError if a removal is picked at a site at or below the floor,
-    unless injected - extracted matches the mass gained (``check_run``), and
-    unless every value stays non-negative.  A non-finite t_max or burn_in is
+    counts the events of each of ``CHANNELS`` and the resyncs.  Injection
+    samplers that count their ``proposals`` and ``accepts`` (the energy
+    chain's) get this run's share of them as ``acceptance_a``/``acceptance_b``:
+    the change in the counts over the run, so each window reports its own
+    rate.  The run fails with RuntimeError if a removal is picked at a site
+    at or below the floor, unless injected - extracted matches the mass
+    gained (``check_run``), and unless every value stays non-negative.  A non-finite t_max or burn_in is
     a ValueError: the window would never close; so is grid_samples < 1,
     which leaves no series.  Both are checked before any draw.
     """
@@ -524,7 +516,7 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
     injected_a = extracted_a = injected_b = extracted_b = 0
     max_drift = 0.0
     next_resync = resync_interval = RESYNC_INTERVAL
-    rate_sum, site_rate, tree = state.rate_sum, state.site_rate, state.tree
+    rate_sum, site_rate = state.rate_sum, state.site_rate
     counted = [(key, sampler, sampler.proposals, sampler.accepts) for key, sampler in
                zip(("acceptance_a", "acceptance_b"), (state.sampler_a, state.sampler_b))
                if hasattr(sampler, "proposals")]
@@ -550,22 +542,16 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
             injected_b += amount
             inject_b += 1
         else:
-            u = u - rate_a - rate_b
-            if tree is None:
-                for x, r in enumerate(site_rate):
-                    two_r = 2.0 * r
-                    if u < two_r:
-                        break
-                    u -= two_r
-                else:
-                    x = -1
-            else:
-                x, u = tree.search(u)
-                if not site_rate[x] > 0.0:
-                    x = -1
-            if x < 0:  # a float spill lands on the last positive-rate site
+            # Site x fires at 2 * site_rate[x].  Halving u once is exact, so each
+            # test u < r and residual u - r is the u < 2r scan's, bit for bit.
+            u = 0.5 * (u - rate_a - rate_b)
+            for x, r in enumerate(site_rate):
+                if u < r:
+                    break
+                u -= r
+            else:  # a float spill lands on the last positive-rate site
                 x, u = max(i for i, r in enumerate(site_rate) if r > 0.0), 0.0
-            to = x - 1 if u < site_rate[x] else x + 1
+            to = x - 1 if u + u < site_rate[x] else x + 1
             held = values[x]
             if not held > floor:
                 raise RuntimeError(f"removal channel selected at site {x} holding {held!r}")
@@ -591,8 +577,6 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
             delta = rate - site_rate[x]
             site_rate[x] = rate
             rate_sum += delta
-            if tree is not None:
-                tree.add(x, 2.0 * delta)
             if to < 0:
                 break
             x, new, to = to, values[to] + amount, -1
@@ -600,7 +584,7 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
         if events == next_resync:
             state.rate_sum = rate_sum
             max_drift = max(max_drift, state.resync())
-            rate_sum, site_rate, tree = state.rate_sum, state.site_rate, state.tree
+            rate_sum, site_rate = state.rate_sum, state.site_rate
             next_resync += resync_interval
             resyncs += 1
     state.rate_sum = rate_sum
@@ -617,7 +601,7 @@ def run_window(state: ChainState, rng, t_max: float, burn_in: float | None,
         injected_b=float(injected_b), extracted_b=float(extracted_b),
         extra={"max_resync_drift": max_drift,
                "channel_events": dict(zip(CHANNELS, (inject_a, inject_b, exit_a, exit_b, bulk))),
-               "resyncs": resyncs, "selection": "linear" if tree is None else "fenwick"},
+               "resyncs": resyncs},
     )
     for key, sampler, proposals_before, accepts_before in counted:  # this run's share
         proposals = sampler.proposals - proposals_before

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import MixtureSpec, moment_profile
+from .measure import MixtureSpec, ProfileMoments, moment_profile
 from .occupation import IntHistogram, OccupationStats
 
 __all__ = [
@@ -257,13 +257,13 @@ class ProfileReport:
     notes: dict = field(default_factory=dict)
 
     @classmethod
-    def from_errors(cls, stats: OccupationStats, spec: MixtureSpec,
+    def from_errors(cls, stats: OccupationStats, exact: ProfileMoments,
                     se_mean: np.ndarray, se_cov: np.ndarray) -> ProfileReport:
-        """The report of a run whose standard errors are known.
+        """The report of a run whose standard errors are known, against the
+        claimed law's moments ``exact``.
 
         ``se_cov`` follows the pair order (1, 1), (1, 2), ..., (n, n).
         """
-        exact = moment_profile(spec)
         n = stats.n_sites
         emp_mean = stats.mean()
         first, second = np.triu_indices(n)
@@ -394,7 +394,8 @@ def profile_report(stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:
     n = stats.n_sites
     emp_mean = stats.mean()
     first, second = np.triu_indices(n)
-    var_exact = moment_profile(spec).product_variance[first, second]
+    exact = moment_profile(spec)
+    var_exact = exact.product_variance[first, second]
     # Squared errors (sites, then pairs) summed over replicas as Python
     # floats: x ** 2 is C pow, which x * x does not always match to the last bit.
     sq = [0.0] * (n + len(first))
@@ -403,7 +404,7 @@ def profile_report(stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:
         se_cov = np.sqrt(var_exact * _pair_taus(s, emp_mean)[first, second] / len(s))
         sq = [a + b ** 2 for a, b in zip(sq, se_mean.tolist() + se_cov.tolist())]
     se = np.sqrt(sq) / len(stats.series)
-    rep = ProfileReport.from_errors(stats, spec, se[:n], se[n:])
+    rep = ProfileReport.from_errors(stats, exact, se[:n], se[n:])
     rep.notes["autocorr_series"] = len(stats.series) * n
     rep.notes["covariance_error"] = {"rule": "exact product variance x batch-means tau",
                                      "batches": COV_BATCHES}

@@ -20,22 +20,17 @@ import pytest
 from drivenchain import occupation
 
 
-def _select_site(rates, tree, u):
+def _select_site(rates, u):
     """Site x whose two channels (rate ``rates[x]`` each) hold u, and the offset into them.
 
-    Linear scan, or Fenwick search given a tree.  A float spill past the top,
-    or an ulp spill onto a zero-rate slot, lands on the last positive-rate site.
+    Linear scan over the doubled rates.  A float spill past the top lands on
+    the last positive-rate site.
     """
-    if tree is None:
-        for x, r in enumerate(rates):
-            two_r = 2.0 * r
-            if u < two_r:
-                return x, u
-            u -= two_r
-    else:
-        x, u = tree.search(u)
-        if rates[x] > 0.0:
+    for x, r in enumerate(rates):
+        two_r = 2.0 * r
+        if u < two_r:
             return x, u
+        u -= two_r
     return max(i for i, r in enumerate(rates) if r > 0.0), 0.0
 
 
@@ -45,8 +40,6 @@ def _update_site(state, x, new):
     delta = rate - state.site_rate[x]
     state.site_rate[x] = rate
     state.rate_sum += delta
-    if state.tree is not None:
-        state.tree.add(x, 2.0 * delta)
 
 
 @dataclass
@@ -84,7 +77,7 @@ def _jump(state, run, draws):
         return
     u -= rate_b
     # Removal channels: two per site, each at rate site_rate[x].
-    x, u = _select_site(state.site_rate, state.tree, u)
+    x, u = _select_site(state.site_rate, u)
     to = x - 1 if u < state.site_rate[x] else x + 1
     held = values[x]
     if not held > state.floor:

@@ -97,7 +97,7 @@ class TestSimulate:
         assert set(counts) == {"inject_a", "inject_b", "exit_a", "exit_b", "bulk"}
         assert sum(counts.values()) == meta["accumulators"]["event_count"]
         assert meta["resyncs"] == 2  # one end-of-run resync per replica
-        assert meta["selection"] == "linear"
+        assert "selection" not in meta
 
     def test_continuous_counters_per_replica_and_stable(self, tmp_path):
         args = ["simulate", "--model", "continuous", "--n", "2", "--t-max", "60",

@@ -10,7 +10,6 @@ from scipy import integrate
 from drivenchain.core import (
     HARMONIC_CACHE_LIMIT,
     ChainParams,
-    FenwickTree,
     QuadratureError,
     harmonic_number,
     harmonic_prefix,
@@ -152,45 +151,6 @@ class TestQuadrature:
     def test_bad_limits(self):
         with pytest.raises(ValueError):
             quadrature_1d(lambda x: x, 1.0, 0.0)
-
-
-class TestFenwick:
-    @given(
-        # dyadic weights keep every partial sum exact, so the tree walk and
-        # the linear scan see identical boundaries in floating point
-        st.lists(st.integers(min_value=0, max_value=320), min_size=1, max_size=40),
-        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_search_matches_linear_scan(self, ticks, frac):
-        weights = [t / 64.0 for t in ticks]
-        total = sum(weights)
-        if total <= 0.0:
-            return
-        tree = FenwickTree(weights)
-        assert tree.search(2.0 * total) == (len(weights) - 1, total)  # past the end: u - total
-        u = frac * total
-        idx, offset = tree.search(u)
-        acc = 0.0
-        expect = len(weights) - 1
-        for i, w in enumerate(weights):
-            if u < acc + w:
-                expect = i
-                break
-            acc += w
-        assert idx == expect
-        assert offset == pytest.approx(u - acc, abs=1e-9 * max(total, 1.0))
-
-    def test_zero_weight_head_never_selected_at_zero(self):
-        idx, offset = FenwickTree([0.0, 1.0]).search(0.0)
-        assert idx == 1 and offset == 0.0
-
-    def test_add_updates(self):
-        tree = FenwickTree([1.0, 2.0, 3.0])
-        tree.add(1, 4.0)
-        assert tree.search(20.0) == (2, 10.0)  # past the end: u - total
-        assert tree.search(6.9)[0] == 1
-        assert tree.search(7.1)[0] == 2
 
 
 class TestOrderedSimplexIntegral:

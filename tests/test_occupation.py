@@ -25,8 +25,10 @@ C65 = ChainParams(n=65, t_a=1.0, t_b=2.0)
 D200 = ChainParams(n=200, beta_a=0.5, beta_b=0.75)
 
 # name -> (model, params, simulator keywords); burn_in=37.3 and 13.7 fall
-# between events, burn_in=0.9 after the second event, n=65 and n=200 run on
-# the Fenwick path, and n=200 spans many flush blocks of the row update.
+# between events, burn_in=0.9 after the second event, and n=200 spans many
+# flush blocks of the row update.  The "fenwick" keys name the sizes above 64
+# sites, which once picked channels by Fenwick-tree search and now take the
+# one linear scan; they keep their names, so the pinned tables key on them.
 CASES = {
     "discrete-burn0": ("discrete", D5, dict(t_max=300.0, burn_in=0.0, seed=32, grid_samples=512)),
     "discrete-mid": ("discrete", D5, dict(t_max=400.0, burn_in=37.3, seed=31, grid_samples=512)),
@@ -169,7 +171,92 @@ def test_channel_counts_sum_to_event_count(name):
     assert sum(counts.values()) == st.event_count
     assert min(counts.values()) > 0
     assert st.extra["resyncs"] == 1
-    assert st.extra["selection"] == ("fenwick" if st.n_sites > 64 else "linear")
+    assert "selection" not in st.extra
+
+
+class _FixedDraws:
+    """A Generator stand-in: ``random`` yields ``uniforms`` and then 0.5,
+    ``standard_exponential`` 1e-3 and then 1e9, so a unit-scale window holds
+    exactly one event, picked by the first uniform."""
+
+    def __init__(self, uniforms) -> None:
+        self.uniforms = list(uniforms)
+        self.holds = [1e-3]
+
+    def random(self, size: int) -> np.ndarray:
+        out = np.full(size, 0.5)
+        out[:len(self.uniforms)], self.uniforms = self.uniforms, []
+        return out
+
+    def standard_exponential(self, size: int) -> np.ndarray:
+        out = np.full(size, 1e9)
+        out[:len(self.holds)], self.holds = self.holds, []
+        return out
+
+
+# Site rates value / 8 (zero on empty sites), injection rates 1/4 and 1/2:
+# every channel boundary is dyadic and the total rate is 4, so u = 4 * uniform
+# lands on each boundary exactly.
+SCAN_RATE_A, SCAN_RATE_B = 0.25, 0.5
+SCAN_LAYOUTS = {"last-site-live": [3, 0, 5, 0, 4, 1], "end-sites-empty": [0, 2, 0, 7, 4, 0]}
+
+
+def _scan_state(values: list, rate_sum_slip: float = 0.0) -> occupation.ChainState:
+    inject = lambda rate: SimpleNamespace(total_rate=rate, draw=lambda draws: 1)
+    state = occupation.ChainState(Model.DISCRETE, IntHistogram, list(values), lambda v: 0.125 * v,
+                                  0, lambda held, draws: 1, inject(SCAN_RATE_A), inject(SCAN_RATE_B))
+    state.rate_sum += rate_sum_slip  # a rate cache that drifted, within the resync bound
+    return state
+
+
+def _one_event_picks(values: list, uniform: float, reference_run, rate_sum_slip: float = 0.0):
+    """The (from, to) channel the engine and the stepper pick at ``uniform``, each
+    as the sites that lost and gained a unit (-1 and n for reservoirs A and B)."""
+    picks = []
+    for engine in (True, False):
+        state = _scan_state(values, rate_sum_slip)
+        if engine:
+            st = occupation.run_window(state, _FixedDraws([uniform]), 1.0, 0.5, 1, ())
+            assert st.event_count == 1
+            fluxes = st.injected_a, st.extracted_a
+        else:
+            run = reference_run(state, _FixedDraws([uniform]), 1.0)
+            assert run.events == 1
+            fluxes = run.injected_a, run.extracted_a
+        lost = [x for x, (a, b) in enumerate(zip(values, state.values)) if b < a]
+        gained = [x for x, (a, b) in enumerate(zip(values, state.values)) if b > a]
+        picks.append((lost[0] if lost else -1 if fluxes[0] else len(values),
+                      gained[0] if gained else -1 if fluxes[1] else len(values)))
+    return picks
+
+
+@pytest.mark.parametrize("layout", sorted(SCAN_LAYOUTS))
+def test_halved_scan_picks_the_steppers_channel_on_every_boundary(reference_run, layout):
+    values = SCAN_LAYOUTS[layout]
+    n = len(values)
+    rates = [0.125 * v for v in values]
+    total = 2.0 * sum(rates) + SCAN_RATE_A + SCAN_RATE_B
+    assert total == 4.0
+    # The channels in scan order, each with its lower boundary in u.
+    channels = [(-1, 0), (n, n - 1)] + [(x, to) for x, r in enumerate(rates) if r > 0.0
+                                          for to in (x - 1, x + 1)]
+    widths = [SCAN_RATE_A, SCAN_RATE_B] + [r for r in rates if r > 0.0 for _ in range(2)]
+    lows = np.cumsum([0.0] + widths[:-1]).tolist()
+    for channel, low in zip(channels, lows):
+        engine, stepper = _one_event_picks(values, low / total, reference_run)
+        assert engine == stepper == channel, (low, engine, stepper)
+        if low > 0.0:  # one ulp below: the channel before it
+            below = math.nextafter(low, 0.0) / total
+            engine, stepper = _one_event_picks(values, below, reference_run)
+            assert engine == stepper == channels[channels.index(channel) - 1], (low, engine)
+    engine, stepper = _one_event_picks(values, math.nextafter(1.0, 0.0), reference_run)
+    assert engine == stepper == channels[-1]  # the top of the range
+    # A cached total above the site rates' sum spills past the last channel:
+    # both land on the last positive-rate site and move left.
+    last = max(x for x, r in enumerate(rates) if r > 0.0)
+    engine, stepper = _one_event_picks(values, math.nextafter(1.0, 0.0), reference_run,
+                                       rate_sum_slip=2.0 ** -33)
+    assert engine == stepper == (last, last - 1)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
