@@ -185,12 +185,14 @@ class _FixedDraws:
 
     def random(self, size: int) -> np.ndarray:
         out = np.full(size, 0.5)
-        out[:len(self.uniforms)], self.uniforms = self.uniforms, []
+        out[:len(self.uniforms)] = self.uniforms
+        self.uniforms = []
         return out
 
     def standard_exponential(self, size: int) -> np.ndarray:
         out = np.full(size, 1e9)
-        out[:len(self.holds)], self.holds = self.holds, []
+        out[:len(self.holds)] = self.holds
+        self.holds = []
         return out
 
 
