@@ -53,6 +53,7 @@ from .stats import (
     effective_sample_size,
     ks_continuous,
     profile_report,
+    site_autocorr_times,
 )
 from .verify import (
     DIRECT_DEFAULTS,
@@ -168,11 +169,15 @@ def _resolve_outdir(cfg: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def _replica_job(args) -> OccupationStats:
+    """One replica's run, its site autocorrelation times cached: in a pool
+    worker, its FFTs run beside the other replicas' runs."""
     model, params, t_max, burn_in, epsilon, grid_samples, child_seq = args
     rng = np.random.Generator(np.random.PCG64(child_seq))
     run = simulate if Model(model) is Model.DISCRETE else simulate_continuous
     cutoff = {} if epsilon is None else {"epsilon": epsilon}  # only energies read --epsilon
-    return run(params, t_max, burn_in=burn_in, rng=rng, grid_samples=grid_samples, **cutoff)
+    stats = run(params, t_max, burn_in=burn_in, rng=rng, grid_samples=grid_samples, **cutoff)
+    site_autocorr_times(stats)
+    return stats
 
 
 def _run_replicas(cfg: RunConfig, params: ChainParams) -> OccupationStats:
@@ -287,6 +292,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "extracted_b": stats.extracted_b,
         },
         "autocorr_series": rep.notes["autocorr_series"],
+        "autocorr_times": [tau.tolist() for tau in stats.autocorr_times],
         "covariance_error": rep.notes["covariance_error"],
         **_run_counters(stats),
     })
@@ -369,11 +375,14 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
     """A saved run's configuration (its recorded fields over the defaults) and
-    what ``compare`` tests of it: the moment accumulators, the series and,
-    for particles, the histograms.  ValueError unless ``sim_dir`` holds the
-    output of ``simulate`` with every file ``compare`` reads; a malformed file
-    is one too, naming the file (and line): meta.json, a bad or repeated
-    histograms.csv row or site total, or series.npy of another shape."""
+    what ``compare`` tests of it: the moment accumulators, the series, their
+    recorded site autocorrelation times and, for particles, the histograms.
+    ValueError unless ``sim_dir`` holds the output of ``simulate`` with every
+    file ``compare`` reads; a malformed file is one too, naming the file (and
+    line): meta.json (its ``autocorr_times`` too, unless R lists of n finite
+    times >= 1), a bad or repeated histograms.csv row or site total, or
+    series.npy of another shape.  The times are trusted as ``profile.csv``'s
+    standard errors are: checked for form, not recomputed."""
     path = sim_dir / "meta.json"
     with open(path) as fh:
         meta = json.load(fh)
@@ -384,6 +393,17 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
         acc = {key: meta["accumulators"][key] for key in ("duration", "mean_acc", "second_acc")}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} is not the record of a simulate run: {exc!r}") from None
+    try:
+        taus = np.array(meta["autocorr_times"], dtype=float)
+    except KeyError:
+        raise ValueError(f"{path} records no autocorr_times: rerun simulate") from None
+    except (TypeError, ValueError):  # ragged or not numbers
+        taus = None
+    if taus is None or taus.shape != (cfg.replicas, cfg.n):
+        raise ValueError(f"{path}: autocorr_times is not {cfg.replicas} list(s) of {cfg.n} "
+                         "times, one list per replica")
+    if not (np.isfinite(taus).all() and (taus >= 1.0).all()):  # Geyer's clamp keeps tau >= 1
+        raise ValueError(f"{path}: autocorr_times holds a time that is not finite or is below 1")
     counts = Model(cfg.model).site.integral  # the chi-square reads count histograms
     histograms = ["histograms.csv"] if counts else []
     for name in ["profile.csv", "covariance.csv", "series.npy", *histograms]:
@@ -426,6 +446,7 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
         second_acc=np.array(acc["second_acc"]),
         hists=hists,
         series=list(series),
+        autocorr_times=list(taus),
     )
     return cfg, stats
 
@@ -439,7 +460,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     rep = _read_profile(sim_dir, stats, spec)
     n = spec.params.n
     site_level = cfg.level / n  # Bonferroni across sites
-    ess = sum(effective_sample_size(s.T) for s in stats.series)  # per site, over replicas
+    ess = sum(effective_sample_size(s.T, tau)  # per site, over replicas
+              for s, tau in zip(stats.series, stats.autocorr_times))
     gof_rows = []
     all_pass = True
     any_inconclusive = False
@@ -465,7 +487,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         gof_rows,
     )
     _write_profile(outdir, rep, prefix="compare_")
-    _write_meta(outdir, cfg, {"autocorr_series": n * len(stats.series)})
+    _write_meta(outdir, cfg, {"autocorr_series": 0})  # every time is simulate's
     z_ok = rep.max_abs_z < 4.0
     print(f"compare: max|z| = {rep.max_abs_z:.2f}, GOF pass = {all_pass}",
           file=sys.stderr)

@@ -174,6 +174,10 @@ class OccupationStats:
 
     ``series`` holds one trajectory sample per merged run; ``extra`` carries
     run settings and diagnostics (see ``merge`` for how they combine).
+    ``autocorr_times`` caches, in series order, each series' (n,) site
+    autocorrelation times, or None for a series not yet timed; it may be
+    shorter than ``series``, its missing tail untimed
+    (``stats.site_autocorr_times`` fills it).
     """
 
     n_sites: int
@@ -191,6 +195,7 @@ class OccupationStats:
     extracted_b: float = 0.0
     wall_seconds: float = 0.0
     extra: dict = field(default_factory=dict)
+    autocorr_times: list = field(default_factory=list)
 
     def mean(self) -> np.ndarray:
         return self.mean_acc / self.duration
@@ -221,7 +226,8 @@ class OccupationStats:
 
         ``extra`` keeps self's ``epsilon``, lists each ``PER_REPLICA_EXTRA``
         entry replica by replica, takes the largest ``max_resync_drift`` and
-        sums the ``resyncs`` and ``channel_events``.
+        sums the ``resyncs`` and ``channel_events``.  ``autocorr_times`` joins
+        as ``series`` does, a side's untimed series as None entries.
         """
         if (self.n_sites, self.model) != (other.n_sites, other.model):
             raise ValueError("cannot merge stats from different chains")
@@ -243,6 +249,9 @@ class OccupationStats:
             extracted_b=self.extracted_b + other.extracted_b,
             wall_seconds=self.wall_seconds + other.wall_seconds,
             extra=self._merged_extra(other),
+            autocorr_times=[*self.autocorr_times,
+                            *[None] * (len(self.series) - len(self.autocorr_times)),
+                            *other.autocorr_times],
         )
         for mine, theirs in zip(out.hists, other.hists):
             mine.merge(theirs)

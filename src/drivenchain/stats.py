@@ -9,8 +9,11 @@ standard errors carry a batch-means one.
 
 :func:`integrated_autocorr_time` is the one kernel for those times: it takes
 a block of series and runs one rfft/irfft per memory-bounded chunk of rows,
-each time equal bit for bit to that of the series alone.
-:func:`profile_report` feeds it each replica's site series.  Covariance
+each time equal bit for bit to that of the series alone.  Each replica's site
+times are computed once, by :func:`site_autocorr_times`, and cached on its
+``OccupationStats``: the CLI fills that cache in each replica's job (a pool
+worker), :func:`profile_report` computes only the entries a stats object
+lacks, and ``compare`` reads the times ``simulate`` recorded.  Covariance
 errors need no such time per pair: they take the variance of each centred
 pair product from the exact law and a batch-means time from the product
 series, built a tile of site pairs at a time.  Rebuilt from known
@@ -38,6 +41,7 @@ __all__ = [
     "ProfileReport",
     "integrated_autocorr_time",
     "effective_sample_size",
+    "site_autocorr_times",
     "chi_square_discrete",
     "ks_continuous",
     "profile_report",
@@ -138,21 +142,38 @@ def _geyer_sum(acov: np.ndarray) -> np.ndarray:
     return np.maximum(terms[np.arange(len(summed)), summed], 1.0)
 
 
-def effective_sample_size(series):
-    """Samples over the integrated autocorrelation time, per series."""
+def effective_sample_size(series, tau=None):
+    """Samples over the integrated autocorrelation time, per series.
+
+    ``tau`` is the series' time (one per row), when already known, as from
+    :func:`site_autocorr_times` or a run's recorded ``autocorr_times``;
+    otherwise it is computed here.
+    """
     x = np.asarray(series)
-    return x.shape[-1] / integrated_autocorr_time(x)
+    return x.shape[-1] / (integrated_autocorr_time(x) if tau is None else tau)
 
 
-def _series_mean_se(sites: np.ndarray) -> np.ndarray:
+def site_autocorr_times(stats: OccupationStats) -> list[np.ndarray]:
+    """Each series' (n,) site autocorrelation times, in series order.
+
+    Entries ``stats.autocorr_times`` caches are returned as they are; the
+    missing ones are computed by :func:`integrated_autocorr_time` and cached.
+    """
+    cached = stats.autocorr_times
+    stats.autocorr_times = [
+        integrated_autocorr_time(s.T) if i >= len(cached) or cached[i] is None else cached[i]
+        for i, s in enumerate(stats.series)]
+    return stats.autocorr_times
+
+
+def _series_mean_se(sites: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Standard errors of the means of the stationary series in the rows of
-    ``sites`` (k, L), which may be a strided view."""
+    ``sites`` (k, L), which may be a strided view, with times ``tau``."""
     length = sites.shape[1]
     step = _chunk_rows(length)
     # Contiguous chunks of rows: row variances as for 1-D rows.
     var = np.concatenate([np.ascontiguousarray(sites[k:k + step], dtype=float).var(axis=1)
                           for k in range(0, len(sites), step)])
-    tau = integrated_autocorr_time(sites)
     return np.where(var == 0.0, 0.0, np.sqrt(var * tau / length))
 
 
@@ -301,10 +322,10 @@ class ProfileReport:
 
 
 def _zscores(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
-    """diff / se, with 0 (no miss) or inf (a miss) where se is 0."""
+    """diff / se, with 0 (no miss) or an infinity of the miss's sign where se is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         z = diff / se
-    return np.where(se == 0.0, np.where(diff == 0.0, 0.0, np.inf), z)
+    return np.where(se == 0.0, np.where(diff == 0.0, 0.0, np.copysign(np.inf, diff)), z)
 
 
 # Batches per replica of each centred pair product: the covariance errors'
@@ -370,8 +391,10 @@ def profile_report(stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:
     Means come from the exact time-weighted accumulators.  Per replica, a
     mean's standard error is sqrt(Var(series) tau / L) over its L grid
     points, tau the Geyer time of the site series; replicas combine as
-    sqrt(sum_r se_r**2) / R.  ``notes["autocorr_series"]`` counts the R n
-    series whose Geyer time the report computed.
+    sqrt(sum_r se_r**2) / R.  The times come from
+    :func:`site_autocorr_times`, so only series the stats object has not
+    timed are timed here.  ``notes["autocorr_series"]`` counts the R n site
+    series whose Geyer times the errors rest on.
 
     A covariance is the mean of the centred pair product (v_x - mu_x)(v_y -
     mu_y).  Its error takes the product's variance from the claimed law
@@ -399,8 +422,8 @@ def profile_report(stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:
     # Squared errors (sites, then pairs) summed over replicas as Python
     # floats: x ** 2 is C pow, which x * x does not always match to the last bit.
     sq = [0.0] * (n + len(first))
-    for s in stats.series:
-        se_mean = _series_mean_se(s.T)
+    for s, tau in zip(stats.series, site_autocorr_times(stats)):
+        se_mean = _series_mean_se(s.T, tau)
         se_cov = np.sqrt(var_exact * _pair_taus(s, emp_mean)[first, second] / len(s))
         sq = [a + b ** 2 for a, b in zip(sq, se_mean.tolist() + se_cov.tolist())]
     se = np.sqrt(sq) / len(stats.series)

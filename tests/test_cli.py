@@ -237,9 +237,9 @@ class TestSampleExact:
         assert data.min() >= 0.0
 
     def test_zero_standard_error_z_is_the_profile_rule(self, tmp_path):
-        # At beta = 1e-9 every draw is 0: se = 0 and the exact mean misses by
-        # about 1e-9, so z is inf, as stats._zscores gives in profile.csv,
-        # with no division warning.
+        # At beta = 1e-9 every draw is 0: se = 0 and the draws fall about 1e-9
+        # below the exact mean, so z is -inf, as stats._zscores gives in
+        # profile.csv, with no division warning.
         out = tmp_path / "ez"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -247,7 +247,7 @@ class TestSampleExact:
                             "--samples", "2", "--out", str(out)]) == 0
         with open(out / "moments.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert [(r["se"], r["z"]) for r in rows] == [("0.0", "inf")] * 2
+        assert [(r["se"], r["z"]) for r in rows] == [("0.0", "-inf")] * 2
 
     def test_rejected_draw_leaves_no_directory(self, tmp_path, monkeypatch):
         def reject(spec, rng, size):
@@ -436,7 +436,7 @@ def assert_compare_reuses_profile(sim: Path, out: Path) -> None:
     assert sim_meta["autocorr_series"] == replicas * n  # the site series only
     assert sim_meta["covariance_error"] == {
         "rule": "exact product variance x batch-means tau", "batches": stats.COV_BATCHES}
-    assert meta["autocorr_series"] == replicas * n  # the GOF's effective sizes only
+    assert meta["autocorr_series"] == 0  # the GOF reads simulate's recorded times
 
 
 def simulate_small(out: Path, *extra: str) -> Path:
@@ -682,7 +682,7 @@ class TestNumericOptions:
         # A window of 1e-6 time units holds no event whatever the seed, so every
         # site keeps its value across the two grid points: every mean's se is 0
         # and every mean misses the exact one (integer means, non-integer exact
-        # ones), so every mean z is inf.  The covariance errors take the exact
+        # ones), so every mean z is infinite, of its miss's sign.  The covariance errors take the exact
         # law's product variance, so they stay finite.  Two samples leave the
         # GOF inconclusive, so the infinite z alone fails compare; skipped, it
         # would give exit 4.
@@ -692,7 +692,7 @@ class TestNumericOptions:
         z_mean, z_cov = ([float(row["z"]) for row in
                           csv.DictReader((sim / name).read_text().splitlines())]
                          for name in ("profile.csv", "covariance.csv"))
-        assert len(z_mean) == 2 and all(v == math.inf for v in z_mean)
+        assert len(z_mean) == 2 and all(abs(v) == math.inf for v in z_mean)
         assert len(z_cov) == 3 and all(math.isfinite(v) and v != 0.0 for v in z_cov)
         out = tmp_path / "cmp"
         assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 3

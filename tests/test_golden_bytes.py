@@ -75,7 +75,7 @@ GOLDEN = {
     "cmp-c3/gof.csv":
         "bebd6e0124ed8b56f71426f02cec85482fae7172c45014601485e092c2729d34",
     "cmp-c3/meta.json":
-        "29e43c32b5a36738b1337785e17723c87b8719a7e81bb63f020ae55a5e05052f",
+        "55546881b217e4ee9a756d81c9d01981cea3aa052c8dda33f533179dfad02441",
     "cmp-d3/compare_covariance.csv":
         "cab04a90ef387ef610e77a2fba4a1562228dd249ee2229f3502d4ecb577d2779",
     "cmp-d3/compare_profile.csv":
@@ -83,15 +83,15 @@ GOLDEN = {
     "cmp-d3/gof.csv":
         "8d2d9adb42606276db123ae857ab237de3a073ec006db0c0a2140f4cecce751b",
     "cmp-d3/meta.json":
-        "a3545b70bc3eb5ee6dc4b956c774e60870f4d76855a2e7e550e7cc300f0a7f65",
+        "55546881b217e4ee9a756d81c9d01981cea3aa052c8dda33f533179dfad02441",
     "cmp-d65/compare_covariance.csv":
         "71fa0fe1c38808e08bb6fa4d9f5fd9c314db0410f2f940e0db4d22a93a595eae",
     "cmp-d65/compare_profile.csv":
-        "ba3c1dd8251936cdd3f55bce307bb7ad5b84b85a321f6cf108398dbf14a8f5f2",
+        "c9e22db21b355f7c6f2826c2c53319f70b2d2d3aa0816d76ffaa52747caa9df3",
     "cmp-d65/gof.csv":
         "a67c439e02c2029f51b1ee4317e471810783e2f8d57bd50cc86bda05b7f889fc",
     "cmp-d65/meta.json":
-        "b99fde977c7a538ad62028b2098254150a7400e424dadf73f1ddbc0deb1f081e",
+        "55546881b217e4ee9a756d81c9d01981cea3aa052c8dda33f533179dfad02441",
     "exact-c/meta.json":
         "4715957990360669950ea84fdf89124cc8a1dcbee3136c38a1f511e03a298c27",
     "exact-c/moments.csv":
@@ -109,7 +109,7 @@ GOLDEN = {
     "sim-c3/histograms.csv":
         "876055ae2ad5a7918d4d16434cebb5ac1c3ea054b3c5f430d13b334de234de81",
     "sim-c3/meta.json":
-        "059eeb9e25b6db376d8a2def21ab3c519f4b880fb7af5b6e3d6a18ebc9acd555",
+        "3811a33cc4c5c1184427cc7c3af1cb9f38195221abab304a93b4ddd3b662f94c",
     "sim-c3/profile.csv":
         "49e897a4b1b5ceebfdea3e757cb25259de040ce4325b466454d9d4fc861d792b",
     "sim-c3/series.npy":
@@ -119,7 +119,7 @@ GOLDEN = {
     "sim-d3/histograms.csv":
         "38f0ed1214ee58bd5ba3d11624c5b4bafc3eb2ef7b5a7da1a99aa48eb76aa27d",
     "sim-d3/meta.json":
-        "d6d466b36cee118a8976aab529de88d523909ef7a7800d6055ee4acb094990ca",
+        "c2166dfad6b1b5b51aca9c7d50a76b7a83cd999422731241f2cb2a8040e2b63e",
     "sim-d3/profile.csv":
         "9b0722c3544a0d9da7c6dad1ed5edd651704e059471e6265a377fb77891c3a3f",
     "sim-d3/series.npy":
@@ -129,9 +129,9 @@ GOLDEN = {
     "sim-d65/histograms.csv":
         "f8cddc7aa9b48245b8d868c3b0292455194ba04049fdbaef3d2bc11798a08e92",
     "sim-d65/meta.json":
-        "4acd7ad54aad67c98b27d1dac595c8fa028e6ced06cab81e49a3f8b1296f9a14",
+        "82e1c724e916c906f98140b9962f1708a56869ca0cfc457c9137cd2805adaf57",
     "sim-d65/profile.csv":
-        "ba3c1dd8251936cdd3f55bce307bb7ad5b84b85a321f6cf108398dbf14a8f5f2",
+        "c9e22db21b355f7c6f2826c2c53319f70b2d2d3aa0816d76ffaa52747caa9df3",
     "sim-d65/series.npy":
         "af9c510153dc57226731ed8aad69dfc75ed071939ae7b1fee7c7cedb64035466",
     "ver-equilibrium/meta.json":

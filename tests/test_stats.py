@@ -431,12 +431,17 @@ class TestProfileReport:
             profile_report(st, MixtureSpec(ChainParams(n=1), Model.DISCRETE))
 
     def test_zscores_match_per_entry_rule(self):
-        # A zero standard error gives 0 for no miss and inf for any miss, else diff / se.
-        diff = np.array([0.0, 1.5, -2.0, 0.3, -0.7, math.nan])
-        se = np.array([0.0, 0.0, 0.0, 0.1, 0.25, 0.0])
-        expect = [(0.0 if d == 0.0 else math.inf) if e == 0.0 else d / e
+        # A zero standard error gives 0 for no miss and an infinity of the
+        # miss's sign for any miss, else diff / se.
+        diff = np.array([0.0, -0.0, 1.5, -2.0, 1e-300, -1e-300, 0.3, -0.7, math.nan])
+        se = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.25, 0.0])
+        expect = [(0.0 if d == 0.0 else math.copysign(math.inf, d)) if e == 0.0 else d / e
                   for d, e in zip(diff.tolist(), se.tolist())]
-        assert stats._zscores(diff, se).tolist() == expect
+        z = stats._zscores(diff, se)
+        assert z.tolist() == expect
+        assert z.tolist()[:6] == [0.0, 0.0, math.inf, -math.inf, math.inf, -math.inf]
+        # |z| and so max_abs_z, and the exit codes that read it, keep the old rule's values.
+        assert np.abs(z).tolist()[:6] == [0.0, 0.0, math.inf, math.inf, math.inf, math.inf]
 
 
 class TestGofResult:

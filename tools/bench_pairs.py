@@ -6,15 +6,18 @@ directory (no worktree, nothing edited), then runs
     python3 bench/run.py --workload W --seed S --trace 0
 
 in each tree alternately, the parent first in odd pairs and the change first
-in even ones, pair i at seed S + i - 1.  Each run's last output line (the
-benchmark's JSON result) is printed as it comes.  At the end it prints, for
-each end-to-end metric of the change's ``BENCHMARK.json``: the median and
-quartiles of both commits, in how many pairs the change was better, the
-relative change of the medians against the metric's bound, and whether every
-run was correct with 0 failed operations.  From the repository root:
+in even ones, pair i at seed S + i - 1.  ``--workload`` takes a
+comma-separated list, whose workloads run their pairs in turn.  Each run's
+last output line (the benchmark's JSON result) is printed as it comes.  After
+a workload's pairs it prints, for each end-to-end metric of the change's
+``BENCHMARK.json``: the median and quartiles of both commits, in how many
+pairs the change was better, the relative change of the medians against the
+metric's bound, and whether every run was correct with 0 failed operations;
+then the pair whose change run is nearest the change's ``wall_ref`` median,
+the run a change records as its ``BENCH_*.json``.  From the repository root:
 
     python3 tools/bench_pairs.py --workload neq-n65 --pairs 10 --seed 27001
-    python3 tools/bench_pairs.py --workload neq-n5 --base HEAD~2 --head HEAD~1
+    python3 tools/bench_pairs.py --workload neq-n5,neq-n65 --pairs 3 --base HEAD~2 --head HEAD~1
 """
 
 from __future__ import annotations
@@ -61,6 +64,23 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def parse_workloads(text: str) -> list[str]:
+    """The workload names of a comma-separated list, in order; ValueError for
+    an empty or repeated name."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names) or len(set(names)) < len(names):
+        raise ValueError(f"--workload needs distinct non-empty names, got {text!r}")
+    return names
+
+
+def nearest_median_pair(pairs: list[tuple[dict, dict]], metric: str = "wall_ref") -> int:
+    """The number (from 1) of the pair whose change run reads ``metric``
+    nearest the median of the change's runs; the first such pair on a tie."""
+    head = [c["metrics"][metric]["value"] for _, c in pairs]
+    median = statistics.median(head)
+    return min(range(len(head)), key=lambda i: abs(head[i] - median)) + 1
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """Report lines for (parent, change) result pairs, one block per metric of
     ``metrics`` (BENCHMARK.json ``end_to_end`` entries), then the verdict on
@@ -93,7 +113,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="a workload, or a comma-separated list")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="seed of pair 1; pair i takes seed + i - 1")
     ap.add_argument("--base", default="HEAD~1", help="the parent commit")
@@ -101,22 +121,31 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    try:
+        workloads = parse_workloads(args.workload)
+    except ValueError as exc:
+        ap.error(str(exc))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": export(args.base, Path(tmp) / "parent"),
                  "change": export(args.head, Path(tmp) / "change")}
         metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-        pairs = []
-        for i in range(1, args.pairs + 1):
-            seed = args.seed + i - 1
-            order = ("parent", "change") if i % 2 else ("change", "parent")
-            result = {}
-            for label in order:
-                result[label] = run_bench(trees[label], args.workload, seed)
-                print(f"pair {i} {label} seed {seed} {json.dumps(result[label])}", flush=True)
-            pairs.append((result["parent"], result["change"]))
-    print(f"{args.workload}: {args.pairs} alternating pairs, {args.base} (parent) "
-          f"against {args.head} (change)")
-    print("\n".join(summarize(pairs, metrics)))
+        for workload in workloads:
+            pairs = []
+            for i in range(1, args.pairs + 1):
+                seed = args.seed + i - 1
+                order = ("parent", "change") if i % 2 else ("change", "parent")
+                result = {}
+                for label in order:
+                    result[label] = run_bench(trees[label], workload, seed)
+                    print(f"{workload} pair {i} {label} seed {seed} "
+                          f"{json.dumps(result[label])}", flush=True)
+                pairs.append((result["parent"], result["change"]))
+            print(f"{workload}: {args.pairs} alternating pairs, {args.base} (parent) "
+                  f"against {args.head} (change)")
+            print("\n".join(summarize(pairs, metrics)))
+            best = nearest_median_pair(pairs)
+            print(f"{workload}: pair {best} (seed {args.seed + best - 1}) is nearest the "
+                  f"change's wall_ref median; its change run is the one to record", flush=True)
     return 0
 
 
