@@ -10,6 +10,11 @@ error.  Every run writes a ``meta.json`` carrying the options it read (its
 reproducible from its own metadata; wall-clock timings go to stderr only,
 keeping all written files byte-stable across reruns.
 
+``simulate`` computes each replica's site autocorrelation times once, in
+that replica's job (a pool worker under ``--workers``), and records them in
+``meta.json`` as ``autocorr_times``; ``compare`` checks their form and takes
+its effective sample sizes from them, running no FFT of its own.
+
 Exit codes are stable API: 0 success/pass, 1 runtime error, 2 configuration
 error, 3 verification or comparison failure, 4 inconclusive.
 """

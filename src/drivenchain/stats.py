@@ -159,10 +159,9 @@ def site_autocorr_times(stats: OccupationStats) -> list[np.ndarray]:
     Entries ``stats.autocorr_times`` caches are returned as they are; the
     missing ones are computed by :func:`integrated_autocorr_time` and cached.
     """
-    cached = stats.autocorr_times
-    stats.autocorr_times = [
-        integrated_autocorr_time(s.T) if i >= len(cached) or cached[i] is None else cached[i]
-        for i, s in enumerate(stats.series)]
+    cached = stats.autocorr_times + [None] * (len(stats.series) - len(stats.autocorr_times))
+    stats.autocorr_times = [integrated_autocorr_time(s.T) if tau is None else tau
+                            for s, tau in zip(stats.series, cached)]
     return stats.autocorr_times
 
 

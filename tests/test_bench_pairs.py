@@ -1,7 +1,10 @@
-"""The summary of tools/bench_pairs.py on canned benchmark result lines."""
+"""tools/bench_pairs.py on canned benchmark result lines: the summary, the pick
+of the pair nearest the median, and the parsing of a workload list."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 METRICS = [{"name": "wall_ref", "unit": "ref", "better": "lower", "bound": 0.25},
@@ -55,3 +58,23 @@ def test_one_pair_has_degenerate_quartiles():
     lines = tool.summarize([(result(10.0, 60.0, 5.0), result(8.0, 60.0, 5.0))], METRICS[:1])
     assert lines[1] == "  parent median 10  IQR 10-10  range 10-10"
     assert lines[3] == "  change better in 1 of 1 pairs; medians -20.00% (within bound 25%)"
+
+
+def test_workload_lists_parse_in_order():
+    tool = load_tool()
+    assert tool.parse_workloads("neq-n5") == ["neq-n5"]
+    assert tool.parse_workloads("neq-n5, neq-n65,exact-law") == ["neq-n5", "neq-n65", "exact-law"]
+    for bad in ("", "neq-n5,", ",neq-n5", "neq-n5,,exact-law", "neq-n5,neq-n5"):
+        with pytest.raises(ValueError, match="--workload"):
+            tool.parse_workloads(bad)
+
+
+def test_the_pair_nearest_the_change_median_is_picked():
+    tool = load_tool()
+    walls = [30.0, 21.0, 22.5, 20.0, 25.0]  # change runs; median 22.5, pair 3
+    pairs = [(result(40.0, 60.0, 5.0), result(w, 60.0, 5.0)) for w in walls]
+    assert tool.nearest_median_pair(pairs) == 3
+    # An even count's median falls between two runs: the first nearest wins.
+    assert tool.nearest_median_pair(pairs[:4]) == 2  # median 21.75: 21.0 and 22.5 tie
+    assert tool.nearest_median_pair(pairs[1:], "peak_rss_mb") == 1
+    assert tool.nearest_median_pair(pairs[:1]) == 1

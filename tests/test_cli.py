@@ -79,6 +79,16 @@ class TestSimulate:
         bb.pop("meta.json")
         assert ba == bb
 
+    def test_replicas_parallel_records_the_serial_times(self, tmp_path):
+        # The other files are compared by test_replicas_parallel_equals_serial.
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(SIM_ARGS + ["--out", str(a), "--replicas", "3", "--workers", "1"]) == 0
+        assert run_cli(SIM_ARGS + ["--out", str(b), "--replicas", "3", "--workers", "2"]) == 0
+        meta_a, meta_b = (json.loads((d / "meta.json").read_text()) for d in (a, b))
+        assert (meta_a["config"].pop("workers"), meta_b["config"].pop("workers")) == (1, 2)
+        assert meta_a == meta_b
+        assert np.array(meta_a["autocorr_times"]).shape == (3, 3)
+
     def test_meta_records_run_counters(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli(SIM_ARGS + ["--out", str(out)]) == 0
@@ -628,6 +638,55 @@ class TestCompare:
         assert f"{sim / 'meta.json'} is not the record of a simulate run" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda times: None, "records no autocorr_times"),
+        (lambda times: [t[:-1] for t in times], "is not 1 list(s) of 3 times"),
+        (lambda times: times * 2, "is not 1 list(s) of 3 times"),
+        (lambda times: times[0], "is not 1 list(s) of 3 times"),
+        (lambda times: [[*times[0][:2], [1.0]]], "is not 1 list(s) of 3 times"),
+        (lambda times: [["a", "b", "c"]], "is not 1 list(s) of 3 times"),
+        (lambda times: [[*times[0][:2], math.nan]], "not finite or is below 1"),
+        (lambda times: [[*times[0][:2], math.inf]], "not finite or is below 1"),
+        (lambda times: [[*times[0][:2], None]], "not finite or is below 1"),
+        (lambda times: [[*times[0][:2], 0.999]], "not finite or is below 1"),
+    ], ids=["missing", "site-short", "replica-extra", "flat", "ragged", "text", "nan", "inf",
+            "null", "below-1"])
+    def test_malformed_autocorr_times_exits_2(self, tmp_path, edit, message, capsys):
+        sim = simulate_small(tmp_path / "sim")
+        meta = json.loads((sim / "meta.json").read_text())
+        times = edit(meta.pop("autocorr_times"))
+        if times is not None:
+            meta["autocorr_times"] = times
+        (sim / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(sim / "meta.json") in err and message in err
+        assert not out.exists()
+
+    def test_site_times_are_computed_once_in_simulate(self, tmp_path, monkeypatch):
+        rows = []
+        kernel = stats.integrated_autocorr_time
+
+        def counting(series):
+            rows.append(len(np.atleast_2d(series)))
+            return kernel(series)
+
+        monkeypatch.setattr(stats, "integrated_autocorr_time", counting)
+        sim = simulate_small(tmp_path / "sim", "--replicas", "3", "--workers", "1")
+        assert sum(rows) == 3 * 3  # replicas x sites
+        rows.clear()
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "cmp")]) in (0, 3, 4)
+        assert rows == []
+
+    def test_gof_equals_a_run_that_recomputes_the_effective_sizes(self, tmp_path, monkeypatch):
+        sim = simulate_small(tmp_path / "sim", "--replicas", "2", "--workers", "1")
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "a")]) in (0, 3, 4)
+        monkeypatch.setattr(cli, "effective_sample_size",
+                            lambda series, tau=None: stats.effective_sample_size(series))
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "b")]) in (0, 3, 4)
+        assert (tmp_path / "a" / "gof.csv").read_bytes() == (tmp_path / "b" / "gof.csv").read_bytes()
+
     def test_missing_sim_dir_exit_2(self, tmp_path):
         rc = run_cli(["compare", "--sim", str(tmp_path / "nope"),
                       "--out", str(tmp_path)])
@@ -682,10 +741,10 @@ class TestNumericOptions:
         # A window of 1e-6 time units holds no event whatever the seed, so every
         # site keeps its value across the two grid points: every mean's se is 0
         # and every mean misses the exact one (integer means, non-integer exact
-        # ones), so every mean z is infinite, of its miss's sign.  The covariance errors take the exact
-        # law's product variance, so they stay finite.  Two samples leave the
-        # GOF inconclusive, so the infinite z alone fails compare; skipped, it
-        # would give exit 4.
+        # ones), so every mean z is infinite, of its miss's sign.  The covariance
+        # errors take the exact law's product variance, so they stay finite.
+        # Two samples leave the GOF inconclusive, so the infinite z alone fails
+        # compare; skipped, it would give exit 4.
         sim = tmp_path / "sim"
         assert run_cli(["simulate", "--n", "2", "--t-max", "50", "--burn-in", "49.999999",
                         "--seed", "0", "--grid-samples", "2", "--out", str(sim)]) == 0

@@ -1,5 +1,6 @@
 """Statistical harness: autocorrelation times, GOF tests, profile reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from drivenchain.stats import (
     integrated_autocorr_time,
     ks_continuous,
     profile_report,
+    site_autocorr_times,
 )
 
 
@@ -425,6 +427,27 @@ class TestProfileReport:
         assert np.allclose(merged.mean_acc, other.mean_acc)
         assert merged.duration == pytest.approx(other.duration)
 
+    def test_cached_times_give_the_report_bit_for_bit(self):
+        # Merged replica stats, each replica timed in its own job, report what
+        # the same stats report with every time computed in the report.
+        from drivenchain import cli
+
+        cfg = cli.RunConfig(command="simulate", n=3, t_max=300.0, replicas=3, workers=1,
+                            seed=4, grid_samples=512)
+        merged = cli._run_replicas(cfg, cfg.chain_params())
+        assert len(merged.autocorr_times) == 3
+        untimed = dataclasses.replace(merged, autocorr_times=[])
+        spec = MixtureSpec(cfg.chain_params(), Model.DISCRETE)
+        cached, computed = profile_report(merged, spec), profile_report(untimed, spec)
+        for f in dataclasses.fields(stats.ProfileReport):
+            a, b = getattr(cached, f.name), getattr(computed, f.name)
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            else:
+                assert a == b, f.name
+        assert [t.tobytes() for t in untimed.autocorr_times] == [
+            t.tobytes() for t in merged.autocorr_times]
+
     def test_requires_positive_duration(self):
         st = OccupationStats(n_sites=1, model="discrete")
         with pytest.raises(ValueError):
@@ -442,6 +465,36 @@ class TestProfileReport:
         assert z.tolist()[:6] == [0.0, 0.0, math.inf, -math.inf, math.inf, -math.inf]
         # |z| and so max_abs_z, and the exit codes that read it, keep the old rule's values.
         assert np.abs(z).tolist()[:6] == [0.0, 0.0, math.inf, math.inf, math.inf, math.inf]
+
+
+class TestSiteTimes:
+    """Each series' cached site times: aligned through merges, each computed once."""
+
+    def test_merge_keeps_entries_aligned_when_one_side_lacks_them(self, monkeypatch):
+        params = ChainParams(n=2, beta_a=0.5, beta_b=0.75)
+        a, b, c = (simulate(params, t_max=100.0, seed=60 + i, grid_samples=128)
+                   for i in range(3))
+        want = [integrated_autocorr_time(s.series[0].T) for s in (a, b, c)]
+        site_autocorr_times(a)
+        site_autocorr_times(c)
+        assert a.merge(b).autocorr_times == [a.autocorr_times[0]]  # b's entry untimed
+        assert [t is None for t in b.merge(a).autocorr_times] == [True, False]
+        merged = a.merge(b).merge(c)
+        assert [t is None for t in merged.autocorr_times] == [False, True, False]
+        timed = []
+        kernel = stats.integrated_autocorr_time
+        monkeypatch.setattr(stats, "integrated_autocorr_time",
+                            lambda x: timed.append(len(x)) or kernel(x))
+        got = site_autocorr_times(merged)
+        assert timed == [2]  # b's two sites only
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+        assert site_autocorr_times(merged) == got and timed == [2]  # all cached now
+
+    def test_effective_sample_size_takes_a_known_time(self):
+        x = make_rng(9).normal(size=(3, 4096)).cumsum(axis=1)
+        tau = integrated_autocorr_time(x)
+        assert effective_sample_size(x, tau).tobytes() == effective_sample_size(x).tobytes()
+        assert effective_sample_size(x, np.full(3, 2.0)).tolist() == [2048.0] * 3
 
 
 class TestGofResult:
