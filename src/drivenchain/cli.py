@@ -49,6 +49,7 @@ from .measure import (
     moment_profile,
     sample_exact_continuous,
     sample_exact_discrete,
+    uses_quadrature,
 )
 from .occupation import DEFAULT_GRID_SAMPLES, IntHistogram, OccupationStats
 from .stats import (
@@ -61,7 +62,6 @@ from .stats import (
     site_autocorr_times,
 )
 from .verify import (
-    DIRECT_DEFAULTS,
     LEAST_MC_SAMPLES,
     SUITES,
     check_stationarity_direct_discrete,
@@ -100,7 +100,7 @@ class RunConfig:
     suite: str = "all"
     truncation: int | None = None
     tol: float | None = None
-    mc_samples: int = 10_000_000
+    mc_samples: int | None = None
     sizes: tuple[int, ...] = (1, 2, 3, 5)
     candidate: str = "mixture"
     sim_dir: str = ""
@@ -146,8 +146,8 @@ def _write_samples(path: Path, draws: np.ndarray) -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _write_meta(outdir: Path, cfg: RunConfig, extra: dict | None = None) -> None:
-    read = READS[cfg.command][_variant(cfg)]
+def _write_meta(outdir: Path, cfg: RunConfig, variant: str, extra: dict | None = None) -> None:
+    read = READS[cfg.command][variant]
     meta = {
         "config": {name: getattr(cfg, name) for name in ("command", *read)},
         "package_version": __version__,
@@ -273,7 +273,7 @@ def _run_counters(stats: OccupationStats) -> dict:
     return counters
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, variant: str) -> int:
     params = cfg.chain_params()
     t0 = time.perf_counter()
     stats = _run_replicas(cfg, params)
@@ -284,7 +284,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     _write_histograms(outdir, stats)
     _write_profile(outdir, rep)
     np.save(outdir / "series.npy", np.stack(stats.series))
-    _write_meta(outdir, cfg, {
+    _write_meta(outdir, cfg, variant, {
         "accumulators": {
             "duration": stats.duration,
             "event_count": stats.event_count,
@@ -314,13 +314,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # sample-exact
 # ---------------------------------------------------------------------------
 
-def cmd_sample_exact(cfg: RunConfig) -> int:
+def cmd_sample_exact(cfg: RunConfig, variant: str) -> int:
     spec = MixtureSpec(cfg.chain_params(), cfg.model)
     sample = sample_exact_discrete if spec.model is Model.DISCRETE else sample_exact_continuous
     draws = sample(spec, make_rng(cfg.seed), size=cfg.samples)
     exact = moment_profile(spec)
     emp_mean = draws.mean(axis=0)
-    se = draws.std(axis=0, ddof=1) / np.sqrt(cfg.samples)
+    se = np.sqrt(np.diag(exact.covariance) / cfg.samples)  # the claimed law's, as in profile.csv
     z = _zscores(emp_mean - exact.means, se)
     outdir = _resolve_outdir(cfg)  # only now: a rejected configuration leaves no directory
     _write_samples(outdir / "samples.csv", draws)
@@ -330,7 +330,7 @@ def cmd_sample_exact(cfg: RunConfig) -> int:
         zip(range(1, cfg.n + 1), emp_mean.tolist(), se.tolist(),
             exact.means.tolist(), z.tolist()),
     )
-    _write_meta(outdir, cfg)
+    _write_meta(outdir, cfg, variant)
     print(f"sample-exact: {cfg.samples} draws -> {outdir}", file=sys.stderr)
     return EXIT_OK
 
@@ -339,14 +339,8 @@ def cmd_sample_exact(cfg: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _direct_stationarity(cfg: RunConfig) -> bool:
-    """Whether ``verify --suite stationarity`` runs one direct balance check, not the suite."""
-    return cfg.suite == "stationarity" and (
-        cfg.truncation is not None or cfg.candidate != "mixture" or cfg.n in DIRECT_DEFAULTS)
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    if _direct_stationarity(cfg):
+def cmd_verify(cfg: RunConfig, variant: str) -> int:
+    if variant == "direct check":
         reports = [check_stationarity_direct_discrete(
             ChainParams(n=cfg.n, beta_a=cfg.beta_a, beta_b=cfg.beta_b), cfg.truncation,
             cfg.tol, candidate=cfg.candidate)]
@@ -360,7 +354,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         for r in reports:
             fh.write(r.to_json())
             fh.write("\n")
-    _write_meta(outdir, cfg)
+    _write_meta(outdir, cfg, variant)
     n_fail = sum(1 for r in reports if not r.passed and not r.inconclusive)
     n_inc = sum(1 for r in reports if r.inconclusive)
     for r in reports:
@@ -456,7 +450,7 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
     return cfg, stats
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: RunConfig, variant: str) -> int:
     sim_dir = Path(cfg.sim_dir)
     if not (sim_dir / "meta.json").exists():
         raise ValueError(f"no simulation output at {sim_dir}")
@@ -492,7 +486,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         gof_rows,
     )
     _write_profile(outdir, rep, prefix="compare_")
-    _write_meta(outdir, cfg, {"autocorr_series": 0})  # every time is simulate's
+    _write_meta(outdir, cfg, variant, {"autocorr_series": 0})  # every time is simulate's
     z_ok = rep.max_abs_z < 4.0
     print(f"compare: max|z| = {rep.max_abs_z:.2f}, GOF pass = {all_pass}",
           file=sys.stderr)
@@ -548,8 +542,8 @@ _ARGUMENTS = {
     "truncation": {"help": "box truncation for the direct balance check"},
     "sizes": {"help": "comma-separated chain sizes"},
     "mc_samples": {"help": f"Monte Carlo draws for each size above {QUADRATURE_MAX_SITES}, "
-                           f"at least {LEAST_MC_SAMPLES}; smaller sizes run by quadrature "
-                           "and do not read it"},
+                           f"at least {LEAST_MC_SAMPLES}, required for such a size; smaller "
+                           "sizes run by quadrature and do not read it"},
     "candidate": {"choices": ["mixture", "product-geometric", "product-marginals"]},
     "sim_dir": {"required": True},
     "out": {"help": f"output directory (default: ${ENV_OUTDIR} or the working directory)"},
@@ -566,10 +560,12 @@ def _flag(name: str) -> str:
     return _FLAGS.get(name, "--" + name.replace("_", "-"))
 
 
-def _variant(cfg: RunConfig) -> str:
-    """The key of ``READS[cfg.command]`` that says what this run does."""
+def _variant(cfg: RunConfig, given: set[str]) -> str:
+    """The key of ``READS[cfg.command]`` that says what this run does, given
+    the fields set by flag or file: ``verify --suite stationarity`` runs one
+    direct balance check when --n, --k or --candidate is given, else the suite."""
     if cfg.command == "verify":
-        if _direct_stationarity(cfg):
+        if cfg.suite == "stationarity" and given & {"n", "truncation", "candidate"}:
             return "direct check"
         return cfg.suite if cfg.suite in READS["verify"] else "other suites"
     if cfg.command == "compare":
@@ -631,14 +627,15 @@ _LEAST = {"replicas": 1, "workers": 1, "grid_samples": 2, "samples": 2,
           "mc_samples": LEAST_MC_SAMPLES, "seed": 0, "tol": 0.0}
 
 
-def check_options(cfg: RunConfig, given: set[str]) -> None:
-    """ValueError if an option set by flag or file is one the run does not
-    read (see ``READS``; telescoping reads --tol only for a quadrature size and
-    --seed only for a Monte Carlo one), or holds a value no run can honour."""
-    variant = _variant(cfg)
+def check_options(cfg: RunConfig, given: set[str]) -> str:
+    """The run's ``READS`` variant, or a ValueError if an option set by flag
+    or file is one the run does not read (telescoping reads --tol only for a
+    quadrature size and --seed only for a Monte Carlo one), if a Monte Carlo
+    size has no --mc-samples, or if an option holds a value no run can honour."""
+    variant = _variant(cfg, given)
     read = set(READS[cfg.command][variant])
     if variant == "telescoping":  # quadrature judges at --tol, Monte Carlo (at 4 SE) draws --seed
-        monte_carlo = {n > QUADRATURE_MAX_SITES for n in cfg.sizes}
+        monte_carlo = {not uses_quadrature(n, None) for n in cfg.sizes}
         read -= {name for name, mc in (("tol", False), ("seed", True)) if mc not in monte_carlo}
     unread = sorted(given - read - {"out"})
     if unread:
@@ -657,13 +654,17 @@ def check_options(cfg: RunConfig, given: set[str]) -> None:
         check_epsilon(cfg.epsilon, cfg.t_b, _flag("epsilon"))
     if not 0.0 < cfg.level < 1.0:
         raise ValueError(f"--level must lie in (0, 1), got {cfg.level}")
+    if variant == "telescoping" and True in monte_carlo and cfg.mc_samples is None:
+        raise ValueError(f"a size above {QUADRATURE_MAX_SITES} sites runs by Monte Carlo only: "
+                         "pass --mc-samples")
+    return variant
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, given = resolve_config(args)
-        check_options(cfg, given)
+        variant = check_options(cfg, given)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -674,7 +675,7 @@ def main(argv=None) -> int:
         "compare": cmd_compare,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[cfg.command](cfg, variant)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

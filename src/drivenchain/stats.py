@@ -3,21 +3,22 @@
 Trajectory data are time-weighted and autocorrelated, so nothing here assumes
 i.i.d. input: effective sample sizes come from the integrated autocorrelation
 time of the evenly spaced trajectory series (Geyer's initial positive
-sequence estimator), histogram tests scale their counts by that effective
-size, and profile standard errors carry the same correction; covariance
-standard errors carry a batch-means one.
+sequence estimator), and histogram tests scale their counts by that
+effective size.  Every moment standard error follows one rule: the claimed
+law's variance of the averaged quantity (``moment_profile``'s site variance
+or pair-product variance), times an autocorrelation time, over the number of
+samples.
 
-:func:`integrated_autocorr_time` is the one kernel for those times: it takes
-a block of series and runs one rfft/irfft per memory-bounded chunk of rows,
-each time equal bit for bit to that of the series alone.  Each replica's site
-times are computed once, by :func:`site_autocorr_times`, and cached on its
-``OccupationStats``: the CLI fills that cache in each replica's job (a pool
-worker), :func:`profile_report` computes only the entries a stats object
-lacks, and ``compare`` reads the times ``simulate`` recorded.  Covariance
-errors need no such time per pair: they take the variance of each centred
-pair product from the exact law and a batch-means time from the product
-series, built a tile of site pairs at a time.  Rebuilt from known
-standard errors by ``ProfileReport.from_errors``, a report is re-checked by
+:func:`integrated_autocorr_time` is the one kernel for the site times: it
+takes a block of series and runs one rfft/irfft per memory-bounded chunk of
+rows, each time equal bit for bit to that of the series alone.  Each
+replica's site times are computed once, by :func:`site_autocorr_times`, and
+cached on its ``OccupationStats``: the CLI fills that cache in each
+replica's job (a pool worker), :func:`profile_report` computes only the
+entries a stats object lacks, and ``compare`` reads the times ``simulate``
+recorded.  A pair's time is a batch-means time of its centred product
+series, built a tile of site pairs at a time.  Rebuilt from known standard
+errors by ``ProfileReport.from_errors``, a report is re-checked by
 ``compare``, not computed again.
 
 The p-values import scipy where they are taken, so importing this module
@@ -163,17 +164,6 @@ def site_autocorr_times(stats: OccupationStats) -> list[np.ndarray]:
     stats.autocorr_times = [integrated_autocorr_time(s.T) if tau is None else tau
                             for s, tau in zip(stats.series, cached)]
     return stats.autocorr_times
-
-
-def _series_mean_se(sites: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Standard errors of the means of the stationary series in the rows of
-    ``sites`` (k, L), which may be a strided view, with times ``tau``."""
-    length = sites.shape[1]
-    step = _chunk_rows(length)
-    # Contiguous chunks of rows: row variances as for 1-D rows.
-    var = np.concatenate([np.ascontiguousarray(sites[k:k + step], dtype=float).var(axis=1)
-                          for k in range(0, len(sites), step)])
-    return np.where(var == 0.0, 0.0, np.sqrt(var * tau / length))
 
 
 def _inconclusive(name: str, effective_n: float, note: str, statistic: float = np.nan) -> GofResult:
@@ -387,28 +377,28 @@ def _pair_taus(series: np.ndarray, mean: np.ndarray) -> np.ndarray:
 def profile_report(stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:
     """Compare a run's moments with the exact stationary moments.
 
-    Means come from the exact time-weighted accumulators.  Per replica, a
-    mean's standard error is sqrt(Var(series) tau / L) over its L grid
-    points, tau the Geyer time of the site series; replicas combine as
-    sqrt(sum_r se_r**2) / R.  The times come from
-    :func:`site_autocorr_times`, so only series the stats object has not
-    timed are timed here.  ``notes["autocorr_series"]`` counts the R n site
-    series whose Geyer times the errors rest on.
+    Means come from the exact time-weighted accumulators.  A covariance is
+    the mean of the centred pair product (v_x - mu_x)(v_y - mu_y).  Every
+    standard error takes its variance from the claimed law, not from the
+    series whose mean is the estimate: that variance moves with the
+    estimate and skews the z-scores to the left.  Each replica of L grid
+    points contributes one vector of squared errors Var_exact tau / L, the
+    n sites and then the n(n+1)/2 pairs (1, 1), (1, 2), ..., (n, n).  Var_exact is the diagonal
+    of ``moment_profile``'s covariance, then its ``product_variance``.  tau
+    is the site's Geyer time from :func:`site_autocorr_times` (so only
+    series the stats object has not timed are timed here), then the pair's
+    batch-means time from :func:`_pair_taus` (1 when L < 2 COV_BATCHES or
+    the product is constant).  Replicas combine as sqrt(sum_r se_r**2) / R.
+    ``notes["autocorr_series"]`` counts the R n site series whose Geyer
+    times the errors rest on.
 
-    A covariance is the mean of the centred pair product (v_x - mu_x)(v_y -
-    mu_y).  Its error takes the product's variance from the claimed law
-    (``moment_profile``'s ``product_variance``), not from the product series
-    whose mean is the estimate, which moves with the estimate and skews the
-    z-scores: per replica sqrt(Var_exact tau / L), tau the batch-means time
-    of :func:`_pair_taus` (1 when L < 2 COV_BATCHES or the product is
-    constant, so the error is never 0 or NaN), replicas combined as for the
-    means.  Under the claimed law a covariance z is close to Student's t
-    with COV_BATCHES - 1 degrees of freedom: |z| >= 4 has probability about
+    Under the claimed law a covariance z is close to Student's t with
+    COV_BATCHES - 1 degrees of freedom: |z| >= 4 has probability about
     3.7e-4 per entry, against 6.3e-5 for a Gaussian.
     ``notes["covariance_error"]`` records the rule and COV_BATCHES.
 
-    The series-based times are exact when the sampling interval sits below
-    the autocorrelation time and conservative (over-estimates) when the grid
+    The Geyer times are exact when the sampling interval sits below the
+    autocorrelation time and conservative (over-estimates) when the grid
     is coarser than that.
     """
     if stats.duration <= 0.0:
@@ -417,14 +407,13 @@ def profile_report(stats: OccupationStats, spec: MixtureSpec) -> ProfileReport:
     emp_mean = stats.mean()
     first, second = np.triu_indices(n)
     exact = moment_profile(spec)
-    var_exact = exact.product_variance[first, second]
+    var_exact = np.concatenate([np.diag(exact.covariance), exact.product_variance[first, second]])
     # Squared errors (sites, then pairs) summed over replicas as Python
     # floats: x ** 2 is C pow, which x * x does not always match to the last bit.
-    sq = [0.0] * (n + len(first))
+    sq = [0.0] * len(var_exact)
     for s, tau in zip(stats.series, site_autocorr_times(stats)):
-        se_mean = _series_mean_se(s.T, tau)
-        se_cov = np.sqrt(var_exact * _pair_taus(s, emp_mean)[first, second] / len(s))
-        sq = [a + b ** 2 for a, b in zip(sq, se_mean.tolist() + se_cov.tolist())]
+        taus = np.concatenate([tau, _pair_taus(s, emp_mean)[first, second]])
+        sq = [a + b ** 2 for a, b in zip(sq, np.sqrt(var_exact * taus / len(s)).tolist())]
     se = np.sqrt(sq) / len(stats.series)
     rep = ProfileReport.from_errors(stats, exact, se[:n], se[n:])
     rep.notes["autocorr_series"] = len(stats.series) * n

@@ -193,8 +193,9 @@ class TestSampleExact:
         draws = sampler(spec, rng, size=5000)
         header = ["site_1", "site_2", "site_3"]
         assert (out / "samples.csv").read_bytes() == csv_oracle(header, draws)
-        exact = measure.moment_profile(spec).means
-        emp, se = draws.mean(axis=0), draws.std(axis=0, ddof=1) / np.sqrt(5000)
+        moments = measure.moment_profile(spec)
+        exact = moments.means
+        emp, se = draws.mean(axis=0), np.sqrt(np.diag(moments.covariance) / 5000)
         rows = [(x + 1, emp[x], se[x], exact[x], (emp[x] - exact[x]) / se[x])
                 for x in range(3)]
         assert (out / "moments.csv").read_bytes() == csv_oracle(
@@ -246,10 +247,10 @@ class TestSampleExact:
         assert data.shape == (20000, 2)
         assert data.min() >= 0.0
 
-    def test_zero_standard_error_z_is_the_profile_rule(self, tmp_path):
-        # At beta = 1e-9 every draw is 0: se = 0 and the draws fall about 1e-9
-        # below the exact mean, so z is -inf, as stats._zscores gives in
-        # profile.csv, with no division warning.
+    def test_constant_draws_keep_the_exact_law_error(self, tmp_path):
+        # At beta = 1e-9 every draw is 0, so the draws scatter not at all; the
+        # error is the exact law's, sqrt(Var / N) > 0, and the draws' miss of
+        # about 1e-9 has a finite z, with no division warning.
         out = tmp_path / "ez"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -257,7 +258,12 @@ class TestSampleExact:
                             "--samples", "2", "--out", str(out)]) == 0
         with open(out / "moments.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert [(r["se"], r["z"]) for r in rows] == [("0.0", "-inf")] * 2
+        assert [r["emp_mean"] for r in rows] == ["0.0"] * 2
+        for r in rows:
+            se, z = float(r["se"]), float(r["z"])
+            mean = float(r["exact_mean"])
+            assert se == pytest.approx(math.sqrt(mean * (1.0 + mean) / 2), rel=1e-12)
+            assert se > 0.0 and math.isfinite(z) and -1.0 < z < 0.0
 
     def test_rejected_draw_leaves_no_directory(self, tmp_path, monkeypatch):
         def reject(spec, rng, size):
@@ -418,14 +424,61 @@ class TestVerify:
         assert f"does not use {unread}" in capsys.readouterr().err
         assert not out.exists()
         # Mixed sizes read both.
-        cfg = cli.RunConfig(command="verify", suite="telescoping", sizes=(1, 6), seed=3, tol=1e-3)
-        cli.check_options(cfg, {"suite", "sizes", "seed", "tol"})
+        cfg = cli.RunConfig(command="verify", suite="telescoping", sizes=(1, 6), seed=3, tol=1e-3,
+                            mc_samples=1000)
+        cli.check_options(cfg, {"suite", "sizes", "seed", "tol", "mc_samples"})
 
     def test_telescoping_sizes_flag(self, tmp_path):
         out = tmp_path / "ver3"
         rc = run_cli(["verify", "--suite", "telescoping", "--sizes", "1,2",
                       "--mc-samples", "100000", "--out", str(out)])
         assert rc == 0
+
+    def test_monte_carlo_size_without_samples_exits_2(self, tmp_path, capsys):
+        # Monte Carlo runs only on request: no default count is drawn.
+        out = tmp_path / "ver12"
+        assert run_cli(["verify", "--suite", "telescoping", "--sizes", "6",
+                        "--out", str(out)]) == 2
+        assert "--mc-samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quadrature_sizes_need_no_samples(self, tmp_path):
+        out = tmp_path / "ver13"
+        assert run_cli(["verify", "--suite", "telescoping", "--sizes", "1,2,3,5",
+                        "--out", str(out)]) == 0
+        assert json.loads((out / "meta.json").read_text())["config"]["mc_samples"] is None
+
+    @pytest.mark.parametrize("n, table", [("3", "121^3"), ("7", "121^7")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_stationarity_n_runs_the_direct_check(self, tmp_path, n, table, source, capsys):
+        # --n picks the direct check at any n; at its default --k 60 these
+        # tables exceed MAX_TABLE_ENTRIES, which the check itself reports.
+        option = ["--n", n]
+        if source == "config":
+            (tmp_path / "n.cfg").write_text(f"n={n}\n")
+            option = ["--config", str(tmp_path / "n.cfg")]
+        out = tmp_path / "ver14"
+        assert run_cli(["verify", "--suite", "stationarity", *option, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"a {table} table, above MAX_TABLE_ENTRIES" in err and "does not use" not in err
+        assert not out.exists()
+
+    def test_bare_stationarity_runs_the_suite(self, tmp_path):
+        out = tmp_path / "ver15"
+        assert run_cli(["verify", "--suite", "stationarity", "--out", str(out)]) == 0
+        reports = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+        assert [r["notes"]["n"] for r in reports] == [1, 2]
+        assert set(json.loads((out / "meta.json").read_text())["config"]) == {"command", "suite"}
+
+    def test_unattainable_tail_budget_exits_4(self, tmp_path):
+        # beta_b = 0.9999: the boundary sums' geometric tails need no truncation
+        # level the check can reach, an inconclusive report.
+        out = tmp_path / "ver16"
+        assert run_cli(["verify", "--suite", "stationarity", "--n", "1", "--beta-b", "0.9999",
+                        "--out", str(out)]) == 4
+        (rec,) = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+        assert rec["inconclusive"] and rec["notes"]["failure"] == (
+            "no truncation level meets the tail budget")
 
     def test_verify_determinism(self, tmp_path):
         out = tmp_path / "ver4"
@@ -605,6 +658,26 @@ class TestCompare:
         assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "cmp")]) == 2
         assert f"{name} line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, edit, says", [
+        ("profile.csv", lambda rows: [["site", "mean", "se", "exact_mean", "z"], *rows[1:]],
+         "header is not site,emp_mean,se,exact_mean,z"),
+        ("covariance.csv", lambda rows: [rows[0], [*rows[1][:3], "wide", *rows[1][4:]],
+                                         *rows[2:]], "unreadable se column"),
+        ("profile.csv", lambda rows: rows[:-1], "has 2 rows, the run in"),
+        ("covariance.csv", lambda rows: [*rows, rows[-1]], "has 7 rows, the run in"),
+    ], ids=["header", "se", "short", "long"])
+    def test_malformed_profile_exits_2(self, tmp_path, name, edit, says, capsys):
+        sim = simulate_small(tmp_path / "sim")
+        with open(sim / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(sim / name, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(sim / name) in err and says in err
+        assert not out.exists()
+
     def test_chain_flags_rejected(self, tmp_path):
         # compare reads the chain from the simulation's own meta.json
         with pytest.raises(SystemExit) as exc:
@@ -737,24 +810,22 @@ class TestNumericOptions:
         assert "--tol must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_infinite_z_fails_compare(self, tmp_path):
+    def test_frozen_window_is_inconclusive(self, tmp_path):
         # A window of 1e-6 time units holds no event whatever the seed, so every
-        # site keeps its value across the two grid points: every mean's se is 0
-        # and every mean misses the exact one (integer means, non-integer exact
-        # ones), so every mean z is infinite, of its miss's sign.  The covariance
-        # errors take the exact law's product variance, so they stay finite.
-        # Two samples leave the GOF inconclusive, so the infinite z alone fails
-        # compare; skipped, it would give exit 4.
+        # site keeps its value across the two grid points, and every mean misses
+        # the exact one (integer means, non-integer exact ones).  Every error
+        # takes the exact law's variance, so every z is finite and nonzero.
+        # Two samples leave the GOF inconclusive: compare exits 4.
         sim = tmp_path / "sim"
         assert run_cli(["simulate", "--n", "2", "--t-max", "50", "--burn-in", "49.999999",
                         "--seed", "0", "--grid-samples", "2", "--out", str(sim)]) == 0
         z_mean, z_cov = ([float(row["z"]) for row in
                           csv.DictReader((sim / name).read_text().splitlines())]
                          for name in ("profile.csv", "covariance.csv"))
-        assert len(z_mean) == 2 and all(abs(v) == math.inf for v in z_mean)
+        assert len(z_mean) == 2 and all(math.isfinite(v) and v != 0.0 for v in z_mean)
         assert len(z_cov) == 3 and all(math.isfinite(v) and v != 0.0 for v in z_cov)
         out = tmp_path / "cmp"
-        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 3
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 4
         notes = {row["note"] for row in csv.DictReader((out / "gof.csv").read_text().splitlines())}
         assert notes == {"insufficient effective samples"}
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
+from drivenchain import core
 from drivenchain.core import (
     HARMONIC_CACHE_LIMIT,
     ChainParams,
@@ -84,6 +85,17 @@ class TestHarmonic:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             harmonic_number(-1)
+
+    def test_just_past_the_cache_is_the_running_sum(self, monkeypatch):
+        # The cache as at import; a call one past its end grows it, and every
+        # entry continues the running sum fl(H(k-1) + 1/k).
+        monkeypatch.setattr(core, "_harmonic", core._harmonic[:1024])
+        n = len(core._harmonic)
+        running = [0.0]
+        for k in range(1, n + 1):
+            running.append(running[-1] + 1.0 / k)
+        assert harmonic_number(n) == running[n]
+        assert core._harmonic[:n + 1] == running
 
 
 class TestQuadrature:

@@ -1,6 +1,7 @@
 """Particle-chain simulator: samplers, state, events, trajectories."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ class TestSampleKHarmonic:
         mean_expected = n / harmonic_number(n)
         se = draws.std() / math.sqrt(len(draws))
         assert abs(draws.mean() - mean_expected) < 4.0 * se
+
+    @pytest.mark.parametrize("n", [65, 200, 5000])
+    def test_bisection_returns_the_smallest_k_above_the_draw(self, n):
+        # Above 64 the inverse CDF bisects the prefix sums: k is the smallest
+        # with H(k) > u H(n), found here by a forward search over every k.
+        total = harmonic_number(n)
+        for u in [0.0, *make_rng(n).random(200).tolist(), 1.0 - 2.0 ** -53]:
+            draws = SimpleNamespace(random=lambda: u)
+            want = next((k for k in range(1, n + 1) if harmonic_number(k) > u * total), n)
+            assert sample_k_harmonic(n, draws) == want
 
     def test_invalid(self):
         with pytest.raises(ValueError):

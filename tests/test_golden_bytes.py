@@ -71,7 +71,7 @@ GOLDEN = {
     "cmp-c3/compare_covariance.csv":
         "307d658103fb87b8ab88fd3c7d62475bf793d3d1a23ef41855abeec3f96f1423",
     "cmp-c3/compare_profile.csv":
-        "49e897a4b1b5ceebfdea3e757cb25259de040ce4325b466454d9d4fc861d792b",
+        "6d8cb9d5c75803ef8d044e0a1f19b61deae836eba1012141c60e02c80c7defe7",
     "cmp-c3/gof.csv":
         "bebd6e0124ed8b56f71426f02cec85482fae7172c45014601485e092c2729d34",
     "cmp-c3/meta.json":
@@ -79,7 +79,7 @@ GOLDEN = {
     "cmp-d3/compare_covariance.csv":
         "cab04a90ef387ef610e77a2fba4a1562228dd249ee2229f3502d4ecb577d2779",
     "cmp-d3/compare_profile.csv":
-        "9b0722c3544a0d9da7c6dad1ed5edd651704e059471e6265a377fb77891c3a3f",
+        "43b29bdc1b8a65dcdddfe4e1652ebe4c2d557739835e12abff2753440054c492",
     "cmp-d3/gof.csv":
         "8d2d9adb42606276db123ae857ab237de3a073ec006db0c0a2140f4cecce751b",
     "cmp-d3/meta.json":
@@ -87,7 +87,7 @@ GOLDEN = {
     "cmp-d65/compare_covariance.csv":
         "71fa0fe1c38808e08bb6fa4d9f5fd9c314db0410f2f940e0db4d22a93a595eae",
     "cmp-d65/compare_profile.csv":
-        "c9e22db21b355f7c6f2826c2c53319f70b2d2d3aa0816d76ffaa52747caa9df3",
+        "d6948144586cb7d95b87cbd748a7e19398b38592c1debc41b549fcad3cb9ac90",
     "cmp-d65/gof.csv":
         "a67c439e02c2029f51b1ee4317e471810783e2f8d57bd50cc86bda05b7f889fc",
     "cmp-d65/meta.json":
@@ -95,13 +95,13 @@ GOLDEN = {
     "exact-c/meta.json":
         "4715957990360669950ea84fdf89124cc8a1dcbee3136c38a1f511e03a298c27",
     "exact-c/moments.csv":
-        "f061a181dd927b8ac5c8f70a7d8163f0f3d6141482fa28e0b3b26824326d1d65",
+        "4d54bc7d9930728e1aaf202d5eb192dfd749721f6cd7ebf298a2cfc404c9de06",
     "exact-c/samples.csv":
         "7aa5723fbdaed795841322cf95bcf6ce463b349125642f18740c8476e298d54b",
     "exact-d/meta.json":
         "12ef6f070a399f8cc3583d902d1bca35bc06e7e384c9378384da066c6aeea633",
     "exact-d/moments.csv":
-        "36015f0c79aba9b304d75273d9957492b9f504d03cd69fc579ae78b858e16a0a",
+        "9ab20686b2c72a1ba538a38d682987aa012871edbe42c30a27aa13351c7c50f1",
     "exact-d/samples.csv":
         "2306ce537bece7fa3389cf238fa86bd946b4f7507a963b06cf349dc1854e5930",
     "sim-c3/covariance.csv":
@@ -111,7 +111,7 @@ GOLDEN = {
     "sim-c3/meta.json":
         "3811a33cc4c5c1184427cc7c3af1cb9f38195221abab304a93b4ddd3b662f94c",
     "sim-c3/profile.csv":
-        "49e897a4b1b5ceebfdea3e757cb25259de040ce4325b466454d9d4fc861d792b",
+        "6d8cb9d5c75803ef8d044e0a1f19b61deae836eba1012141c60e02c80c7defe7",
     "sim-c3/series.npy":
         "98b8b15400cbf21ad437eb79f7a35a2c3a9b6819ffc8a5ad87f83089ed510532",
     "sim-d3/covariance.csv":
@@ -121,7 +121,7 @@ GOLDEN = {
     "sim-d3/meta.json":
         "c2166dfad6b1b5b51aca9c7d50a76b7a83cd999422731241f2cb2a8040e2b63e",
     "sim-d3/profile.csv":
-        "9b0722c3544a0d9da7c6dad1ed5edd651704e059471e6265a377fb77891c3a3f",
+        "43b29bdc1b8a65dcdddfe4e1652ebe4c2d557739835e12abff2753440054c492",
     "sim-d3/series.npy":
         "6f6020c2fa90e78fc6bce172fa80a4e1fece4c75aff83a2e7513d2709462143e",
     "sim-d65/covariance.csv":
@@ -131,7 +131,7 @@ GOLDEN = {
     "sim-d65/meta.json":
         "82e1c724e916c906f98140b9962f1708a56869ca0cfc457c9137cd2805adaf57",
     "sim-d65/profile.csv":
-        "c9e22db21b355f7c6f2826c2c53319f70b2d2d3aa0816d76ffaa52747caa9df3",
+        "d6948144586cb7d95b87cbd748a7e19398b38592c1debc41b549fcad3cb9ac90",
     "sim-d65/series.npy":
         "af9c510153dc57226731ed8aad69dfc75ed071939ae7b1fee7c7cedb64035466",
     "ver-equilibrium/meta.json":

@@ -566,6 +566,20 @@ class TestMarginals:
         with pytest.raises(ValueError):
             marginal_pmf_discrete(disc_spec(2), 3, 0)
 
+    def test_degenerate_interval_is_the_site_law(self):
+        # rho_a == rho_b (T_A == T_B): every site has the one site law, with
+        # no quadrature over the profile.
+        disc = disc_spec(3, beta_a=0.6, beta_b=0.6)
+        rho = disc.params.rho_a
+        ks = np.arange(30)
+        for x in (1, 3):
+            assert marginal_pmf_discrete(disc, x, ks).tolist() == geometric_pmf(rho, ks).tolist()
+        cont = cont_spec(3, t_a=1.5, t_b=1.5)
+        zs = np.array([0.0, 0.1, 1.5, 7.0])
+        for x in (1, 3):
+            np.testing.assert_allclose(marginal_cdf_continuous(cont, x, zs),
+                                       1.0 - np.exp(-zs / 1.5), rtol=1e-15, atol=0.0)
+
     def test_continuous_marginal_density_and_cdf(self):
         spec = cont_spec(1)
         # N=1 closed-ish form from the uniform mixture (independent quad oracle)

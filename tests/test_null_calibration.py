@@ -22,8 +22,9 @@ def test_three_seeds(capsys):
         rows = lines[at + 2:at + 2 + len(tool.KINDS)]
         assert [row.split()[0] for row in rows] == list(tool.KINDS)
         assert all(len(row.split()) == 6 for row in rows)
-        assert lines[at + 2 + len(tool.KINDS)].startswith("  runs with any covariance |z| >= 4: ")
-        assert lines[at + 3 + len(tool.KINDS)].startswith("  compare exit 3: ")
+        assert lines[at + 2 + len(tool.KINDS)].startswith("  runs with any mean |z| >= 4: ")
+        assert lines[at + 3 + len(tool.KINDS)].startswith("  runs with any covariance |z| >= 4: ")
+        assert lines[at + 4 + len(tool.KINDS)].startswith("  compare exit 3: ")
 
 
 def test_seed_ranges():

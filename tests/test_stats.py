@@ -157,27 +157,28 @@ class TestAutocorrelationKernel:
 
     def test_profile_errors_match_per_series_loop(self):
         # The report's errors from scalar references, composed exactly as
-        # sqrt(sum_r se_r ** 2) / r over two replicas: a mean's from the series
-        # variance and its Geyer time, a covariance's from the exact product
-        # variance and the batch-means time of the centred product series.
+        # sqrt(sum_r se_r ** 2) / r over two replicas: a mean's from the exact
+        # site variance and the series' Geyer time, a covariance's from the
+        # exact product variance and the batch-means time of the centred
+        # product series.
         params = ChainParams(n=3, beta_a=0.5, beta_b=0.75)
         spec = MixtureSpec(params, Model.DISCRETE)
         parts = [simulate(params, t_max=300.0, seed=50 + i, grid_samples=512) for i in range(2)]
         st = parts[0].merge(parts[1])
         rep = profile_report(st, spec)
         mean = st.mean()
-        product_variance = moment_profile(spec).product_variance
+        exact = moment_profile(spec)
+        site_variance, product_variance = np.diag(exact.covariance), exact.product_variance
 
-        def se(x):
-            var = float(x.var())
-            return 0.0 if var == 0.0 else math.sqrt(var * scalar_tau(x) / x.size)
+        def se(s, x):
+            return math.sqrt(float(site_variance[x]) * scalar_tau(s[:, x]) / len(s))
 
         def se_cov(s, x, y):
             product = (s[:, x] - mean[x]) * (s[:, y] - mean[y])
             tau = scalar_batch_means_tau(product)
             return math.sqrt(float(product_variance[x, y]) * tau / product.size)
 
-        want_mean = [math.sqrt(sum(se(s[:, x]) ** 2 for s in st.series)) / 2 for x in range(3)]
+        want_mean = [math.sqrt(sum(se(s, x) ** 2 for s in st.series)) / 2 for x in range(3)]
         want_cov = [math.sqrt(sum(se_cov(s, x, y) ** 2 for s in st.series)) / 2
                     for x in range(3) for y in range(x, 3)]
         assert rep.se_mean.tolist() == want_mean
@@ -283,6 +284,22 @@ class TestChiSquare:
             np.array([10.0, 5.0]), lambda v: geometric_pmf(1.0, v), 50.0
         )
         assert g.inconclusive and not g.passed(0.01)
+
+    def test_inconclusive_when_no_cell_reaches_the_minimum(self):
+        # An expected law with no finite mass: no merged cell ever expects
+        # MIN_EXPECTED_COUNT.
+        g = chi_square_discrete(np.array([10.0, 5.0]), lambda v: np.full(len(v), np.nan), 500.0)
+        assert g.inconclusive and not g.passed(0.01)
+        assert g.bins_note == "no cell reaches the minimum expected count"
+        assert (g.dof, math.isnan(g.statistic), math.isnan(g.p_value)) == (0, True, True)
+
+    def test_inconclusive_with_one_cell_after_merging(self):
+        # A site that stayed at 0 under a law with almost all its mass there:
+        # the tail merges into the one cell, which leaves no degree of freedom.
+        g = chi_square_discrete(np.array([7.0]), lambda v: geometric_pmf(1e-3, v), 500.0)
+        assert g.inconclusive and not g.passed(0.01)
+        assert g.bins_note == "fewer than two cells after merging"
+        assert g.dof == 0 and math.isnan(g.p_value) and g.statistic >= 0.0
 
     def test_empty_histogram(self):
         with pytest.raises(ValueError):
