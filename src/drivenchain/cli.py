@@ -13,7 +13,9 @@ keeping all written files byte-stable across reruns.
 ``simulate`` computes each replica's site autocorrelation times once, in
 that replica's job (a pool worker under ``--workers``), and records them in
 ``meta.json`` as ``autocorr_times``; ``compare`` checks their form and takes
-its effective sample sizes from them, running no FFT of its own.
+its effective sample sizes from them, running no FFT of its own.  Both of
+its goodness-of-fit tests count the sample those sizes describe, each site's
+``series.npy`` values over all replicas; it reads no ``histograms.csv``.
 
 Exit codes are stable API: 0 success/pass, 1 runtime error, 2 configuration
 error, 3 verification or comparison failure, 4 inconclusive.
@@ -374,14 +376,14 @@ def cmd_verify(cfg: RunConfig, variant: str) -> int:
 
 def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
     """A saved run's configuration (its recorded fields over the defaults) and
-    what ``compare`` tests of it: the moment accumulators, the series, their
-    recorded site autocorrelation times and, for particles, the histograms.
-    ValueError unless ``sim_dir`` holds the output of ``simulate`` with every
-    file ``compare`` reads; a malformed file is one too, naming the file (and
-    line): meta.json (its ``autocorr_times`` too, unless R lists of n finite
-    times >= 1), a bad or repeated histograms.csv row or site total, or
-    series.npy of another shape.  The times are trusted as ``profile.csv``'s
-    standard errors are: checked for form, not recomputed."""
+    what ``compare`` tests of it: the moment accumulators, the series and
+    their recorded site autocorrelation times.  ValueError unless ``sim_dir``
+    holds the output of ``simulate`` with every file ``compare`` reads; a
+    malformed file is one too, naming the file: meta.json (its
+    ``autocorr_times`` too, unless R lists of n finite times >= 1), or
+    series.npy of another shape or dtype than the run's.  ``cmd_compare``
+    checks the series values, a site at a time.  The times are trusted as
+    ``profile.csv``'s standard errors are: checked for form, not recomputed."""
     path = sim_dir / "meta.json"
     with open(path) as fh:
         meta = json.load(fh)
@@ -403,47 +405,23 @@ def _load_sim_dir(sim_dir: Path) -> tuple[RunConfig, OccupationStats]:
                          "times, one list per replica")
     if not (np.isfinite(taus).all() and (taus >= 1.0).all()):  # Geyer's clamp keeps tau >= 1
         raise ValueError(f"{path}: autocorr_times holds a time that is not finite or is below 1")
-    counts = Model(cfg.model).site.integral  # the chi-square reads count histograms
-    histograms = ["histograms.csv"] if counts else []
-    for name in ["profile.csv", "covariance.csv", "series.npy", *histograms]:
+    for name in ["profile.csv", "covariance.csv", "series.npy"]:
         if not (sim_dir / name).is_file():
             raise ValueError(f"{sim_dir / name} is missing: rerun simulate")
-    hists = []
-    if counts:
-        hists = [IntHistogram() for _ in range(cfg.n)]
-        path = sim_dir / "histograms.csv"
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        seen = set()
-        for line, row in enumerate(rows, start=2):
-            try:
-                site, value, weight = int(row[0]), int(row[1]), float(row[3])
-                if not (1 <= site <= cfg.n and value >= 0 and 0.0 <= weight < math.inf):
-                    raise ValueError
-            except (IndexError, ValueError):
-                raise ValueError(f"{path} line {line} reads {','.join(row)}: it needs a site "
-                                 f"in 1..{cfg.n}, a count >= 0 and a finite weight >= 0") from None
-            if (site, value) in seen:
-                raise ValueError(f"{path} line {line} repeats site {site}, value {value}")
-            seen.add((site, value))
-            hists[site - 1].add(value, weight)
-        for x, h in enumerate(hists, start=1):  # a site's holding times fill the window
-            total, duration = h.total(), acc["duration"]
-            if not abs(total - duration) <= 1e-9 * duration:
-                raise ValueError(f"{path}, site {x}: " + (
-                    f"weights sum to {total!r}, not to meta.json's duration {duration!r}"
-                    if total else "histogram is empty"))
-    series, shape = np.load(sim_dir / "series.npy"), (cfg.replicas, cfg.grid_samples, cfg.n)
+    path, dtype = sim_dir / "series.npy", np.dtype(Model(cfg.model).site.dtype)
+    series, shape = np.load(path), (cfg.replicas, cfg.grid_samples, cfg.n)
     if series.shape != shape:
-        raise ValueError(f"{sim_dir / 'series.npy'} has shape {series.shape}, not the "
+        raise ValueError(f"{path} has shape {series.shape}, not the "
                          f"(replicas, grid_samples, n) = {shape} in meta.json")
+    if series.dtype != dtype:
+        raise ValueError(f"{path} holds {series.dtype} values, not the {dtype} of a "
+                         f"{cfg.model} run")
     stats = OccupationStats(
         n_sites=cfg.n,
         model=cfg.model,
         duration=acc["duration"],
         mean_acc=np.array(acc["mean_acc"]),
         second_acc=np.array(acc["second_acc"]),
-        hists=hists,
         series=list(series),
         autocorr_times=list(taus),
     )
@@ -465,11 +443,16 @@ def cmd_compare(cfg: RunConfig, variant: str) -> int:
     all_pass = True
     any_inconclusive = False
     for x in range(1, n + 1):
+        # Both tests count site x's values over every replica, checked here
+        # to hold a single site's copy at a time.
+        data = np.concatenate([s[:, x - 1] for s in stats.series])
+        if not (data.min() >= 0 and data.max() < math.inf):  # NaN fails both
+            raise ValueError(f"{sim_dir / 'series.npy'}: site {x} holds a negative or "
+                             "non-finite value")
         if spec.model is Model.DISCRETE:
             pmf = lambda vals: marginal_pmf_discrete(spec, x, vals)
-            g = chi_square_discrete(stats.hists[x - 1], pmf, ess[x - 1])
+            g = chi_square_discrete(np.bincount(data), pmf, ess[x - 1])
         else:
-            data = np.concatenate([s[:, x - 1] for s in stats.series])
             grid = np.linspace(0.0, float(data.max()) * 1.001 + 1e-12, 1025)
             cdf_grid = marginal_cdf_continuous(spec, x, grid)
             g = ks_continuous(data, lambda t: np.interp(t, grid, cdf_grid), ess[x - 1])

@@ -79,18 +79,13 @@ class BlockDraws:
 
 
 class IntHistogram:
-    """Holding-time weights per non-negative integer value."""
+    """Holding-time weights per non-negative integer value, which ``simulate``
+    writes to histograms.csv (``compare``'s chi-square counts the series)."""
 
     __slots__ = ("weights",)
 
     def __init__(self) -> None:
         self.weights: list[float] = []
-
-    def add(self, value: int, w: float) -> None:
-        ws = self.weights
-        if value >= len(ws):
-            ws.extend([0.0] * (value + 1 - len(ws)))
-        ws[value] += w
 
     @staticmethod
     def index(values: np.ndarray) -> np.ndarray:

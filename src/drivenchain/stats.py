@@ -3,8 +3,8 @@
 Trajectory data are time-weighted and autocorrelated, so nothing here assumes
 i.i.d. input: effective sample sizes come from the integrated autocorrelation
 time of the evenly spaced trajectory series (Geyer's initial positive
-sequence estimator), and histogram tests scale their counts by that
-effective size.  Every moment standard error follows one rule: the claimed
+sequence estimator), and the goodness-of-fit tests judge their sample at
+that effective size.  Every moment standard error follows one rule: the claimed
 law's variance of the averaged quantity (``moment_profile``'s site variance
 or pair-product variance), times an autocorrelation time, over the number of
 samples.
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import MixtureSpec, ProfileMoments, moment_profile
-from .occupation import IntHistogram, OccupationStats
+from .occupation import OccupationStats
 
 __all__ = [
     "GofResult",
@@ -172,25 +172,29 @@ def _inconclusive(name: str, effective_n: float, note: str, statistic: float = n
 
 
 def chi_square_discrete(observed, expected_pmf, effective_n: float) -> GofResult:
-    """Chi-square test of a time-weighted occupation histogram.
+    """Chi-square test of a histogram of holding times or of sample counts.
 
     ``observed`` is an :class:`IntHistogram` or a weight array indexed by
-    value; ``expected_pmf`` maps a value array to exact probabilities.  The
-    open tail beyond the observed support forms its own cell with the exact
-    complementary mass, and adjacent cells are merged from the tail inward
-    until every expected count reaches ``MIN_EXPECTED_COUNT``.
+    value; ``expected_pmf`` maps a value array to exact probabilities, which
+    must be finite and non-negative, as ``effective_n`` must be finite (a
+    ValueError otherwise).  The observed shares are scaled to ``effective_n``.
+    The open tail beyond the observed support forms its own cell with the
+    exact complementary mass, and adjacent cells are merged from the tail
+    inward until every expected count reaches ``MIN_EXPECTED_COUNT``: the
+    expected counts sum to at least ``effective_n``, so at least one cell does.
     """
-    if isinstance(observed, IntHistogram):
-        weights = np.asarray(observed.weights, dtype=float)
-    else:
-        weights = np.asarray(observed, dtype=float)
+    weights = np.asarray(getattr(observed, "weights", observed), dtype=float)
     total = weights.sum()
     if total <= 0.0:
         raise ValueError("observed histogram is empty")
+    if not math.isfinite(effective_n):
+        raise ValueError(f"effective sample size must be finite, got {effective_n}")
     if effective_n < MIN_EFFECTIVE_SAMPLES:
         return _inconclusive("chi-square", effective_n, "insufficient effective samples")
     values = np.arange(len(weights))
     p = np.asarray(expected_pmf(values), dtype=float)
+    if not ((p >= 0.0) & (p < math.inf)).all():  # NaN fails both
+        raise ValueError("expected probabilities must be finite and non-negative")
     obs = effective_n * weights / total
     exp = effective_n * p
     # Open tail cell: everything above the observed support.
@@ -207,9 +211,6 @@ def chi_square_discrete(observed, expected_pmf, effective_n: float) -> GofResult
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
             acc_o = acc_e = 0.0
-    if not merged_obs:
-        return _inconclusive("chi-square", effective_n,
-                             "no cell reaches the minimum expected count")
     merged_obs[-1] += acc_o
     merged_exp[-1] += acc_e
     o_arr = np.array(merged_obs)
@@ -233,12 +234,18 @@ def ks_continuous(samples, expected_cdf, effective_n: float) -> GofResult:
     ``samples`` are equally weighted draws (the evenly spaced trajectory
     series); ``expected_cdf`` maps an array of points to CDF values.  The
     statistic uses the full empirical CDF, the p-value the effective size.
+    A sample or ``effective_n`` that is not finite, or a CDF value outside
+    [0, 1], is a ValueError.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
+    if not (np.isfinite(x).all() and math.isfinite(effective_n)):
+        raise ValueError("KS samples and effective sample size must be finite")
     if effective_n < MIN_EFFECTIVE_SAMPLES:
         return _inconclusive("ks", effective_n, "insufficient effective samples")
     cdf = np.asarray(expected_cdf(x), dtype=float)
+    if not ((cdf >= 0.0) & (cdf <= 1.0)).all():  # NaN fails both
+        raise ValueError("expected CDF values must lie in [0, 1]")
     grid = np.arange(1, n + 1) / n
     d_plus = float(np.max(grid - cdf))
     d_minus = float(np.max(cdf - (grid - 1.0 / n)))

@@ -338,7 +338,8 @@ def check_telescoping(
 # Direct balance-equation residuals (particle chain)
 # ---------------------------------------------------------------------------
 
-# Default (truncation, tol) of the direct check by n; larger n take the last.
+# Default (truncation, tol) of the direct check by n.  Larger n take the last
+# tol and the largest truncation whose table fits MAX_TABLE_ENTRIES.
 DIRECT_DEFAULTS = {1: (200, 1e-8), 2: (60, 1e-6)}
 
 
@@ -428,17 +429,23 @@ def check_stationarity_direct_discrete(
     certificate yields an inconclusive report, not a failure.  ``candidate``
     picks the measure under test: the exact mixture, or wrong products used
     to audit the check's power.  A ``truncation`` or ``tol`` left None takes
-    DIRECT_DEFAULTS' entry for n (the last for larger n).
+    DIRECT_DEFAULTS' entry for n, as the comment there says.
     """
     n = params.n
-    defaults = DIRECT_DEFAULTS[min(n, max(DIRECT_DEFAULTS))]
-    truncation, tol = [d if v is None else v for v, d in zip((truncation, tol), defaults)]
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    default_truncation, default_tol = DIRECT_DEFAULTS[min(n, max(DIRECT_DEFAULTS))]
+    tol = default_tol if tol is None else tol
     spec = MixtureSpec(params, Model.DISCRETE)
     rho_b = params.rho_b
     q = rho_b / (1.0 + rho_b)
     k_sum = _tail_k(q, tol / 10.0, n_sums=2)
+    reach = lambda k: k + max(k_sum, k if n > 1 else 0)  # the table's extent at truncation k
+    if truncation is None and k_sum is not None and n not in DIRECT_DEFAULTS:
+        truncation = 0  # grown while the table fits; checked below
+        while (reach(truncation + 1) + 1) ** n <= MAX_TABLE_ENTRIES:
+            truncation += 1
+    truncation = default_truncation if truncation is None else truncation
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
     meta = {"truncation": truncation, "candidate": candidate}
     if k_sum is None:
         return VerificationReport(
@@ -450,10 +457,11 @@ def check_stationarity_direct_discrete(
     rate_bound = (2.0 * inj + (4 * n - 2) * harmonic_number(truncation)
                   + 2.0 * harmonic_number(k_sum))
     meta["density_tol"] = density_tol = tol / (10.0 * rate_bound)
-    extent = truncation + max(k_sum, truncation if n > 1 else 0)
+    extent = reach(truncation)
     if (extent + 1) ** n > MAX_TABLE_ENTRIES:
         raise ValueError(f"direct balance check at n={n}, truncation {truncation} needs "
-                         f"a {extent + 1}^{n} table, above MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}")
+                         f"a {extent + 1}^{n} table, above MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}; "
+                         f"its tail cut k_sum = {k_sum} comes from tol (a larger --tol shortens it)")
 
     def compute():
         mu, table_error = _candidate_table(spec, extent, candidate, density_tol)

@@ -309,9 +309,9 @@ class TestVerify:
         assert rec["params"]["truncation"] == 10 and rec["notes"]["n"] == 3
         assert rec["tolerances"]["max_residual"] == 1e-6  # the default beyond n = 2
 
-    # candidate tables of 60^5, 121^3 (default --k 60) and 513^2 entries
+    # candidate tables of 60^5, 50^4 (at truncation 0) and 513^2 entries
     @pytest.mark.parametrize("flags", [["--n", "5", "--k", "10"],
-                                       ["--n", "3", "--candidate", "product-geometric"],
+                                       ["--n", "4"],
                                        ["--n", "2", "--k", "256"]])
     def test_stationarity_rejects_unsupported_n(self, tmp_path, flags):
         out = tmp_path / "ver5"
@@ -448,20 +448,38 @@ class TestVerify:
                         "--out", str(out)]) == 0
         assert json.loads((out / "meta.json").read_text())["config"]["mc_samples"] is None
 
-    @pytest.mark.parametrize("n, table", [("3", "121^3"), ("7", "121^7")])
+    @pytest.mark.parametrize("n, table", [("3", "64^3"), ("7", "50^7")])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_stationarity_n_runs_the_direct_check(self, tmp_path, n, table, source, capsys):
-        # --n picks the direct check at any n; at its default --k 60 these
-        # tables exceed MAX_TABLE_ENTRIES, which the check itself reports.
+        # --n picks the direct check at any n.  Without --k, an n >= 3 takes
+        # the largest truncation whose table fits MAX_TABLE_ENTRIES: 14 at
+        # n = 3 (a 64^3 table); at n = 7 even truncation 0 needs a 50^7 table.
         option = ["--n", n]
         if source == "config":
             (tmp_path / "n.cfg").write_text(f"n={n}\n")
             option = ["--config", str(tmp_path / "n.cfg")]
         out = tmp_path / "ver14"
-        assert run_cli(["verify", "--suite", "stationarity", *option, "--out", str(out)]) == 2
+        code = run_cli(["verify", "--suite", "stationarity", *option, "--out", str(out)])
         err = capsys.readouterr().err
-        assert f"a {table} table, above MAX_TABLE_ENTRIES" in err and "does not use" not in err
-        assert not out.exists()
+        assert "does not use" not in err
+        if n == "3":
+            assert code == 0
+            (rec,) = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+            assert rec["params"]["truncation"] == 14
+            assert f"{rec['notes']['extent'] + 1}^{n}" == table
+        else:
+            assert code == 2 and not out.exists()
+            assert f"truncation 0 needs a {table} table" in err
+            assert "a larger --tol shortens it" in err
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--n", "3", "--candidate", "product-geometric"], 3),  # the check's power, at K = 14
+        (["--n", "3", "--k", "15"], 2),  # a 65^3 table
+    ])
+    def test_stationarity_n3_at_the_derived_truncation(self, tmp_path, flags, code):
+        out = tmp_path / "ver17"
+        assert run_cli(["verify", "--suite", "stationarity", *flags, "--out", str(out)]) == code
+        assert out.exists() == (code != 2)
 
     def test_bare_stationarity_runs_the_suite(self, tmp_path):
         out = tmp_path / "ver15"
@@ -506,6 +524,13 @@ def simulate_small(out: Path, *extra: str) -> Path:
     assert run_cli(["simulate", "--model", "discrete", "--n", "3", "--beta-a", "0.5",
                     "--beta-b", "0.75", "--t-max", "300", "--seed", "5",
                     "--grid-samples", "512", *extra, "--out", str(out)]) == 0
+    return out
+
+
+def simulate_small_continuous(out: Path) -> Path:
+    assert run_cli(["simulate", "--model", "continuous", "--n", "2", "--t-a", "1", "--t-b", "2",
+                    "--t-max", "300", "--seed", "5", "--grid-samples", "512",
+                    "--out", str(out)]) == 0
     return out
 
 
@@ -562,8 +587,7 @@ class TestCompare:
         monkeypatch.setattr(stats, "profile_report", refuse)
         assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "cmp")]) in (0, 3, 4)
 
-    @pytest.mark.parametrize("name", ["profile.csv", "covariance.csv", "series.npy",
-                                      "histograms.csv"])
+    @pytest.mark.parametrize("name", ["profile.csv", "covariance.csv", "series.npy"])
     def test_missing_profile_exits_2(self, tmp_path, name, capsys):
         sim = simulate_small(tmp_path / "sim")
         (sim / name).unlink()
@@ -580,49 +604,6 @@ class TestCompare:
         assert "output of verify" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_histograms_leave_no_directory(self, tmp_path, capsys):
-        sim = simulate_small(tmp_path / "sim")
-        (sim / "histograms.csv").write_text("site,value_or_lo,hi,weight\n")
-        out = tmp_path / "cmp"
-        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
-        assert "histogram is empty" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("column, value", [
-        (0, "0"),   # a site below 1, once filed under the last site
-        (0, "9"),   # a site beyond n = 3
-        (1, "-1"),  # a negative count
-        (3, "nan"),  # once read, then a nan chi-square and exit 3
-        (3, "-0.5"),
-        (3, "inf"),
-    ], ids=["site-0", "site-9", "value-minus-1", "weight-nan", "weight-negative", "weight-inf"])
-    def test_malformed_histogram_row_exits_2(self, tmp_path, column, value, capsys):
-        sim = simulate_small(tmp_path / "sim")
-        lines = (sim / "histograms.csv").read_text().splitlines()
-        fields = lines[1].split(",")
-        fields[column] = value
-        lines[1] = ",".join(fields)
-        (sim / "histograms.csv").write_text("\n".join(lines) + "\n")
-        out = tmp_path / "cmp"
-        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
-        assert f"{sim / 'histograms.csv'} line 2 reads {lines[1]}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("edit, says", [
-        (lambda lines: [*lines[:2], lines[1], *lines[2:]], "line 3 repeats site 1, value"),
-        (lambda lines: [lines[0], lines[1].rpartition(",")[0] + ",1.5", *lines[2:]],
-         "site 1: weights sum to"),
-    ], ids=["repeated-row", "sum-short-of-duration"])
-    def test_histogram_off_the_run_exits_2(self, tmp_path, edit, says, capsys):
-        sim = simulate_small(tmp_path / "sim")
-        path = sim / "histograms.csv"
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        out = tmp_path / "cmp"
-        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err and says in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("cut", [
         lambda series: series[:, :, :-1],  # a site short
         lambda series: series[:, ::2],     # a run on another grid
@@ -636,6 +617,52 @@ class TestCompare:
         assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
         assert f"{path} has shape" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("model, edit", [
+        ("discrete", lambda series: series - (series == series.min())),  # a count of -1
+        ("discrete", lambda series: series.astype(float)),
+        ("continuous", lambda series: np.where(series == series.max(), np.nan, series)),
+        ("continuous", lambda series: np.where(series == series.max(), -0.5, series)),
+        ("continuous", lambda series: np.where(series == series.max(), np.inf, series)),
+    ], ids=["negative-count", "float-counts", "nan-energy", "negative-energy", "inf-energy"])
+    def test_malformed_series_exits_2(self, tmp_path, model, edit, capsys):
+        sim = simulate_small(tmp_path / "sim") if model == "discrete" else (
+            simulate_small_continuous(tmp_path / "sim"))
+        path = sim / "series.npy"
+        np.save(path, edit(np.load(path)))
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", [simulate_small, simulate_small_continuous],
+                             ids=["discrete", "continuous"])
+    def test_compare_reads_no_histograms(self, tmp_path, make):
+        sim = make(tmp_path / "sim")
+        with_file = run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "a")])
+        (sim / "histograms.csv").unlink()
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(tmp_path / "b")]) == with_file
+        assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+    def test_particle_gof_counts_the_series(self, tmp_path):
+        # gof.csv is the chi-square of each site's series values over every
+        # replica, counted by np.bincount, at the recorded effective size.
+        sim = simulate_small(tmp_path / "sim", "--replicas", "2", "--workers", "1")
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) in (0, 3, 4)
+        series = np.load(sim / "series.npy")
+        taus = json.loads((sim / "meta.json").read_text())["autocorr_times"]
+        spec = measure.MixtureSpec(cli.RunConfig(
+            command="simulate", n=3, beta_a=0.5, beta_b=0.75).chain_params(), "discrete")
+        with open(out / "gof.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        for x, row in enumerate(rows, start=1):
+            ess = sum(series.shape[1] / tau[x - 1] for tau in taus)
+            g = stats.chi_square_discrete(
+                np.bincount(series[:, :, x - 1].ravel()),
+                lambda v: measure.marginal_pmf_discrete(spec, x, v), ess)
+            assert row == [str(v) for v in (x, g.name, g.statistic, g.dof, float(g.effective_n),
+                                            g.p_value, g.passed(0.01 / 3), g.bins_note)]
 
     @pytest.mark.parametrize("name, line, column", [
         ("profile.csv", 2, 2),      # se of site 1

@@ -50,6 +50,8 @@ RUNS = {
     "ver-telescoping": ["verify", "--suite", "telescoping", "--sizes", "1,6", "--mc-samples",
                         "1000", "--seed", "13"],
     "ver-stationarity": ["verify", "--suite", "stationarity", "--n", "2", "--k", "10"],
+    "ver-stationarity-suite": ["verify", "--suite", "stationarity"],
+    "ver-all": ["verify", "--suite", "all"],
 }
 
 EXIT_CODES = {
@@ -65,6 +67,8 @@ EXIT_CODES = {
     "ver-equilibrium": 0,
     "ver-telescoping": 0,
     "ver-stationarity": 0,
+    "ver-stationarity-suite": 0,
+    "ver-all": 0,
 }
 
 GOLDEN = {
@@ -81,7 +85,7 @@ GOLDEN = {
     "cmp-d3/compare_profile.csv":
         "43b29bdc1b8a65dcdddfe4e1652ebe4c2d557739835e12abff2753440054c492",
     "cmp-d3/gof.csv":
-        "8d2d9adb42606276db123ae857ab237de3a073ec006db0c0a2140f4cecce751b",
+        "c875fca62ad61e8ab2e41483e0e1da46dbf62dff4d8e8986098593d372cb5818",
     "cmp-d3/meta.json":
         "55546881b217e4ee9a756d81c9d01981cea3aa052c8dda33f533179dfad02441",
     "cmp-d65/compare_covariance.csv":
@@ -134,6 +138,10 @@ GOLDEN = {
         "d6948144586cb7d95b87cbd748a7e19398b38592c1debc41b549fcad3cb9ac90",
     "sim-d65/series.npy":
         "af9c510153dc57226731ed8aad69dfc75ed071939ae7b1fee7c7cedb64035466",
+    "ver-all/meta.json":
+        "14a0f1b54ab6d21b41cea2be11d2e7df8b02856e779392c39435db2b308fec44",
+    "ver-all/reports.jsonl":
+        "46cc32b0bab068159884cb965263f176183eb1301d357cc588652aec1975aa0c",
     "ver-equilibrium/meta.json":
         "217b4db4540afb801ed3405eab8f7000887d18c009f91986975204fa7a154ba0",
     "ver-equilibrium/reports.jsonl":
@@ -146,6 +154,10 @@ GOLDEN = {
         "73e42bd50503e99c668d2dd589e360133d100a315f29f18c95dc74f88c4fdda4",
     "ver-stationarity/reports.jsonl":
         "52b87226dc962f09243bb34ee7f99ab1fbee421c9792a9bf6d4dcf077de5c50d",
+    "ver-stationarity-suite/meta.json":
+        "d2a692c4f6706bee8d3f0130d5f10e9322517f8619f199827f9a3520076c18bf",
+    "ver-stationarity-suite/reports.jsonl":
+        "d9b791e1598d8b81fdbed666b98a4c9d010a6bc7906c373a953c8c7263bf3e52",
     "ver-telescoping/meta.json":
         "a0c1916f445218349707de39a96534ea167816b61548b5071f7f0a86af02fbb4",
     "ver-telescoping/reports.jsonl":

@@ -25,6 +25,10 @@ def test_three_seeds(capsys):
         assert lines[at + 2 + len(tool.KINDS)].startswith("  runs with any mean |z| >= 4: ")
         assert lines[at + 3 + len(tool.KINDS)].startswith("  runs with any covariance |z| >= 4: ")
         assert lines[at + 4 + len(tool.KINDS)].startswith("  compare exit 3: ")
+        assert lines[at + 5 + len(tool.KINDS)] == "  GOF site tests: 6, inconclusive 0"
+        assert lines[at + 6 + len(tool.KINDS)].startswith("  GOF p < 0.01: ")
+        assert "p < 0.05: " in lines[at + 6 + len(tool.KINDS)]
+        assert "median p " in lines[at + 6 + len(tool.KINDS)]
 
 
 def test_seed_ranges():

@@ -286,12 +286,22 @@ class TestChiSquare:
         assert g.inconclusive and not g.passed(0.01)
 
     def test_inconclusive_when_no_cell_reaches_the_minimum(self):
-        # An expected law with no finite mass: no merged cell ever expects
-        # MIN_EXPECTED_COUNT.
-        g = chi_square_discrete(np.array([10.0, 5.0]), lambda v: np.full(len(v), np.nan), 500.0)
-        assert g.inconclusive and not g.passed(0.01)
-        assert g.bins_note == "no cell reaches the minimum expected count"
-        assert (g.dof, math.isnan(g.statistic), math.isnan(g.p_value)) == (0, True, True)
+        # Only an expected law that is not a law (NaN here) could leave every
+        # merged cell below MIN_EXPECTED_COUNT: finite p >= 0 expect at least
+        # effective_n >= MIN_EFFECTIVE_SAMPLES in all.  It is an error, not
+        # an inconclusive verdict.
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            chi_square_discrete(np.array([10.0, 5.0]), lambda v: np.full(len(v), np.nan), 500.0)
+
+    @pytest.mark.parametrize("pmf, effective_n", [
+        (lambda v: np.where(v == 0, np.inf, 0.5), 500.0),
+        (lambda v: np.where(v == 0, -0.25, 0.5), 500.0),
+        (lambda v: geometric_pmf(1.0, v), np.nan),
+        (lambda v: geometric_pmf(1.0, v), np.inf),
+    ], ids=["inf-pmf", "negative-pmf", "nan-size", "inf-size"])
+    def test_rejects_inputs_that_are_not_numbers(self, pmf, effective_n):
+        with pytest.raises(ValueError):
+            chi_square_discrete(np.array([10.0, 5.0]), pmf, effective_n)
 
     def test_inconclusive_with_one_cell_after_merging(self):
         # A site that stayed at 0 under a law with almost all its mass there:
@@ -358,6 +368,18 @@ class TestKs:
         g = ks_continuous(np.arange(50.0), sps.expon(scale=1.0).cdf, 20.0)
         assert g.inconclusive
 
+    @pytest.mark.parametrize("samples, cdf, effective_n", [
+        (np.array([0.5, np.nan, 1.0]), sps.expon.cdf, 500.0),
+        (np.array([0.5, np.inf, 1.0]), sps.expon.cdf, 500.0),
+        (np.array([0.5, 2.0, 1.0]), lambda t: 1.5 * sps.expon.cdf(t), 500.0),
+        (np.array([0.5, 2.0, 1.0]), lambda t: sps.expon.cdf(t) - 0.5, 500.0),
+        (np.array([0.5, 2.0, 1.0]), lambda t: np.full(len(t), np.nan), 500.0),
+        (np.array([0.5, 2.0, 1.0]), sps.expon.cdf, np.nan),
+    ], ids=["nan-sample", "inf-sample", "cdf-above-1", "cdf-below-0", "nan-cdf", "nan-size"])
+    def test_rejects_inputs_that_are_not_numbers(self, samples, cdf, effective_n):
+        with pytest.raises(ValueError):
+            ks_continuous(samples, cdf, effective_n)
+
 
 def _stats_from_iid(draws: np.ndarray, model: str) -> OccupationStats:
     """Wrap i.i.d. exact-law draws as if they were a unit-rate trajectory."""
@@ -365,9 +387,7 @@ def _stats_from_iid(draws: np.ndarray, model: str) -> OccupationStats:
     hists = [IntHistogram() for _ in range(n)]
     if model == "discrete":
         for x in range(n):
-            for v, w in enumerate(np.bincount(draws[:, x])):
-                if w:
-                    hists[x].add(v, float(w))
+            hists[x].weights = np.bincount(draws[:, x]).astype(float).tolist()
     return OccupationStats(
         n_sites=n,
         model=model,

@@ -682,15 +682,30 @@ class TestReportsAndSuites:
         assert all(r.passed for r in reports)
 
     def test_missing_truncation_and_tol_take_direct_defaults(self, monkeypatch):
-        # Larger n take the last entry; the cheap product candidate keeps n = 3 small.
+        # Larger n take the last entry's tol and the largest truncation whose
+        # table fits: at tol 1e-6, k_sum = 49 and truncation 14 (a 64^3 table).
         monkeypatch.setattr(verify, "DIRECT_DEFAULTS", {1: (30, 1e-8), 2: (5, 1e-6)})
         for params, truncation, tol, want in ((NEQ1, None, None, (30, 1e-8)),
-                                              (NEQ3, None, None, (5, 1e-6)),
+                                              (NEQ3, None, None, (14, 1e-6)),
                                               (NEQ2, 3, None, (3, 1e-6)),
                                               (NEQ1, None, 1e-7, (30, 1e-7))):
             r = check_stationarity_direct_discrete(params, truncation, tol,
                                                    candidate="product-geometric")
             assert (r.params["truncation"], r.tolerances["max_residual"]) == want
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-2, 0.3])
+    def test_derived_truncation_is_the_largest_that_fits(self, n, tol):
+        params = ChainParams(n=n, beta_a=0.5, beta_b=0.75)
+        try:
+            r = check_stationarity_direct_discrete(params, tol=tol, candidate="product-geometric")
+        except ValueError as exc:  # even truncation 0 needs too large a table
+            assert "truncation 0 needs" in str(exc) and "a larger --tol shortens it" in str(exc)
+            assert tol != 0.3 or n == 6
+            return
+        k, k_sum, extent = r.params["truncation"], r.notes["k_sum"], r.notes["extent"]
+        assert extent == k + max(k_sum, k)
+        assert (extent + 1) ** n <= verify.MAX_TABLE_ENTRIES < (k + 1 + max(k_sum, k + 1) + 1) ** n
 
     def test_run_suite_dispatch(self):
         assert run_suite("identities")

@@ -5,9 +5,14 @@ short run of each chain (n = 2, t_max 600, 4096 grid points; particles at
 beta (0.5, 0.75), energies at T (1, 2)) and prints, per kind of entry, the
 mean, sd, 1% and 99% quantiles and P(|z| >= 3) of its z-scores, the shares of
 runs with any mean |z| >= 4 and with any covariance |z| >= 4 (either fails
-``compare``), and the share that ``compare`` rejects (exit 3).  Under a calibrated rule the mean z-scores are close to N(0, 1) and
-the covariance ones close to Student's t with ``stats.COV_BATCHES - 1``
-degrees of freedom.  It runs the ``drivenchain`` on the import path:
+``compare``), and the share that ``compare`` rejects (exit 3).  From each
+run's ``gof.csv`` it prints the number of site goodness-of-fit tests (the
+chi-square for particles, KS for energies), how many were inconclusive, the
+shares of the others with p < 0.01 and p < 0.05, and their median p.  Under a
+calibrated rule the mean z-scores are close to N(0, 1), the covariance ones
+close to Student's t with ``stats.COV_BATCHES - 1`` degrees of freedom, and
+the p-values close to uniform.  It runs the ``drivenchain`` on the import
+path:
 
     PYTHONPATH=src python3 tools/null_calibration.py --seeds 1-2400 --workers 2
 """
@@ -34,8 +39,9 @@ COMMON = ["--n", "2", "--t-max", "600", "--grid-samples", "4096"]
 KINDS = ("mean1", "mean2", "var1", "cov12", "var2")
 
 
-def run_seed(task: tuple[str, int]) -> tuple[int, dict[str, float]]:
-    """``compare``'s exit code and every z-score of one seed's run of one chain."""
+def run_seed(task: tuple[str, int]) -> tuple[int, dict[str, float], list[float]]:
+    """``compare``'s exit code, every z-score and the GOF p-value of each site
+    (NaN where inconclusive) of one seed's run of one chain."""
     chain, seed = task
     with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()):
         sim, out = Path(tmp) / "sim", Path(tmp) / "cmp"
@@ -53,25 +59,34 @@ def run_seed(task: tuple[str, int]) -> tuple[int, dict[str, float]]:
                     else:
                         kind = f"var{row['x']}" if row["x"] == row["y"] else f"cov{row['x']}{row['y']}"
                     z[kind] = float(row["z"])
-    return code, z
+        with open(out / "gof.csv", newline="") as fh:
+            p_values = [float(row["p_value"]) for row in csv.DictReader(fh)]
+    return code, z, p_values
 
 
-def summarise(chain: str, results: list[tuple[int, dict[str, float]]]) -> list[str]:
+def summarise(chain: str, results: list[tuple[int, dict[str, float], list[float]]]) -> list[str]:
     """The calibration table of one chain's runs, as printed lines."""
     runs = len(results)
     lines = [f"{chain} ({runs} seeds)",
              f"  {'entry':<6} {'mean':>7} {'sd':>6} {'q01':>7} {'q99':>7} {'P(|z|>=3)':>10}"]
     for kind in KINDS:
-        z = np.array([zs[kind] for _, zs in results])
+        z = np.array([zs[kind] for _, zs, _ in results])
         q01, q99 = np.quantile(z, [0.01, 0.99])
         lines.append(f"  {kind:<6} {z.mean():>+7.3f} {z.std():>6.3f} {q01:>+7.2f} {q99:>+7.2f} "
                      f"{np.mean(np.abs(z) >= 3.0):>10.4f}")
     for label, means in (("mean", True), ("covariance", False)):
         past = sum(max(abs(zs[k]) for k in KINDS if k.startswith("mean") == means) >= 4.0
-                   for _, zs in results)
+                   for _, zs, _ in results)
         lines.append(f"  runs with any {label} |z| >= 4: {past / runs:.2%} ({past} of {runs})")
-    rejected = sum(code == cli.EXIT_FAIL for code, _ in results)
+    rejected = sum(code == cli.EXIT_FAIL for code, _, _ in results)
     lines.append(f"  compare exit 3: {rejected / runs:.2%} ({rejected} of {runs})")
+    p = np.array([v for _, _, ps in results for v in ps])
+    conclusive = p[~np.isnan(p)]
+    lines.append(f"  GOF site tests: {p.size}, inconclusive {p.size - conclusive.size}")
+    if conclusive.size:
+        lines.append(f"  GOF p < 0.01: {np.mean(conclusive < 0.01):.2%}, "
+                     f"p < 0.05: {np.mean(conclusive < 0.05):.2%}, "
+                     f"median p {np.median(conclusive):.3f}")
     return lines
 
 
