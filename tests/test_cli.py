@@ -652,8 +652,7 @@ class TestCompare:
         assert run_cli(["compare", "--sim", str(sim), "--out", str(out)]) in (0, 3, 4)
         series = np.load(sim / "series.npy")
         taus = json.loads((sim / "meta.json").read_text())["autocorr_times"]
-        spec = measure.MixtureSpec(cli.RunConfig(
-            command="simulate", n=3, beta_a=0.5, beta_b=0.75).chain_params(), "discrete")
+        spec = measure.MixtureSpec(cli.ChainParams(n=3, beta_a=0.5, beta_b=0.75), "discrete")
         with open(out / "gof.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         for x, row in enumerate(rows, start=1):

@@ -701,7 +701,7 @@ class TestReportsAndSuites:
             r = check_stationarity_direct_discrete(params, tol=tol, candidate="product-geometric")
         except ValueError as exc:  # even truncation 0 needs too large a table
             assert "truncation 0 needs" in str(exc) and "a larger --tol shortens it" in str(exc)
-            assert tol != 0.3 or n == 6
+            assert (n, tol) in {(4, 1e-6), (5, 1e-6), (5, 1e-2), (6, 1e-6), (6, 1e-2), (6, 0.3)}
             return
         k, k_sum, extent = r.params["truncation"], r.notes["k_sum"], r.notes["extent"]
         assert extent == k + max(k_sum, k)
